@@ -32,11 +32,18 @@ from .baseline import dense_classify, dense_train
 from .config import Config
 from .encoding import encode_traversal
 from .evidence import EvidenceState
-from .inference import ObjectModel, leading_pathway_score
+from .inference import ObjectModel, leading_pair_weight, left_sum
 from .rng import NoiseStream, derive_seed
 from .stdp import train_on_traversal
 from .types import Traversal, WeightMatrix
-from .world import SyntheticObject, WorldParams, discrimination_pair, generate_traversal, load_objects
+from .world import (
+    SyntheticObject,
+    WorldParams,
+    discrimination_pair,
+    generate_traversal,
+    load_objects,
+    require_unique_labels,
+)
 
 _TRAIN_PHASE = 0
 _TEST_PHASE = 1
@@ -58,25 +65,39 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _pathway_score(leading: list[int | None], model: ObjectModel) -> float:
+    """Summed model weights along consecutive leading neurons (None: empty packet)."""
+    pairs = zip(leading, leading[1:])
+    return left_sum([leading_pair_weight(i, j, model) for i, j in pairs if i is not None and j is not None])
+
+
 def traversal_pathway_score(packets, model: ObjectModel) -> float:
     """Traversal-level causal alignment: summed leading-pathway weights.
 
     For each consecutive packet pair the model contributes its weight on
-    the (leading pre, leading post) synapse. The all-pairs sum
+    the (leading pre, leading post) synapse, as
+    :func:`tempocode.inference.leading_pathway_score` gives it; a pair with
+    an empty packet contributes nothing. The contributions are summed left
+    to right from 0.0. The all-pairs sum
     (:func:`tempocode.inference.alignment_score`) is deliberately not used
     here: with threshold flicker the two objects' active sets coincide and
     the all-pairs statistic carries no direction signal, while the leading
     pathway stays discriminative until noise corrupts packet rank order.
     """
-    return sum(leading_pathway_score(prev_packet, cur_packet, model) for prev_packet, cur_packet in zip(packets, packets[1:]))
+    return _pathway_score([packet.first_neuron() for packet in packets], model)
 
 
 def classify_temporal(packets, models: list[ObjectModel]) -> int:
-    """Index of the best-aligned model; ties break to the lowest index."""
+    """Index of the best-aligned model; ties break to the lowest index.
+
+    Each packet's leading neuron is found once, then every model is scored
+    along the same leading pathway.
+    """
+    leading = [packet.first_neuron() for packet in packets]
     best_idx = 0
     best_score = -math.inf
     for idx, model in enumerate(models):
-        score = traversal_pathway_score(packets, model)
+        score = _pathway_score(leading, model)
         if score > best_score:
             best_idx = idx
             best_score = score
@@ -341,6 +362,7 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
         objects = list(objects)
         if not objects:
             raise ValueError("need at least one object")
+        require_unique_labels(objects)
         return objects
     if cfg.world.objects is not None:
         return load_objects(cfg.world.objects)
@@ -467,7 +489,7 @@ def run_lambda_convergence(config: Config | None = None, *, seed: int | None = N
             state.adapt_lambda(c, error)
             trajectories[name].append(float(state.lambdas[c]))
     window = min(50, steps)
-    converged = {name: sum(traj[-window:]) / window for name, traj in trajectories.items()}
+    converged = {name: left_sum(traj[-window:]) / window for name, traj in trajectories.items()}
     return LambdaReport(
         seed=seed,
         steps=steps,

@@ -16,6 +16,13 @@ Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets. Empty
 packets score 0 against every model, yielding uniform likelihoods.
+
+:func:`alignment_score` gathers the causal pairs' weights with one indexed,
+masked array read and sums them with :func:`left_sum`, in the order of the
+scalar double loop it replaces (ascending pre id, then ascending post id),
+so every score keeps its bits. :func:`left_sum` is the one ordered sum that
+scores and reports use; STDP inside the loop follows the exactness rule of
+:mod:`tempocode.stdp`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 from .encoding import EncoderParams, encode
 from .evidence import EvidenceState, prediction_error
 from .latency import arrival_time, decode_displacement
-from .stdp import apply_packet_pair
+from .stdp import _check_packet_ids, _pair_block, apply_packet_pair
 from .types import Displacement, LatencyParams, SpikePacket, StdpParams, WeightMatrix
 
 
@@ -40,6 +47,19 @@ class ObjectModel:
     weights: WeightMatrix
 
 
+def left_sum(values) -> float:
+    """Sum of floats from 0.0, strictly left to right.
+
+    numpy's ``sum`` is pairwise, and builtin ``sum`` is compensated from
+    Python 3.12, so either would change the bits of a score or a report
+    with the interpreter or the array length. ``np.add.accumulate`` adds in
+    order; the leading 0.0 turns a lone -0.0 into 0.0, as a fold from 0.0
+    does.
+    """
+    terms = np.asarray(values, dtype=float)
+    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+
+
 def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
     """Sum of model weights over causally ordered pre/post pairs.
 
@@ -49,19 +69,11 @@ def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | N
     """
     if prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
         return 0.0
-    w = model.weights.w
     n = model.weights.n
-    score = 0.0
-    for i, t_pre in prev_packet.items():
-        if i < 0 or i >= n:
-            raise ValueError(f"packet neuron id {i} out of range [0, {n})")
-        pre_global = prev_packet.arrival + t_pre
-        for j, t_post in cur_packet.items():
-            if j < 0 or j >= n:
-                raise ValueError(f"packet neuron id {j} out of range [0, {n})")
-            if pre_global < cur_packet.arrival + t_post:
-                score += w[i, j]
-    return score
+    _check_packet_ids(prev_packet, n)
+    _check_packet_ids(cur_packet, n)
+    rows, cols, pre_times, post_times = _pair_block(prev_packet, cur_packet)
+    return left_sum(model.weights.w[rows, cols][pre_times < post_times])
 
 
 def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
@@ -76,8 +88,11 @@ def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePack
     """
     if prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
         return 0.0
-    i = prev_packet.first_neuron()
-    j = cur_packet.first_neuron()
+    return leading_pair_weight(prev_packet.first_neuron(), cur_packet.first_neuron(), model)
+
+
+def leading_pair_weight(i: int, j: int, model: ObjectModel) -> float:
+    """The model's weight on synapse (i, j), for leading neurons already found."""
     n = model.weights.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"packet neuron id out of range [0, {n})")

@@ -103,15 +103,32 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     Contact k happens at time k * inter_contact_interval with features
     canonical + sigma * stream.normal(k, component). Identical (object,
     params, stream) always yields a bit-identical traversal.
+
+    The whole traversal's noise is drawn as one
+    :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the scalar
+    ``stream.normal`` bit for bit (see :mod:`tempocode.rng` for the exactness
+    rule), and the noise is added elementwise, so each component is still
+    ``canonical + (sigma * z)`` rounded once per operation.
     """
-    contacts = []
-    for k, canonical in enumerate(obj.contacts):
-        values = canonical.copy()
-        if params.noise_sigma > 0.0:
-            for comp in range(values.size):
-                values[comp] += params.noise_sigma * stream.normal(k, comp)
-        contacts.append((values, k * params.inter_contact_interval))
-    return Traversal(tuple(contacts), motor_direction=0.0, label=obj.label)
+    values = np.array(obj.contacts)
+    if params.noise_sigma > 0.0:
+        values += params.noise_sigma * stream.normal_grid(*values.shape)
+    contacts = tuple((row, k * params.inter_contact_interval) for k, row in enumerate(values))
+    return Traversal(contacts, motor_direction=0.0, label=obj.label)
+
+
+def require_unique_labels(objects) -> None:
+    """Reject two objects with one label.
+
+    Accuracy is judged by label equality and the dense baseline groups
+    trials by label, so a repeated label would merge two objects into one
+    class and report a perfect score for a task nobody could solve.
+    """
+    seen = set()
+    for obj in objects:
+        if obj.label in seen:
+            raise ValueError(f"object label {obj.label!r} is used by more than one object; labels must be unique")
+        seen.add(obj.label)
 
 
 def load_objects(path: str | Path) -> list[SyntheticObject]:
@@ -136,4 +153,5 @@ def load_objects(path: str | Path) -> list[SyntheticObject]:
     for obj in objects:
         if obj.n_neurons != dim:
             raise ValueError("all objects must share one feature dimensionality")
+    require_unique_labels(objects)
     return objects

@@ -8,11 +8,16 @@ import pytest
 
 from tempocode.config import Config, config_from_dict
 from tempocode.experiments import (
+    classify_temporal,
     run_discrimination,
     run_lambda_convergence,
     run_noise_sweep,
+    traversal_pathway_score,
     wilson_interval,
 )
+from tempocode.inference import ObjectModel, left_sum
+from tempocode.types import SpikePacket, WeightMatrix
+from tempocode.world import SyntheticObject, discrimination_pair
 
 
 def _small_config(**experiment_overrides) -> Config:
@@ -38,7 +43,40 @@ class TestWilsonInterval:
         assert wilson_interval(0, 0) == (0.0, 1.0)
 
 
+class TestLeftToRightSums:
+    """Sums that reach a report are a plain left fold, whatever the interpreter's ``sum``."""
+
+    VALUES = [1e16, 1.0, -1e16]  # a left fold gives 0.0; compensated summation gives 1.0
+
+    def test_left_sum(self):
+        assert left_sum(self.VALUES) == 0.0
+        assert left_sum([]) == 0.0
+        assert str(left_sum([-0.0])) == "0.0"
+
+    def test_traversal_pathway_score_folds_left(self):
+        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(4)]
+        w = WeightMatrix.zeros(4)
+        w.w[0, 1], w.w[1, 2], w.w[2, 3] = self.VALUES
+        model = ObjectModel("m", w)
+        assert traversal_pathway_score(packets, model) == 0.0
+
+    def test_classify_temporal_scores_like_traversal_pathway_score(self):
+        packets = [SpikePacket({k % 3: 0.0, 3: 0.004}, arrival=0.020 * k) for k in range(5)]
+        packets.insert(2, SpikePacket({}, arrival=0.030))
+        models = [ObjectModel(str(s), WeightMatrix(np.random.default_rng(s).normal(size=(4, 4)))) for s in range(6)]
+        scores = [traversal_pathway_score(packets, m) for m in models]
+        assert classify_temporal(packets, models) == scores.index(max(scores))
+        with pytest.raises(ValueError, match="out of range"):
+            classify_temporal(packets, [ObjectModel("small", WeightMatrix.zeros(2))])
+
+
 class TestDiscrimination:
+    def test_rejects_duplicate_labels(self):
+        obj_a, obj_b = discrimination_pair()
+        twin = SyntheticObject("A", obj_b.contacts)
+        with pytest.raises(ValueError, match="'A'"):
+            run_discrimination(_small_config(n_train=2, n_test=2), objects=[obj_a, twin])
+
     def test_noiseless_single_trial(self):
         report = run_discrimination(_small_config(n_test=1), sigma=0.0)
         assert report.temporal_acc == 1.0

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -75,6 +76,46 @@ class TestAlignmentScore:
         cur = SpikePacket({0: 0.0}, arrival=0.020)
         with pytest.raises(ValueError):
             alignment_score(prev, cur, _zero_model())
+
+
+def _alignment_reference(prev, cur, model):
+    """The scalar definition: causal pairs' weights added left to right from 0.0."""
+    score = 0.0
+    for i, t_pre in prev.items():
+        for j, t_post in cur.items():
+            if prev.arrival + t_pre < cur.arrival + t_post:
+                score += model.weights.w[i, j]
+    return score
+
+
+class TestAlignmentScoreMatchesScalarLoop:
+    """The masked gather against the double loop, compared as bytes."""
+
+    def test_random_overlapping_packets(self):
+        rnd = random.Random(7)
+        n = 24
+        for case in range(200):
+            prev_ids, cur_ids = rnd.sample(range(n), rnd.randint(1, 16)), rnd.sample(range(n), rnd.randint(1, 16))
+            prev = SpikePacket({nid: 0.001 * k for k, nid in enumerate(prev_ids)}, arrival=0.0)
+            arrival = rnd.choice([0.0, 0.004, 0.020])
+            cur = SpikePacket({nid: 0.001 * k for k, nid in enumerate(cur_ids)}, arrival=arrival)
+            # magnitudes far apart make any other summation order show in the bits
+            choices = [-0.0, 1e16, -1e16, 1.0]
+            w = np.array([[rnd.choice(choices + [rnd.uniform(-1, 1)]) for _ in range(n)] for _ in range(n)])
+            model = ObjectModel("m", WeightMatrix(w))
+            got = alignment_score(prev, cur, model)
+            expected = _alignment_reference(prev, cur, model)
+            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), f"case {case}"
+
+    def test_non_causal_pairs_and_negative_zero(self):
+        prev = SpikePacket({0: 0.0, 1: 0.009}, arrival=0.0)
+        cur = SpikePacket({2: 0.0, 3: 0.002}, arrival=0.005)
+        w = np.full((4, 4), -0.0)
+        w[1, 2] = 5.0  # 1 fires at 0.009, after 2 at 0.005: not causal
+        model = ObjectModel("m", WeightMatrix(w))
+        score = alignment_score(prev, cur, model)
+        assert np.float64(score).tobytes() == np.float64(0.0).tobytes()  # -0.0 terms give +0.0 as the loop did
+        assert np.float64(score).tobytes() == np.float64(_alignment_reference(prev, cur, model)).tobytes()
 
 
 class TestLeadingPathwayScore:

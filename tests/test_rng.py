@@ -1,7 +1,11 @@
 """Portable generator: reference vectors, stream discipline, moments."""
 
-import numpy as np
+import math
 
+import numpy as np
+import pytest
+
+from tempocode import rng
 from tempocode.rng import NoiseStream, SplitMix64, derive_seed, mix64
 
 
@@ -62,3 +66,49 @@ class TestNoiseStream:
         zb = np.array([b.normal(i) for i in range(10000)])
         rho = np.corrcoef(za, zb)[0, 1]
         assert abs(rho) < 0.05
+
+
+class TestNormalGrid:
+    """The array path against the scalar reference, compared as bytes."""
+
+    def test_uint64_mixing_matches_python_ints(self):
+        xs = [0, 1, 2, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1] + [mix64(i) for i in range(100)]
+        mixed = rng._mix64_u64(np.array(xs, dtype=np.uint64))
+        assert mixed.tolist() == [mix64(x) for x in xs]
+
+    @pytest.mark.parametrize(
+        "seed, prefix",
+        [(42, (0, 0, 0)), (42, (1, 3, 199)), (7, (0, 2, 5)), (0, ()), (2**64 - 1, (2, 1)), (2**70 + 9, (3,))],
+    )
+    def test_grid_matches_scalar_normal(self, seed, prefix):
+        stream = NoiseStream(seed, *prefix)
+        grid = stream.normal_grid(20, 64)
+        reference = np.array([[stream.normal(k, c) for c in range(64)] for k in range(20)])
+        assert grid.shape == (20, 64)
+        assert grid.tobytes() == reference.tobytes()
+
+    def test_degenerate_shapes(self):
+        stream = NoiseStream(42, 0)
+        assert stream.normal_grid(0, 5).shape == (0, 5)
+        assert stream.normal_grid(3, 0).shape == (3, 0)
+        assert stream.normal_grid(1, 1).tobytes() == np.array([[stream.normal(0, 0)]]).tobytes()
+
+
+class TestZeroUniform:
+    """u1 == 0 is replaced by 2**-53 in the Box-Muller transform both paths share."""
+
+    EXPECTED = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(2.0 * math.pi * 0.25)
+
+    def test_shared_transform_substitutes(self):
+        assert rng._box_muller([0.0, 2.0**-53], [0.25, 0.25]) == [self.EXPECTED, self.EXPECTED]
+
+    def test_scalar_path(self, monkeypatch):
+        uniforms = iter([0.0, 0.25])
+        monkeypatch.setattr(SplitMix64, "next_float", lambda self: next(uniforms))
+        assert SplitMix64(1).next_gauss() == self.EXPECTED
+
+    def test_array_path(self, monkeypatch):
+        monkeypatch.setattr(rng, "_unit_floats", lambda u64: np.zeros(u64.shape))
+        grid = NoiseStream(5).normal_grid(2, 3)
+        zero_zero = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(0.0)
+        assert grid.tobytes() == np.full((2, 3), zero_zero).tobytes()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tempocode.encoding import encode_traversal
-from tempocode.stdp import stdp_update, train_on_traversal
+from tempocode.stdp import apply_packet_pair, stdp_update, train_on_traversal
 from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import discrimination_pair
 
@@ -163,3 +163,81 @@ class TestTrainOnTraversal:
         assert np.all(np.diag(without.w) == 0.0)
         off_diag = ~np.eye(3, dtype=bool)
         assert np.array_equal(without.w[off_diag], with_self.w[off_diag])
+
+
+def _pairwise_reference(weights, prev, cur, params, include_self_pairs):
+    """The scalar definition: stdp_update on every prev x cur synapse."""
+    for i, t_pre in prev.items():
+        for j, t_post in cur.items():
+            if not include_self_pairs and i == j:
+                continue
+            weights[i, j] = stdp_update(weights[i, j], prev.arrival + t_pre, cur.arrival + t_post, params)
+
+
+def _random_packet(rnd, n, size, arrival):
+    ids = rnd.sample(range(n), size)
+    # offsets on a 1 ms grid, so packets that overlap in time give exact dt == 0
+    offsets = [0.0] + [0.001 * k for k in rnd.sample(range(1, 40), size - 1)]
+    return SpikePacket(dict(zip(ids, offsets)), arrival=arrival)
+
+
+class TestApplyPacketPairMatchesScalarRule:
+    """apply_packet_pair against a stdp_update loop, compared as bytes."""
+
+    def test_random_cases(self):
+        rnd = random.Random(2024)
+        n = 32
+        for case in range(300):
+            # sizes run from a single synapse to 24 x 24 blocks
+            prev = _random_packet(rnd, n, rnd.randint(1, 24), 0.0)
+            cur = _random_packet(rnd, n, rnd.randint(1, 24), rnd.choice([0.0, 0.003, 0.010, 0.020, 0.045]))
+            params = StdpParams(
+                a_plus=rnd.choice([0.01, 0.3]),
+                a_minus=rnd.choice([0.01, 0.07]),
+                tau_plus=rnd.choice([0.020, 0.007]),
+                tau_minus=rnd.choice([0.020, 0.013]),
+                w_max=rnd.choice([None, 0.05, 0.2]),
+            )
+            include_self = rnd.random() < 0.5
+            weights = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)])
+            expected = weights.copy()
+            _pairwise_reference(expected, prev, cur, params, include_self)
+            apply_packet_pair(weights, prev, cur, params, include_self)
+            assert weights.tobytes() == expected.tobytes(), f"case {case}"
+
+    def test_overlapping_packets_depress_and_skip_simultaneous_spikes(self):
+        prev = SpikePacket({i: 0.001 * i for i in range(10)}, arrival=0.0)
+        cur = SpikePacket({i + 5: 0.001 * i for i in range(10)}, arrival=0.004)
+        params = StdpParams(w_max=0.005)
+        for include_self in (True, False):
+            weights = np.full((16, 16), 0.004)
+            expected = weights.copy()
+            _pairwise_reference(expected, prev, cur, params, include_self)
+            apply_packet_pair(weights, prev, cur, params, include_self)
+            assert weights.tobytes() == expected.tobytes()
+            assert (weights < 0.004).any() and (weights == 0.004).any() and (weights == 0.005).any()
+
+    def test_rejects_out_of_range_ids(self):
+        prev = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.0)
+        cur = SpikePacket({i + 1: 0.001 * i for i in range(8)}, arrival=0.020)
+        with pytest.raises(ValueError, match="out of range"):
+            apply_packet_pair(np.zeros((8, 8)), prev, cur)
+
+    def test_rejects_non_finite_weights_it_would_update(self):
+        prev = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.0)
+        cur = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.020)
+        for small in (False, True):
+            packets = (SpikePacket({0: 0.0}), SpikePacket({0: 0.0}, arrival=0.020)) if small else (prev, cur)
+            weights = np.zeros((8, 8))
+            weights[0, 0] = math.nan
+            with pytest.raises(ValueError, match="finite"):
+                apply_packet_pair(weights, *packets)
+            # an excluded self pair is never read, as in the scalar rule
+            apply_packet_pair(weights, *packets, include_self_pairs=False)
+            assert math.isnan(weights[0, 0])
+
+    def test_rejects_non_finite_spike_times(self):
+        prev = SpikePacket({i: 1e308 * (i / 8) for i in range(8)}, arrival=1e308)
+        cur = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.020)
+        with pytest.raises(ValueError, match="finite"):
+            apply_packet_pair(np.zeros((8, 8)), prev, cur)

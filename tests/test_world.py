@@ -130,6 +130,16 @@ class TestLoadObjects:
         with pytest.raises(ValueError):
             load_objects(path)
 
+    def test_rejects_duplicate_labels(self, tmp_path):
+        # two objects labelled A in opposite orders would score 100% on both classifiers
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps([
+            {"label": "A", "contacts": [[0.9, 0.1], [0.1, 0.9]]},
+            {"label": "A", "contacts": [[0.1, 0.9], [0.9, 0.1]]},
+        ]))
+        with pytest.raises(ValueError, match="'A'"):
+            load_objects(path)
+
     def test_rejects_mixed_dimensions(self, tmp_path):
         path = tmp_path / "mixed.json"
         path.write_text(json.dumps([
