@@ -14,7 +14,9 @@ and ``--plot``; they write report.txt / report.csv / report.json under
 with ``--plot``) and print the chosen format to stdout. Seed precedence:
 ``--seed``, then the config file, then the TEMPOCODE_SEED environment
 variable, then the built-in default. Exit codes: 0 success, 2 config or
-usage error, 1 runtime failure.
+usage error, 1 runtime failure. The config, the seed and the objects file
+named by ``world.objects`` are all validated before a run starts, so any
+error raised during the run is a runtime failure.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .experiments import (
     run_lambda_convergence,
     run_noise_sweep,
 )
-from .world import DEFAULT_SEED
+from .world import DEFAULT_SEED, SyntheticObject, load_objects
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,13 +119,24 @@ def _write_curves(report, curves_dir: Path) -> None:
                   list(enumerate(report.trajectories[name], start=1)))
 
 
+def _config_objects(config: Config) -> list[SyntheticObject] | None:
+    """The objects named by ``world.objects``, loaded before any run starts."""
+    if config.world.objects is None:
+        return None
+    try:
+        return load_objects(config.world.objects)
+    except (OSError, TypeError, ValueError) as exc:
+        raise ConfigError(f"world.objects: {exc}") from exc
+
+
 def _run_experiment(command: str, args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = _resolve_seed(config, args.seed)
+    objects = _config_objects(config)
     if command == "discriminate":
-        report = run_discrimination(config, seed=seed)
+        report = run_discrimination(config, seed=seed, objects=objects)
     elif command == "noise-sweep":
-        report = run_noise_sweep(config, seed=seed)
+        report = run_noise_sweep(config, seed=seed, objects=objects)
     else:
         report = run_lambda_convergence(config, seed=seed)
 
@@ -179,9 +192,6 @@ def main(argv: list[str] | None = None) -> int:
             return _run_encode(args)
         return _run_capacity(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary maps failures to exit 1

@@ -238,7 +238,7 @@ def config_from_dict(data: dict) -> Config:
     )
     _reject_unknown(sched_raw, "experiment.error_schedule")
     experiment = ExperimentConfig(
-        n_train=_as_int("experiment.n_train", exp.pop("n_train", 50), minimum=0),
+        n_train=_as_int("experiment.n_train", exp.pop("n_train", 50), minimum=1),
         n_test=_as_int("experiment.n_test", exp.pop("n_test", 200), minimum=1),
         sigma=_non_negative("experiment.sigma", exp.pop("sigma", 0.05)),
         sigmas=sigmas,

@@ -46,11 +46,13 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     fire, ordered by descending activation (ties by ascending neuron id);
     all others stay silent. Raises ValueError on non-finite activations.
     """
-    arr = as_features(features)
-    active = [i for i in range(arr.size) if arr[i] > params.sparsity_threshold]
+    values = as_features(features).tolist()
+    threshold = params.sparsity_threshold
+    active = [i for i, x in enumerate(values) if x > threshold]
     if not active:
         return SpikePacket({}, arrival=arrival)
-    ranked = sorted(active, key=lambda i: (-arr[i], i))
+    # Python's sort is stable under reverse=True, so ties keep ascending id.
+    ranked = sorted(active, key=values.__getitem__, reverse=True)
     n = len(ranked)
     spikes = {nid: params.tau_base * (rank / n) for rank, nid in enumerate(ranked)}
     return SpikePacket(spikes, arrival=arrival)

@@ -17,12 +17,15 @@ score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets. Empty
 packets score 0 against every model, yielding uniform likelihoods.
 
-:func:`alignment_score` gathers the causal pairs' weights with one indexed,
-masked array read and sums them with :func:`left_sum`, in the order of the
-scalar double loop it replaces (ascending pre id, then ascending post id),
-so every score keeps its bits. :func:`left_sum` is the one ordered sum that
-scores and reports use; STDP inside the loop follows the exactness rule of
-:mod:`tempocode.stdp`.
+:func:`alignment_scores` scores one packet pair against every model at once:
+it checks the packets' neuron ids once per distinct neuron count, builds
+the pair's id block, global times and causal mask once, gathers each
+model's causal weights in the order of the scalar double loop it replaces
+(ascending pre id, then ascending post id), and folds all the models' rows
+in one :func:`left_sum` call, so every score keeps its bits.
+:func:`alignment_score` is the one-model case of the same code path.
+:func:`left_sum` is the one ordered sum that scores and reports use; STDP
+inside the loop follows the exactness rule of :mod:`tempocode.stdp`.
 """
 
 from __future__ import annotations
@@ -47,33 +50,49 @@ class ObjectModel:
     weights: WeightMatrix
 
 
-def left_sum(values) -> float:
-    """Sum of floats from 0.0, strictly left to right.
+def left_sum(values) -> float | np.ndarray:
+    """Sum of floats from 0.0, strictly left to right, along the last axis.
 
     numpy's ``sum`` is pairwise, and builtin ``sum`` is compensated from
     Python 3.12, so either would change the bits of a score or a report
     with the interpreter or the array length. ``np.add.accumulate`` adds in
-    order; the leading 0.0 turns a lone -0.0 into 0.0, as a fold from 0.0
-    does.
+    order, row by row; the leading 0.0 turns a lone -0.0 into 0.0, as a
+    fold from 0.0 does. A 1-D input gives a float, an m x k input the array
+    of its m row sums.
     """
     terms = np.asarray(values, dtype=float)
-    return float(np.add.accumulate(np.concatenate(([0.0], terms)))[-1])
+    start = np.zeros(terms.shape[:-1] + (1,))
+    totals = np.add.accumulate(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
+    return float(totals) if totals.ndim == 0 else totals
 
 
-def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
-    """Sum of model weights over causally ordered pre/post pairs.
+def alignment_scores(
+    prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, models: list[ObjectModel]
+) -> list[float]:
+    """Each model's sum of weights over causally ordered pre/post pairs.
 
     A pair (i in prev, j in cur) contributes w[i, j] when i's global spike
     time precedes j's; with non-overlapping packets that is every pair.
-    Missing or empty packets score 0.
+    Missing or empty packets score 0 against every model. Scores come back
+    in model order.
     """
-    if prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
-        return 0.0
-    n = model.weights.n
-    _check_packet_ids(prev_packet, n)
-    _check_packet_ids(cur_packet, n)
+    if not models or prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
+        return [0.0] * len(models)
+    sizes = {m.weights.n for m in models}
+    for n in sizes:
+        _check_packet_ids(prev_packet, n)
+        _check_packet_ids(cur_packet, n)
     rows, cols, pre_times, post_times = _pair_block(prev_packet, cur_packet)
-    return left_sum(model.weights.w[rows, cols][pre_times < post_times])
+    causal = pre_times < post_times
+    # Row-major flat indices of the causal pairs, in double-loop order.
+    flat = {n: (rows * n + cols)[causal] for n in sizes}
+    terms = np.stack([m.weights.w.take(flat[m.weights.n]) for m in models])
+    return left_sum(terms).tolist()
+
+
+def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
+    """One model's alignment score; see :func:`alignment_scores`."""
+    return alignment_scores(prev_packet, cur_packet, [model])[0]
 
 
 def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
@@ -119,8 +138,7 @@ def log_likelihoods(
     """Per-class log-likelihoods from alignment scores (exp sums to 1)."""
     if not models:
         raise ValueError("need at least one object model")
-    scores = [alignment_score(prev_packet, cur_packet, m) for m in models]
-    return log_likelihoods_from_scores(scores, temperature)
+    return log_likelihoods_from_scores(alignment_scores(prev_packet, cur_packet, models), temperature)
 
 
 @dataclass
@@ -231,7 +249,7 @@ def exploration_step(
         )
         stages.append("stdp")
 
-    scores = [alignment_score(state.prev_packet, packet, m) for m in state.models]
+    scores = alignment_scores(state.prev_packet, packet, state.models)
     ll = log_likelihoods_from_scores(scores, state.temperature)
     stages.append("score")
 

@@ -50,9 +50,15 @@ def stdp_update(w: float, pre_time: float, post_time: float, params: StdpParams 
 
 
 def _check_packet_ids(packet: SpikePacket, n: int) -> None:
-    for nid in packet.spikes:
-        if nid < 0 or nid >= n:
-            raise ValueError(f"packet neuron id {nid} out of range [0, {n})")
+    """Reject neuron ids outside [0, n) in O(1).
+
+    A packet keeps its ids in ascending order, so its first and last id
+    bound all the others.
+    """
+    if packet:
+        for nid in (next(iter(packet.spikes)), next(reversed(packet.spikes))):
+            if nid < 0 or nid >= n:
+                raise ValueError(f"packet neuron id {nid} out of range [0, {n})")
 
 
 def _pair_block(prev_packet: SpikePacket, cur_packet: SpikePacket):

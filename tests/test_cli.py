@@ -200,3 +200,41 @@ class TestSeedResolution:
         code, _, err = _run(capsys, ["discriminate", "--config", str(small_config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "TEMPOCODE_SEED" in err
+
+
+class TestExitCodesMeanWhatTheySay:
+    def test_duplicate_object_label_exit_2(self, capsys, tmp_path):
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps([
+            {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]},
+            {"label": "A", "contacts": [[0.1, 0.2, 0.9], [0.9, 0.2, 0.1]]},
+        ]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
+        for command in ("discriminate", "noise-sweep"):
+            code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert code == 2
+            assert "config error" in err and "world.objects" in err and "'A'" in err
+            assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    def test_zero_n_train_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"n_train": 0}}))
+        code, _, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error" in err and "experiment.n_train" in err
+
+    def test_value_error_during_run_exit_1(self, capsys, tmp_path, small_config, monkeypatch):
+        import tempocode.cli as cli
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr(cli, "run_discrimination", broken)
+        code, _, err = _run(
+            capsys, ["discriminate", "--config", str(small_config), "--seed", "1", "--out", str(tmp_path / "out")]
+        )
+        assert code == 1
+        assert err.startswith("error: internal failure")
+        assert "config error" not in err

@@ -106,6 +106,56 @@ class TestEncodeProperties:
         assert np.array_equal(sum_a, sum_b)
 
 
+def _encode_reference(features, params=EncoderParams(), arrival=0.0):
+    """The earlier ranking: numpy scalars under a (-activation, id) key."""
+    arr = np.asarray(features, dtype=float)
+    active = [i for i in range(arr.size) if arr[i] > params.sparsity_threshold]
+    ranked = sorted(active, key=lambda i: (-arr[i], i))
+    n = len(ranked)
+    return {nid: params.tau_base * (rank / n) for rank, nid in enumerate(ranked)}
+
+
+class TestEncodeMatchesReferenceRanking:
+    """Ranking over plain floats against the lambda-key ranking, compared as bytes."""
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_random_vectors_with_ties_and_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        pool = np.array([0.0, -0.0, 0.1, 0.5, 0.9, -0.3])
+        thresholds = (0.1, 0.0, -0.0, -0.2)
+        tied = 0
+        for case in range(300):
+            kind = case % 3
+            if kind == 0:
+                values = rng.choice(pool, n)  # many repeats, mixed 0.0 / -0.0
+            elif kind == 1:
+                values = np.round(rng.uniform(-1, 1, n), 1)
+            else:
+                values = rng.uniform(-1, 1, n)
+            params = EncoderParams(sparsity_threshold=thresholds[case % len(thresholds)])
+            packet = encode(values, params, arrival=0.5)
+            expected = _encode_reference(values, params)
+            assert list(packet.spikes) == sorted(expected), f"case {case}"
+            assert packet.by_time() == sorted(expected.items(), key=lambda kv: (kv[1], kv[0]))
+            got_times = np.array([packet.spikes[i] for i in sorted(expected)])
+            want_times = np.array([expected[i] for i in sorted(expected)])
+            assert got_times.tobytes() == want_times.tobytes(), f"case {case}"
+            tied += len(values) != len(set(values.tolist()))
+        assert tied > 0
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_all_silent_input(self, n):
+        for values in (np.zeros(n), np.full(n, -0.0), np.full(n, 0.1)):
+            assert encode(values).spikes == {} == _encode_reference(values)
+
+    def test_signed_zero_ties_keep_ascending_id(self):
+        params = EncoderParams(sparsity_threshold=-0.5)
+        values = [-0.0, 0.0, 0.2, -0.0, 0.0]
+        packet = encode(values, params)
+        assert [nid for nid, _ in packet.by_time()] == [2, 0, 1, 3, 4]
+        assert packet.spikes == _encode_reference(values, params)
+
+
 class TestEncodeTraversal:
     def test_stamps_contact_times(self):
         trav = Traversal(((np.array(F_S), 0.0), (np.array(F_C), 0.020)))

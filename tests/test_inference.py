@@ -14,6 +14,7 @@ from tempocode.inference import (
     LoopState,
     ObjectModel,
     alignment_score,
+    alignment_scores,
     exploration_step,
     leading_pathway_score,
     log_likelihoods,
@@ -116,6 +117,86 @@ class TestAlignmentScoreMatchesScalarLoop:
         score = alignment_score(prev, cur, model)
         assert np.float64(score).tobytes() == np.float64(0.0).tobytes()  # -0.0 terms give +0.0 as the loop did
         assert np.float64(score).tobytes() == np.float64(_alignment_reference(prev, cur, model)).tobytes()
+
+
+def _bytes(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+class TestAlignmentScoresMatchScalarLoop:
+    """One packet-pair block scored against many models, compared as bytes."""
+
+    def test_random_pairs_and_model_counts(self):
+        rnd = random.Random(11)
+        n = 24
+        choices = [-0.0, 1e16, -1e16, 1.0]
+        empties = 0
+        for case in range(200):
+            packets = []
+            for arrival in (0.0, rnd.choice([0.0, 0.004, 0.020])):
+                ids = rnd.sample(range(n), rnd.randint(0, 16))
+                packets.append(SpikePacket({nid: 0.001 * k for k, nid in enumerate(ids)}, arrival=arrival))
+            prev, cur = packets
+            empties += not (prev and cur)
+            models = [
+                ObjectModel(str(k), WeightMatrix(np.array(
+                    [[rnd.choice(choices + [rnd.uniform(-1, 1)]) for _ in range(n)] for _ in range(n)]
+                )))
+                for k in range(rnd.randint(1, 8))
+            ]
+            got = alignment_scores(prev, cur, models)
+            assert isinstance(got, list) and len(got) == len(models)
+            expected = [_alignment_reference(prev, cur, m) for m in models]
+            assert _bytes(got) == _bytes(expected), f"case {case}"
+            assert _bytes(got) == _bytes([alignment_score(prev, cur, m) for m in models]), f"case {case}"
+        assert empties > 0
+
+    def test_missing_packets_and_no_models(self):
+        models = [_single_weight_model(0, 1, 0.3), _zero_model()]
+        packet = SpikePacket({0: 0.0}, arrival=0.020)
+        assert alignment_scores(None, packet, models) == [0.0, 0.0]
+        assert alignment_scores(packet, None, models) == [0.0, 0.0]
+        assert alignment_scores(SpikePacket({}), packet, models) == [0.0, 0.0]
+        assert alignment_scores(SpikePacket({0: 0.0}), packet, []) == []
+
+    def test_models_of_different_sizes(self):
+        prev = SpikePacket({0: 0.0, 2: 0.003}, arrival=0.0)
+        cur = SpikePacket({1: 0.0, 2: 0.005}, arrival=0.020)
+        small = ObjectModel("s", WeightMatrix(np.arange(9.0).reshape(3, 3)))
+        large = ObjectModel("l", WeightMatrix(np.arange(25.0).reshape(5, 5)))
+        got = alignment_scores(prev, cur, [small, large, small])
+        expected = [_alignment_reference(prev, cur, m) for m in (small, large, small)]
+        assert _bytes(got) == _bytes(expected)
+        with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
+            alignment_scores(prev, SpikePacket({3: 0.0}, arrival=0.020), [large, small])
+
+    def test_exploration_step_scores_every_model_alike(self):
+        rnd = random.Random(5)
+        n = 16
+        models = [
+            ObjectModel(str(k), WeightMatrix(np.array([[rnd.uniform(-1, 1) for _ in range(n)] for _ in range(n)])))
+            for k in range(5)
+        ]
+        state = LoopState(models=models, learn=True)
+        for step in range(40):
+            reading = [rnd.choice([0.0, 0.5, rnd.uniform(-0.2, 1.0)]) for _ in range(n)]
+            prev = state.prev_packet
+            _, diag = exploration_step(state, reading)
+            cur = state.prev_packet
+            expected = [alignment_score(prev, cur, m) for m in models]
+            assert _bytes(diag.scores) == _bytes(expected), f"step {step}"
+
+
+class TestPacketIdRange:
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_alignment_scores_name_the_id(self, bad_id):
+        good = SpikePacket({0: 0.0, 1: 0.002}, arrival=0.0)
+        bad = SpikePacket({bad_id: 0.0, 2: 0.004}, arrival=0.020)
+        for prev, cur in ((good, bad), (bad, good)):
+            with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
+                alignment_score(prev, cur, _zero_model())
+            with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
+                alignment_scores(prev, cur, [_zero_model(), _zero_model()])
 
 
 class TestLeadingPathwayScore:

@@ -241,3 +241,23 @@ class TestApplyPacketPairMatchesScalarRule:
         cur = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.020)
         with pytest.raises(ValueError, match="finite"):
             apply_packet_pair(np.zeros((8, 8)), prev, cur)
+
+
+class TestPacketIdRange:
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_apply_packet_pair_names_the_id(self, bad_id):
+        good = SpikePacket({0: 0.0, 1: 0.002}, arrival=0.0)
+        bad = SpikePacket({bad_id: 0.0, 2: 0.004}, arrival=0.020)
+        for prev, cur in ((good, bad), (bad, good)):
+            weights = np.zeros((3, 3))
+            with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
+                apply_packet_pair(weights, prev, cur)
+            assert not weights.any()
+
+    @pytest.mark.parametrize("bad_id", [-1, 3])
+    def test_train_on_traversal_names_the_id(self, bad_id):
+        good = SpikePacket({0: 0.0, 1: 0.002}, arrival=0.0)
+        bad = SpikePacket({bad_id: 0.0, 2: 0.004}, arrival=0.020)
+        for packets in ([bad], [good, bad], [bad, good], [good, good, bad]):
+            with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
+                train_on_traversal(WeightMatrix.zeros(3), packets)
