@@ -5,6 +5,10 @@ componentwise sum of its contact vectors, training averages those sums per
 class, and classification picks the Euclidean-nearest centroid. Any two
 traversals that visit the same features in different orders are identical
 to this classifier by construction.
+
+Distances to all centroids come from one array pass; each row is still
+reduced on its own, so every distance, and with it every argmin tie, has
+the bits of the per-centroid ``np.sum`` it replaced.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]
     """
     if not centroids:
         raise ValueError("dense_classify needs at least one centroid")
-    total = traversal.feature_sum()
-    distances = [float(np.sum((total - centroid) ** 2)) for _, centroid in centroids]
-    return centroids[int(np.argmin(distances))][0]
+    distances = centroid_distances(traversal.feature_sum(), [centroid for _, centroid in centroids])
+    return centroids[int(distances.argmin())][0]
+
+
+def centroid_distances(total: np.ndarray, centroids: list[np.ndarray]) -> np.ndarray:
+    """Squared Euclidean distance from ``total`` to each centroid, in one pass.
+
+    Each row is summed on its own, so entry ``i`` has the same bits as
+    ``np.sum((total - centroids[i]) ** 2)``.
+    """
+    return ((total - np.stack(centroids)) ** 2).sum(axis=1)

@@ -142,14 +142,13 @@ def _run_experiment(command: str, args: argparse.Namespace) -> int:
 
     stamp = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
     outdir = _unique_dir(Path(args.out) / command / stamp)
-    (outdir / "report.txt").write_text(report.to_text())
-    (outdir / "report.csv").write_text(report.to_csv())
-    (outdir / "report.json").write_text(report.to_json())
+    rendered = {"text": report.to_text(), "csv": report.to_csv(), "json": report.to_json()}
+    for fmt, suffix in (("text", "txt"), ("csv", "csv"), ("json", "json")):
+        (outdir / f"report.{suffix}").write_text(rendered[fmt])
     if args.plot:
         _write_curves(report, outdir / "curves")
 
-    rendered = {"text": report.to_text, "csv": report.to_csv, "json": report.to_json}[args.format]()
-    sys.stdout.write(rendered)
+    sys.stdout.write(rendered[args.format])
     print(f"reports written to {outdir}", file=sys.stderr)
     return 0
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .baseline import dense_classify, dense_train
@@ -403,8 +402,8 @@ def run_discrimination(
     models: list[ObjectModel] = []
     for o, obj in enumerate(objs):
         class_traversals = [
-            generate_traversal(obj, world, NoiseStream(seed, _TRAIN_PHASE, o, t))
-            for t in range(cfg.experiment.n_train)
+            generate_traversal(obj, world, stream)
+            for stream in NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
         ]
         weights = WeightMatrix.zeros(n)
         for trav in class_traversals:
@@ -422,10 +421,12 @@ def run_discrimination(
     results = []
     for o, obj in enumerate(objs):
         trials = [
-            generate_traversal(obj, world, NoiseStream(seed, _TEST_PHASE, o, t))
-            for t in range(cfg.experiment.n_test)
+            generate_traversal(obj, world, stream)
+            for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
         ]
         if parallel:
+            from concurrent.futures import ThreadPoolExecutor  # only here: importing it costs every CLI start
+
             with ThreadPoolExecutor() as pool:
                 labels = list(pool.map(classify, trials))
         else:

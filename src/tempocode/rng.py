@@ -19,6 +19,14 @@ exact; ``log`` and ``cos`` come from :mod:`math`, one element at a time,
 because numpy's vectorised transcendentals may differ by an ulp; only
 correctly rounded float operations (``+ - * /`` and ``sqrt``) are used
 otherwise; and the scalar and array paths share one Box-Muller transform.
+
+:meth:`NoiseStream.children` extends this across sibling streams: child
+``t`` is ``NoiseStream(seed, *prefix, t)``, and the first ``normal_grid``
+call on any child runs the integer chain for every child at once. Each
+child still applies the shared Box-Muller transform to its own slice, so
+every child's grid is bit-identical to a lone stream's. The price is
+memory: the family keeps its uniforms, 16 bytes per draw, for as long as
+any child lives (one grid shape at a time).
 """
 
 from __future__ import annotations
@@ -37,8 +45,7 @@ _TWO_PI = 2.0 * math.pi
 
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
-# The states of a SplitMix64 stream's first two steps are seed + 1 and + 2 golden increments.
-_TWO_STEPS = np.array([_GOLDEN, (2 * _GOLDEN) & _MASK64], dtype=np.uint64)[:, None, None]
+_GOLDEN_U64 = np.uint64(_GOLDEN)
 
 
 def mix64(x: int) -> int:
@@ -53,16 +60,53 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def _mix64_u64(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64` over a ``uint64`` array; products wrap modulo 2**64."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX_A_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX_B_U64
-    return z ^ (z >> np.uint64(31))
+def _mix64_u64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+    """:func:`mix64` over a ``uint64`` array, in place; products wrap modulo 2**64.
+
+    ``tmp`` is a scratch buffer of ``z``'s shape, allocated when omitted.
+    Returns ``z``.
+    """
+    if tmp is None:
+        tmp = np.empty_like(z)
+    for shift, multiplier in ((30, _MIX_A_U64), (27, _MIX_B_U64)):
+        np.right_shift(z, np.uint64(shift), out=tmp)
+        z ^= tmp
+        z *= multiplier
+    np.right_shift(z, np.uint64(31), out=tmp)
+    z ^= tmp
+    return z
 
 
 def _unit_floats(u64: np.ndarray) -> np.ndarray:
-    """:meth:`SplitMix64.next_float` over a ``uint64`` array (exact: 53 bits)."""
-    return (u64 >> np.uint64(11)).astype(np.float64) * _TWO_POW_NEG53
+    """:meth:`SplitMix64.next_float` over a ``uint64`` array (exact: 53 bits).
+
+    Shifts ``u64`` in place.
+    """
+    u64 >>= np.uint64(11)
+    floats = u64.astype(np.float64)
+    floats *= _TWO_POW_NEG53
+    return floats
+
+
+def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The ``(2, members, rows, cols)`` uniforms behind every member's ``normal_grid``.
+
+    ``[:, m, k, c]`` are the two ``next_float`` draws of the stream seeded
+    by ``derive_seed(member_seeds[m], k, c)``. A row and a column index hash
+    to the same ``mix64(index + 1)``, so one key array serves both.
+    """
+    index_keys = _mix64_u64(np.arange(1, max(rows, cols) + 1, dtype=np.uint64))
+    row_seeds = _mix64_u64(_mix64_u64(member_seeds.copy())[:, None] ^ index_keys[:rows])
+    states = np.empty((2, member_seeds.size, rows, cols), dtype=np.uint64)
+    tmp = np.empty_like(states)
+    np.bitwise_xor(row_seeds[:, :, None], index_keys[:cols], out=states[0])
+    _mix64_u64(states[0], tmp[0])
+    # A SplitMix64 stream's first two states are its seed plus one and two golden increments.
+    states[0] += _GOLDEN_U64
+    np.add(states[0], _GOLDEN_U64, out=states[1])
+    _mix64_u64(states, tmp)
+    del tmp  # freed before the float copy, so at most two draw-sized buffers live at once
+    return _unit_floats(states)
 
 
 def _box_muller(u1s, u2s) -> list[float]:
@@ -110,6 +154,27 @@ class SplitMix64:
         return _box_muller((u1,), (u2,))[0]
 
 
+class _Family:
+    """Seeds of sibling noise streams and their one cached grid of uniforms.
+
+    The cache is a single ``(shape, uniforms)`` tuple, replaced whole, so a
+    reader never pairs one shape with another shape's uniforms.
+    """
+
+    __slots__ = ("seeds", "_cache")
+
+    def __init__(self, seeds: np.ndarray):
+        self.seeds = seeds
+        self._cache: tuple[tuple[int, int], np.ndarray] | None = None
+
+    def uniforms(self, rows: int, cols: int) -> np.ndarray:
+        cache = self._cache
+        if cache is None or cache[0] != (rows, cols):
+            cache = ((rows, cols), _grid_uniforms(self.seeds, rows, cols))
+            self._cache = cache
+        return cache[1]
+
+
 class NoiseStream:
     """Family of independent gaussian substreams below a common prefix.
 
@@ -121,6 +186,23 @@ class NoiseStream:
 
     def __init__(self, seed: int, *prefix: int):
         self._seed = derive_seed(seed, *prefix) if prefix else mix64(seed & _MASK64)
+        self._family: _Family | None = None
+        self._member = 0
+
+    def children(self, n: int) -> list[NoiseStream]:
+        """Streams ``0 .. n-1`` below this one, sharing one grid family.
+
+        Child ``t`` equals ``NoiseStream(seed, *prefix, t)`` in every draw.
+        """
+        keys = _mix64_u64(np.arange(1, n + 1, dtype=np.uint64))
+        seeds = _mix64_u64(keys ^ np.uint64(self._seed))
+        family = _Family(seeds)
+        kids = []
+        for t, child_seed in enumerate(seeds.tolist()):
+            child = object.__new__(NoiseStream)
+            child._seed, child._family, child._member = child_seed, family, t
+            kids.append(child)
+        return kids
 
     def normal(self, *indices: int) -> float:
         return SplitMix64(derive_seed(self._seed, *indices)).next_gauss()
@@ -128,12 +210,10 @@ class NoiseStream:
     def normal_grid(self, rows: int, cols: int) -> np.ndarray:
         """The ``(rows, cols)`` array whose ``[k, c]`` is ``normal(k, c)``, bit for bit.
 
-        Runs the :func:`derive_seed` chain and the two ``next_u64`` steps of
-        every element at once in ``uint64``. A row and a column index hash
-        to the same ``mix64(index + 1)``, so one key array serves both.
+        A lone stream is a family of one; a child reads its slice of the
+        uniforms its family draws for all members at once.
         """
-        index_keys = _mix64_u64(np.arange(1, max(rows, cols) + 1, dtype=np.uint64))
-        row_seeds = _mix64_u64(np.uint64(mix64(self._seed)) ^ index_keys[:rows])
-        seeds = _mix64_u64(row_seeds[:, None] ^ index_keys[None, :cols])
-        u1, u2 = _unit_floats(_mix64_u64(seeds + _TWO_STEPS))
+        if self._family is None:
+            self._family = _Family(np.array([self._seed], dtype=np.uint64))
+        u1, u2 = self._family.uniforms(rows, cols)[:, self._member]
         return np.array(_box_muller(u1.ravel().tolist(), u2.ravel().tolist())).reshape(rows, cols)

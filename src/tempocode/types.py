@@ -26,7 +26,7 @@ def as_features(values) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"feature vector must be 1-D with at least one neuron, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"feature vector contains non-finite activations: {arr!r}")
     return arr
 

@@ -108,7 +108,11 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the scalar
     ``stream.normal`` bit for bit (see :mod:`tempocode.rng` for the exactness
     rule), and the noise is added elementwise, so each component is still
-    ``canonical + (sigma * z)`` rounded once per operation.
+    ``canonical + (sigma * z)`` rounded once per operation. A ``stream`` from
+    :meth:`~tempocode.rng.NoiseStream.children` gives the same traversal as
+    the lone stream it equals; the first traversal of a family draws the
+    uniforms of every sibling, so a run of trials pays the integer mixing
+    once.
     """
     values = np.array(obj.contacts)
     if params.noise_sigma > 0.0:

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from tempocode.baseline import dense_classify, dense_train
+from tempocode.baseline import centroid_distances, dense_classify, dense_train
 from tempocode.rng import NoiseStream
 from tempocode.types import Traversal
 from tempocode.world import WorldParams, discrimination_pair, generate_traversal
@@ -74,3 +74,42 @@ class TestDenseClassify:
     def test_empty_centroids_rejected(self):
         with pytest.raises(ValueError):
             dense_classify(_noiseless(discrimination_pair()[0]), [])
+
+
+class TestCentroidDistances:
+    """The one-pass distances against the per-centroid sum they replaced."""
+
+    @staticmethod
+    def _reference(total, centroids):
+        distances = [float(np.sum((total - c) ** 2)) for _, c in centroids]
+        return distances, centroids[int(np.argmin(distances))][0]
+
+    @pytest.mark.parametrize("n_neurons", [3, 64, 100])
+    def test_matches_per_centroid_sum_bytes_and_labels(self, n_neurons):
+        rng = np.random.default_rng(n_neurons)
+        ties = 0
+        for case in range(300):
+            scale = 10.0 ** rng.integers(-8, 9)
+            contacts = rng.normal(size=(int(rng.integers(1, 6)), n_neurons)) * scale
+            trav = Traversal(tuple((row, 0.020 * k) for k, row in enumerate(contacts)))
+            arrays = list(rng.normal(size=(int(rng.integers(1, 9)), n_neurons)) * scale)
+            tied = None
+            if len(arrays) > 1 and case % 3 == 0:
+                # Two copies of the nearest centroid: the lower index must win the exact tie.
+                tied, twin = sorted(rng.choice(len(arrays), size=2, replace=False).tolist())
+                arrays[tied] = trav.feature_sum() + 1e-3 * scale * rng.normal(size=n_neurons)
+                arrays[twin] = arrays[tied].copy()
+            centroids = [(f"c{i}", c) for i, c in enumerate(arrays)]
+            ref_distances, ref_label = self._reference(trav.feature_sum(), centroids)
+            distances = centroid_distances(trav.feature_sum(), arrays)
+            assert distances.tobytes() == np.array(ref_distances).tobytes()
+            assert dense_classify(trav, centroids) == ref_label
+            if tied is not None:
+                assert ref_label == f"c{tied}"
+                ties += 1
+        assert ties > 50
+
+    def test_tie_goes_to_lowest_index(self):
+        centroids = [("far", np.array([9.0, 9.0])), ("first", np.array([1.0, 0.0])), ("second", np.array([0.0, 1.0]))]
+        trav = Traversal(((np.array([0.0, 0.0]), 0.0),))
+        assert dense_classify(trav, centroids) == "first"

@@ -1,9 +1,14 @@
 """CLI behaviour: subcommands, exit codes, output files."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tempocode
 from tempocode.cli import main
 
 
@@ -238,3 +243,24 @@ class TestExitCodesMeanWhatTheySay:
         assert code == 1
         assert err.startswith("error: internal failure")
         assert "config error" not in err
+
+
+class TestRenderingAndStartup:
+    @pytest.mark.parametrize("fmt, suffix", [("text", "txt"), ("csv", "csv"), ("json", "json")])
+    def test_stdout_is_the_written_report(self, capsys, tmp_path, small_config, fmt, suffix):
+        code, out, _ = _run(
+            capsys,
+            ["discriminate", "--config", str(small_config), "--seed", "4",
+             "--out", str(tmp_path / "out"), "--format", fmt],
+        )
+        assert code == 0
+        run_dir = next((tmp_path / "out" / "discriminate").iterdir())
+        assert out == (run_dir / f"report.{suffix}").read_text()
+
+    def test_import_leaves_thread_pool_unloaded(self):
+        """The thread pool is imported only by a parallel run, not by every CLI start."""
+        src = str(Path(tempocode.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = "import sys, tempocode.cli; print('concurrent.futures' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "False"

@@ -112,3 +112,51 @@ class TestZeroUniform:
         grid = NoiseStream(5).normal_grid(2, 3)
         zero_zero = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(0.0)
         assert grid.tobytes() == np.full((2, 3), zero_zero).tobytes()
+
+
+class TestChildren:
+    """A family of children against lone per-trial streams, compared as bytes."""
+
+    SEEDS = (42, 7, 2**64 - 1)
+    SHAPES = ((3, 3), (20, 64), (1, 5), (5, 1))
+
+    @staticmethod
+    def _lone(seed, prefix, n):
+        return [NoiseStream(seed, *prefix, t) for t in range(n)]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("rows, cols", SHAPES)
+    def test_family_grid_matches_lone_streams(self, seed, n, rows, cols):
+        prefix = (1, 3)
+        family = np.stack([c.normal_grid(rows, cols) for c in NoiseStream(seed, *prefix).children(n)])
+        reference = np.stack([s.normal_grid(rows, cols) for s in self._lone(seed, prefix, n)])
+        assert family.shape == (n, rows, cols)
+        assert family.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("prefix", [(), (0, 2)])
+    def test_children_scalar_normal_and_seed(self, seed, prefix):
+        children = NoiseStream(seed, *prefix).children(7)
+        lone = self._lone(seed, prefix, 7)
+        assert [c._seed for c in children] == [s._seed for s in lone]
+        got = np.array([[c.normal(k, j) for k in range(3) for j in range(4)] for c in children])
+        want = np.array([[s.normal(k, j) for k in range(3) for j in range(4)] for s in lone])
+        assert got.tobytes() == want.tobytes()
+
+    def test_children_read_out_of_order(self):
+        children = NoiseStream(42, 0, 1).children(7)
+        order = [5, 0, 6, 2, 2, 3, 1, 4]
+        got = {t: children[t].normal_grid(3, 3).tobytes() for t in order}
+        lone = self._lone(42, (0, 1), 7)
+        assert got == {t: lone[t].normal_grid(3, 3).tobytes() for t in order}
+
+    def test_one_family_two_shapes_in_turn(self):
+        children = NoiseStream(7, 1, 0).children(4)
+        lone = self._lone(7, (1, 0), 4)
+        for rows, cols in [(3, 3), (20, 64), (3, 3), (5, 1), (20, 64)]:
+            for child, stream in zip(children, lone):
+                assert child.normal_grid(rows, cols).tobytes() == stream.normal_grid(rows, cols).tobytes()
+
+    def test_no_children(self):
+        assert NoiseStream(42, 0, 0).children(0) == []
