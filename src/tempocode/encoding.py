@@ -15,6 +15,15 @@ digests in ``bench/golden.json`` depend on this order.
 The threshold comparison is strict: activation must exceed the threshold to
 fire. An input with no super-threshold neuron yields an empty (silent)
 packet.
+
+:func:`encode` builds each packet once, without the public
+:class:`~tempocode.types.SpikePacket` constructor's re-sort and re-check.
+Its construction guarantees ascending int ids (the active ids are listed
+in id order), finite non-negative float offsets and a zero minimum (rank 0
+gets ``tau_base * 0.0``, and ``tau_base`` is positive and finite). Two
+invariants still need a check, with the constructor's ``ValueError``: a
+finite ``arrival``, and pairwise distinct offsets, which a subnormal
+``tau_base`` can round together.
 """
 
 from __future__ import annotations
@@ -47,15 +56,19 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     all others stay silent. Raises ValueError on non-finite activations.
     """
     values = as_features(features).tolist()
+    if not math.isfinite(arrival):
+        raise ValueError(f"packet arrival time must be finite, got {arrival}")
     threshold = params.sparsity_threshold
     active = [i for i, x in enumerate(values) if x > threshold]
-    if not active:
-        return SpikePacket({}, arrival=arrival)
     # Python's sort is stable under reverse=True, so ties keep ascending id.
     ranked = sorted(active, key=values.__getitem__, reverse=True)
     n = len(ranked)
-    spikes = {nid: params.tau_base * (rank / n) for rank, nid in enumerate(ranked)}
-    return SpikePacket(spikes, arrival=arrival)
+    rank_of = dict(zip(ranked, range(n)))
+    tau_base = float(params.tau_base)
+    spikes = {nid: tau_base * (rank_of[nid] / n) for nid in active}
+    if len(set(spikes.values())) != n:
+        raise ValueError(f"spike offsets must be pairwise distinct: {list(spikes.values())}")
+    return SpikePacket._from_ordered(spikes, arrival)
 
 
 def encode_traversal(traversal: Traversal, params: EncoderParams = EncoderParams()) -> list[SpikePacket]:

@@ -17,8 +17,7 @@ through the counter-based streams in :mod:`tempocode.rng`, trials own
 disjoint substreams, and the dense and temporal classifiers consume the
 identical noisy traversals. Reports serialize to aligned text, CSV, and
 JSON (with the full effective config echoed for provenance); identical
-inputs produce byte-identical report files, whether trials are classified
-serially or in parallel.
+inputs produce byte-identical report files.
 """
 
 from __future__ import annotations
@@ -374,13 +373,11 @@ def run_discrimination(
     seed: int | None = None,
     sigma: float | None = None,
     objects: list[SyntheticObject] | None = None,
-    parallel: bool = False,
 ) -> DiscriminationReport:
     """Train per-object weight matrices and dense centroids, then classify.
 
     ``sigma`` overrides the config's experiment.sigma; ``objects`` overrides
-    the built-in discrimination pair. With ``parallel=True`` test trials are
-    classified on a thread pool; results are identical to the serial path.
+    the built-in discrimination pair.
     """
     cfg = config if config is not None else Config()
     seed = cfg.resolved_seed(seed)
@@ -424,13 +421,7 @@ def run_discrimination(
             generate_traversal(obj, world, stream)
             for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
         ]
-        if parallel:
-            from concurrent.futures import ThreadPoolExecutor  # only here: importing it costs every CLI start
-
-            with ThreadPoolExecutor() as pool:
-                labels = list(pool.map(classify, trials))
-        else:
-            labels = [classify(trav) for trav in trials]
+        labels = [classify(trav) for trav in trials]
         temporal_correct = sum(1 for temporal_label, _ in labels if temporal_label == obj.label)
         dense_correct = sum(1 for _, dense_label in labels if dense_label == obj.label)
         results.append(ObjectResult(obj.label, cfg.experiment.n_test, dense_correct, temporal_correct))
@@ -450,7 +441,6 @@ def run_noise_sweep(
     *,
     seed: int | None = None,
     objects: list[SyntheticObject] | None = None,
-    parallel: bool = False,
 ) -> NoiseSweepReport:
     """Run the discrimination task at every configured noise level.
 
@@ -462,7 +452,7 @@ def run_noise_sweep(
     rows = []
     for i, sigma in enumerate(cfg.experiment.sigmas):
         row_seed = derive_seed(master, _SWEEP_DOMAIN, i)
-        rows.append(run_discrimination(cfg, seed=row_seed, sigma=sigma, objects=objects, parallel=parallel))
+        rows.append(run_discrimination(cfg, seed=row_seed, sigma=sigma, objects=objects))
     return NoiseSweepReport(seed=master, rows=tuple(rows), config=_effective_config_dict(cfg, master))
 
 
@@ -481,11 +471,12 @@ def run_lambda_convergence(config: Config | None = None, *, seed: int | None = N
     names = ("uniform", "moderate", "complex")
     bases = (sched.uniform, sched.moderate, sched.complex)
     state = EvidenceState(len(names), cfg.accumulator.initial_lambda, sched.alpha)
-    streams = [NoiseStream(seed, _LAMBDA_DOMAIN, c) for c in range(len(names))]
+    # Row c, step t is NoiseStream(seed, _LAMBDA_DOMAIN, c).normal(t), drawn as one array per object.
+    draws = [NoiseStream(seed, _LAMBDA_DOMAIN, c).normal_vector(steps).tolist() for c in range(len(names))]
     trajectories: dict[str, list[float]] = {name: [] for name in names}
     for t in range(steps):
         for c, name in enumerate(names):
-            error = bases[c] + sched.noise_std * streams[c].normal(t)
+            error = bases[c] + sched.noise_std * draws[c][t]
             error = min(max(error, 0.0), 1.0)
             state.adapt_lambda(c, error)
             trajectories[name].append(float(state.lambdas[c]))

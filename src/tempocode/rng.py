@@ -17,16 +17,21 @@ reference. The exactness rule that makes this hold: the SplitMix64 integer
 mixing runs in numpy ``uint64``, where wrapping multiply, xor and shift are
 exact; ``log`` and ``cos`` come from :mod:`math`, one element at a time,
 because numpy's vectorised transcendentals may differ by an ulp; only
-correctly rounded float operations (``+ - * /`` and ``sqrt``) are used
-otherwise; and the scalar and array paths share one Box-Muller transform.
+correctly rounded float operations (``+ - * /`` and ``sqrt``) run in numpy
+otherwise; and the scalar and array paths share one Box-Muller transform,
+which works through its input in chunks of about 4k elements so the
+Python lists feeding ``log`` and ``cos`` stay small.
+:meth:`NoiseStream.normal_vector` is the one-index form, ``[t] == normal(t)``,
+with which the lambda experiment draws each object's whole error
+trajectory at once.
 
 :meth:`NoiseStream.children` extends this across sibling streams: child
 ``t`` is ``NoiseStream(seed, *prefix, t)``, and the first ``normal_grid``
-call on any child runs the integer chain for every child at once. Each
-child still applies the shared Box-Muller transform to its own slice, so
-every child's grid is bit-identical to a lone stream's. The price is
-memory: the family keeps its uniforms, 16 bytes per draw, for as long as
-any child lives (one grid shape at a time).
+call on any child runs the integer chain and the Box-Muller transform for
+every child at once; each child then copies its own slice, bit-identical
+to a lone stream's grid. The price is memory: the family keeps its
+normals, 8 bytes per draw, for as long as any child lives (one grid shape
+at a time).
 """
 
 from __future__ import annotations
@@ -42,6 +47,10 @@ _MIX_B = 0x94D049BB133111EB
 
 _TWO_POW_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
+
+#: Elements per Box-Muller chunk: large enough to amortise numpy's per-call
+#: cost, small enough that the chunk's Python lists stay around 100 kB.
+_CHUNK = 4096
 
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
@@ -88,6 +97,27 @@ def _unit_floats(u64: np.ndarray) -> np.ndarray:
     return floats
 
 
+def _child_seeds(parent: int, n: int) -> np.ndarray:
+    """``mix64(parent ^ mix64(t + 1))`` for ``t`` in ``0 .. n-1``: one step of the seed chain."""
+    keys = _mix64_u64(np.arange(1, n + 1, dtype=np.uint64))
+    keys ^= np.uint64(parent)
+    return _mix64_u64(keys)
+
+
+def _seeded_uniforms(states: np.ndarray) -> np.ndarray:
+    """The first two ``next_float`` draws of the streams seeded by ``states[0]``.
+
+    ``states`` has shape ``(2, ...)`` and is overwritten.
+    """
+    tmp = np.empty_like(states)
+    # A SplitMix64 stream's first two states are its seed plus one and two golden increments.
+    states[0] += _GOLDEN_U64
+    np.add(states[0], _GOLDEN_U64, out=states[1])
+    _mix64_u64(states, tmp)
+    del tmp  # freed before the float copy, so at most two draw-sized buffers live at once
+    return _unit_floats(states)
+
+
 def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The ``(2, members, rows, cols)`` uniforms behind every member's ``normal_grid``.
 
@@ -98,27 +128,32 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
     index_keys = _mix64_u64(np.arange(1, max(rows, cols) + 1, dtype=np.uint64))
     row_seeds = _mix64_u64(_mix64_u64(member_seeds.copy())[:, None] ^ index_keys[:rows])
     states = np.empty((2, member_seeds.size, rows, cols), dtype=np.uint64)
-    tmp = np.empty_like(states)
     np.bitwise_xor(row_seeds[:, :, None], index_keys[:cols], out=states[0])
-    _mix64_u64(states[0], tmp[0])
-    # A SplitMix64 stream's first two states are its seed plus one and two golden increments.
-    states[0] += _GOLDEN_U64
-    np.add(states[0], _GOLDEN_U64, out=states[1])
-    _mix64_u64(states, tmp)
-    del tmp  # freed before the float copy, so at most two draw-sized buffers live at once
-    return _unit_floats(states)
+    _mix64_u64(states[0], states[1])
+    return _seeded_uniforms(states)
 
 
-def _box_muller(u1s, u2s) -> list[float]:
+def _box_muller(u1s, u2s) -> np.ndarray:
     """Cosine-branch Box-Muller over paired uniforms, with libm per element.
 
-    A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite. The
+    A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite.
+    ``log`` and ``cos`` come from :mod:`math`; ``-2.0 *``, ``sqrt``,
+    ``2 pi *`` and the product run in numpy, where each is correctly
+    rounded, so every value equals the scalar formula's. The work runs in
+    chunks of ``_CHUNK`` elements to bound the Python lists it needs. The
     scalar and the array paths both come through here.
     """
-    return [
-        math.sqrt(-2.0 * math.log(u1 if u1 != 0.0 else _TWO_POW_NEG53)) * math.cos(_TWO_PI * u2)
-        for u1, u2 in zip(u1s, u2s)
-    ]
+    u1s = np.asarray(u1s, dtype=float)
+    u2s = np.asarray(u2s, dtype=float)
+    out = np.empty(u1s.shape)
+    flat1, flat2, flat_out = u1s.reshape(-1), u2s.reshape(-1), out.reshape(-1)
+    for start in range(0, flat_out.size, _CHUNK):
+        u1 = flat1[start : start + _CHUNK]
+        size = u1.size
+        logs = np.fromiter(map(math.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53).tolist()), float, size)
+        cosines = np.fromiter(map(math.cos, (_TWO_PI * flat2[start : start + _CHUNK]).tolist()), float, size)
+        np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + size])
+    return out
 
 
 def derive_seed(seed: int, *indices: int) -> int:
@@ -151,14 +186,14 @@ class SplitMix64:
         """Standard normal via Box-Muller (cosine branch)."""
         u1 = self.next_float()
         u2 = self.next_float()
-        return _box_muller((u1,), (u2,))[0]
+        return float(_box_muller((u1,), (u2,))[0])
 
 
 class _Family:
-    """Seeds of sibling noise streams and their one cached grid of uniforms.
+    """Seeds of sibling noise streams and their one cached grid of normals.
 
-    The cache is a single ``(shape, uniforms)`` tuple, replaced whole, so a
-    reader never pairs one shape with another shape's uniforms.
+    The cache is a single ``(shape, normals)`` tuple, replaced whole, so a
+    reader never pairs one shape with another shape's normals.
     """
 
     __slots__ = ("seeds", "_cache")
@@ -167,10 +202,12 @@ class _Family:
         self.seeds = seeds
         self._cache: tuple[tuple[int, int], np.ndarray] | None = None
 
-    def uniforms(self, rows: int, cols: int) -> np.ndarray:
+    def normals(self, rows: int, cols: int) -> np.ndarray:
+        """The ``(members, rows, cols)`` normals of every member, transformed once."""
         cache = self._cache
         if cache is None or cache[0] != (rows, cols):
-            cache = ((rows, cols), _grid_uniforms(self.seeds, rows, cols))
+            u1, u2 = _grid_uniforms(self.seeds, rows, cols)
+            cache = ((rows, cols), _box_muller(u1, u2))
             self._cache = cache
         return cache[1]
 
@@ -194,8 +231,7 @@ class NoiseStream:
 
         Child ``t`` equals ``NoiseStream(seed, *prefix, t)`` in every draw.
         """
-        keys = _mix64_u64(np.arange(1, n + 1, dtype=np.uint64))
-        seeds = _mix64_u64(keys ^ np.uint64(self._seed))
+        seeds = _child_seeds(self._seed, n)
         family = _Family(seeds)
         kids = []
         for t, child_seed in enumerate(seeds.tolist()):
@@ -207,13 +243,18 @@ class NoiseStream:
     def normal(self, *indices: int) -> float:
         return SplitMix64(derive_seed(self._seed, *indices)).next_gauss()
 
+    def normal_vector(self, count: int) -> np.ndarray:
+        """The length-``count`` array whose ``[t]`` is ``normal(t)``, bit for bit."""
+        states = np.empty((2, count), dtype=np.uint64)
+        states[0] = _child_seeds(mix64(self._seed), count)
+        return _box_muller(*_seeded_uniforms(states))
+
     def normal_grid(self, rows: int, cols: int) -> np.ndarray:
         """The ``(rows, cols)`` array whose ``[k, c]`` is ``normal(k, c)``, bit for bit.
 
-        A lone stream is a family of one; a child reads its slice of the
-        uniforms its family draws for all members at once.
+        A lone stream is a family of one; a child copies its slice of the
+        normals its family draws for all members at once.
         """
         if self._family is None:
             self._family = _Family(np.array([self._seed], dtype=np.uint64))
-        u1, u2 = self._family.uniforms(rows, cols)[:, self._member]
-        return np.array(_box_muller(u1.ravel().tolist(), u2.ravel().tolist())).reshape(rows, cols)
+        return self._family.normals(rows, cols)[self._member].copy()

@@ -67,13 +67,12 @@ def _pair_block(prev_packet: SpikePacket, cur_packet: SpikePacket):
     Returns ``(rows, cols, pre_times, post_times)``: rows and pre times as
     column vectors, cols and post times as rows. Both packets iterate in
     ascending neuron id, so the block's row-major order is the order of the
-    scalar double loop over (pre, post).
+    scalar double loop over (pre, post). Each packet builds its arrays once
+    (:attr:`SpikePacket.id_time_arrays`), however many pairs it is part of.
     """
-    rows = np.fromiter(prev_packet.spikes, np.intp, len(prev_packet))[:, None]
-    cols = np.fromiter(cur_packet.spikes, np.intp, len(cur_packet))
-    pre_times = np.array([prev_packet.arrival + t for t in prev_packet.spikes.values()])[:, None]
-    post_times = np.array([cur_packet.arrival + t for t in cur_packet.spikes.values()])
-    return rows, cols, pre_times, post_times
+    prev_ids, pre_times = prev_packet.id_time_arrays
+    cols, post_times = cur_packet.id_time_arrays
+    return prev_ids[:, None], cols, pre_times[:, None], post_times
 
 
 def apply_packet_pair(

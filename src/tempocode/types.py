@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -39,6 +40,12 @@ class SpikePacket:
     packet; ``arrival`` is the global time of the packet's first spike.
     A non-empty packet always has minimum offset exactly 0, and all offsets
     are pairwise distinct.
+
+    The public constructor checks every invariant and stores the spikes in
+    ascending neuron-id order. :func:`tempocode.encoding.encode` builds its
+    packets through :meth:`_from_ordered` instead, which trusts the caller
+    for the invariants its construction guarantees (ascending int ids,
+    finite non-negative float offsets, a zero minimum) and checks none.
     """
 
     spikes: dict[int, float]
@@ -60,6 +67,30 @@ class SpikePacket:
                 raise ValueError(f"spike offsets must be pairwise distinct: {times}")
         object.__setattr__(self, "spikes", ordered)
 
+    @classmethod
+    def _from_ordered(cls, spikes: dict[int, float], arrival: float) -> "SpikePacket":
+        """A packet from spikes that already meet every invariant, stored as given."""
+        packet = object.__new__(cls)
+        object.__setattr__(packet, "spikes", spikes)
+        object.__setattr__(packet, "arrival", arrival)
+        return packet
+
+    @cached_property
+    def id_time_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Neuron ids (``intp``) and global spike times (``float64``) in ascending id order.
+
+        Each time is :meth:`global_time`'s ``arrival + offset``, added in
+        Python once per packet. Built on first use and kept on the instance
+        outside the dataclass fields, so equality and repr do not see them;
+        both arrays are read-only.
+        """
+        n = len(self.spikes)
+        arrival = self.arrival
+        ids = np.fromiter(self.spikes, np.intp, n)
+        times = np.fromiter([arrival + t for t in self.spikes.values()], float, n)
+        ids.flags.writeable = times.flags.writeable = False
+        return ids, times
+
     def __len__(self) -> int:
         return len(self.spikes)
 
@@ -74,10 +105,15 @@ class SpikePacket:
         return self.arrival + self.spikes[neuron_id]
 
     def first_neuron(self) -> int | None:
-        """Neuron that fires first (offset 0), or None for an empty packet."""
-        if not self.spikes:
-            return None
-        return min(self.spikes, key=lambda nid: (self.spikes[nid], nid))
+        """Neuron that fires first (offset 0), or None for an empty packet.
+
+        Offsets are distinct with minimum 0, so exactly one neuron has
+        offset ``== 0.0`` (``-0.0`` included).
+        """
+        for nid, t in self.spikes.items():
+            if t == 0.0:
+                return nid
+        return None
 
     def by_time(self) -> list[tuple[int, float]]:
         """(neuron id, offset) pairs sorted by firing time."""

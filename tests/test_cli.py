@@ -258,7 +258,7 @@ class TestRenderingAndStartup:
         assert out == (run_dir / f"report.{suffix}").read_text()
 
     def test_import_leaves_thread_pool_unloaded(self):
-        """The thread pool is imported only by a parallel run, not by every CLI start."""
+        """Starting the CLI does not import the thread pool (``concurrent.futures`` and ``logging``)."""
         src = str(Path(tempocode.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         probe = "import sys, tempocode.cli; print('concurrent.futures' in sys.modules)"

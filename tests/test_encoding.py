@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempocode.encoding import EncoderParams, code_capacity_bits, encode, encode_traversal
-from tempocode.types import Traversal
+from tempocode.types import SpikePacket, Traversal
 
 TAU = 0.010
 
@@ -206,3 +206,50 @@ class TestCodeCapacity:
             EncoderParams(tau_base=0.0)
         with pytest.raises(ValueError):
             EncoderParams(sparsity_threshold=float("inf"))
+
+
+def _first_neuron_by_min_key(packet):
+    """The earlier leading-neuron rule: the least (offset, id)."""
+    if not packet.spikes:
+        return None
+    return min(packet.spikes, key=lambda nid: (packet.spikes[nid], nid))
+
+
+class TestEncodeBuildsValidPackets:
+    """``encode``'s trusted construction against the fully checked public constructor."""
+
+    @pytest.mark.parametrize("n", [3, 64])
+    def test_matches_public_constructor(self, n):
+        rng = np.random.default_rng(100 + n)
+        pool = np.array([0.0, -0.0, 0.1, 0.5, 0.9, -0.3])
+        silent = 0
+        for case in range(300):
+            values = rng.choice(pool, n) if case % 2 else rng.uniform(-1, 1, n)
+            if case % 50 == 0:
+                values = np.full(n, -0.0)
+            params = EncoderParams(sparsity_threshold=(0.1, 0.0, -0.0, -0.5)[case % 4])
+            packet = encode(values, params, arrival=0.25 * case)
+            rebuilt = SpikePacket(dict(packet.spikes), arrival=packet.arrival)
+            assert packet == rebuilt
+            assert list(packet.spikes) == list(rebuilt.spikes)
+            assert all(type(nid) is int and type(t) is float for nid, t in packet.spikes.items())
+            times = np.array(list(packet.spikes.values()))
+            assert times.tobytes() == np.array(list(rebuilt.spikes.values())).tobytes()
+            assert packet.first_neuron() == _first_neuron_by_min_key(packet)
+            silent += not packet
+        assert silent > 0
+
+    def test_first_neuron_with_signed_zero_offset(self):
+        packet = SpikePacket({3: 0.002, 1: -0.0, 5: 0.001})
+        assert packet.first_neuron() == _first_neuron_by_min_key(packet) == 1
+
+    def test_subnormal_tau_base_rounds_offsets_together(self):
+        params = EncoderParams(tau_base=5e-324)
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            encode([0.9, 0.5, 0.3], params)
+
+    @pytest.mark.parametrize("arrival", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("values", [[0.9, 0.5, 0.3], [0.0, 0.0, 0.0]])
+    def test_rejects_non_finite_arrival(self, arrival, values):
+        with pytest.raises(ValueError, match="arrival time must be finite"):
+            encode(values, arrival=arrival)

@@ -109,13 +109,6 @@ class TestDiscrimination:
         b = run_discrimination(cfg, seed=8, sigma=0.5)
         assert a.to_csv() != b.to_csv()
 
-    def test_parallel_equals_serial(self):
-        cfg = _small_config(n_train=10, n_test=40)
-        serial = run_discrimination(cfg, seed=3, sigma=0.3)
-        parallel = run_discrimination(cfg, seed=3, sigma=0.3, parallel=True)
-        assert serial.to_csv() == parallel.to_csv()
-        assert serial.to_json() == parallel.to_json()
-
     def test_config_echo_round_trips(self):
         report = run_discrimination(_small_config(n_train=5, n_test=5), seed=11)
         echoed = config_from_dict(report.config)

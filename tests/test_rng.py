@@ -100,7 +100,7 @@ class TestZeroUniform:
     EXPECTED = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(2.0 * math.pi * 0.25)
 
     def test_shared_transform_substitutes(self):
-        assert rng._box_muller([0.0, 2.0**-53], [0.25, 0.25]) == [self.EXPECTED, self.EXPECTED]
+        assert rng._box_muller([0.0, 2.0**-53], [0.25, 0.25]).tolist() == [self.EXPECTED, self.EXPECTED]
 
     def test_scalar_path(self, monkeypatch):
         uniforms = iter([0.0, 0.25])
@@ -160,3 +160,65 @@ class TestChildren:
 
     def test_no_children(self):
         assert NoiseStream(42, 0, 0).children(0) == []
+
+
+class TestFamilyNormalsAcrossChunks:
+    """One Box-Muller pass per family, run in chunks, against the scalar reference."""
+
+    @pytest.mark.parametrize(
+        "members, rows, cols",
+        [(3, 3, 455), (2, 32, 64), (17, 1, 241), (1, 1, 3 * rng._CHUNK + 1)],
+        ids=["below", "at", "above", "several"],
+    )
+    def test_family_normals_match_scalar_normal(self, members, rows, cols):
+        size = members * rows * cols
+        assert size in (rng._CHUNK - 1, rng._CHUNK, rng._CHUNK + 1, 3 * rng._CHUNK + 1)
+        children = NoiseStream(42, 1, 2).children(members)
+        got = np.stack([child.normal_grid(rows, cols) for child in children])
+        want = np.array([[[child.normal(k, c) for c in range(cols)] for k in range(rows)] for child in children])
+        assert got.tobytes() == want.tobytes()
+
+    def test_zero_u1_past_the_first_chunk(self, monkeypatch):
+        original = rng._unit_floats
+        zeroed = [rng._CHUNK + 5, 2 * rng._CHUNK - 1, 2 * rng._CHUNK]
+        captured = []
+
+        def with_zeros(u64):
+            floats = original(u64)
+            floats[0].reshape(-1)[zeroed] = 0.0
+            captured.append(floats.copy())
+            return floats
+
+        monkeypatch.setattr(rng, "_unit_floats", with_zeros)
+        children = NoiseStream(7, 0).children(3)
+        got = np.stack([child.normal_grid(4, 700) for child in children])
+        ((u1, u2),) = captured
+        want = [
+            math.sqrt(-2.0 * math.log(a if a != 0.0 else 2.0**-53)) * math.cos(2.0 * math.pi * b)
+            for a, b in zip(u1.ravel().tolist(), u2.ravel().tolist())
+        ]
+        assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+        substituted = math.sqrt(-2.0 * math.log(2.0**-53))
+        for i in zeroed:
+            assert got.reshape(-1)[i] == substituted * math.cos(2.0 * math.pi * u2.reshape(-1)[i])
+
+    def test_grid_is_a_copy(self):
+        child = NoiseStream(42, 0).children(2)[1]
+        first = child.normal_grid(3, 3)
+        first[:] = 0.0
+        assert child.normal_grid(3, 3).tobytes() == NoiseStream(42, 0, 1).normal_grid(3, 3).tobytes()
+
+
+class TestNormalVector:
+    """The vectorised lambda trajectory against scalar ``normal(t)``, compared as bytes."""
+
+    @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
+    @pytest.mark.parametrize("prefix", [(2, 0), (2, 2), ()])
+    def test_matches_scalar_normal(self, seed, prefix):
+        stream = NoiseStream(seed, *prefix)
+        got = stream.normal_vector(300)
+        want = np.array([stream.normal(t) for t in range(300)])
+        assert got.tobytes() == want.tobytes()
+
+    def test_empty(self):
+        assert NoiseStream(42).normal_vector(0).shape == (0,)

@@ -57,6 +57,29 @@ class TestSpikePacket:
             SpikePacket({0: 0.0}, arrival=float("nan"))
 
 
+class TestPacketArrays:
+    def test_ids_and_global_times_in_id_order(self):
+        p = SpikePacket({3: 0.003, 1: 0.0, 0: 1.0 / 3.0}, arrival=0.1)
+        ids, times = p.id_time_arrays
+        assert ids.tolist() == [0, 1, 3]
+        assert times.tobytes() == np.array([p.global_time(i) for i in (0, 1, 3)]).tobytes()
+        assert p.id_time_arrays is p.id_time_arrays
+
+    def test_cache_is_read_only_and_invisible_to_equality_and_repr(self):
+        p, q = SpikePacket({0: 0.0, 2: 0.004}, arrival=1.0), SpikePacket({0: 0.0, 2: 0.004}, arrival=1.0)
+        before = repr(p)
+        ids, times = p.id_time_arrays
+        assert repr(p) == before and p == q
+        with pytest.raises(ValueError):
+            times[0] = 5.0
+        with pytest.raises(ValueError):
+            ids[0] = 1
+
+    def test_empty_packet(self):
+        ids, times = SpikePacket({}).id_time_arrays
+        assert ids.size == times.size == 0
+
+
 class TestWeightMatrix:
     def test_zeros_and_shape(self):
         w = WeightMatrix.zeros(3)
