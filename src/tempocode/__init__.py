@@ -12,7 +12,7 @@ in :mod:`tempocode.world`, :mod:`tempocode.baseline`, and
 """
 
 from .baseline import dense_classify, dense_train
-from .config import Config, ConfigError, load_config
+from .config import DEFAULT_SEED, Config, ConfigError, load_config
 from .encoding import EncoderParams, code_capacity_bits, encode, encode_traversal
 from .evidence import EvidenceState, prediction_error
 from .experiments import (
@@ -48,7 +48,6 @@ from .types import (
     as_features,
 )
 from .world import (
-    DEFAULT_SEED,
     SyntheticObject,
     WorldParams,
     builtin_objects,

@@ -11,19 +11,21 @@ Subcommands:
 Experiment commands accept ``--config``, ``--seed``, ``--out``, ``--format``
 and ``--plot``; they write report.txt / report.csv / report.json under
 ``<out>/<experiment>/<timestamp>/`` (plus gnuplot-ready ``curves/*.dat``
-with ``--plot``) and print the chosen format to stdout. Seed precedence:
+with ``--plot``) and print the chosen format to stdout. The seed comes from
+:meth:`~tempocode.config.Config.resolved_seed`, the library's own rule:
 ``--seed``, then the config file, then the TEMPOCODE_SEED environment
-variable, then the built-in default. Exit codes: 0 success, 2 config or
-usage error, 1 runtime failure. The config, the seed and the objects file
-named by ``world.objects`` are all validated before a run starts, so any
-error raised during the run is a runtime failure.
+variable, then the built-in default, each an integer in [0, 2**64). The
+``encode`` flags default to :class:`~tempocode.encoding.EncoderParams`.
+Exit codes: 0 success, 2 config or usage error, 1 runtime failure. The
+config, the seed and the objects file named by ``world.objects`` are all
+validated before a run starts, so any error raised during the run is a
+runtime failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,7 +40,7 @@ from .experiments import (
     run_lambda_convergence,
     run_noise_sweep,
 )
-from .world import DEFAULT_SEED, SyntheticObject, load_objects
+from .world import SyntheticObject, load_objects
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -60,28 +62,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="print the spike packet for a feature vector")
     enc.add_argument("--features", required=True, metavar="a,b,c", help="comma-separated activations")
-    enc.add_argument("--tau-base", type=float, default=0.010, metavar="S", help="packet time span in seconds")
-    enc.add_argument("--threshold", type=float, default=0.1, metavar="T", help="sparsity threshold")
+    defaults = EncoderParams()
+    enc.add_argument("--tau-base", type=float, default=defaults.tau_base, metavar="S",
+                     help="packet time span in seconds")
+    enc.add_argument("--threshold", type=float, default=defaults.sparsity_threshold, metavar="T",
+                     help="sparsity threshold")
 
     cap = sub.add_parser("capacity", help="rank-order code capacity in bits")
     cap.add_argument("--n", type=int, required=True, metavar="N", help="number of active neurons")
     cap.add_argument("--k", type=int, metavar="K", help="also print unordered capacity of K active out of N")
 
     return parser
-
-
-def _resolve_seed(config: Config, arg_seed: int | None) -> int:
-    if arg_seed is not None:
-        return arg_seed
-    if config.world.seed is not None:
-        return config.world.seed
-    env = os.environ.get("TEMPOCODE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError(f"TEMPOCODE_SEED must be an integer, got {env!r}") from None
-    return DEFAULT_SEED
 
 
 def _unique_dir(root: Path) -> Path:
@@ -131,7 +122,7 @@ def _config_objects(config: Config) -> list[SyntheticObject] | None:
 
 def _run_experiment(command: str, args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    seed = _resolve_seed(config, args.seed)
+    seed = config.resolved_seed(args.seed)
     objects = _config_objects(config)
     if command == "discriminate":
         report = run_discrimination(config, seed=seed, objects=objects)

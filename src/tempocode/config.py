@@ -1,9 +1,13 @@
 """Configuration: defaults, JSON loading, and strict validation.
 
 Configs are plain JSON with five sections (encoder, stdp, accumulator,
-world, experiment). Missing fields take the library defaults; unknown keys
-are hard errors so typos cannot silently fall back to defaults. Every
-validation failure names the offending key, e.g. ``stdp.tau_plus``.
+world, experiment). The table ``_SECTIONS`` is the schema: it maps each
+JSON key to a dataclass field and a check, in echo order, and drives both
+parsing and :meth:`Config.to_dict`. Defaults live only in the dataclass
+fields. Unknown keys are hard errors so typos cannot silently fall back to
+defaults. Every validation failure names the offending key, e.g.
+``stdp.tau_plus``. :meth:`Config.resolved_seed` is the one seed rule for
+the library and the CLI alike.
 
 The experiment section's ``error_schedule`` holds the calibrated per-object
 base prediction errors, noise level, and learning rate for the memory-
@@ -15,13 +19,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from .encoding import EncoderParams
 from .types import StdpParams
-from .world import DEFAULT_SEED
 
+DEFAULT_SEED = 42
 DEFAULT_SIGMAS = (0.00, 0.05, 0.10, 0.20, 0.35, 0.50)
 
 
@@ -73,51 +80,24 @@ class Config:
     experiment: ExperimentConfig = field(default_factory=ExperimentConfig)
 
     def resolved_seed(self, override: int | None = None) -> int:
+        """``override``, else ``world.seed``, else ``TEMPOCODE_SEED``, else
+        :data:`DEFAULT_SEED`; the one used must be an integer in [0, 2**64)."""
         if override is not None:
-            return int(override)
+            return _seed("seed override (--seed)", override)
         if self.world.seed is not None:
-            return int(self.world.seed)
-        return DEFAULT_SEED
+            return _seed("world.seed", self.world.seed)
+        env = os.environ.get("TEMPOCODE_SEED")
+        if env is None:
+            return DEFAULT_SEED
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigError(f"TEMPOCODE_SEED: expected an integer, got {env!r}") from None
+        return _seed("TEMPOCODE_SEED", value)
 
     def to_dict(self) -> dict:
         """The effective config in the exact on-disk JSON schema."""
-        return {
-            "encoder": {
-                "tau_base": self.encoder.tau_base,
-                "threshold": self.encoder.sparsity_threshold,
-            },
-            "stdp": {
-                "a_plus": self.stdp.a_plus,
-                "a_minus": self.stdp.a_minus,
-                "tau_plus": self.stdp.tau_plus,
-                "tau_minus": self.stdp.tau_minus,
-                "clip": self.stdp.w_max,
-            },
-            "accumulator": {
-                "initial_lambda": self.accumulator.initial_lambda,
-                "alpha": self.accumulator.alpha,
-            },
-            "world": {
-                "inter_contact_interval": self.world.inter_contact_interval,
-                "velocity": self.world.velocity,
-                "seed": self.world.seed,
-                "objects": self.world.objects,
-            },
-            "experiment": {
-                "n_train": self.experiment.n_train,
-                "n_test": self.experiment.n_test,
-                "sigma": self.experiment.sigma,
-                "sigmas": list(self.experiment.sigmas),
-                "steps": self.experiment.steps,
-                "error_schedule": {
-                    "alpha": self.experiment.error_schedule.alpha,
-                    "uniform": self.experiment.error_schedule.uniform,
-                    "moderate": self.experiment.error_schedule.moderate,
-                    "complex": self.experiment.error_schedule.complex,
-                    "noise_std": self.experiment.error_schedule.noise_std,
-                },
-            },
-        }
+        return _echo(self, _SECTIONS)
 
 
 def _as_number(path: str, value) -> float:
@@ -144,10 +124,18 @@ def _non_negative(path: str, value) -> float:
 
 
 def _as_int(path: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if value < minimum:
         raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _seed(source: str, value) -> int:
+    """SplitMix64 keys on 64 bits, so any other seed would alias one of them."""
+    value = _as_int(source, value, minimum=0)
+    if value >= 2**64:
+        raise ConfigError(f"{source}: must be < 2**64, got {value}")
     return value
 
 
@@ -158,102 +146,109 @@ def _unit_interval(path: str, value) -> float:
     return value
 
 
-def _section(data: dict, name: str) -> dict:
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name}: expected an object")
-    return dict(section)
+def _noise_levels(path: str, value) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigError(f"{path}: expected a non-empty list of noise levels")
+    return tuple(_non_negative(f"{path}[{i}]", s) for i, s in enumerate(value))
 
 
-def _reject_unknown(section: dict, name: str) -> None:
-    if section:
-        key = sorted(section)[0]
-        raise ConfigError(f"{name}.{key}: unknown key")
+def _file_path(path: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a file path string, got {value!r}")
+    return value
+
+
+def _optional(check):
+    """``check``, except that null stays None (the field's default)."""
+    return lambda path, value: None if value is None else check(path, value)
+
+
+# The JSON schema. A spec is ``(dataclass, entries)``; each entry is
+# ``(JSON key, dataclass field, check)`` in echo order, where the check is a
+# nested spec or ``check(path, value)`` returning the field's value.
+# ``world.velocity`` and ``accumulator.alpha`` are read by nothing, but every
+# report echoes them.
+_SECTIONS = (
+    ("encoder", "encoder", (EncoderParams, (
+        ("tau_base", "tau_base", _positive),
+        ("threshold", "sparsity_threshold", _as_number),
+    ))),
+    ("stdp", "stdp", (StdpParams, (
+        ("a_plus", "a_plus", _positive),
+        ("a_minus", "a_minus", _positive),
+        ("tau_plus", "tau_plus", _positive),
+        ("tau_minus", "tau_minus", _positive),
+        ("clip", "w_max", _optional(_positive)),
+    ))),
+    ("accumulator", "accumulator", (AccumulatorConfig, (
+        ("initial_lambda", "initial_lambda", _unit_interval),
+        ("alpha", "alpha", _positive),
+    ))),
+    ("world", "world", (WorldConfig, (
+        ("inter_contact_interval", "inter_contact_interval", _positive),
+        ("velocity", "velocity", _positive),
+        ("seed", "seed", _optional(_seed)),
+        ("objects", "objects", _optional(_file_path)),
+    ))),
+    ("experiment", "experiment", (ExperimentConfig, (
+        ("n_train", "n_train", partial(_as_int, minimum=1)),
+        ("n_test", "n_test", partial(_as_int, minimum=1)),
+        ("sigma", "sigma", _non_negative),
+        ("sigmas", "sigmas", _noise_levels),
+        ("steps", "steps", partial(_as_int, minimum=1)),
+        ("error_schedule", "error_schedule", (LambdaSchedule, (
+            ("alpha", "alpha", _positive),
+            ("uniform", "uniform", _unit_interval),
+            ("moderate", "moderate", _unit_interval),
+            ("complex", "complex", _unit_interval),
+            ("noise_std", "noise_std", _non_negative),
+        ))),
+    ))),
+)
+
+
+def _parse(path: str, data, spec):
+    """Validate the JSON object ``data`` at ``path`` and build its dataclass."""
+    cls, entries = spec
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected an object")
+    values = {}
+    for key, name, check in entries:
+        if key in data:
+            sub = f"{path}.{key}"
+            values[name] = _parse(sub, data[key], check) if isinstance(check, tuple) else check(sub, data[key])
+    unknown = sorted(set(data).difference(key for key, _, _ in entries))
+    if unknown:
+        raise ConfigError(f"{path}.{unknown[0]}: unknown key")
+    return cls(**values)
+
+
+def _echo(obj, entries) -> dict:
+    """The JSON object of a dataclass built by :func:`_parse`."""
+    out = {}
+    for key, name, check in entries:
+        value = getattr(obj, name)
+        if isinstance(check, tuple):
+            value = _echo(value, check[1])
+        out[key] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def config_from_dict(data: dict) -> Config:
     """Build a validated Config from a parsed JSON object."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    known = {"encoder", "stdp", "accumulator", "world", "experiment"}
+    sections = {key for key, _, _ in _SECTIONS}
     for key in data:
-        if key not in known:
+        if key not in sections:
             raise ConfigError(f"{key}: unknown section")
-
-    enc = _section(data, "encoder")
-    encoder = EncoderParams(
-        tau_base=_positive("encoder.tau_base", enc.pop("tau_base", 0.010)),
-        sparsity_threshold=_as_number("encoder.threshold", enc.pop("threshold", 0.1)),
-    )
-    _reject_unknown(enc, "encoder")
-
-    st = _section(data, "stdp")
-    clip = st.pop("clip", None)
-    stdp = StdpParams(
-        a_plus=_positive("stdp.a_plus", st.pop("a_plus", 0.01)),
-        a_minus=_positive("stdp.a_minus", st.pop("a_minus", 0.01)),
-        tau_plus=_positive("stdp.tau_plus", st.pop("tau_plus", 0.020)),
-        tau_minus=_positive("stdp.tau_minus", st.pop("tau_minus", 0.020)),
-        w_max=None if clip is None else _positive("stdp.clip", clip),
-    )
-    _reject_unknown(st, "stdp")
-
-    acc = _section(data, "accumulator")
-    accumulator = AccumulatorConfig(
-        initial_lambda=_unit_interval("accumulator.initial_lambda", acc.pop("initial_lambda", 0.5)),
-        alpha=_positive("accumulator.alpha", acc.pop("alpha", 0.001)),
-    )
-    _reject_unknown(acc, "accumulator")
-
-    wd = _section(data, "world")
-    seed = wd.pop("seed", None)
-    if seed is not None:
-        seed = _as_int("world.seed", seed, minimum=0)
-    objects = wd.pop("objects", None)
-    if objects is not None and not isinstance(objects, str):
-        raise ConfigError(f"world.objects: expected a file path string, got {objects!r}")
-    world = WorldConfig(
-        inter_contact_interval=_positive("world.inter_contact_interval", wd.pop("inter_contact_interval", 0.020)),
-        velocity=_positive("world.velocity", wd.pop("velocity", 1.0)),
-        seed=seed,
-        objects=objects,
-    )
-    _reject_unknown(wd, "world")
-
-    exp = _section(data, "experiment")
-    sigmas_raw = exp.pop("sigmas", list(DEFAULT_SIGMAS))
-    if not isinstance(sigmas_raw, (list, tuple)) or not sigmas_raw:
-        raise ConfigError("experiment.sigmas: expected a non-empty list of noise levels")
-    sigmas = tuple(_non_negative(f"experiment.sigmas[{i}]", s) for i, s in enumerate(sigmas_raw))
-    sched_raw = exp.pop("error_schedule", {})
-    if not isinstance(sched_raw, dict):
-        raise ConfigError("experiment.error_schedule: expected an object")
-    sched_raw = dict(sched_raw)
-    schedule = LambdaSchedule(
-        alpha=_positive("experiment.error_schedule.alpha", sched_raw.pop("alpha", 0.01)),
-        uniform=_unit_interval("experiment.error_schedule.uniform", sched_raw.pop("uniform", 0.573)),
-        moderate=_unit_interval("experiment.error_schedule.moderate", sched_raw.pop("moderate", 0.464)),
-        complex=_unit_interval("experiment.error_schedule.complex", sched_raw.pop("complex", 0.366)),
-        noise_std=_non_negative("experiment.error_schedule.noise_std", sched_raw.pop("noise_std", 0.1)),
-    )
-    _reject_unknown(sched_raw, "experiment.error_schedule")
-    experiment = ExperimentConfig(
-        n_train=_as_int("experiment.n_train", exp.pop("n_train", 50), minimum=1),
-        n_test=_as_int("experiment.n_test", exp.pop("n_test", 200), minimum=1),
-        sigma=_non_negative("experiment.sigma", exp.pop("sigma", 0.05)),
-        sigmas=sigmas,
-        steps=_as_int("experiment.steps", exp.pop("steps", 300), minimum=1),
-        error_schedule=schedule,
-    )
-    _reject_unknown(exp, "experiment")
-
-    if world.inter_contact_interval <= encoder.tau_base:
+    config = Config(**{name: _parse(key, data[key], spec) for key, name, spec in _SECTIONS if key in data})
+    if config.world.inter_contact_interval <= config.encoder.tau_base:
         raise ConfigError(
             "world.inter_contact_interval: must exceed encoder.tau_base "
-            f"({world.inter_contact_interval} <= {encoder.tau_base})"
+            f"({config.world.inter_contact_interval} <= {config.encoder.tau_base})"
         )
-
-    return Config(encoder=encoder, stdp=stdp, accumulator=accumulator, world=world, experiment=experiment)
+    return config
 
 
 def load_config(path: str | Path | None) -> Config:

@@ -387,12 +387,7 @@ def run_discrimination(
     if cfg.experiment.n_train < 1:
         raise ValueError("n_train must be >= 1: untrained matrices score 0 against everything")
     objs = _resolve_objects(cfg, objects)
-    world = WorldParams(
-        noise_sigma=sigma,
-        inter_contact_interval=cfg.world.inter_contact_interval,
-        velocity=cfg.world.velocity,
-        seed=seed,
-    )
+    world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
     n = objs[0].n_neurons
 
     train_traversals: list[Traversal] = []

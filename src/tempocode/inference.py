@@ -189,7 +189,6 @@ class LoopState:
     prev_packet: SpikePacket | None = None
     step: int = 0
     clock: float = 0.0
-    include_self_pairs: bool = True
 
     def __post_init__(self):
         if not self.models:
@@ -244,9 +243,7 @@ def exploration_step(
         stages.append("decode")
 
     if state.learn and state.prev_packet is not None and state.prev_packet and packet:
-        apply_packet_pair(
-            state.learning_matrix.w, state.prev_packet, packet, state.stdp, state.include_self_pairs
-        )
+        apply_packet_pair(state.learning_matrix.w, state.prev_packet, packet, state.stdp)
         stages.append("stdp")
 
     scores = alignment_scores(state.prev_packet, packet, state.models)

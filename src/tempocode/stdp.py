@@ -80,13 +80,11 @@ def apply_packet_pair(
     prev_packet: SpikePacket,
     cur_packet: SpikePacket,
     params: StdpParams = StdpParams(),
-    include_self_pairs: bool = True,
 ) -> None:
     """STDP-update ``weights`` in place over prev x cur neuron pairs.
 
-    ``include_self_pairs`` controls whether a neuron active in both packets
-    updates its own diagonal entry; excluding self pairs keeps the diagonal
-    at zero under training. Every updated synapse ends bit-identical to
+    A neuron active in both packets updates its own diagonal entry like any
+    other synapse. Every updated synapse ends bit-identical to
     :func:`stdp_update` applied to it, and a non-finite weight or spike time
     on an updated synapse raises ``ValueError`` as it does there.
     """
@@ -97,10 +95,8 @@ def apply_packet_pair(
     w = weights[rows, cols]
     dt = post_times - pre_times
     if not (np.isfinite(w).all() and np.isfinite(dt).all()):
-        finite = np.isfinite(w) & np.isfinite(pre_times) & np.isfinite(post_times)
-        if not include_self_pairs:
-            finite |= rows == cols  # an excluded self pair is never read
-        if not finite.all():
+        # Finite spike times far apart can overflow dt; only non-finite inputs are errors.
+        if not (np.isfinite(w).all() and np.isfinite(pre_times).all() and np.isfinite(post_times).all()):
             raise ValueError("stdp_update requires finite weight and spike times")
     potentiate = dt > 0.0
     exponent = np.where(potentiate, -dt / params.tau_plus, dt / params.tau_minus)
@@ -110,8 +106,6 @@ def apply_packet_pair(
     new = w + amplitude * window
     if params.w_max is not None:
         new = np.minimum(np.maximum(new, -params.w_max), params.w_max)
-    if not include_self_pairs:
-        new = np.where(rows == cols, w, new)
     weights[rows, cols] = new
 
 
@@ -119,7 +113,6 @@ def train_on_traversal(
     w: WeightMatrix,
     packets: Sequence[SpikePacket],
     params: StdpParams = StdpParams(),
-    include_self_pairs: bool = True,
 ) -> WeightMatrix:
     """Train a copy of ``w`` on the consecutive packet pairs of one traversal.
 
@@ -131,5 +124,5 @@ def train_on_traversal(
     for packet in packets:
         _check_packet_ids(packet, out.n)
     for prev_packet, cur_packet in zip(packets, packets[1:]):
-        apply_packet_pair(out.w, prev_packet, cur_packet, params, include_self_pairs)
+        apply_packet_pair(out.w, prev_packet, cur_packet, params)
     return out

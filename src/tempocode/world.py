@@ -25,8 +25,6 @@ F_SMOOTH = (0.9, 0.2, 0.1)
 F_CURVED = (0.2, 0.8, 0.2)
 F_EDGE = (0.1, 0.2, 0.9)
 
-DEFAULT_SEED = 42
-
 
 @dataclass(frozen=True)
 class SyntheticObject:
@@ -54,20 +52,16 @@ class SyntheticObject:
 
 @dataclass(frozen=True)
 class WorldParams:
-    """Noise level, contact timing, motor velocity, and master seed."""
+    """Noise level and contact timing; the noise itself comes from the stream."""
 
     noise_sigma: float = 0.0
     inter_contact_interval: float = 0.020
-    velocity: float = 1.0
-    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
         if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > 0.0):
             raise ValueError(f"inter_contact_interval must be positive, got {self.inter_contact_interval}")
-        if not (math.isfinite(self.velocity) and self.velocity > 0.0):
-            raise ValueError(f"velocity must be positive, got {self.velocity}")
 
 
 def builtin_objects() -> list[SyntheticObject]:

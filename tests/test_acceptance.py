@@ -173,7 +173,7 @@ def test_criterion_7_evidence_invariants():
 def test_criterion_8_latency_round_trip():
     v_true, interval, theta = 1.5, 0.025, 0.7
     obj = discrimination_pair()[0]
-    params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval, velocity=v_true, seed=3)
+    params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval)
     trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 0))
     arrivals = [arrival_time(p) for p in encode_traversal(trav)]
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]

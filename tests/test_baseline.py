@@ -31,13 +31,13 @@ class TestDenseTrain:
 
     def test_single_trial_centroid_is_its_sum(self):
         obj_b = discrimination_pair()[1]
-        trav = generate_traversal(obj_b, WorldParams(noise_sigma=0.2, seed=3), NoiseStream(3, 0, 1, 0))
+        trav = generate_traversal(obj_b, WorldParams(noise_sigma=0.2), NoiseStream(3, 0, 1, 0))
         _, centroid = dense_train([trav])[0]
         assert np.array_equal(centroid, trav.feature_sum())
 
     def test_centroid_is_mean_of_sums(self):
         obj_a = discrimination_pair()[0]
-        params = WorldParams(noise_sigma=0.1, seed=11)
+        params = WorldParams(noise_sigma=0.1)
         travs = [generate_traversal(obj_a, params, NoiseStream(11, 0, 0, t)) for t in range(7)]
         _, centroid = dense_train(travs)[0]
         np.testing.assert_allclose(centroid, np.mean([t.feature_sum() for t in travs], axis=0), atol=1e-15)
@@ -61,7 +61,7 @@ class TestDenseClassify:
 
     def test_order_blindness_exact(self):
         obj_a = discrimination_pair()[0]
-        trav = generate_traversal(obj_a, WorldParams(noise_sigma=0.3, seed=21), NoiseStream(21, 0, 0, 5))
+        trav = generate_traversal(obj_a, WorldParams(noise_sigma=0.3), NoiseStream(21, 0, 0, 5))
         centroids = [("p", np.array([1.0, 1.1, 0.9])), ("q", np.array([1.3, 1.2, 1.4]))]
         base = dense_classify(trav, centroids)
         contacts = list(trav.contacts)

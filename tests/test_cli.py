@@ -35,6 +35,13 @@ class TestEncodeCommand:
         assert code == 0
         assert json.loads(out) == {}
 
+    def test_defaults_are_the_encoder_defaults(self, capsys):
+        values = [0.05, 0.15, 0.3, 0.1, 0.12]
+        code, out, _ = _run(capsys, ["encode", "--features", ",".join(map(str, values))])
+        assert code == 0
+        packet = tempocode.encode(values, tempocode.EncoderParams())
+        assert out == json.dumps({str(nid): round(t, 6) for nid, t in packet.by_time()}) + "\n"
+
     def test_bad_features_exit_2(self, capsys):
         code, _, err = _run(capsys, ["encode", "--features", "0.2,abc"])
         assert code == 2
@@ -205,6 +212,24 @@ class TestSeedResolution:
         code, _, err = _run(capsys, ["discriminate", "--config", str(small_config), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "TEMPOCODE_SEED" in err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_outside_u64_exit_2(self, capsys, tmp_path, small_config, monkeypatch, seed):
+        out_dir = tmp_path / "out"
+        code, out, err = _run(capsys, ["lambda-converge", "--config", str(small_config), "--seed", seed,
+                                       "--out", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert "config error: seed override (--seed)" in err
+        monkeypatch.setenv("TEMPOCODE_SEED", seed)
+        code, out, err = _run(capsys, ["lambda-converge", "--config", str(small_config), "--out", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert "config error: TEMPOCODE_SEED" in err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"world": {"seed": int(seed)}}))
+        code, out, err = _run(capsys, ["lambda-converge", "--config", str(cfg_path), "--out", str(out_dir)])
+        assert (code, out) == (2, "")
+        assert "config error: world.seed" in err
+        assert not out_dir.exists()
 
 
 class TestExitCodesMeanWhatTheySay:

@@ -69,7 +69,7 @@ class TestWorldRoundTrip:
 
     def _arrival_gaps(self, interval):
         obj = SyntheticObject("probe", (np.array([0.9, 0.2]), np.array([0.2, 0.9]), np.array([0.9, 0.2])))
-        params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval, seed=1)
+        params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval)
         trav = generate_traversal(obj, params, NoiseStream(1, 0, 0, 0))
         packets = encode_traversal(trav)
         arrivals = [arrival_time(p) for p in packets]

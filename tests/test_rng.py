@@ -209,6 +209,32 @@ class TestFamilyNormalsAcrossChunks:
         assert child.normal_grid(3, 3).tobytes() == NoiseStream(42, 0, 1).normal_grid(3, 3).tobytes()
 
 
+class TestLibmPerElement:
+    """``_box_muller`` takes ``log`` and ``cos`` from :mod:`math` for every element.
+
+    numpy's vectorised ``log`` and ``cos`` may differ from libm by an ulp on
+    some builds, and on others they agree with it everywhere, so comparing
+    values cannot tell them apart. Shims on :mod:`math` that move every
+    result by a known amount can.
+    """
+
+    def test_every_element_follows_math_log_and_cos(self, monkeypatch):
+        size = 2 * rng._CHUNK + 3
+        gen = np.random.default_rng(5)
+        u1, u2 = gen.random(size), gen.random(size)
+        u1[rng._CHUNK + 1] = 0.0
+        log, cos = math.log, math.cos
+        monkeypatch.setattr(math, "log", lambda x: log(x) - 1.0)
+        monkeypatch.setattr(math, "cos", lambda x: cos(x) + 3.0)
+        got = rng._box_muller(u1, u2)
+        monkeypatch.undo()
+        want = [
+            math.sqrt(-2.0 * (math.log(a if a != 0.0 else 2.0**-53) - 1.0)) * (math.cos(2.0 * math.pi * b) + 3.0)
+            for a, b in zip(u1.tolist(), u2.tolist())
+        ]
+        assert got.tobytes() == np.array(want).tobytes()
+
+
 class TestNormalVector:
     """The vectorised lambda trajectory against scalar ``normal(t)``, compared as bytes."""
 

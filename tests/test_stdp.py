@@ -154,23 +154,17 @@ class TestTrainOnTraversal:
                 w[i, j] += A * math.exp(-dt / TAU)
             np.testing.assert_allclose(w, trained.w, rtol=0, atol=1e-15)
 
-    def test_self_pairs_updated_by_default_excludable(self):
+    def test_self_pairs_updated(self):
         vectors = [np.array([0.9, 0.2, 0.1]), np.array([0.9, 0.2, 0.1])]
         packets = encode_traversal(_traversal(vectors))
         with_self = train_on_traversal(WeightMatrix.zeros(3), packets)
         assert with_self.w[0, 0] > 0 and with_self.w[1, 1] > 0
-        without = train_on_traversal(WeightMatrix.zeros(3), packets, include_self_pairs=False)
-        assert np.all(np.diag(without.w) == 0.0)
-        off_diag = ~np.eye(3, dtype=bool)
-        assert np.array_equal(without.w[off_diag], with_self.w[off_diag])
 
 
-def _pairwise_reference(weights, prev, cur, params, include_self_pairs):
+def _pairwise_reference(weights, prev, cur, params):
     """The scalar definition: stdp_update on every prev x cur synapse."""
     for i, t_pre in prev.items():
         for j, t_post in cur.items():
-            if not include_self_pairs and i == j:
-                continue
             weights[i, j] = stdp_update(weights[i, j], prev.arrival + t_pre, cur.arrival + t_post, params)
 
 
@@ -198,24 +192,22 @@ class TestApplyPacketPairMatchesScalarRule:
                 tau_minus=rnd.choice([0.020, 0.013]),
                 w_max=rnd.choice([None, 0.05, 0.2]),
             )
-            include_self = rnd.random() < 0.5
             weights = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)])
             expected = weights.copy()
-            _pairwise_reference(expected, prev, cur, params, include_self)
-            apply_packet_pair(weights, prev, cur, params, include_self)
+            _pairwise_reference(expected, prev, cur, params)
+            apply_packet_pair(weights, prev, cur, params)
             assert weights.tobytes() == expected.tobytes(), f"case {case}"
 
     def test_overlapping_packets_depress_and_skip_simultaneous_spikes(self):
         prev = SpikePacket({i: 0.001 * i for i in range(10)}, arrival=0.0)
         cur = SpikePacket({i + 5: 0.001 * i for i in range(10)}, arrival=0.004)
         params = StdpParams(w_max=0.005)
-        for include_self in (True, False):
-            weights = np.full((16, 16), 0.004)
-            expected = weights.copy()
-            _pairwise_reference(expected, prev, cur, params, include_self)
-            apply_packet_pair(weights, prev, cur, params, include_self)
-            assert weights.tobytes() == expected.tobytes()
-            assert (weights < 0.004).any() and (weights == 0.004).any() and (weights == 0.005).any()
+        weights = np.full((16, 16), 0.004)
+        expected = weights.copy()
+        _pairwise_reference(expected, prev, cur, params)
+        apply_packet_pair(weights, prev, cur, params)
+        assert weights.tobytes() == expected.tobytes()
+        assert (weights < 0.004).any() and (weights == 0.004).any() and (weights == 0.005).any()
 
     def test_rejects_out_of_range_ids(self):
         prev = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.0)
@@ -232,9 +224,6 @@ class TestApplyPacketPairMatchesScalarRule:
             weights[0, 0] = math.nan
             with pytest.raises(ValueError, match="finite"):
                 apply_packet_pair(weights, *packets)
-            # an excluded self pair is never read, as in the scalar rule
-            apply_packet_pair(weights, *packets, include_self_pairs=False)
-            assert math.isnan(weights[0, 0])
 
     def test_rejects_non_finite_spike_times(self):
         prev = SpikePacket({i: 1e308 * (i / 8) for i in range(8)}, arrival=1e308)

@@ -55,20 +55,20 @@ class TestBuiltinObjects:
 class TestGenerateTraversal:
     def test_zero_noise_is_canonical(self):
         obj = discrimination_pair()[0]
-        trav = generate_traversal(obj, WorldParams(noise_sigma=0.0, seed=5), NoiseStream(5, 0, 0, 0))
+        trav = generate_traversal(obj, WorldParams(noise_sigma=0.0), NoiseStream(5, 0, 0, 0))
         for (features, _), canonical in zip(trav.contacts, obj.contacts):
             assert np.array_equal(features, canonical)
 
     def test_contact_times_arithmetic(self):
         obj = discrimination_pair()[0]
-        trav = generate_traversal(obj, WorldParams(seed=5), NoiseStream(5, 0, 0, 0))
+        trav = generate_traversal(obj, WorldParams(), NoiseStream(5, 0, 0, 0))
         assert [t for _, t in trav.contacts] == [0.0, 0.020, 0.040]
         assert trav.motor_direction == 0.0
         assert trav.label == "A"
 
     def test_bit_identical_given_same_stream(self):
         obj = discrimination_pair()[1]
-        params = WorldParams(noise_sigma=0.3, seed=9)
+        params = WorldParams(noise_sigma=0.3)
         t1 = generate_traversal(obj, params, NoiseStream(9, 0, 1, 7))
         t2 = generate_traversal(obj, params, NoiseStream(9, 0, 1, 7))
         for (f1, _), (f2, _) in zip(t1.contacts, t2.contacts):
@@ -76,7 +76,7 @@ class TestGenerateTraversal:
 
     def test_noise_sample_std(self):
         obj = discrimination_pair()[0]
-        params = WorldParams(noise_sigma=0.05, seed=77)
+        params = WorldParams(noise_sigma=0.05)
         deviations = []
         for trial in range(1200):  # 1200 trials x 9 components > 1e4 draws
             trav = generate_traversal(obj, params, NoiseStream(77, 0, 0, trial))
@@ -87,7 +87,7 @@ class TestGenerateTraversal:
 
     def test_trial_streams_uncorrelated(self):
         obj = discrimination_pair()[0]
-        params = WorldParams(noise_sigma=1.0, seed=13)
+        params = WorldParams(noise_sigma=1.0)
 
         def devs(trial):
             trav = generate_traversal(obj, params, NoiseStream(13, 0, 0, trial))
@@ -102,8 +102,6 @@ class TestGenerateTraversal:
             WorldParams(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             WorldParams(inter_contact_interval=0.0)
-        with pytest.raises(ValueError):
-            WorldParams(velocity=-1.0)
 
 
 class TestLoadObjects:
