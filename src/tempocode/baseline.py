@@ -6,9 +6,10 @@ class, and classification picks the Euclidean-nearest centroid. Any two
 traversals that visit the same features in different orders are identical
 to this classifier by construction.
 
-Distances to all centroids come from one array pass; each row is still
-reduced on its own, so every distance, and with it every argmin tie, has
-the bits of the per-centroid ``np.sum`` it replaced.
+Distances from many sums to all centroids come from one array pass; each
+(sum, centroid) row is still reduced on its own, so every distance, and
+with it every argmin tie, has the bits of the per-centroid ``np.sum`` it
+replaced. :func:`dense_classify` is the one-sum case.
 """
 
 from __future__ import annotations
@@ -39,14 +40,16 @@ def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]
     """
     if not centroids:
         raise ValueError("dense_classify needs at least one centroid")
-    distances = centroid_distances(traversal.feature_sum(), [centroid for _, centroid in centroids])
-    return centroids[int(distances.argmin())][0]
+    distances = centroid_distances(traversal.feature_sum()[None], [centroid for _, centroid in centroids])
+    return centroids[int(distances[0].argmin())][0]
 
 
-def centroid_distances(total: np.ndarray, centroids: list[np.ndarray]) -> np.ndarray:
-    """Squared Euclidean distance from ``total`` to each centroid, in one pass.
+def centroid_distances(totals: np.ndarray, centroids: list[np.ndarray]) -> np.ndarray:
+    """Squared Euclidean distances from each sum to each centroid, in one pass.
 
-    Each row is summed on its own, so entry ``i`` has the same bits as
-    ``np.sum((total - centroids[i]) ** 2)``.
+    ``totals`` holds sums along its last axis: one sum of shape (N,) gives
+    the (centroids,) distances, a (rows, N) block the (rows, centroids)
+    ones. Each entry is summed on its own, so entry ``[..., i]`` has the
+    same bits as ``np.sum((total - centroids[i]) ** 2)``.
     """
-    return ((total - np.stack(centroids)) ** 2).sum(axis=1)
+    return ((np.asarray(totals)[..., None, :] - np.stack(centroids)) ** 2).sum(axis=-1)

@@ -18,6 +18,21 @@ disjoint substreams, and the dense and temporal classifiers consume the
 identical noisy traversals. Reports serialize to aligned text, CSV, and
 JSON (with the full effective config echoed for provenance); identical
 inputs produce byte-identical report files.
+
+A discrimination test phase runs as arrays. The generated trials of one
+object are stacked into a (trials, contacts, neurons) block, and no spike
+packet is built. The temporal score needs only each contact's leading
+neuron, which is the first ``argmax`` of its activations, and the contact
+is silent when that maximum does not exceed the threshold. This is the
+neuron :func:`~tempocode.encoding.encode` fires at offset 0. ``encode``
+ranks the active neurons by a stable descending sort, so equal
+activations keep ascending ids and the first maximum leads; ``argmax``
+keeps the first maximum too. Every model is then scored along the leading
+chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
+pair with a silent contact, which leaves a left fold from 0.0 unchanged.
+The dense sums of all trials and their centroid distances take one pass
+more. :func:`classify_temporal` and :func:`traversal_pathway_score` are the
+one-row cases of the same scorer.
 """
 
 from __future__ import annotations
@@ -26,11 +41,13 @@ import json
 import math
 from dataclasses import dataclass
 
-from .baseline import dense_classify, dense_train
+import numpy as np
+
+from .baseline import centroid_distances, dense_train
 from .config import Config
-from .encoding import encode_traversal
+from .encoding import EncoderParams, encode, encode_traversal
 from .evidence import EvidenceState
-from .inference import ObjectModel, leading_pair_weight, left_sum
+from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
 from .stdp import train_on_traversal
 from .types import Traversal, WeightMatrix
@@ -40,6 +57,7 @@ from .world import (
     discrimination_pair,
     generate_traversal,
     load_objects,
+    require_one_dimensionality,
     require_unique_labels,
 )
 
@@ -63,10 +81,52 @@ def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, flo
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _pathway_score(leading: list[int | None], model: ObjectModel) -> float:
-    """Summed model weights along consecutive leading neurons (None: empty packet)."""
-    pairs = zip(leading, leading[1:])
-    return left_sum([leading_pair_weight(i, j, model) for i, j in pairs if i is not None and j is not None])
+def _pathway_scores(leading: np.ndarray, active: np.ndarray, models: list[ObjectModel]) -> np.ndarray:
+    """Every model's summed weights along every row's leading chain.
+
+    ``leading`` and ``active`` are (rows, contacts): each contact's leading
+    neuron, and whether it fired at all. Consecutive contacts that both
+    fired add the model's weight on their (leading pre, leading post)
+    synapse; a pair with a silent contact adds +0.0. Each row's terms are
+    summed left to right from 0.0 (:func:`left_sum`), into a (rows, models)
+    array. A leading neuron outside a model's [0, n) raises ``ValueError``.
+    """
+    pairs = active[:, :-1] & active[:, 1:]
+    pre = np.where(pairs, leading[:, :-1], 0)
+    post = np.where(pairs, leading[:, 1:], 0)
+    lowest = min(pre.min(initial=0), post.min(initial=0))
+    highest = max(pre.max(initial=0), post.max(initial=0))
+    for model in models:
+        n = model.weights.n
+        if lowest < 0 or highest >= n:
+            raise ValueError(f"packet neuron id out of range [0, {n})")
+    terms = [np.where(pairs, m.weights.w.take(pre * m.weights.n + post), 0.0) for m in models]
+    return left_sum(np.stack(terms, axis=1))
+
+
+def _best_models(scores: np.ndarray) -> np.ndarray:
+    """Each row's index of its highest score; ties go to the lowest index.
+
+    A NaN score never wins, and a row without a winner picks model 0, as a
+    scan keeping the first score strictly above the best so far does.
+    """
+    return np.where(np.isnan(scores), -np.inf, scores).argmax(axis=-1)
+
+
+def _leading_neurons(block: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each contact's leading neuron and whether it fires, from a (..., neurons) block.
+
+    The leading neuron is the first ``argmax``; the contact is silent when
+    that maximum does not exceed the threshold (see the module docstring).
+    """
+    return block.argmax(axis=-1), block.max(axis=-1) > threshold
+
+
+def _leading_chain(packets) -> tuple[np.ndarray, np.ndarray]:
+    """One traversal's packets as a one-row (leading, active) pair for :func:`_pathway_scores`."""
+    leading = [packet.first_neuron() for packet in packets]
+    active = np.array([[nid is not None for nid in leading]], dtype=bool)
+    return np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp), active
 
 
 def traversal_pathway_score(packets, model: ObjectModel) -> float:
@@ -82,7 +142,7 @@ def traversal_pathway_score(packets, model: ObjectModel) -> float:
     the all-pairs statistic carries no direction signal, while the leading
     pathway stays discriminative until noise corrupts packet rank order.
     """
-    return _pathway_score([packet.first_neuron() for packet in packets], model)
+    return float(_pathway_scores(*_leading_chain(packets), [model])[0, 0])
 
 
 def classify_temporal(packets, models: list[ObjectModel]) -> int:
@@ -91,15 +151,27 @@ def classify_temporal(packets, models: list[ObjectModel]) -> int:
     Each packet's leading neuron is found once, then every model is scored
     along the same leading pathway.
     """
-    leading = [packet.first_neuron() for packet in packets]
-    best_idx = 0
-    best_score = -math.inf
-    for idx, model in enumerate(models):
-        score = _pathway_score(leading, model)
-        if score > best_score:
-            best_idx = idx
-            best_score = score
-    return best_idx
+    if not models:
+        raise ValueError("need at least one object model")
+    return int(_best_models(_pathway_scores(*_leading_chain(packets), models))[0])
+
+
+def _require_distinct_offsets(block: np.ndarray, trials: list[Traversal], encoder: EncoderParams) -> None:
+    """Raise :func:`encode`'s error for the first contact whose offsets would collide.
+
+    The test phase builds no packets, yet ``encode`` rejects a contact whose
+    n active neurons get fewer than n distinct offsets ``tau_base * (r / n)``,
+    as a subnormal ``tau_base`` can make them. That depends on n alone, so
+    each active count of the phase is checked once, and the first contact
+    with a colliding count, in trial and contact order, is encoded to raise.
+    """
+    counts = np.count_nonzero(block > encoder.sparsity_threshold, axis=-1)
+    tau_base = float(encoder.tau_base)
+    colliding = [n for n in np.unique(counts).tolist() if len({tau_base * (r / n) for r in range(n)}) != n]
+    if colliding:
+        trial, contact = np.argwhere(np.isin(counts, colliding))[0]
+        features, time = trials[trial].contacts[contact]
+        encode(features, encoder, arrival=time)
 
 
 @dataclass(frozen=True)
@@ -360,11 +432,32 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
         objects = list(objects)
         if not objects:
             raise ValueError("need at least one object")
+        require_one_dimensionality(objects)
         require_unique_labels(objects)
         return objects
     if cfg.world.objects is not None:
         return load_objects(cfg.world.objects)
     return discrimination_pair()
+
+
+def _train(
+    cfg: Config, seed: int, world: WorldParams, objs: list[SyntheticObject]
+) -> tuple[list[ObjectModel], list[tuple[str, np.ndarray]]]:
+    """One STDP model per object and the dense centroids, from the same training traversals."""
+    n = objs[0].n_neurons
+    train_traversals: list[Traversal] = []
+    models: list[ObjectModel] = []
+    for o, obj in enumerate(objs):
+        class_traversals = [
+            generate_traversal(obj, world, stream)
+            for stream in NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
+        ]
+        weights = WeightMatrix.zeros(n)
+        for trav in class_traversals:
+            weights = train_on_traversal(weights, encode_traversal(trav, cfg.encoder), cfg.stdp)
+        models.append(ObjectModel(obj.label, weights))
+        train_traversals.extend(class_traversals)
+    return models, dense_train(train_traversals)
 
 
 def run_discrimination(
@@ -386,39 +479,26 @@ def run_discrimination(
         raise ValueError(f"noise sigma must be >= 0, got {sigma}")
     if cfg.experiment.n_train < 1:
         raise ValueError("n_train must be >= 1: untrained matrices score 0 against everything")
+    if cfg.experiment.n_test < 1:
+        raise ValueError("n_test must be >= 1: accuracy over no trials is undefined")
     objs = _resolve_objects(cfg, objects)
     world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
-    n = objs[0].n_neurons
+    models, centroids = _train(cfg, seed, world, objs)
+    centroid_arrays = [centroid for _, centroid in centroids]
 
-    train_traversals: list[Traversal] = []
-    models: list[ObjectModel] = []
-    for o, obj in enumerate(objs):
-        class_traversals = [
-            generate_traversal(obj, world, stream)
-            for stream in NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
-        ]
-        weights = WeightMatrix.zeros(n)
-        for trav in class_traversals:
-            weights = train_on_traversal(weights, encode_traversal(trav, cfg.encoder), cfg.stdp)
-        models.append(ObjectModel(obj.label, weights))
-        train_traversals.extend(class_traversals)
-    centroids = dense_train(train_traversals)
-
-    def classify(trav: Traversal) -> tuple[str, str]:
-        packets = encode_traversal(trav, cfg.encoder)
-        temporal_label = models[classify_temporal(packets, models)].label
-        dense_label = dense_classify(trav, centroids)
-        return temporal_label, dense_label
-
+    # Model o and centroid o belong to object o: dense_train keeps first-appearance order.
     results = []
     for o, obj in enumerate(objs):
         trials = [
             generate_traversal(obj, world, stream)
             for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
         ]
-        labels = [classify(trav) for trav in trials]
-        temporal_correct = sum(1 for temporal_label, _ in labels if temporal_label == obj.label)
-        dense_correct = sum(1 for _, dense_label in labels if dense_label == obj.label)
+        block = np.stack([trav.features for trav in trials])
+        _require_distinct_offsets(block, trials, cfg.encoder)
+        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
+        dense = centroid_distances(np.sum(block, axis=-2), centroid_arrays).argmin(axis=-1)
+        temporal_correct = int(np.count_nonzero(temporal == o))
+        dense_correct = int(np.count_nonzero(dense == o))
         results.append(ObjectResult(obj.label, cfg.experiment.n_test, dense_correct, temporal_correct))
 
     return DiscriminationReport(

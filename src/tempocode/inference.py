@@ -107,11 +107,7 @@ def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePack
     """
     if prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
         return 0.0
-    return leading_pair_weight(prev_packet.first_neuron(), cur_packet.first_neuron(), model)
-
-
-def leading_pair_weight(i: int, j: int, model: ObjectModel) -> float:
-    """The model's weight on synapse (i, j), for leading neurons already found."""
+    i, j = prev_packet.first_neuron(), cur_packet.first_neuron()
     n = model.weights.n
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"packet neuron id out of range [0, {n})")

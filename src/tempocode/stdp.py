@@ -12,14 +12,21 @@ times. Pairs within one packet and non-consecutive packet pairs are never
 updated. Because each increment depends only on spike times, not on the
 current weight, training is an order-independent sum of increments.
 
-:func:`apply_packet_pair` updates a whole prev x cur block of synapses in
-one array pass and gives the same bits as calling :func:`stdp_update`, the
-scalar reference, on every pair. The exactness rule: ``exp`` comes from
-:mod:`math`, one element at a time, because numpy's vectorised ``exp`` may
-differ by an ulp; the only numpy float operations used are correctly
-rounded ones (``+ - * /``, ``minimum``/``maximum``); and a packet pair
-touches each synapse at most once, so across the pairs of a traversal every
-synapse still receives its increments in the same order.
+:func:`train_on_traversal` computes all of a traversal's increments in one
+pass: the dt of every synapse of every consecutive packet pair, one
+``math.exp`` map over them all, one amplitude product. It then folds them
+into the weights pair by pair, in traversal order, with the optional
+``w_max`` clip after each pair. So the working set is one traversal's
+increments, and every synapse receives its increments in the order of the
+scalar rule. :func:`apply_packet_pair` is the one-pair case of the same
+code, and gives the same bits as calling :func:`stdp_update`, the scalar
+reference, on every synapse of the pair.
+
+The exactness rule: ``exp`` comes from :mod:`math`, one element at a time,
+because numpy's vectorised ``exp`` may differ by an ulp; the only numpy
+float operations used are correctly rounded ones (``+ - * /``,
+``minimum``/``maximum``); and a packet pair touches each synapse at most
+once, so the fold gives each synapse one rounded update per pair.
 """
 
 from __future__ import annotations
@@ -75,6 +82,46 @@ def _pair_block(prev_packet: SpikePacket, cur_packet: SpikePacket):
     return prev_ids[:, None], cols, pre_times[:, None], post_times
 
 
+def _fold_pairs(weights: np.ndarray, pairs: list[tuple[SpikePacket, SpikePacket]], params: StdpParams) -> None:
+    """STDP-update ``weights`` in place over every (prev, cur) packet pair, in order.
+
+    Every increment is computed first, in one pass; the fold then reads,
+    updates, clips and writes one pair's prev x cur block at a time. A
+    non-finite spike time on a synapse to update, or a non-finite weight
+    when its pair reads it, raises ``ValueError`` as :func:`stdp_update`
+    does, before that pair writes anything.
+    """
+    blocks = [_pair_block(prev_packet, cur_packet) for prev_packet, cur_packet in pairs]
+    if not blocks:
+        return
+    dt = np.concatenate([(post_times - pre_times).ravel() for _, _, pre_times, post_times in blocks])
+    if not np.isfinite(dt).all():
+        # Finite spike times far apart can overflow dt; only non-finite inputs are errors,
+        # and a pair with an empty packet updates nothing, so its times go unread.
+        for _, _, pre_times, post_times in blocks:
+            if pre_times.size and post_times.size:
+                if not (np.isfinite(pre_times).all() and np.isfinite(post_times).all()):
+                    raise ValueError("stdp_update requires finite weight and spike times")
+    potentiate = dt > 0.0
+    # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
+    exponent = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
+    window = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
+    # w - a*e == w + (-a*e) exactly, and w + (-0.0) == w for every w (dt == 0).
+    amplitude = np.where(potentiate, params.a_plus, np.where(dt < 0.0, -params.a_minus, -0.0))
+    increments = amplitude * window
+    start = 0
+    for rows, cols, _, _ in blocks:
+        w = weights[rows, cols]
+        if not np.isfinite(w).all():
+            raise ValueError("stdp_update requires finite weight and spike times")
+        stop = start + w.size
+        new = w + increments[start:stop].reshape(w.shape)
+        if params.w_max is not None:
+            new = np.minimum(np.maximum(new, -params.w_max), params.w_max)
+        weights[rows, cols] = new
+        start = stop
+
+
 def apply_packet_pair(
     weights: np.ndarray,
     prev_packet: SpikePacket,
@@ -91,22 +138,7 @@ def apply_packet_pair(
     n = weights.shape[0]
     _check_packet_ids(prev_packet, n)
     _check_packet_ids(cur_packet, n)
-    rows, cols, pre_times, post_times = _pair_block(prev_packet, cur_packet)
-    w = weights[rows, cols]
-    dt = post_times - pre_times
-    if not (np.isfinite(w).all() and np.isfinite(dt).all()):
-        # Finite spike times far apart can overflow dt; only non-finite inputs are errors.
-        if not (np.isfinite(w).all() and np.isfinite(pre_times).all() and np.isfinite(post_times).all()):
-            raise ValueError("stdp_update requires finite weight and spike times")
-    potentiate = dt > 0.0
-    exponent = np.where(potentiate, -dt / params.tau_plus, dt / params.tau_minus)
-    window = np.fromiter(map(math.exp, exponent.ravel().tolist()), float, exponent.size).reshape(dt.shape)
-    # w - a*e == w + (-a*e) exactly, and w + (-0.0) == w for every w (dt == 0).
-    amplitude = np.where(potentiate, params.a_plus, np.where(dt < 0.0, -params.a_minus, -0.0))
-    new = w + amplitude * window
-    if params.w_max is not None:
-        new = np.minimum(np.maximum(new, -params.w_max), params.w_max)
-    weights[rows, cols] = new
+    _fold_pairs(weights, [(prev_packet, cur_packet)], params)
 
 
 def train_on_traversal(
@@ -123,6 +155,5 @@ def train_on_traversal(
     out = w.copy()
     for packet in packets:
         _check_packet_ids(packet, out.n)
-    for prev_packet, cur_packet in zip(packets, packets[1:]):
-        apply_packet_pair(out.w, prev_packet, cur_packet, params)
+    _fold_pairs(out.w, list(zip(packets, packets[1:])), params)
     return out

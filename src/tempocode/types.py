@@ -236,6 +236,10 @@ class Traversal:
     Contact times must be strictly increasing. Whether consecutive gaps
     exceed the encoder's packet span (so packets never overlap) depends on
     the encoder in use and is enforced at packetization time.
+
+    The public constructor checks every contact.
+    :func:`tempocode.world.generate_traversal` builds its traversals through
+    :meth:`_from_checked` instead, which trusts a block it has checked once.
     """
 
     contacts: tuple[tuple[np.ndarray, float], ...]
@@ -264,6 +268,30 @@ class Traversal:
         object.__setattr__(self, "contacts", tuple(checked))
         object.__setattr__(self, "motor_direction", float(self.motor_direction))
 
+    @classmethod
+    def _from_checked(cls, features: np.ndarray, times: list[float], label: str) -> "Traversal":
+        """A traversal over the rows of a finite (contacts, neurons) float block, trusted.
+
+        ``times`` must be finite floats, strictly increasing. The contacts
+        are the block's rows, and the block itself becomes
+        :attr:`features`.
+        """
+        traversal = object.__new__(cls)
+        object.__setattr__(traversal, "contacts", tuple(zip(features, times)))
+        object.__setattr__(traversal, "motor_direction", 0.0)
+        object.__setattr__(traversal, "label", label)
+        object.__setattr__(traversal, "features", features)
+        return traversal
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        """The contact vectors as one (contacts, neurons) array.
+
+        Built on first use and kept outside the dataclass fields, like
+        :attr:`SpikePacket.id_time_arrays`.
+        """
+        return np.stack([f for f, _ in self.contacts])
+
     def __len__(self) -> int:
         return len(self.contacts)
 
@@ -271,4 +299,4 @@ class Traversal:
         """Componentwise sum of all contact vectors (the order-blind view)."""
         if not self.contacts:
             raise ValueError("cannot sum an empty traversal")
-        return np.sum(np.stack([f for f, _ in self.contacts]), axis=0)
+        return np.sum(self.features, axis=-2)

@@ -107,12 +107,21 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     the lone stream it equals; the first traversal of a family draws the
     uniforms of every sibling, so a run of trials pays the integer mixing
     once.
+
+    The noisy (contacts, neurons) block is checked once as a whole, and the
+    traversal is built on it without a per-contact check
+    (:meth:`Traversal._from_checked`). The times ``k * interval`` rise
+    strictly with ``k`` for a positive finite interval, so only the last can
+    fail, by overflow. A block or time that fails goes through the public
+    constructor, which raises its own error for the first bad contact.
     """
     values = np.array(obj.contacts)
     if params.noise_sigma > 0.0:
         values += params.noise_sigma * stream.normal_grid(*values.shape)
-    contacts = tuple((row, k * params.inter_contact_interval) for k, row in enumerate(values))
-    return Traversal(contacts, motor_direction=0.0, label=obj.label)
+    times = [k * params.inter_contact_interval for k in range(len(values))]
+    if not (np.isfinite(values).all() and math.isfinite(times[-1])):
+        return Traversal(tuple(zip(values, times)), label=obj.label)
+    return Traversal._from_checked(values, times, obj.label)
 
 
 def require_unique_labels(objects) -> None:
@@ -127,6 +136,21 @@ def require_unique_labels(objects) -> None:
         if obj.label in seen:
             raise ValueError(f"object label {obj.label!r} is used by more than one object; labels must be unique")
         seen.add(obj.label)
+
+
+def require_one_dimensionality(objects) -> None:
+    """Reject objects whose contact vectors differ in length.
+
+    Every object is learned and scored in one space of N neurons: the
+    models are N x N matrices and the dense centroids N-vectors.
+    """
+    first = objects[0]
+    for obj in objects[1:]:
+        if obj.n_neurons != first.n_neurons:
+            raise ValueError(
+                f"object {obj.label!r} has {obj.n_neurons} neurons but {first.label!r} has "
+                f"{first.n_neurons}; all objects must share one feature dimensionality"
+            )
 
 
 def load_objects(path: str | Path) -> list[SyntheticObject]:
@@ -147,9 +171,6 @@ def load_objects(path: str | Path) -> list[SyntheticObject]:
         objects.append(
             SyntheticObject(str(entry["label"]), tuple(np.asarray(c, dtype=float) for c in entry["contacts"]))
         )
-    dim = objects[0].n_neurons
-    for obj in objects:
-        if obj.n_neurons != dim:
-            raise ValueError("all objects must share one feature dimensionality")
+    require_one_dimensionality(objects)
     require_unique_labels(objects)
     return objects

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -68,6 +69,20 @@ class TestLeftToRightSums:
         assert classify_temporal(packets, models) == scores.index(max(scores))
         with pytest.raises(ValueError, match="out of range"):
             classify_temporal(packets, [ObjectModel("small", WeightMatrix.zeros(2))])
+        with pytest.raises(ValueError, match="at least one object model"):
+            classify_temporal(packets, [])
+
+    def test_classify_temporal_never_picks_a_nan_score(self):
+        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(3)]
+        nan_model = WeightMatrix.zeros(3)
+        nan_model.w[0, 1], nan_model.w[1, 2] = np.inf, -np.inf  # inf + -inf: the score is NaN
+        low, high = WeightMatrix.zeros(3), WeightMatrix.zeros(3)
+        low.w[0, 1], high.w[0, 1] = -1.0, 1.0
+        models = [ObjectModel(label, w) for label, w in (("nan", nan_model), ("low", low), ("high", high))]
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            assert math.isnan(traversal_pathway_score(packets, models[0]))
+            assert classify_temporal(packets, models) == 2
+            assert classify_temporal(packets, models[:1]) == 0  # no score beats -inf: the first model
 
 
 class TestDiscrimination:
@@ -76,6 +91,19 @@ class TestDiscrimination:
         twin = SyntheticObject("A", obj_b.contacts)
         with pytest.raises(ValueError, match="'A'"):
             run_discrimination(_small_config(n_train=2, n_test=2), objects=[obj_a, twin])
+
+    def test_rejects_mixed_dimensionality_in_either_order(self):
+        three = discrimination_pair()[0]
+        two = SyntheticObject("b", (np.array([0.9, 0.1]), np.array([0.1, 0.9])))
+        cfg = _small_config(n_train=2, n_test=2)
+        with pytest.raises(ValueError, match="object 'b' has 2 neurons but 'A' has 3"):
+            run_discrimination(cfg, objects=[three, two])
+        with pytest.raises(ValueError, match="object 'A' has 3 neurons but 'b' has 2"):
+            run_discrimination(cfg, objects=[two, three])
+
+    def test_rejects_empty_test_phase(self):
+        with pytest.raises(ValueError, match="n_test must be >= 1"):
+            run_discrimination(_small_config(n_test=0))
 
     def test_noiseless_single_trial(self):
         report = run_discrimination(_small_config(n_test=1), sigma=0.0)

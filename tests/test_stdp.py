@@ -232,6 +232,52 @@ class TestApplyPacketPairMatchesScalarRule:
             apply_packet_pair(np.zeros((8, 8)), prev, cur)
 
 
+class TestTrainOnTraversalMatchesScalarRule:
+    """One increment block per traversal, folded pair by pair, against stdp_update on every synapse."""
+
+    def test_random_traversals(self):
+        rnd = random.Random(7)
+        n = 24
+        for case in range(150):
+            packets = []
+            for k in range(rnd.randint(0, 7)):
+                size = rnd.choice([0, 1, rnd.randint(1, 16)])
+                # arrivals 5 ms apart with offsets up to 39 ms: packets may overlap, and may hold dt == 0
+                packets.append(_random_packet(rnd, n, size, 0.005 * k) if size else SpikePacket({}, arrival=0.005 * k))
+            params = StdpParams(a_plus=rnd.choice([0.01, 0.3]), w_max=rnd.choice([None, 0.02, 0.2]))
+            values = [[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)]
+            start = WeightMatrix(np.array(values))
+            expected = start.w.copy()
+            for prev, cur in zip(packets, packets[1:]):
+                _pairwise_reference(expected, prev, cur, params)
+            trained = train_on_traversal(start, packets, params)
+            assert trained.w.tobytes() == expected.tobytes(), f"case {case}"
+
+    def test_a_weight_that_overflowed_raises_when_a_later_pair_reads_it(self):
+        packets = [SpikePacket({0: 0.0}, arrival=0.020 * k) for k in range(3)]
+        params = StdpParams(a_plus=1e308)
+        start = WeightMatrix(np.full((1, 1), 1.7e308))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            trained = train_on_traversal(start, packets[:2], params)  # the last update may overflow
+            assert trained.w[0, 0] == math.inf
+            with pytest.raises(ValueError, match="finite"):
+                train_on_traversal(start, packets, params)
+
+    def test_non_finite_times_raise_only_on_a_synapse_to_update(self):
+        far = SpikePacket({0: 0.0, 1: 1e308}, arrival=1e308)  # global time of neuron 1 overflows
+        near = SpikePacket({0: 0.0}, arrival=0.020)
+        empty = SpikePacket({}, arrival=0.040)
+        train_on_traversal(WeightMatrix.zeros(2), [far, empty, near])
+        # Finite times 3.4e308 apart overflow dt; that alone is no error, and the
+        # packet before the empty one updates no synapse, so its times go unread.
+        high, low = SpikePacket({0: 0.0}, arrival=1.7e308), SpikePacket({1: 0.0}, arrival=-1.7e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            trained = train_on_traversal(WeightMatrix.zeros(2), [far, empty, high, low])
+        assert trained.w[0, 1] == 0.0  # exp(-inf) == 0.0: no change
+        with pytest.raises(ValueError, match="finite"):
+            train_on_traversal(WeightMatrix.zeros(2), [near, empty, near, far])
+
+
 class TestPacketIdRange:
     @pytest.mark.parametrize("bad_id", [-1, 3])
     def test_apply_packet_pair_names_the_id(self, bad_id):

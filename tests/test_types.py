@@ -158,6 +158,22 @@ class TestTraversal:
         with pytest.raises(ValueError):
             Traversal(((np.array([0.1]), 0.0), (np.array([0.1, 0.2]), 1.0)))
 
+    def test_public_constructor_checks_every_contact(self):
+        good = np.array([0.5, 0.5])
+        for bad in (np.array([0.5, math.inf]), np.array([math.nan, 0.5]), np.array([0.5])):
+            for position in range(3):
+                features = [good, good, good]
+                features[position] = bad
+                with pytest.raises(ValueError):
+                    Traversal(tuple((f, 0.02 * k) for k, f in enumerate(features)))
+        with pytest.raises(ValueError, match="contact time must be finite"):
+            Traversal(((good, 0.0), (good, 0.02), (good, math.inf)))
+
+    def test_features_stacks_the_contacts(self):
+        t = Traversal(((np.array([1.0, 2.0]), 0.0), (np.array([3.0, 4.0]), 1.0)))
+        assert t.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert "features" not in repr(t)
+
     def test_feature_sum(self):
         t = Traversal(((np.array([1.0, 2.0]), 0.0), (np.array([3.0, 4.0]), 1.0)))
         assert t.feature_sum().tolist() == [4.0, 6.0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tempocode.rng import NoiseStream
+from tempocode.types import Traversal
 from tempocode.world import (
     SyntheticObject,
     WorldParams,
@@ -73,6 +74,34 @@ class TestGenerateTraversal:
         t2 = generate_traversal(obj, params, NoiseStream(9, 0, 1, 7))
         for (f1, _), (f2, _) in zip(t1.contacts, t2.contacts):
             assert np.array_equal(f1, f2)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_equals_the_checked_public_build(self, sigma):
+        obj = SyntheticObject("m", (np.array([0.9, -0.0, 0.1]), np.array([0.0, 0.8, 0.8]), np.array([1e300, 2.0, 0.5])))
+        params = WorldParams(noise_sigma=sigma, inter_contact_interval=0.015)
+        trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 1))
+        values = np.array(obj.contacts)
+        if sigma > 0.0:
+            values += sigma * NoiseStream(3, 0, 0, 1).normal_grid(*values.shape)
+        public = Traversal(tuple((row, k * 0.015) for k, row in enumerate(values)), label="m")
+        assert (trav.label, trav.motor_direction, len(trav)) == (public.label, public.motor_direction, len(public))
+        for (f, t), (pf, pt) in zip(trav.contacts, public.contacts):
+            assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
+        assert trav.features.tobytes() == public.features.tobytes() == values.tobytes()
+        assert trav.feature_sum().tobytes() == public.feature_sum().tobytes()
+
+    def test_overflowing_noise_still_raises_non_finite_activations(self):
+        obj = SyntheticObject("huge", (np.array([0.5, 1.7e308, 0.5]), np.array([1.7e308, 0.5, 1.7e308])))
+        params = WorldParams(noise_sigma=1e308)
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
+                for trial in range(4):  # some draw pushes a component past the largest double
+                    generate_traversal(obj, params, NoiseStream(1, 0, 0, trial))
+
+    def test_overflowing_contact_time_still_raises(self):
+        obj = SyntheticObject("long", tuple(np.array([0.5]) for _ in range(3)))
+        with pytest.raises(ValueError, match="contact time must be finite"):
+            generate_traversal(obj, WorldParams(inter_contact_interval=1e308), NoiseStream(1, 0, 0, 0))
 
     def test_noise_sample_std(self):
         obj = discrimination_pair()[0]
@@ -144,5 +173,5 @@ class TestLoadObjects:
             {"label": "x", "contacts": [[0.9, 0.1]]},
             {"label": "y", "contacts": [[0.9]]},
         ]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="object 'y' has 1 neurons but 'x' has 2"):
             load_objects(path)
