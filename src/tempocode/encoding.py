@@ -24,12 +24,29 @@ gets ``tau_base * 0.0``, and ``tau_base`` is positive and finite). Two
 invariants still need a check, with the constructor's ``ValueError``: a
 finite ``arrival``, and pairwise distinct offsets, which a subnormal
 ``tau_base`` can round together.
+
+A training phase encodes all its traversals at once with
+:func:`_encode_block`, into padded arrays, and gives every spike
+:func:`encode`'s bits. One stable ``argsort`` of the negated activations
+orders neurons by descending activation with ties in ascending id, as
+``sorted(..., reverse=True)`` does; numpy's sort, like Python's, holds
+``-0.0`` and ``0.0`` equal. Active neurons lie above the threshold and the
+others do not, so the active ones take the first n places, with
+``encode``'s ranks. One stable ``argsort`` of the inactive mask lists the
+active ids first, in ascending order. The offset is ``tau_base * (rank /
+n)`` in that order, where numpy divides the two exact integers with one
+rounding, as Python's ``int / int`` does, and each global time is one
+addition, ``time + offset``, as :attr:`SpikePacket.id_time_arrays` makes
+it. :func:`_accepted_rows` makes :func:`encode_traversal`'s two checks on
+the block's active counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .types import SpikePacket, Traversal, as_features
 
@@ -87,6 +104,50 @@ def encode_traversal(traversal: Traversal, params: EncoderParams = EncoderParams
         packets.append(encode(features, params, arrival=t))
         prev_time = t
     return packets
+
+
+def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The packets of every traversal of a (traversals, contacts, neurons) block, as padded arrays.
+
+    Every traversal's contacts occur at ``times``. Returns ``(ids,
+    spike_times, counts)``: the active neuron ids of each contact in
+    ascending order and their global spike times, both (traversals,
+    contacts, M) with M the largest active count, valid in the first
+    ``counts`` (traversals, contacts) slots. Nothing is checked; see
+    :func:`_accepted_rows`.
+    """
+    active = block > params.sparsity_threshold
+    counts = np.count_nonzero(active, axis=-1)
+    m = int(counts.max(initial=0))
+    ids = np.argsort(~active, axis=-1, kind="stable")[..., :m]
+    order = np.argsort(-block, axis=-1, kind="stable")
+    rank_of = np.empty_like(order)
+    np.put_along_axis(rank_of, order, np.arange(block.shape[-1]), axis=-1)
+    # A padded slot gets rank 0, so its time is the contact's and stays finite.
+    ranks = np.where(np.arange(m) < counts[..., None], np.take_along_axis(rank_of, ids, axis=-1), 0)
+    offsets = float(params.tau_base) * (ranks / np.maximum(counts, 1)[..., None])
+    # Python's float addition overflows to inf without a warning; the fold rejects such a time.
+    with np.errstate(over="ignore"):
+        spike_times = np.asarray(times, dtype=float)[:, None] + offsets
+    return ids, spike_times, counts
+
+
+def _accepted_rows(counts: np.ndarray, times, params: EncoderParams) -> int:
+    """How many leading traversals :func:`encode_traversal` accepts, of those ``counts`` describes.
+
+    ``counts`` is (traversals, contacts): the active count of every
+    contact, and every traversal's contacts occur at ``times``. A contact
+    gap within the packet span fails every traversal, so the first. A
+    contact fails when its n active neurons get fewer than n distinct
+    offsets ``tau_base * (r / n)``, as a subnormal ``tau_base`` can make
+    them; that depends on n alone, so each count is checked once.
+    """
+    if any(t - prev <= params.tau_base for prev, t in zip(times, times[1:])):
+        return 0
+    tau_base = float(params.tau_base)
+    colliding = [n for n in np.unique(counts).tolist() if len({tau_base * (r / n) for r in range(n)}) != n]
+    rejected = np.flatnonzero(np.isin(counts, colliding).any(axis=-1))
+    return int(rejected[0]) if rejected.size else len(counts)
 
 
 def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None = None) -> float:

@@ -33,6 +33,18 @@ pair with a silent contact, which leaves a left fold from 0.0 unchanged.
 The dense sums of all trials and their centroid distances take one pass
 more. :func:`classify_temporal` and :func:`traversal_pathway_score` are the
 one-row cases of the same scorer.
+
+A training phase runs as arrays too, and builds no packet either. The
+traversals of one object are stacked into one block and encoded at once
+(:func:`~tempocode.encoding._encode_block`): every contact's active ids
+and global spike times, padded to the phase's largest active count. The
+STDP increments of all consecutive contact pairs are computed in blocks of
+traversals and folded in place into one matrix per object, pair by pair
+(:func:`~tempocode.stdp._fold_traversals`), with the bits and the errors
+of training a fresh matrix per traversal on its packets. Before folding,
+the encoder's checks run on the block; the traversals before the first
+one they reject are trained, and that traversal is then encoded on its own
+to raise the error :func:`~tempocode.encoding.encode_traversal` gives it.
 """
 
 from __future__ import annotations
@@ -45,11 +57,11 @@ import numpy as np
 
 from .baseline import centroid_distances, dense_train
 from .config import Config
-from .encoding import EncoderParams, encode, encode_traversal
+from .encoding import EncoderParams, _accepted_rows, _encode_block, encode_traversal
 from .evidence import EvidenceState
 from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
-from .stdp import train_on_traversal
+from .stdp import _fold_traversals
 from .types import Traversal, WeightMatrix
 from .world import (
     SyntheticObject,
@@ -156,22 +168,16 @@ def classify_temporal(packets, models: list[ObjectModel]) -> int:
     return int(_best_models(_pathway_scores(*_leading_chain(packets), models))[0])
 
 
-def _require_distinct_offsets(block: np.ndarray, trials: list[Traversal], encoder: EncoderParams) -> None:
-    """Raise :func:`encode`'s error for the first contact whose offsets would collide.
+def _require_encodable(traversals: list[Traversal], accepted: int, encoder: EncoderParams) -> None:
+    """Raise :func:`encode_traversal`'s error for the first traversal past the ``accepted`` ones.
 
-    The test phase builds no packets, yet ``encode`` rejects a contact whose
-    n active neurons get fewer than n distinct offsets ``tau_base * (r / n)``,
-    as a subnormal ``tau_base`` can make them. That depends on n alone, so
-    each active count of the phase is checked once, and the first contact
-    with a colliding count, in trial and contact order, is encoded to raise.
+    A phase builds no packets: it makes the encoder's checks on its whole
+    block (:func:`~tempocode.encoding._accepted_rows`). The traversal they
+    reject is encoded on its own, which raises the error of its first
+    failing contact.
     """
-    counts = np.count_nonzero(block > encoder.sparsity_threshold, axis=-1)
-    tau_base = float(encoder.tau_base)
-    colliding = [n for n in np.unique(counts).tolist() if len({tau_base * (r / n) for r in range(n)}) != n]
-    if colliding:
-        trial, contact = np.argwhere(np.isin(counts, colliding))[0]
-        features, time = trials[trial].contacts[contact]
-        encode(features, encoder, arrival=time)
+    if accepted < len(traversals):
+        encode_traversal(traversals[accepted], encoder)
 
 
 @dataclass(frozen=True)
@@ -443,20 +449,28 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
 def _train(
     cfg: Config, seed: int, world: WorldParams, objs: list[SyntheticObject]
 ) -> tuple[list[ObjectModel], list[tuple[str, np.ndarray]]]:
-    """One STDP model per object and the dense centroids, from the same training traversals."""
+    """One STDP model per object and the dense centroids, from the same training traversals.
+
+    Each object's phase is encoded as one block and folded into one matrix;
+    see the module docstring.
+    """
     n = objs[0].n_neurons
     train_traversals: list[Traversal] = []
     models: list[ObjectModel] = []
     for o, obj in enumerate(objs):
-        class_traversals = [
+        traversals = [
             generate_traversal(obj, world, stream)
             for stream in NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
         ]
+        # Every traversal of one object has the same contact times.
+        times = [t for _, t in traversals[0].contacts]
+        ids, spike_times, counts = _encode_block(np.stack([trav.features for trav in traversals]), times, cfg.encoder)
+        accepted = _accepted_rows(counts, times, cfg.encoder)
         weights = WeightMatrix.zeros(n)
-        for trav in class_traversals:
-            weights = train_on_traversal(weights, encode_traversal(trav, cfg.encoder), cfg.stdp)
+        _fold_traversals(weights.w, ids[:accepted], spike_times[:accepted], counts[:accepted], cfg.stdp)
+        _require_encodable(traversals, accepted, cfg.encoder)
         models.append(ObjectModel(obj.label, weights))
-        train_traversals.extend(class_traversals)
+        train_traversals.extend(traversals)
     return models, dense_train(train_traversals)
 
 
@@ -494,7 +508,9 @@ def run_discrimination(
             for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
         ]
         block = np.stack([trav.features for trav in trials])
-        _require_distinct_offsets(block, trials, cfg.encoder)
+        counts = np.count_nonzero(block > cfg.encoder.sparsity_threshold, axis=-1)
+        times = [t for _, t in trials[0].contacts]
+        _require_encodable(trials, _accepted_rows(counts, times, cfg.encoder), cfg.encoder)
         temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
         dense = centroid_distances(np.sum(block, axis=-2), centroid_arrays).argmin(axis=-1)
         temporal_correct = int(np.count_nonzero(temporal == o))

@@ -26,6 +26,12 @@ in one :func:`left_sum` call, so every score keeps its bits.
 :func:`alignment_score` is the one-model case of the same code path.
 :func:`left_sum` is the one ordered sum that scores and reports use; STDP
 inside the loop follows the exactness rule of :mod:`tempocode.stdp`.
+
+:func:`exploration_step` checks each reading's length against the models'
+neuron count, once per step and before any state changes. Every id of the
+packet it encodes is then in range, as is every id of the previous packet,
+so the step learns and scores through the unchecked code behind
+:func:`~tempocode.stdp.apply_packet_pair` and :func:`alignment_scores`.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ import numpy as np
 from .encoding import EncoderParams, encode
 from .evidence import EvidenceState, prediction_error
 from .latency import arrival_time, decode_displacement
-from .stdp import _check_packet_ids, _pair_block, apply_packet_pair
+from .stdp import _check_packet_ids, _fold_packets
 from .types import Displacement, LatencyParams, SpikePacket, StdpParams, WeightMatrix
 
 
@@ -74,18 +80,23 @@ def alignment_scores(
     A pair (i in prev, j in cur) contributes w[i, j] when i's global spike
     time precedes j's; with non-overlapping packets that is every pair.
     Missing or empty packets score 0 against every model. Scores come back
-    in model order.
+    in model order. Neuron ids outside a model's [0, n) raise ``ValueError``.
     """
     if not models or prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
         return [0.0] * len(models)
-    sizes = {m.weights.n for m in models}
-    for n in sizes:
+    for n in {m.weights.n for m in models}:
         _check_packet_ids(prev_packet, n)
         _check_packet_ids(cur_packet, n)
-    rows, cols, pre_times, post_times = _pair_block(prev_packet, cur_packet)
-    causal = pre_times < post_times
-    # Row-major flat indices of the causal pairs, in double-loop order.
-    flat = {n: (rows * n + cols)[causal] for n in sizes}
+    return _scores(prev_packet, cur_packet, models)
+
+
+def _scores(prev_packet: SpikePacket, cur_packet: SpikePacket, models: list[ObjectModel]) -> list[float]:
+    """:func:`alignment_scores` of two non-empty packets whose ids every model holds."""
+    prev_ids, pre_times = prev_packet.id_time_arrays
+    cur_ids, post_times = cur_packet.id_time_arrays
+    # Rows are prev, columns cur: the block's row-major order is the double loop's over (pre, post).
+    causal = pre_times[:, None] < post_times
+    flat = {n: (prev_ids[:, None] * n + cur_ids)[causal] for n in {m.weights.n for m in models}}
     terms = np.stack([m.weights.w.take(flat[m.weights.n]) for m in models])
     return left_sum(terms).tolist()
 
@@ -203,6 +214,8 @@ class LoopState:
             raise ValueError("learning matrix dimension does not match models")
         if self.inter_contact_interval <= self.encoder.tau_base:
             raise ValueError("inter-contact interval must exceed the encoder packet span")
+        if self.prev_packet is not None:
+            _check_packet_ids(self.prev_packet, n)
 
 
 def exploration_step(
@@ -223,6 +236,10 @@ def exploration_step(
     t = state.clock if contact_time is None else float(contact_time)
 
     packet = encode(sensor_reading, state.encoder, arrival=t)
+    # encode has checked that the reading is 1-D; every id is in range once its length is the models'.
+    n = state.models[0].weights.n
+    if len(sensor_reading) != n:
+        raise ValueError(f"sensor reading has {len(sensor_reading)} neurons, but the models have {n}")
     stages.append("encode")
 
     prev_arrival = arrival_time(state.prev_packet)
@@ -238,11 +255,12 @@ def exploration_step(
         displacement = decode_displacement(dt, direction, LatencyParams(velocity))
         stages.append("decode")
 
-    if state.learn and state.prev_packet is not None and state.prev_packet and packet:
-        apply_packet_pair(state.learning_matrix.w, state.prev_packet, packet, state.stdp)
+    paired = bool(state.prev_packet) and bool(packet)
+    if state.learn and paired:
+        _fold_packets(state.learning_matrix.w, (state.prev_packet, packet), state.stdp)
         stages.append("stdp")
 
-    scores = alignment_scores(state.prev_packet, packet, state.models)
+    scores = _scores(state.prev_packet, packet, state.models) if paired else [0.0] * len(state.models)
     ll = log_likelihoods_from_scores(scores, state.temperature)
     stages.append("score")
 

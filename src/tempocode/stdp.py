@@ -10,33 +10,55 @@ Training walks consecutive packet pairs of a traversal and applies the rule
 to every (pre in packet_{t-1}, post in packet_t) synapse using global spike
 times. Pairs within one packet and non-consecutive packet pairs are never
 updated. Because each increment depends only on spike times, not on the
-current weight, training is an order-independent sum of increments.
+current weight, the increments of many pairs can be computed at once; only
+their fold into the weights is sequential.
 
-:func:`train_on_traversal` computes all of a traversal's increments in one
-pass: the dt of every synapse of every consecutive packet pair, one
-``math.exp`` map over them all, one amplitude product. It then folds them
-into the weights pair by pair, in traversal order, with the optional
-``w_max`` clip after each pair. So the working set is one traversal's
-increments, and every synapse receives its increments in the order of the
-scalar rule. :func:`apply_packet_pair` is the one-pair case of the same
-code, and gives the same bits as calling :func:`stdp_update`, the scalar
-reference, on every synapse of the pair.
+One increment function (:func:`_increments`) and one fold loop
+(:func:`_fold`) serve every caller. Their input is a flat list of the
+synapses to update, pair by pair and, within a pair, in the order of the
+scalar double loop over (pre, post): each synapse's flat weight index and
+its dt. The fold reads, updates, clips to ``w_max`` and writes one pair's
+synapses at a time, through flat ``take``/``put``, in (traversal, pair)
+order; a synapse no pair touches is never written.
+
+Two builders feed them. The training phase of :mod:`tempocode.experiments`
+hands :func:`_fold_traversals` padded arrays from its block encoder: for
+each contact of each traversal, the active ids in ascending order and
+their global spike times, padded to the phase's largest active count M.
+Each consecutive contact pair is an M x M slab of (pre, post) slots, and
+the slots of real synapses, taken in row-major order, are the list. A
+block holds as many whole traversals as fit in ``_SLOTS`` (pairs x M x M)
+slots, and always at least one, so the working set is bounded however long
+a phase is. :func:`train_on_traversal` and :func:`apply_packet_pair` build
+the list from their packets' id and time arrays (:func:`_fold_packets`),
+one traversal at a time.
 
 The exactness rule: ``exp`` comes from :mod:`math`, one element at a time,
 because numpy's vectorised ``exp`` may differ by an ulp; the only numpy
 float operations used are correctly rounded ones (``+ - * /``,
 ``minimum``/``maximum``); and a packet pair touches each synapse at most
-once, so the fold gives each synapse one rounded update per pair.
+once, so the fold gives each synapse one rounded update per pair. Every
+updated synapse therefore ends bit-identical to :func:`stdp_update`, the
+scalar reference, applied pair after pair.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
+from .rng import _CHUNK
 from .types import SpikePacket, StdpParams, WeightMatrix
+
+#: (pairs x M x M) slots per block of a training phase. A 64-neuron
+#: traversal of 20 contacts with up to about 30 active neurons per contact
+#: fills it alone; a 3-neuron phase of 50 traversals fits in one block.
+_SLOTS = 16384
+
+_NON_FINITE = "stdp_update requires finite weight and spike times"
 
 
 def stdp_update(w: float, pre_time: float, post_time: float, params: StdpParams = StdpParams()) -> float:
@@ -45,7 +67,7 @@ def stdp_update(w: float, pre_time: float, post_time: float, params: StdpParams 
     pre_time = float(pre_time)
     post_time = float(post_time)
     if not (math.isfinite(w) and math.isfinite(pre_time) and math.isfinite(post_time)):
-        raise ValueError("stdp_update requires finite weight and spike times")
+        raise ValueError(_NON_FINITE)
     dt = post_time - pre_time
     if dt > 0.0:
         w = w + params.a_plus * math.exp(-dt / params.tau_plus)
@@ -68,58 +90,117 @@ def _check_packet_ids(packet: SpikePacket, n: int) -> None:
                 raise ValueError(f"packet neuron id {nid} out of range [0, {n})")
 
 
-def _pair_block(prev_packet: SpikePacket, cur_packet: SpikePacket):
-    """Neuron ids and global spike times of a packet pair as a prev x cur block.
+def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
+    """The additive STDP increment of every element of a 1-D dt array.
 
-    Returns ``(rows, cols, pre_times, post_times)``: rows and pre times as
-    column vectors, cols and post times as rows. Both packets iterate in
-    ascending neuron id, so the block's row-major order is the order of the
-    scalar double loop over (pre, post). Each packet builds its arrays once
-    (:attr:`SpikePacket.id_time_arrays`), however many pairs it is part of.
+    ``exp`` runs per element through :mod:`math`, in chunks of ``_CHUNK``
+    elements to bound the Python lists it needs. A dt of 0 gives ``-0.0``,
+    and ``w + (-0.0) == w`` for every w, as :func:`stdp_update`'s no-op.
     """
-    prev_ids, pre_times = prev_packet.id_time_arrays
-    cols, post_times = cur_packet.id_time_arrays
-    return prev_ids[:, None], cols, pre_times[:, None], post_times
-
-
-def _fold_pairs(weights: np.ndarray, pairs: list[tuple[SpikePacket, SpikePacket]], params: StdpParams) -> None:
-    """STDP-update ``weights`` in place over every (prev, cur) packet pair, in order.
-
-    Every increment is computed first, in one pass; the fold then reads,
-    updates, clips and writes one pair's prev x cur block at a time. A
-    non-finite spike time on a synapse to update, or a non-finite weight
-    when its pair reads it, raises ``ValueError`` as :func:`stdp_update`
-    does, before that pair writes anything.
-    """
-    blocks = [_pair_block(prev_packet, cur_packet) for prev_packet, cur_packet in pairs]
-    if not blocks:
-        return
-    dt = np.concatenate([(post_times - pre_times).ravel() for _, _, pre_times, post_times in blocks])
-    if not np.isfinite(dt).all():
-        # Finite spike times far apart can overflow dt; only non-finite inputs are errors,
-        # and a pair with an empty packet updates nothing, so its times go unread.
-        for _, _, pre_times, post_times in blocks:
-            if pre_times.size and post_times.size:
-                if not (np.isfinite(pre_times).all() and np.isfinite(post_times).all()):
-                    raise ValueError("stdp_update requires finite weight and spike times")
     potentiate = dt > 0.0
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
-    exponent = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
-    window = np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
-    # w - a*e == w + (-a*e) exactly, and w + (-0.0) == w for every w (dt == 0).
-    amplitude = np.where(potentiate, params.a_plus, np.where(dt < 0.0, -params.a_minus, -0.0))
-    increments = amplitude * window
-    start = 0
-    for rows, cols, _, _ in blocks:
-        w = weights[rows, cols]
+    window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
+    for start in range(0, window.size, _CHUNK):
+        chunk = window[start : start + _CHUNK]
+        chunk[:] = np.fromiter(map(math.exp, chunk.tolist()), float, chunk.size)
+    # w - a*e == w + (-a*e) exactly.
+    increments = np.multiply(np.where(potentiate, params.a_plus, -params.a_minus), window, out=window)
+    increments[dt == 0.0] = -0.0
+    return increments
+
+
+def _fold(
+    weights: np.ndarray,
+    index: np.ndarray,
+    dt: np.ndarray,
+    times,
+    bounds: list[int],
+    params: StdpParams,
+    starts: range = range(0),
+) -> None:
+    """STDP-update ``weights`` in place over consecutive packet pairs, one pair at a time.
+
+    ``index`` and ``dt`` hold one entry per synapse to update, pair by pair
+    in scalar double-loop order: its flat index into ``weights`` and its
+    post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
+    + 1]`` and touches each synapse at most once. ``times`` iterates over
+    arrays that hold every spike time of those synapses; it is read only if
+    some dt is not finite, since finite times far apart can overflow dt and
+    only a non-finite time is an error. Such a time raises ``ValueError``
+    as :func:`stdp_update` does, before anything is written; so does a
+    non-finite weight, before its pair writes. At each pair in ``starts`` a
+    later traversal begins, and a matrix that holds a non-finite entry then
+    raises :class:`WeightMatrix`'s error, as training a fresh matrix per
+    traversal does.
+    """
+    if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in times):
+        raise ValueError(_NON_FINITE)
+    increments = _increments(dt, params)
+    for p in range(len(bounds) - 1):
+        if p in starts and not np.isfinite(weights).all():
+            raise ValueError("weight matrix contains non-finite entries")
+        lo, hi = bounds[p], bounds[p + 1]
+        if lo == hi:
+            continue
+        synapses = index[lo:hi]
+        w = weights.take(synapses)
         if not np.isfinite(w).all():
-            raise ValueError("stdp_update requires finite weight and spike times")
-        stop = start + w.size
-        new = w + increments[start:stop].reshape(w.shape)
+            raise ValueError(_NON_FINITE)
+        new = w + increments[lo:hi]
         if params.w_max is not None:
             new = np.minimum(np.maximum(new, -params.w_max), params.w_max)
-        weights[rows, cols] = new
-        start = stop
+        weights.put(synapses, new)
+
+
+def _fold_traversals(
+    weights: np.ndarray, ids: np.ndarray, times: np.ndarray, counts: np.ndarray, params: StdpParams
+) -> None:
+    """STDP-update ``weights`` in place over the consecutive contacts of every traversal, in order.
+
+    ``ids`` and ``times`` are (traversals, contacts, M): each contact's
+    active neuron ids in ascending order and their global spike times,
+    valid in the first ``counts`` (traversals, contacts) slots and ignored
+    past them. Ids must lie in [0, N). Blocks of whole traversals go to
+    :func:`_fold`, each within the ``_SLOTS`` budget.
+    """
+    n_traversals, n_contacts, m = ids.shape
+    if n_contacts < 2 or m == 0:
+        return
+    n = weights.shape[0]
+    pairs = n_contacts - 1
+    step = max(1, _SLOTS // (pairs * m * m))
+    present = np.arange(m) < counts[..., None]
+    for first in range(0, n_traversals, step):
+        block_ids, block_times, block_present = (a[first : first + step] for a in (ids, times, present))
+        valid = block_present[:, :-1, :, None] & block_present[:, 1:, None, :]
+        index = (block_ids[:, :-1, :, None] * n + block_ids[:, 1:, None, :])[valid]
+        dt = (block_times[:, 1:, None, :] - block_times[:, :-1, :, None])[valid]
+        pre_post = (block_times[:, :-1, :, None], block_times[:, 1:, None, :])
+        synapse_times = (np.broadcast_to(t, valid.shape)[valid] for t in pre_post)
+        sizes = counts[first : first + step]
+        bounds = list(accumulate((sizes[:, :-1] * sizes[:, 1:]).ravel().tolist(), initial=0))
+        # Each traversal of the block but the phase's first starts anew.
+        starts = range(0 if first else pairs, len(bounds) - 1, pairs)
+        _fold(weights, index, dt, synapse_times, bounds, params, starts)
+
+
+def _fold_packets(weights: np.ndarray, packets: Sequence[SpikePacket], params: StdpParams) -> None:
+    """:func:`_fold` over the consecutive pairs of one traversal's packets.
+
+    Each packet's ids and global times come from
+    :attr:`SpikePacket.id_time_arrays`, built once per packet however
+    many pairs it is part of. Ids are not checked.
+    """
+    n = weights.shape[0]
+    pairs = [(prev.id_time_arrays, cur.id_time_arrays) for prev, cur in zip(packets, packets[1:])]
+    if not pairs:
+        return
+    index = np.concatenate([(prev_ids[:, None] * n + cur_ids).ravel() for (prev_ids, _), (cur_ids, _) in pairs])
+    dt = np.concatenate([(post - pre[:, None]).ravel() for (_, pre), (_, post) in pairs])
+    # A pair with an empty packet updates nothing, so its times go unread.
+    times = (t for (_, pre), (_, post) in pairs if pre.size and post.size for t in (pre, post))
+    bounds = list(accumulate((pre.size * post.size for (_, pre), (_, post) in pairs), initial=0))
+    _fold(weights, index, dt, times, bounds, params)
 
 
 def apply_packet_pair(
@@ -138,7 +219,7 @@ def apply_packet_pair(
     n = weights.shape[0]
     _check_packet_ids(prev_packet, n)
     _check_packet_ids(cur_packet, n)
-    _fold_pairs(weights, [(prev_packet, cur_packet)], params)
+    _fold_packets(weights, (prev_packet, cur_packet), params)
 
 
 def train_on_traversal(
@@ -155,5 +236,5 @@ def train_on_traversal(
     out = w.copy()
     for packet in packets:
         _check_packet_ids(packet, out.n)
-    _fold_pairs(out.w, list(zip(packets, packets[1:])), params)
+    _fold_packets(out.w, packets, params)
     return out

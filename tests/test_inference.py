@@ -353,3 +353,38 @@ class TestExplorationStep:
             LoopState(models=[_zero_model()], evidence=EvidenceState(3))
         with pytest.raises(ValueError):
             LoopState(models=[_zero_model()], encoder=EncoderParams(tau_base=0.05))
+
+    def test_loop_state_rejects_a_previous_packet_outside_the_models(self):
+        with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
+            LoopState(models=[_zero_model()], prev_packet=SpikePacket({3: 0.0}))
+
+
+def _loop_snapshot(state):
+    return (
+        state.learning_matrix.w.tobytes(),
+        state.evidence.evidence.tobytes(),
+        state.evidence.lambdas.tobytes(),
+        state.step,
+        state.clock,
+        state.prev_packet,
+    )
+
+
+class TestReadingLength:
+    """Every step checks the reading's neuron count against the models', before any state changes."""
+
+    @pytest.mark.parametrize("size", [2, 5])
+    @pytest.mark.parametrize("at_step", [0, 1, 3])
+    def test_a_reading_of_the_wrong_length_raises_and_changes_nothing(self, size, at_step):
+        state = _trained_loop(learn=True)
+        readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
+        for reading in readings[:at_step]:
+            exploration_step(state, reading)
+        before = _loop_snapshot(state)
+        bad = [0.9, 0.5, 0.3, 0.7, 0.2][:size]
+        with pytest.raises(ValueError, match=f"sensor reading has {size} neurons, but the models have 3"):
+            exploration_step(state, bad)
+        assert _loop_snapshot(state) == before
+        # The loop goes on from where it was.
+        exploration_step(state, [0.2, 0.8, 0.2])
+        assert state.step == at_step + 1
