@@ -145,7 +145,8 @@ def _accepted_rows(counts: np.ndarray, times, params: EncoderParams) -> int:
     if any(t - prev <= params.tau_base for prev, t in zip(times, times[1:])):
         return 0
     tau_base = float(params.tau_base)
-    colliding = [n for n in np.unique(counts).tolist() if len({tau_base * (r / n) for r in range(n)}) != n]
+    # A set, not np.unique: np.unique imports numpy.ma, which a CLI run needs nowhere else.
+    colliding = [n for n in set(counts.ravel().tolist()) if len({tau_base * (r / n) for r in range(n)}) != n]
     rejected = np.flatnonzero(np.isin(counts, colliding).any(axis=-1))
     return int(rejected[0]) if rejected.size else len(counts)
 

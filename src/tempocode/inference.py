@@ -17,21 +17,26 @@ score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets. Empty
 packets score 0 against every model, yielding uniform likelihoods.
 
-:func:`alignment_scores` scores one packet pair against every model at once:
-it checks the packets' neuron ids once per distinct neuron count, builds
-the pair's id block, global times and causal mask once, gathers each
-model's causal weights in the order of the scalar double loop it replaces
-(ascending pre id, then ascending post id), and folds all the models' rows
-in one :func:`left_sum` call, so every score keeps its bits.
-:func:`alignment_score` is the one-model case of the same code path.
-:func:`left_sum` is the one ordered sum that scores and reports use; STDP
-inside the loop follows the exactness rule of :mod:`tempocode.stdp`.
+:func:`_causal_index` is the one scoring order. From a packet pair's flat
+synapse indices ``i * N + j``, row-major and so in the order of the scalar
+double loop it replaces (ascending pre id, then ascending post id), it
+keeps the causally ordered ones; weights gathered there and folded by
+:func:`left_sum` give every score its bits. :func:`alignment_scores`
+checks the packets' neuron ids once per distinct neuron count and gathers
+each model's matrix at that index; :func:`alignment_score` is its
+one-model case. :func:`left_sum` is the one ordered sum that scores and
+reports use; STDP inside the loop follows the exactness rule of
+:mod:`tempocode.stdp`.
 
-:func:`exploration_step` checks each reading's length against the models'
-neuron count, once per step and before any state changes. Every id of the
-packet it encodes is then in range, as is every id of the previous packet,
-so the step learns and scores through the unchecked code behind
-:func:`~tempocode.stdp.apply_packet_pair` and :func:`alignment_scores`.
+:class:`LoopState` reads the frozen models once, at construction: it
+stacks their weights into one read-only array, and every step scores
+against that stack with one ``take``. :func:`exploration_step` checks
+each reading's length against the models' neuron count, once per step and
+before any state changes. Every id of the packet it encodes is then in
+range, as is every id of the previous packet. Each paired step builds its
+pair block once, the flat synapse indices and the spike-time differences,
+and hands it unchecked to the one STDP fold loop,
+:func:`tempocode.stdp._fold`, and to :func:`_causal_index`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ import numpy as np
 from .encoding import EncoderParams, encode
 from .evidence import EvidenceState, prediction_error
 from .latency import arrival_time, decode_displacement
-from .stdp import _check_packet_ids, _fold_packets
+from .stdp import _check_packet_ids, _fold
 from .types import Displacement, LatencyParams, SpikePacket, StdpParams, WeightMatrix
 
 
@@ -84,21 +89,24 @@ def alignment_scores(
     """
     if not models or prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
         return [0.0] * len(models)
-    for n in {m.weights.n for m in models}:
+    sizes = {m.weights.n for m in models}
+    for n in sizes:
         _check_packet_ids(prev_packet, n)
         _check_packet_ids(cur_packet, n)
-    return _scores(prev_packet, cur_packet, models)
+    (prev_ids, pre_times), (cur_ids, post_times) = prev_packet.id_time_arrays, cur_packet.id_time_arrays
+    causal = {n: _causal_index((prev_ids[:, None] * n + cur_ids).ravel(), pre_times, post_times) for n in sizes}
+    return left_sum(np.stack([m.weights.w.take(causal[m.weights.n]) for m in models])).tolist()
 
 
-def _scores(prev_packet: SpikePacket, cur_packet: SpikePacket, models: list[ObjectModel]) -> list[float]:
-    """:func:`alignment_scores` of two non-empty packets whose ids every model holds."""
-    prev_ids, pre_times = prev_packet.id_time_arrays
-    cur_ids, post_times = cur_packet.id_time_arrays
-    # Rows are prev, columns cur: the block's row-major order is the double loop's over (pre, post).
-    causal = pre_times[:, None] < post_times
-    flat = {n: (prev_ids[:, None] * n + cur_ids)[causal] for n in {m.weights.n for m in models}}
-    terms = np.stack([m.weights.w.take(flat[m.weights.n]) for m in models])
-    return left_sum(terms).tolist()
+def _causal_index(index: np.ndarray, pre_times: np.ndarray, post_times: np.ndarray) -> np.ndarray:
+    """The entries of a pair's flat synapse ``index`` whose pre spike precedes its post spike.
+
+    ``index`` holds ``i * N + j`` for every (pre, post) id pair in row-major
+    order, the scalar double loop's (ascending pre id, then ascending post
+    id); the result keeps that order, so a :func:`left_sum` of weights
+    gathered at it keeps every score's bits.
+    """
+    return index[(pre_times[:, None] < post_times).ravel()]
 
 
 def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
@@ -127,13 +135,18 @@ def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePack
 
 def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     """Normalized log-likelihoods: log softmax of scores / temperature."""
-    if temperature <= 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
+    _check_temperature(temperature)
     s = np.asarray(scores, dtype=float) / temperature
     if s.size < 1:
         raise ValueError("need at least one score")
     s = s - s.max()
     return s - np.log(np.exp(s).sum())
+
+
+def _check_temperature(temperature: float) -> None:
+    """Reject a temperature that is not positive, NaN included."""
+    if not temperature > 0.0:
+        raise ValueError(f"temperature must be positive, got {temperature}")
 
 
 def log_likelihoods(
@@ -170,6 +183,7 @@ class StepDiagnostics:
                 "scores": self.scores,
                 "best": self.best,
                 "prediction_error": self.prediction_error,
+                "stage_order": list(self.stage_order),
             }
         )
 
@@ -178,11 +192,15 @@ class StepDiagnostics:
 class LoopState:
     """Mutable state of one sensorimotor inference loop (single-threaded).
 
-    ``learning_matrix`` is the active matrix mutated by online STDP; the
-    frozen per-object ``models`` are only read. With ``learn=False`` a step
-    is a pure function of (state, input). When no explicit contact time is
-    supplied, contacts are assumed to arrive ``inter_contact_interval``
-    seconds apart.
+    ``learning_matrix`` is the active matrix mutated by online STDP. The
+    frozen per-object ``models`` are read once, here: their weights are
+    copied into ``weight_stack``, one read-only (models, N*N) array that
+    every step scores against, so a later change to a model's matrix does
+    not reach the loop. With ``learn=False`` a step is a pure function of
+    (state, input). When no explicit contact time is supplied, contacts are
+    assumed to arrive ``inter_contact_interval`` seconds apart.
+    ``temperature`` must be positive; a step checks it again before it
+    changes any state, since it may be set after construction.
     """
 
     models: list[ObjectModel]
@@ -196,6 +214,7 @@ class LoopState:
     prev_packet: SpikePacket | None = None
     step: int = 0
     clock: float = 0.0
+    weight_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.models:
@@ -216,6 +235,9 @@ class LoopState:
             raise ValueError("inter-contact interval must exceed the encoder packet span")
         if self.prev_packet is not None:
             _check_packet_ids(self.prev_packet, n)
+        _check_temperature(self.temperature)
+        self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models])
+        self.weight_stack.flags.writeable = False
 
 
 def exploration_step(
@@ -232,6 +254,7 @@ def exploration_step(
     contact and around empty packets; STDP is skipped whenever either packet
     of the consecutive pair is empty or learning is disabled.
     """
+    _check_temperature(state.temperature)
     stages: list[str] = []
     t = state.clock if contact_time is None else float(contact_time)
 
@@ -255,12 +278,16 @@ def exploration_step(
         displacement = decode_displacement(dt, direction, LatencyParams(velocity))
         stages.append("decode")
 
-    paired = bool(state.prev_packet) and bool(packet)
-    if state.learn and paired:
-        _fold_packets(state.learning_matrix.w, (state.prev_packet, packet), state.stdp)
-        stages.append("stdp")
-
-    scores = _scores(state.prev_packet, packet, state.models) if paired else [0.0] * len(state.models)
+    scores = [0.0] * len(state.models)
+    if state.prev_packet and packet:
+        # The pair block, built once: flat synapse indices and spike dts in double-loop order.
+        (prev_ids, pre_times), (cur_ids, post_times) = state.prev_packet.id_time_arrays, packet.id_time_arrays
+        index = (prev_ids[:, None] * n + cur_ids).ravel()
+        if state.learn:
+            spike_dt = (post_times - pre_times[:, None]).ravel()
+            _fold(state.learning_matrix.w, index, spike_dt, (pre_times, post_times), [0, index.size], state.stdp)
+            stages.append("stdp")
+        scores = left_sum(state.weight_stack.take(_causal_index(index, pre_times, post_times), axis=1)).tolist()
     ll = log_likelihoods_from_scores(scores, state.temperature)
     stages.append("score")
 

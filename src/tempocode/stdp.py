@@ -31,7 +31,8 @@ block holds as many whole traversals as fit in ``_SLOTS`` (pairs x M x M)
 slots, and always at least one, so the working set is bounded however long
 a phase is. :func:`train_on_traversal` and :func:`apply_packet_pair` build
 the list from their packets' id and time arrays (:func:`_fold_packets`),
-one traversal at a time.
+one traversal at a time. The online step of :mod:`tempocode.inference`
+hands :func:`_fold` the one pair block it also scores.
 
 The exactness rule: ``exp`` comes from :mod:`math`, one element at a time,
 because numpy's vectorised ``exp`` may differ by an ulp; the only numpy

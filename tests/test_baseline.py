@@ -45,6 +45,30 @@ class TestDenseTrain:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             dense_train([])
+        with pytest.raises(ValueError, match="cannot sum an empty traversal"):
+            dense_train([_noiseless(discrimination_pair()[0]), Traversal((), label="A")])
+
+    @pytest.mark.parametrize("n_neurons", [1, 3, 64])
+    def test_centroids_match_per_traversal_sums_as_bytes(self, n_neurons):
+        """Centroids on classes of mixed lengths are the mean of per-traversal sums, to the bit."""
+        rng = np.random.default_rng(n_neurons)
+        choices = np.array([-0.0, 0.0, 1e16, -1e16, 1.0, 1e-300])
+        for case in range(40):
+            traversals = []
+            for _ in range(int(rng.integers(1, 12))):
+                length = int(rng.choice([1, 2, 9, 20]))
+                # magnitudes far apart make any other summation order show in the bits
+                contacts = np.where(rng.random((length, n_neurons)) < 0.5,
+                                    rng.choice(choices, (length, n_neurons)), rng.normal(size=(length, n_neurons)))
+                traversals.append(Traversal(tuple((row, 0.020 * k) for k, row in enumerate(contacts)),
+                                            label=str(rng.integers(0, 3))))
+            expected = {}
+            for trav in traversals:
+                expected.setdefault(trav.label, []).append(trav.feature_sum())
+            got = dense_train(traversals)
+            assert [label for label, _ in got] == list(expected), f"case {case}"
+            for label, centroid in got:
+                assert centroid.tobytes() == np.mean(np.stack(expected[label]), axis=0).tobytes(), f"case {case}"
 
 
 class TestDenseClassify:

@@ -289,3 +289,15 @@ class TestRenderingAndStartup:
         probe = "import sys, tempocode.cli; print('concurrent.futures' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert result.stdout.strip() == "False"
+
+    def test_discriminate_leaves_masked_arrays_unloaded(self, tmp_path):
+        """A ``discriminate`` run does not import ``numpy.ma``, as ``np.unique`` would."""
+        src = str(Path(tempocode.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        probe = (
+            "import sys, tempocode.cli\n"
+            f"code = tempocode.cli.main(['discriminate', '--seed', '42', '--out', {str(tmp_path)!r}])\n"
+            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
+        )
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+        assert result.stderr.splitlines()[-1] == "0 False"

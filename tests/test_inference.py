@@ -1,6 +1,7 @@
 """Scoring, likelihoods, and the full exploration step."""
 
 import copy
+import dataclasses
 import json
 import math
 import random
@@ -13,6 +14,7 @@ from tempocode.evidence import EvidenceState
 from tempocode.inference import (
     LoopState,
     ObjectModel,
+    StepDiagnostics,
     alignment_score,
     alignment_scores,
     exploration_step,
@@ -340,11 +342,37 @@ class TestExplorationStep:
         exploration_step(state, [0.9, 0.2, 0.1])
         _, diag = exploration_step(state, [0.2, 0.8, 0.2])
         record = json.loads(diag.to_json())
-        assert list(record) == ["step", "dt", "displacement", "scores", "best", "prediction_error"]
+        assert list(record) == [f.name for f in dataclasses.fields(StepDiagnostics)]
         assert record["step"] == 1
         assert len(record["displacement"]) == 3
         assert len(record["scores"]) == 2
         assert 0.0 <= record["prediction_error"] <= 1.0
+
+    @pytest.mark.parametrize("learn", [True, False])
+    def test_diagnostics_json_holds_every_field(self, learn):
+        state = _trained_loop(learn=learn)
+        _, first = exploration_step(state, [0.9, 0.2, 0.1])
+        _, second = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.5))
+        assert json.loads(first.to_json()) == {
+            "step": 0,
+            "dt": None,
+            "displacement": None,
+            "scores": [0.0, 0.0],
+            "best": first.best,
+            "prediction_error": first.prediction_error,
+            "stage_order": ["encode", "score", "update", "adapt"],
+        }
+        d = second.displacement
+        # JSON floats round-trip exactly, so the record equals the diagnostics it came from.
+        assert json.loads(second.to_json()) == {
+            "step": 1,
+            "dt": second.dt,
+            "displacement": [d.dx, d.dy, d.dz],
+            "scores": second.scores,
+            "best": second.best,
+            "prediction_error": second.prediction_error,
+            "stage_order": ["encode", "latency", "decode"] + ["stdp"] * learn + ["score", "update", "adapt"],
+        }
 
     def test_loop_state_validation(self):
         with pytest.raises(ValueError):
@@ -361,7 +389,7 @@ class TestExplorationStep:
 
 def _loop_snapshot(state):
     return (
-        state.learning_matrix.w.tobytes(),
+        None if state.learning_matrix is None else state.learning_matrix.w.tobytes(),
         state.evidence.evidence.tobytes(),
         state.evidence.lambdas.tobytes(),
         state.step,
@@ -388,3 +416,29 @@ class TestReadingLength:
         # The loop goes on from where it was.
         exploration_step(state, [0.2, 0.8, 0.2])
         assert state.step == at_step + 1
+
+
+class TestTemperature:
+    """A temperature that is not positive, NaN included, is rejected before any state changes."""
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    def test_rejected_at_construction_and_by_the_likelihoods(self, temperature):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            LoopState(models=[_zero_model()], temperature=temperature)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            log_likelihoods_from_scores([1.0, 0.0], temperature=temperature)
+
+    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("learn", [True, False])
+    def test_set_after_construction_raises_and_changes_nothing(self, temperature, learn):
+        state = _trained_loop(learn=learn)
+        exploration_step(state, [0.9, 0.2, 0.1])
+        state.temperature = temperature
+        before = _loop_snapshot(state)
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            exploration_step(state, [0.2, 0.8, 0.2])
+        assert _loop_snapshot(state) == before
+        # The loop goes on from where it was once the temperature is mended.
+        state.temperature = 1.0
+        _, diag = exploration_step(state, [0.2, 0.8, 0.2])
+        assert diag.step == 1
