@@ -39,9 +39,12 @@ traversals of one object are stacked into one block and encoded at once
 (:func:`~tempocode.encoding._encode_block`): every contact's active ids
 and global spike times, padded to the phase's largest active count. The
 STDP increments of all consecutive contact pairs are computed in blocks of
-traversals and folded in place into one matrix per object, pair by pair
-(:func:`~tempocode.stdp._fold_traversals`), with the bits and the errors
-of training a fresh matrix per traversal on its packets. Before folding,
+traversals, with ``exp`` from :mod:`math` fed from a ``memoryview``, and
+folded in place into one matrix per object
+(:func:`~tempocode.stdp._fold_traversals`): by one ordered scatter-add
+per block, or pair by pair where ``w_max`` clips or a weight is not
+finite, with the bits and the errors of training a fresh matrix per
+traversal on its packets. Before folding,
 the encoder's checks run on the block; the traversals before the first
 one they reject are trained, and that traversal is then encoded on its own
 to raise the error :func:`~tempocode.encoding.encode_traversal` gives it.

@@ -31,9 +31,10 @@ reports use; STDP inside the loop follows the exactness rule of
 :class:`LoopState` reads the frozen models once, at construction: it
 stacks their weights into one read-only array, and every step scores
 against that stack with one ``take``. :func:`exploration_step` checks
-each reading's length against the models' neuron count, once per step and
-before any state changes. Every id of the packet it encodes is then in
-range, as is every id of the previous packet. Each paired step builds its
+each reading's length against the models' neuron count, and its motor
+command, once per step and before any state changes. Every id of the
+packet it encodes is then in range, as is every id of the previous
+packet. Each paired step builds its
 pair block once, the flat synapse indices and the spike-time differences,
 and hands it unchecked to the one STDP fold loop,
 :func:`tempocode.stdp._fold`, and to :func:`_causal_index`.
@@ -42,6 +43,7 @@ and hands it unchecked to the one STDP fold loop,
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -141,6 +143,22 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("need at least one score")
     s = s - s.max()
     return s - np.log(np.exp(s).sum())
+
+
+def _check_motor(motor) -> tuple[LatencyParams, float]:
+    """A (velocity, direction) command as the decoder's ``LatencyParams`` and a finite direction.
+
+    Every step checks its command, so a bad one fails on the step it is
+    given, whether or not that step decodes a displacement.
+    """
+    try:
+        velocity, direction = motor
+    except (TypeError, ValueError):
+        raise ValueError(f"motor must be a (velocity, direction) pair, got {motor!r}") from None
+    latency, direction = LatencyParams(velocity), float(direction)
+    if not math.isfinite(direction):
+        raise ValueError(f"motor direction must be finite, got {direction}")
+    return latency, direction
 
 
 def _check_temperature(temperature: float) -> None:
@@ -249,12 +267,15 @@ def exploration_step(
     """Advance the loop by one contact; returns (best hypothesis, diagnostics).
 
     ``motor`` is the (velocity, direction-in-radians) command the world
-    executed; the velocity is taken as the decoder's assumed velocity.
-    Interval measurement and displacement decoding are skipped on the first
-    contact and around empty packets; STDP is skipped whenever either packet
-    of the consecutive pair is empty or learning is disabled.
+    executed; the velocity is taken as the decoder's assumed velocity. It
+    must be a positive finite velocity and a finite direction, on every
+    step, the ones that decode no displacement included. Interval
+    measurement and displacement decoding are skipped on the first contact
+    and around empty packets; STDP is skipped whenever either packet of the
+    consecutive pair is empty or learning is disabled.
     """
     _check_temperature(state.temperature)
+    latency, direction = _check_motor(motor)
     stages: list[str] = []
     t = state.clock if contact_time is None else float(contact_time)
 
@@ -274,8 +295,7 @@ def exploration_step(
 
     displacement = None
     if dt is not None:
-        velocity, direction = motor
-        displacement = decode_displacement(dt, direction, LatencyParams(velocity))
+        displacement = decode_displacement(dt, direction, latency)
         stages.append("decode")
 
     scores = [0.0] * len(state.models)

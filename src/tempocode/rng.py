@@ -19,8 +19,9 @@ exact; ``log`` and ``cos`` come from :mod:`math`, one element at a time,
 because numpy's vectorised transcendentals may differ by an ulp; only
 correctly rounded float operations (``+ - * /`` and ``sqrt``) run in numpy
 otherwise; and the scalar and array paths share one Box-Muller transform,
-which works through its input in chunks of about 4k elements so the
-Python lists feeding ``log`` and ``cos`` stay small.
+which works through its input in chunks of about 4k elements and feeds
+``log`` and ``cos`` from a ``memoryview`` of each chunk's arguments, so
+the same doubles reach libm without a Python list in between.
 :meth:`NoiseStream.normal_vector` is the one-index form, ``[t] == normal(t)``,
 with which the lambda experiment draws each object's whole error
 trajectory at once.
@@ -48,8 +49,9 @@ _MIX_B = 0x94D049BB133111EB
 _TWO_POW_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
 
-#: Elements per Box-Muller chunk: large enough to amortise numpy's per-call
-#: cost, small enough that the chunk's Python lists stay around 100 kB.
+#: Elements per Box-Muller and STDP ``exp`` chunk: large enough to amortise
+#: numpy's per-call cost, small enough that each temporary array of a chunk
+#: stays at 32 kB.
 _CHUNK = 4096
 
 _MIX_A_U64 = np.uint64(_MIX_A)
@@ -137,11 +139,12 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     """Cosine-branch Box-Muller over paired uniforms, with libm per element.
 
     A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite.
-    ``log`` and ``cos`` come from :mod:`math`; ``-2.0 *``, ``sqrt``,
-    ``2 pi *`` and the product run in numpy, where each is correctly
-    rounded, so every value equals the scalar formula's. The work runs in
-    chunks of ``_CHUNK`` elements to bound the Python lists it needs. The
-    scalar and the array paths both come through here.
+    ``log`` and ``cos`` come from :mod:`math`, fed from a ``memoryview``
+    of each chunk's arguments; ``-2.0 *``, ``sqrt``, ``2 pi *`` and the
+    product run in numpy, where each is correctly rounded, so every value
+    equals the scalar formula's. The work runs in chunks of ``_CHUNK``
+    elements to bound the temporary arrays it needs. The scalar and the
+    array paths both come through here.
     """
     u1s = np.asarray(u1s, dtype=float)
     u2s = np.asarray(u2s, dtype=float)
@@ -150,8 +153,8 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     for start in range(0, flat_out.size, _CHUNK):
         u1 = flat1[start : start + _CHUNK]
         size = u1.size
-        logs = np.fromiter(map(math.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53).tolist()), float, size)
-        cosines = np.fromiter(map(math.cos, (_TWO_PI * flat2[start : start + _CHUNK]).tolist()), float, size)
+        logs = np.fromiter(map(math.log, memoryview(np.where(u1 != 0.0, u1, _TWO_POW_NEG53))), float, size)
+        cosines = np.fromiter(map(math.cos, memoryview(_TWO_PI * flat2[start : start + _CHUNK])), float, size)
         np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + size])
     return out
 

@@ -13,13 +13,23 @@ updated. Because each increment depends only on spike times, not on the
 current weight, the increments of many pairs can be computed at once; only
 their fold into the weights is sequential.
 
-One increment function (:func:`_increments`) and one fold loop
+One increment function (:func:`_increments`) and one fold
 (:func:`_fold`) serve every caller. Their input is a flat list of the
 synapses to update, pair by pair and, within a pair, in the order of the
 scalar double loop over (pre, post): each synapse's flat weight index and
-its dt. The fold reads, updates, clips to ``w_max`` and writes one pair's
-synapses at a time, through flat ``take``/``put``, in (traversal, pair)
-order; a synapse no pair touches is never written.
+its dt. Without ``w_max``, the fold is one ``np.add.at`` over the whole
+list: it adds repeated indices in list order, so every synapse gets its
+pairs' rounded additions in (traversal, pair) order, as one pair at a
+time would give it. The pair loop stays for what a single scatter cannot
+do: clipping to ``w_max`` after every pair, and non-finite weights, which
+must raise at the pair (or the traversal) that first reads one, with the
+pairs before it written. So the scatter runs only when every weight it
+touches is finite, and the whole matrix when a later traversal starts in
+the block; if a touched weight comes out non-finite, it is undone and the
+pair loop runs instead. The pair loop also serves a matrix that is not
+C-contiguous, which has no flat view to scatter into. It reads, updates,
+clips and writes one pair's synapses at a time, through flat
+``take``/``put``. Either way a synapse no pair touches is never written.
 
 Two builders feed them. The training phase of :mod:`tempocode.experiments`
 hands :func:`_fold_traversals` padded arrays from its block encoder: for
@@ -35,8 +45,10 @@ one traversal at a time. The online step of :mod:`tempocode.inference`
 hands :func:`_fold` the one pair block it also scores.
 
 The exactness rule: ``exp`` comes from :mod:`math`, one element at a time,
-because numpy's vectorised ``exp`` may differ by an ulp; the only numpy
-float operations used are correctly rounded ones (``+ - * /``,
+because numpy's vectorised ``exp`` may differ by an ulp; ``map`` reads its
+arguments straight from a ``memoryview`` of each chunk, so the same
+doubles reach libm without a Python list in between. The only numpy float
+operations used are correctly rounded ones (``+ - * /``,
 ``minimum``/``maximum``); and a packet pair touches each synapse at most
 once, so the fold gives each synapse one rounded update per pair. Every
 updated synapse therefore ends bit-identical to :func:`stdp_update`, the
@@ -94,16 +106,17 @@ def _check_packet_ids(packet: SpikePacket, n: int) -> None:
 def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     """The additive STDP increment of every element of a 1-D dt array.
 
-    ``exp`` runs per element through :mod:`math`, in chunks of ``_CHUNK``
-    elements to bound the Python lists it needs. A dt of 0 gives ``-0.0``,
-    and ``w + (-0.0) == w`` for every w, as :func:`stdp_update`'s no-op.
+    ``exp`` runs per element through :mod:`math`, fed from a ``memoryview``
+    of each ``_CHUNK``-element chunk, which bounds the temporary array each
+    chunk needs. A dt of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for
+    every w, as :func:`stdp_update`'s no-op.
     """
     potentiate = dt > 0.0
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
     window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
     for start in range(0, window.size, _CHUNK):
         chunk = window[start : start + _CHUNK]
-        chunk[:] = np.fromiter(map(math.exp, chunk.tolist()), float, chunk.size)
+        chunk[:] = np.fromiter(map(math.exp, memoryview(chunk)), float, chunk.size)
     # w - a*e == w + (-a*e) exactly.
     increments = np.multiply(np.where(potentiate, params.a_plus, -params.a_minus), window, out=window)
     increments[dt == 0.0] = -0.0
@@ -119,12 +132,15 @@ def _fold(
     params: StdpParams,
     starts: range = range(0),
 ) -> None:
-    """STDP-update ``weights`` in place over consecutive packet pairs, one pair at a time.
+    """STDP-update ``weights`` in place over consecutive packet pairs, in pair order.
 
     ``index`` and ``dt`` hold one entry per synapse to update, pair by pair
     in scalar double-loop order: its flat index into ``weights`` and its
     post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
-    + 1]`` and touches each synapse at most once. ``times`` iterates over
+    + 1]`` and touches each synapse at most once. Without ``w_max``, with
+    finite weights and a C-contiguous matrix the pairs are applied by one
+    scatter-add, else one pair at a time; see the module docstring.
+    ``times`` iterates over
     arrays that hold every spike time of those synapses; it is read only if
     some dt is not finite, since finite times far apart can overflow dt and
     only a non-finite time is an error. Such a time raises ``ValueError``
@@ -137,6 +153,16 @@ def _fold(
     if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in times):
         raise ValueError(_NON_FINITE)
     increments = _increments(dt, params)
+    # Only a C-contiguous matrix has a flat view to scatter into; reshape copies any other.
+    if params.w_max is None and weights.flags.c_contiguous and (not starts or np.isfinite(weights).all()):
+        flat = weights.reshape(-1)
+        before = flat.take(index)
+        with np.errstate(over="ignore"):  # an overflow is redone, and warned of, by the pair loop
+            np.add.at(flat, index, increments)
+        if np.isfinite(flat.take(index)).all():
+            return
+        # A touched weight was or became non-finite: undo, and let the pair loop raise or keep it.
+        flat.put(index, before)
     for p in range(len(bounds) - 1):
         if p in starts and not np.isfinite(weights).all():
             raise ValueError("weight matrix contains non-finite entries")

@@ -418,6 +418,36 @@ class TestReadingLength:
         assert state.step == at_step + 1
 
 
+class TestMotorCommand:
+    """Every step checks its motor command before any state changes, whether or not it decodes."""
+
+    @pytest.mark.parametrize(
+        "motor, message",
+        [
+            ((-1.0, math.nan), "assumed_velocity must be positive and finite"),
+            ((0.0, 0.0), "assumed_velocity must be positive and finite"),
+            ((math.inf, 0.0), "assumed_velocity must be positive and finite"),
+            ((1.0, math.nan), "motor direction must be finite"),
+            ((1.0, -math.inf), "motor direction must be finite"),
+            ((1.0, 0.0, 0.0), r"motor must be a \(velocity, direction\) pair"),
+            ((1.0,), r"motor must be a \(velocity, direction\) pair"),
+        ],
+    )
+    # Step 0 and a step after an empty packet decode nothing; step 2 decodes.
+    @pytest.mark.parametrize("before", [[], [[0.0, 0.0, 0.0]], [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2]]])
+    def test_a_bad_command_raises_on_its_own_step_and_changes_nothing(self, motor, message, before):
+        state = _trained_loop(learn=True)
+        for reading in before:
+            exploration_step(state, reading)
+        snapshot = _loop_snapshot(state)
+        with pytest.raises(ValueError, match=message):
+            exploration_step(state, [0.1, 0.2, 0.9], motor=motor)
+        assert _loop_snapshot(state) == snapshot
+        # The loop goes on from where it was.
+        _, diag = exploration_step(state, [0.1, 0.2, 0.9], motor=(2.0, 0.5))
+        assert diag.step == len(before)
+
+
 class TestTemperature:
     """A temperature that is not positive, NaN included, is rejected before any state changes."""
 

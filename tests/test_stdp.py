@@ -6,7 +6,10 @@ import random
 import numpy as np
 import pytest
 
+from test_train_reference import _first_error
+from tempocode import stdp
 from tempocode.encoding import encode_traversal
+from tempocode.rng import _CHUNK
 from tempocode.stdp import apply_packet_pair, stdp_update, train_on_traversal
 from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import discrimination_pair
@@ -276,6 +279,132 @@ class TestTrainOnTraversalMatchesScalarRule:
         assert trained.w[0, 1] == 0.0  # exp(-inf) == 0.0: no change
         with pytest.raises(ValueError, match="finite"):
             train_on_traversal(WeightMatrix.zeros(2), [near, empty, near, far])
+
+
+class TestIncrementsFollowMathExp:
+    """``_increments`` takes ``exp`` from :mod:`math` for every element.
+
+    As with Box-Muller's ``log`` and ``cos``, numpy's ``exp`` may agree with
+    libm on a given build, so only a shim that moves every result by a
+    known amount tells them apart, and a lost element too.
+    """
+
+    def test_every_element_follows_math_exp(self, monkeypatch):
+        size = 2 * _CHUNK + 3
+        dt = np.random.default_rng(3).uniform(-0.1, 0.1, size)
+        dt[[0, _CHUNK, size - 1]] = 0.0
+        dt[[1, _CHUNK + 1]] = -0.0
+        params = StdpParams(a_plus=0.3, a_minus=0.07, tau_plus=0.007, tau_minus=0.013)
+        exp = math.exp
+        monkeypatch.setattr(math, "exp", lambda x: exp(x) + 0.25)
+        got = stdp._increments(dt, params)
+        monkeypatch.undo()
+
+        def want(d):
+            if d > 0.0:
+                return params.a_plus * (exp(-d / params.tau_plus) + 0.25)
+            if d < 0.0:
+                return -(params.a_minus * (exp(d / params.tau_minus) + 0.25))
+            return -0.0
+
+        assert got.tobytes() == np.array([want(d) for d in dt.tolist()]).tobytes()
+
+
+def _phase_arrays(traversals):
+    """The padded (ids, times, counts) arrays of ``_fold_traversals`` from lists of packets."""
+    m = max(len(packet) for packets in traversals for packet in packets)
+    shape = (len(traversals), len(traversals[0]), m)
+    ids, times, counts = np.zeros(shape, dtype=np.intp), np.zeros(shape), np.zeros(shape[:2], dtype=np.intp)
+    for t, packets in enumerate(traversals):
+        for k, packet in enumerate(packets):
+            packet_ids, packet_times = packet.id_time_arrays
+            c = packet_ids.size
+            ids[t, k, :c], times[t, k, :c], counts[t, k] = packet_ids, packet_times, c
+    return ids, times, counts
+
+
+def _phase_reference(weights, traversals, params):
+    """stdp_update pair after pair, each pair written whole or not at all.
+
+    Each traversal after the first starts as training a fresh
+    ``WeightMatrix`` does, by checking the whole matrix.
+    """
+    for t, packets in enumerate(traversals):
+        if t:
+            WeightMatrix(weights)
+        for prev, cur in zip(packets, packets[1:]):
+            pair = weights.copy()
+            _pairwise_reference(pair, prev, cur, params)
+            weights[...] = pair
+
+
+class TestScatterAddFold:
+    """Without ``w_max``, a block is folded by one scatter-add: bytes and first error against the pair loop."""
+
+    @staticmethod
+    def _assert_matches(values, traversals, params):
+        weights, expected = values.copy(), values.copy()
+        expected_error = _first_error(lambda: _phase_reference(expected, traversals, params))
+        got_error = _first_error(lambda: stdp._fold_traversals(weights, *_phase_arrays(traversals), params))
+        assert got_error == expected_error
+        assert weights.tobytes() == expected.tobytes()
+        return got_error
+
+    @pytest.mark.parametrize("slots", [36, stdp._SLOTS])
+    def test_every_synapse_repeats_in_every_pair(self, slots, monkeypatch):
+        # Four 3 x 3 pairs per traversal: one traversal per block, or all of them in one.
+        monkeypatch.setattr(stdp, "_SLOTS", slots)
+        rnd = random.Random(31)
+        # Packets 5 ms apart with offsets up to 39 ms overlap, so some dt are exactly 0.
+        traversals = [[_random_packet(rnd, 3, 3, 0.005 * k) for k in range(5)] for _ in range(6)]
+        values = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(3)] for _ in range(3)])
+        assert self._assert_matches(values, traversals, StdpParams(a_plus=0.3, a_minus=0.07)) is None
+
+    @pytest.mark.parametrize(
+        "synapse, n_traversals, expected",
+        [
+            # The first traversal never touches neuron 2, nor either traversal neuron 3:
+            # the second raises as it starts.
+            ((2, 2), 2, "weight matrix contains non-finite entries"),
+            ((3, 3), 2, "weight matrix contains non-finite entries"),
+            # A lone traversal leaves an untouched NaN as it is.
+            ((2, 2), 1, None),
+            ((3, 3), 1, None),
+            # The second pair reads the NaN: the first pair stays written.
+            ((1, 0), 1, "stdp_update requires finite weight and spike times"),
+            ((1, 0), 2, "stdp_update requires finite weight and spike times"),
+        ],
+    )
+    def test_a_non_finite_entry_raises_where_the_pair_loop_does(self, synapse, n_traversals, expected):
+        first = [
+            SpikePacket({0: 0.0}, arrival=0.0),
+            SpikePacket({1: 0.0}, arrival=0.020),
+            SpikePacket({0: 0.0, 1: 0.004}, arrival=0.040),
+        ]
+        second = [SpikePacket({0: 0.0, 1: 0.002, 2: 0.005}, arrival=0.020 * k) for k in range(3)]
+        values = np.full((4, 4), 0.01)
+        values[synapse] = math.nan
+        assert self._assert_matches(values, [first, second][:n_traversals], StdpParams()) == expected
+
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+    def test_apply_packet_pair_updates_a_non_contiguous_matrix_in_place(self, layout):
+        rnd = random.Random(11)
+        n = 12
+        values = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)])
+        packets = [_random_packet(rnd, n, rnd.randint(1, n), 0.005 * k) for k in range(4)]
+        if layout == "transposed":
+            weights = np.ascontiguousarray(values.T).T
+        elif layout == "fortran":
+            weights = np.asfortranarray(values)
+        else:
+            weights = np.zeros((2 * n, 3 * n))[::2, ::3]
+            weights[...] = values
+        assert not weights.flags.c_contiguous
+        expected = values.copy()
+        for prev, cur in zip(packets, packets[1:]):
+            _pairwise_reference(expected, prev, cur, StdpParams())
+            apply_packet_pair(weights, prev, cur)
+        assert np.ascontiguousarray(weights).tobytes() == expected.tobytes()
 
 
 class TestPacketIdRange:
