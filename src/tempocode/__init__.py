@@ -23,7 +23,6 @@ from .experiments import (
     run_discrimination,
     run_lambda_convergence,
     run_noise_sweep,
-    traversal_pathway_score,
     wilson_interval,
 )
 from .inference import (
@@ -32,8 +31,6 @@ from .inference import (
     StepDiagnostics,
     alignment_score,
     exploration_step,
-    leading_pathway_score,
-    log_likelihoods,
 )
 from .latency import arrival_time, decode_displacement
 from .rng import NoiseStream, SplitMix64, derive_seed, mix64
@@ -97,10 +94,8 @@ __all__ = [
     "encode_traversal",
     "exploration_step",
     "generate_traversal",
-    "leading_pathway_score",
     "load_config",
     "load_objects",
-    "log_likelihoods",
     "mix64",
     "prediction_error",
     "run_discrimination",
@@ -108,6 +103,5 @@ __all__ = [
     "run_noise_sweep",
     "stdp_update",
     "train_on_traversal",
-    "traversal_pathway_score",
     "wilson_interval",
 ]

@@ -31,8 +31,10 @@ keeps the first maximum too. Every model is then scored along the leading
 chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
 pair with a silent contact, which leaves a left fold from 0.0 unchanged.
 The dense sums of all trials and their centroid distances take one pass
-more. :func:`classify_temporal` and :func:`traversal_pathway_score` are the
-one-row cases of the same scorer.
+more. The leading-pair rule is :func:`_pathway_scores` alone, and
+:func:`classify_temporal` is its one-row case. The online loop's
+all-causal-pairs rule is :func:`tempocode.inference._causal_index` plus
+``left_sum``, through ``alignment_scores`` and ``exploration_step``.
 
 A training phase runs as arrays too, and builds no packet either. The
 traversals of one object are stacked into one block and encoded at once
@@ -105,6 +107,13 @@ def _pathway_scores(leading: np.ndarray, active: np.ndarray, models: list[Object
     synapse; a pair with a silent contact adds +0.0. Each row's terms are
     summed left to right from 0.0 (:func:`left_sum`), into a (rows, models)
     array. A leading neuron outside a model's [0, n) raises ``ValueError``.
+
+    Why the leading pair: a packet's first spike names its most strongly
+    driven neuron, its most noise-robust feature, and training potentiates
+    the leading chain of an object's sweep. So this weight signals
+    direction even where threshold flicker makes two objects' active sets,
+    and so their all-pairs sums, identical; it holds until noise corrupts
+    packet rank order.
     """
     pairs = active[:, :-1] & active[:, 1:]
     pre = np.where(pairs, leading[:, :-1], 0)
@@ -137,38 +146,19 @@ def _leading_neurons(block: np.ndarray, threshold: float) -> tuple[np.ndarray, n
     return block.argmax(axis=-1), block.max(axis=-1) > threshold
 
 
-def _leading_chain(packets) -> tuple[np.ndarray, np.ndarray]:
-    """One traversal's packets as a one-row (leading, active) pair for :func:`_pathway_scores`."""
-    leading = [packet.first_neuron() for packet in packets]
-    active = np.array([[nid is not None for nid in leading]], dtype=bool)
-    return np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp), active
-
-
-def traversal_pathway_score(packets, model: ObjectModel) -> float:
-    """Traversal-level causal alignment: summed leading-pathway weights.
-
-    For each consecutive packet pair the model contributes its weight on
-    the (leading pre, leading post) synapse, as
-    :func:`tempocode.inference.leading_pathway_score` gives it; a pair with
-    an empty packet contributes nothing. The contributions are summed left
-    to right from 0.0. The all-pairs sum
-    (:func:`tempocode.inference.alignment_score`) is deliberately not used
-    here: with threshold flicker the two objects' active sets coincide and
-    the all-pairs statistic carries no direction signal, while the leading
-    pathway stays discriminative until noise corrupts packet rank order.
-    """
-    return float(_pathway_scores(*_leading_chain(packets), [model])[0, 0])
-
-
 def classify_temporal(packets, models: list[ObjectModel]) -> int:
     """Index of the best-aligned model; ties break to the lowest index.
 
     Each packet's leading neuron is found once, then every model is scored
-    along the same leading pathway.
+    along the same leading pathway (:func:`_pathway_scores`); a pair with
+    an empty packet contributes nothing.
     """
     if not models:
         raise ValueError("need at least one object model")
-    return int(_best_models(_pathway_scores(*_leading_chain(packets), models))[0])
+    leading = [packet.first_neuron() for packet in packets]
+    active = np.array([[nid is not None for nid in leading]], dtype=bool)
+    chain = np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp)
+    return int(_best_models(_pathway_scores(chain, active, models))[0])
 
 
 def _require_encodable(traversals: list[Traversal], accepted: int, encoder: EncoderParams) -> None:
@@ -185,7 +175,7 @@ def _require_encodable(traversals: list[Traversal], accepted: int, encoder: Enco
 
 @dataclass(frozen=True)
 class ObjectResult:
-    """Per-object test outcome of one discrimination run."""
+    """One accuracy row, per object or summed: every report row renders from here."""
 
     label: str
     n_test: int
@@ -200,11 +190,36 @@ class ObjectResult:
     def temporal_acc(self) -> float:
         return self.temporal_correct / self.n_test
 
+    @property
+    def gap_pp(self) -> float:
+        """Temporal minus dense accuracy, in percentage points."""
+        return 100.0 * (self.temporal_acc - self.dense_acc)
+
     def dense_ci(self) -> tuple[float, float]:
         return wilson_interval(self.dense_correct, self.n_test)
 
     def temporal_ci(self) -> tuple[float, float]:
         return wilson_interval(self.temporal_correct, self.n_test)
+
+    def csv_line(self, experiment: str, param: str) -> str:
+        """One row under :data:`_CSV_HEADER`; ci_low/ci_high are the temporal interval."""
+        ci = self.temporal_ci()
+        return (
+            f"{experiment},{param},{self.dense_acc:.6f},{self.temporal_acc:.6f},"
+            f"{self.gap_pp:.6f},{ci[0]:.6f},{ci[1]:.6f}"
+        )
+
+    def accuracy_fields(self) -> dict:
+        """The JSON fields every accuracy row carries, in report order."""
+        return {
+            "dense_acc": self.dense_acc,
+            "dense_ci": list(self.dense_ci()),
+            "temporal_acc": self.temporal_acc,
+            "temporal_ci": list(self.temporal_ci()),
+        }
+
+
+_CSV_HEADER = "experiment,param,dense_acc,temporal_acc,gap_pp,ci_low,ci_high"
 
 
 def _pct(x: float) -> str:
@@ -221,7 +236,7 @@ class DiscriminationReport:
 
     CSV rows carry the temporal classifier's Wilson interval in
     ci_low/ci_high (the headline metric); dense intervals appear in the
-    text and JSON renderings.
+    text and JSON renderings. The aggregate properties read :attr:`overall`.
     """
 
     sigma: float
@@ -232,105 +247,74 @@ class DiscriminationReport:
     config: dict
 
     @property
+    def overall(self) -> ObjectResult:
+        """The per-object counts summed into one row labelled ``overall``."""
+        return ObjectResult(
+            "overall",
+            sum(r.n_test for r in self.per_object),
+            sum(r.dense_correct for r in self.per_object),
+            sum(r.temporal_correct for r in self.per_object),
+        )
+
+    @property
     def total_tests(self) -> int:
-        return sum(r.n_test for r in self.per_object)
-
-    @property
-    def dense_correct(self) -> int:
-        return sum(r.dense_correct for r in self.per_object)
-
-    @property
-    def temporal_correct(self) -> int:
-        return sum(r.temporal_correct for r in self.per_object)
+        return self.overall.n_test
 
     @property
     def dense_acc(self) -> float:
-        return self.dense_correct / self.total_tests
+        return self.overall.dense_acc
 
     @property
     def temporal_acc(self) -> float:
-        return self.temporal_correct / self.total_tests
+        return self.overall.temporal_acc
 
     @property
     def gap_pp(self) -> float:
-        return 100.0 * (self.temporal_acc - self.dense_acc)
-
-    def dense_ci(self) -> tuple[float, float]:
-        return wilson_interval(self.dense_correct, self.total_tests)
+        return self.overall.gap_pp
 
     def temporal_ci(self) -> tuple[float, float]:
-        return wilson_interval(self.temporal_correct, self.total_tests)
+        return self.overall.temporal_ci()
 
     def to_text(self) -> str:
+        overall = self.overall
         lines = [
             f"traversal discrimination  sigma={self.sigma:g}  "
             f"n_train={self.n_train}  n_test={self.n_test} per object  seed={self.seed}",
             "",
             f"{'object':<10} {'dense acc':>10} {'dense 95% CI':>18} {'temporal acc':>13} {'temporal 95% CI':>18}",
         ]
-        rows = list(self.per_object) + [
-            ObjectResult("overall", self.total_tests, self.dense_correct, self.temporal_correct)
-        ]
-        for r in rows:
+        for r in (*self.per_object, overall):
             lines.append(
                 f"{r.label:<10} {_pct(r.dense_acc):>10} {_ci_str(r.dense_ci()):>18} "
                 f"{_pct(r.temporal_acc):>13} {_ci_str(r.temporal_ci()):>18}"
             )
         lines.append("")
-        lines.append(f"gap (temporal - dense): {self.gap_pp:+.1f} pp")
+        lines.append(f"gap (temporal - dense): {overall.gap_pp:+.1f} pp")
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["experiment,param,dense_acc,temporal_acc,gap_pp,ci_low,ci_high"]
-        for r in self.per_object:
-            ci = r.temporal_ci()
-            gap = 100.0 * (r.temporal_acc - r.dense_acc)
-            lines.append(
-                f"discrimination,{r.label},{r.dense_acc:.6f},{r.temporal_acc:.6f},"
-                f"{gap:.6f},{ci[0]:.6f},{ci[1]:.6f}"
-            )
-        ci = self.temporal_ci()
-        lines.append(
-            f"discrimination,overall,{self.dense_acc:.6f},{self.temporal_acc:.6f},"
-            f"{self.gap_pp:.6f},{ci[0]:.6f},{ci[1]:.6f}"
-        )
-        return "\n".join(lines) + "\n"
+        rows = [r.csv_line("discrimination", r.label) for r in (*self.per_object, self.overall)]
+        return "\n".join([_CSV_HEADER] + rows) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        overall = self.overall
+        document = {
             "experiment": "discrimination",
             "seed": self.seed,
             "config": self.config,
             "results": {
                 "per_object": [
-                    {
-                        "label": r.label,
-                        "n_test": r.n_test,
-                        "dense_acc": r.dense_acc,
-                        "dense_ci": list(r.dense_ci()),
-                        "temporal_acc": r.temporal_acc,
-                        "temporal_ci": list(r.temporal_ci()),
-                    }
-                    for r in self.per_object
+                    {"label": r.label, "n_test": r.n_test, **r.accuracy_fields()} for r in self.per_object
                 ],
-                "overall": {
-                    "n_test": self.total_tests,
-                    "dense_acc": self.dense_acc,
-                    "dense_ci": list(self.dense_ci()),
-                    "temporal_acc": self.temporal_acc,
-                    "temporal_ci": list(self.temporal_ci()),
-                    "gap_pp": self.gap_pp,
-                },
+                "overall": {"n_test": overall.n_test, **overall.accuracy_fields(), "gap_pp": overall.gap_pp},
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(document, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
 class NoiseSweepReport:
-    """One discrimination run per noise level, each independently seeded."""
+    """One independently seeded discrimination run per noise level, rendered from its ``overall``."""
 
     seed: int
     rows: tuple[DiscriminationReport, ...]
@@ -351,36 +335,20 @@ class NoiseSweepReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = ["experiment,param,dense_acc,temporal_acc,gap_pp,ci_low,ci_high"]
-        for row in self.rows:
-            ci = row.temporal_ci()
-            lines.append(
-                f"noise-sweep,{row.sigma:g},{row.dense_acc:.6f},{row.temporal_acc:.6f},"
-                f"{row.gap_pp:.6f},{ci[0]:.6f},{ci[1]:.6f}"
-            )
-        return "\n".join(lines) + "\n"
+        rows = [row.overall.csv_line("noise-sweep", f"{row.sigma:g}") for row in self.rows]
+        return "\n".join([_CSV_HEADER] + rows) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        document = {
             "experiment": "noise-sweep",
             "seed": self.seed,
             "config": self.config,
             "results": [
-                {
-                    "sigma": row.sigma,
-                    "seed": row.seed,
-                    "dense_acc": row.dense_acc,
-                    "dense_ci": list(row.dense_ci()),
-                    "temporal_acc": row.temporal_acc,
-                    "temporal_ci": list(row.temporal_ci()),
-                    "gap_pp": row.gap_pp,
-                }
+                {"sigma": row.sigma, "seed": row.seed, **row.overall.accuracy_fields(), "gap_pp": row.gap_pp}
                 for row in self.rows
             ],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(document, indent=2) + "\n"
 
 
 @dataclass(frozen=True)
@@ -412,8 +380,8 @@ class LambdaReport:
                 lines.append(f"{step},{name},{lam!r}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        document = {
             "experiment": "lambda-converge",
             "seed": self.seed,
             "config": self.config,
@@ -423,9 +391,7 @@ class LambdaReport:
                 "trajectories": {name: list(self.trajectories[name]) for name in self.object_names},
             },
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2) + "\n"
+        return json.dumps(document, indent=2) + "\n"
 
 
 def _effective_config_dict(cfg: Config, seed: int, sigma: float | None = None) -> dict:
@@ -539,14 +505,16 @@ def run_noise_sweep(
     """Run the discrimination task at every configured noise level.
 
     Each level gets an independent seed derived from the master seed, so
-    adding or reordering levels never perturbs the others.
+    adding or reordering levels never perturbs the others. The objects are
+    resolved once and shared by every level.
     """
     cfg = config if config is not None else Config()
     master = cfg.resolved_seed(seed)
+    objs = _resolve_objects(cfg, objects)
     rows = []
     for i, sigma in enumerate(cfg.experiment.sigmas):
         row_seed = derive_seed(master, _SWEEP_DOMAIN, i)
-        rows.append(run_discrimination(cfg, seed=row_seed, sigma=sigma, objects=objects))
+        rows.append(run_discrimination(cfg, seed=row_seed, sigma=sigma, objects=objs))
     return NoiseSweepReport(seed=master, rows=tuple(rows), config=_effective_config_dict(cfg, master))
 
 

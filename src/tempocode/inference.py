@@ -15,7 +15,10 @@ single contact:
 Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets. Empty
-packets score 0 against every model, yielding uniform likelihoods.
+packets score 0 against every model, yielding uniform likelihoods. This
+all-causal-pairs rule is :func:`_causal_index` plus :func:`left_sum`,
+through :func:`alignment_scores` and :func:`exploration_step`; the
+experiments' leading-pair rule is :func:`tempocode.experiments._pathway_scores`.
 
 :func:`_causal_index` is the one scoring order. From a packet pair's flat
 synapse indices ``i * N + j``, row-major and so in the order of the scalar
@@ -29,15 +32,15 @@ reports use; STDP inside the loop follows the exactness rule of
 :mod:`tempocode.stdp`.
 
 :class:`LoopState` reads the frozen models once, at construction: it
-stacks their weights into one read-only array, and every step scores
-against that stack with one ``take``. :func:`exploration_step` checks
-each reading's length against the models' neuron count, and its motor
-command, once per step and before any state changes. Every id of the
-packet it encodes is then in range, as is every id of the previous
-packet. Each paired step builds its
-pair block once, the flat synapse indices and the spike-time differences,
-and hands it unchecked to the one STDP fold loop,
-:func:`tempocode.stdp._fold`, and to :func:`_causal_index`.
+stacks their weights into one read-only array, checks once that they are
+finite, and every step scores against that stack with one ``take``.
+:func:`exploration_step` checks each reading's length against the models'
+neuron count, and its motor command, once per step and before any state
+changes. Every id of the packet it encodes is then in range, as is every
+id of the previous packet. Each paired step builds its pair block once,
+the flat synapse indices and the spike-time differences, and hands it
+unchecked to the one STDP fold loop, :func:`tempocode.stdp._fold`, and to
+:func:`_causal_index`.
 """
 
 from __future__ import annotations
@@ -116,25 +119,6 @@ def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | N
     return alignment_scores(prev_packet, cur_packet, [model])[0]
 
 
-def leading_pathway_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
-    """Model weight along the leading (first-firing) neuron pair.
-
-    The first spike of a packet is its most noise-robust feature: it names
-    the most strongly driven neuron. Training potentiates the chain of
-    leading neurons along an object's canonical sweep, so the weight on the
-    (leading pre, leading post) synapse of a consecutive packet pair is an
-    unambiguous direction signal even when threshold flicker makes the full
-    active sets of two objects identical. Missing or empty packets score 0.
-    """
-    if prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
-        return 0.0
-    i, j = prev_packet.first_neuron(), cur_packet.first_neuron()
-    n = model.weights.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"packet neuron id out of range [0, {n})")
-    return float(model.weights.w[i, j])
-
-
 def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     """Normalized log-likelihoods: log softmax of scores / temperature."""
     _check_temperature(temperature)
@@ -165,18 +149,6 @@ def _check_temperature(temperature: float) -> None:
     """Reject a temperature that is not positive, NaN included."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
-
-
-def log_likelihoods(
-    prev_packet: SpikePacket | None,
-    cur_packet: SpikePacket | None,
-    models: list[ObjectModel],
-    temperature: float = 1.0,
-) -> np.ndarray:
-    """Per-class log-likelihoods from alignment scores (exp sums to 1)."""
-    if not models:
-        raise ValueError("need at least one object model")
-    return log_likelihoods_from_scores(alignment_scores(prev_packet, cur_packet, models), temperature)
 
 
 @dataclass
@@ -218,7 +190,8 @@ class LoopState:
     (state, input). When no explicit contact time is supplied, contacts are
     assumed to arrive ``inter_contact_interval`` seconds apart.
     ``temperature`` must be positive; a step checks it again before it
-    changes any state, since it may be set after construction.
+    changes any state, since it may be set after construction. Weights and
+    ``inter_contact_interval`` (above the encoder's span) must be finite.
     """
 
     models: list[ObjectModel]
@@ -249,12 +222,16 @@ class LoopState:
             self.learning_matrix = WeightMatrix.zeros(n)
         if self.learning_matrix is not None and self.learning_matrix.n != n:
             raise ValueError("learning matrix dimension does not match models")
-        if self.inter_contact_interval <= self.encoder.tau_base:
-            raise ValueError("inter-contact interval must exceed the encoder packet span")
+        if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > self.encoder.tau_base):
+            raise ValueError(f"inter_contact_interval must exceed the packet span, got {self.inter_contact_interval}")
         if self.prev_packet is not None:
             _check_packet_ids(self.prev_packet, n)
         _check_temperature(self.temperature)
         self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models])
+        finite = np.isfinite(self.weight_stack).all(axis=1)
+        if not finite.all():
+            label = self.models[int(finite.argmin())].label
+            raise ValueError(f"object model {label!r} has non-finite weights")
         self.weight_stack.flags.writeable = False
 
 

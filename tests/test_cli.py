@@ -1,5 +1,6 @@
 """CLI behaviour: subcommands, exit codes, output files."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -174,6 +175,37 @@ class TestExperimentCommands:
     def test_missing_config_exit_2(self, capsys, tmp_path):
         code, _, _ = _run(capsys, ["discriminate", "--config", str(tmp_path / "none.json")])
         assert code == 2
+
+
+# sha256 of every curve file that --plot writes at seed 42 with the default config.
+_CURVE_DIGESTS = {
+    "discriminate": {
+        "dense_accuracy.dat": "f2c4b00ed5c6fddbd3777d16299aabeeb2bacddf4575f311fbef4bba3d79a9d9",
+        "temporal_accuracy.dat": "a638b767957b735d15cd3804a37c55e99f1b0bd52ab66d7663e062936859ad9b",
+    },
+    "noise-sweep": {
+        "dense_accuracy.dat": "e052cf28e52eabddeaa546ac948261f12fb20b72e73e0f274a8b3b48a11ab9c9",
+        "temporal_accuracy.dat": "266bc08beb5230a2cdb09cc570e138d48a82381560e57b2b6329a0abddf3ecba",
+        "gap_pp.dat": "d5fb346737cb9e2c618c10e78a17bce31b4007c7a1ad3988e073907e5cf27b54",
+    },
+    "lambda-converge": {
+        "lambda_uniform.dat": "1c15c7d00fd52498cb041385a2ec8c4dbd2ae3d34c1e47cb2e7d410a7c7baf04",
+        "lambda_moderate.dat": "4ca91691da57f4a5d48723e980de14de148acd52a5f47de754a5e4bf02b3c80c",
+        "lambda_complex.dat": "c091f4704573d8716f0eacdd44770c41e75ff19206bae4c1812e9411c53a7f16",
+    },
+}
+
+
+class TestCurveBytes:
+    """The curve files are pinned byte for byte, as the golden digests pin the reports."""
+
+    @pytest.mark.parametrize("command", sorted(_CURVE_DIGESTS))
+    def test_curves_match_pinned_digests(self, capsys, tmp_path, command):
+        code, _, _ = _run(capsys, [command, "--seed", "42", "--out", str(tmp_path / "out"), "--plot"])
+        assert code == 0
+        curves = next((tmp_path / "out" / command).iterdir()) / "curves"
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in curves.iterdir()}
+        assert digests == _CURVE_DIGESTS[command]
 
 
 class TestSeedResolution:

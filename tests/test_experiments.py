@@ -9,22 +9,37 @@ import pytest
 
 from tempocode.config import Config, config_from_dict
 from tempocode.experiments import (
+    _pathway_scores,
     classify_temporal,
     run_discrimination,
     run_lambda_convergence,
     run_noise_sweep,
-    traversal_pathway_score,
     wilson_interval,
 )
 from tempocode.inference import ObjectModel, left_sum
 from tempocode.types import SpikePacket, WeightMatrix
-from tempocode.world import SyntheticObject, discrimination_pair
+from tempocode.world import SyntheticObject, discrimination_pair, load_objects
 
 
 def _small_config(**experiment_overrides) -> Config:
     base = Config()
     experiment = dataclasses.replace(base.experiment, **experiment_overrides)
     return dataclasses.replace(base, experiment=experiment)
+
+
+def _leading_pair_scores(packets, models) -> list[float]:
+    """Reference: each model's w[prev.first_neuron(), cur.first_neuron()], folded left from 0.0.
+
+    A pair with an empty packet adds nothing.
+    """
+    scores = []
+    for model in models:
+        total = 0.0
+        for prev, cur in zip(packets, packets[1:]):
+            if prev and cur:
+                total += float(model.weights.w[prev.first_neuron(), cur.first_neuron()])
+        scores.append(total)
+    return scores
 
 
 class TestWilsonInterval:
@@ -54,18 +69,22 @@ class TestLeftToRightSums:
         assert left_sum([]) == 0.0
         assert str(left_sum([-0.0])) == "0.0"
 
-    def test_traversal_pathway_score_folds_left(self):
-        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(4)]
+    def test_pathway_scores_fold_left(self):
         w = WeightMatrix.zeros(4)
         w.w[0, 1], w.w[1, 2], w.w[2, 3] = self.VALUES
-        model = ObjectModel("m", w)
-        assert traversal_pathway_score(packets, model) == 0.0
+        leading, active = np.array([[0, 1, 2, 3]]), np.ones((1, 4), dtype=bool)
+        assert _pathway_scores(leading, active, [ObjectModel("m", w)])[0, 0] == 0.0
+        # Folded left, "m" scores 0.0 and loses to 0.5; a compensated sum would give it 1.0.
+        other = WeightMatrix.zeros(4)
+        other.w[0, 1] = 0.5
+        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(4)]
+        assert classify_temporal(packets, [ObjectModel("other", other), ObjectModel("m", w)]) == 0
 
-    def test_classify_temporal_scores_like_traversal_pathway_score(self):
+    def test_classify_temporal_scores_the_leading_pairs(self):
         packets = [SpikePacket({k % 3: 0.0, 3: 0.004}, arrival=0.020 * k) for k in range(5)]
         packets.insert(2, SpikePacket({}, arrival=0.030))
         models = [ObjectModel(str(s), WeightMatrix(np.random.default_rng(s).normal(size=(4, 4)))) for s in range(6)]
-        scores = [traversal_pathway_score(packets, m) for m in models]
+        scores = _leading_pair_scores(packets, models)
         assert classify_temporal(packets, models) == scores.index(max(scores))
         with pytest.raises(ValueError, match="out of range"):
             classify_temporal(packets, [ObjectModel("small", WeightMatrix.zeros(2))])
@@ -79,10 +98,32 @@ class TestLeftToRightSums:
         low, high = WeightMatrix.zeros(3), WeightMatrix.zeros(3)
         low.w[0, 1], high.w[0, 1] = -1.0, 1.0
         models = [ObjectModel(label, w) for label, w in (("nan", nan_model), ("low", low), ("high", high))]
+        leading, active = np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool)
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert math.isnan(traversal_pathway_score(packets, models[0]))
+            assert math.isnan(_pathway_scores(leading, active, models[:1])[0, 0])
             assert classify_temporal(packets, models) == 2
             assert classify_temporal(packets, models[:1]) == 0  # no score beats -inf: the first model
+
+
+class TestLeadingPairRule:
+    """The experiments' score of a packet pair is w[prev.first_neuron(), cur.first_neuron()]."""
+
+    def test_uses_first_firing_pair_only(self):
+        prev = SpikePacket({0: 0.0, 2: 0.005}, arrival=0.0)
+        cur = SpikePacket({1: 0.0, 2: 0.005}, arrival=0.020)
+        leading = WeightMatrix.zeros(3)
+        leading.w[0, 1] = 1.0
+        rest = WeightMatrix(np.full((3, 3), 5.0))
+        rest.w[0, 1] = 0.0  # every other synapse of the pair favours "rest"
+        assert classify_temporal([prev, cur], [ObjectModel("rest", rest), ObjectModel("leading", leading)]) == 1
+
+    def test_empty_packets_score_nothing(self):
+        ones = ObjectModel("ones", WeightMatrix(np.ones((3, 3))))
+        minus = ObjectModel("minus", WeightMatrix(-np.ones((3, 3))))
+        leading, active = np.array([[0, 1, 2]]), np.array([[True, False, True]])
+        assert _pathway_scores(leading, active, [ones, minus]).tolist() == [[0.0, 0.0]]
+        packets = [SpikePacket({}), SpikePacket({0: 0.0}, arrival=0.020), SpikePacket({}, arrival=0.040)]
+        assert classify_temporal(packets, [minus, ones]) == 0  # a tie goes to the first model
 
 
 class TestDiscrimination:
@@ -158,6 +199,28 @@ class TestDiscrimination:
 
 
 class TestNoiseSweep:
+    def test_loads_the_objects_file_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps(
+            [{"label": o.label, "contacts": [c.tolist() for c in o.contacts]} for o in discrimination_pair()]
+        ))
+        cfg = _small_config(n_train=3, n_test=3)
+        cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, objects=str(path)))
+        calls = []
+
+        def counting_load(source):
+            calls.append(source)
+            return load_objects(source)
+
+        monkeypatch.setattr("tempocode.experiments.load_objects", counting_load)
+        report = run_noise_sweep(cfg, seed=3)
+        assert len(report.rows) == 6
+        assert len(calls) == 1
+        explicit = run_noise_sweep(cfg, seed=3, objects=load_objects(path))
+        assert len(calls) == 1
+        for render in ("to_text", "to_csv", "to_json"):
+            assert getattr(report, render)() == getattr(explicit, render)()
+
     def test_grid_and_gap_signs(self):
         cfg = _small_config(n_train=20, n_test=50)
         report = run_noise_sweep(cfg, seed=42)

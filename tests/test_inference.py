@@ -18,8 +18,6 @@ from tempocode.inference import (
     alignment_score,
     alignment_scores,
     exploration_step,
-    leading_pathway_score,
-    log_likelihoods,
     log_likelihoods_from_scores,
 )
 from tempocode.stdp import train_on_traversal
@@ -201,23 +199,15 @@ class TestPacketIdRange:
                 alignment_scores(prev, cur, [_zero_model(), _zero_model()])
 
 
-class TestLeadingPathwayScore:
-    def test_uses_first_firing_pair_only(self):
-        prev = SpikePacket({0: 0.0, 2: 0.005}, arrival=0.0)
-        cur = SpikePacket({1: 0.0, 2: 0.005}, arrival=0.020)
-        w = WeightMatrix(np.arange(9, dtype=float).reshape(3, 3))
-        assert leading_pathway_score(prev, cur, ObjectModel("m", w)) == w.w[0, 1]
-
-    def test_empty_packets_score_zero(self):
-        assert leading_pathway_score(SpikePacket({}), SpikePacket({0: 0.0}), _zero_model()) == 0.0
-
-
 class TestLogLikelihoods:
     def test_equal_scores_are_uniform(self):
         prev = SpikePacket({0: 0.0}, arrival=0.0)
         cur = SpikePacket({1: 0.0}, arrival=0.020)
-        ll = log_likelihoods(prev, cur, [_zero_model(), _zero_model()])
+        ll = log_likelihoods_from_scores(alignment_scores(prev, cur, [_zero_model(), _zero_model()]))
         np.testing.assert_allclose(ll, [math.log(0.5)] * 2, rtol=1e-12)
+        models = [_single_weight_model(0, 1, 5.0)] * 3
+        empty = log_likelihoods_from_scores(alignment_scores(SpikePacket({}), cur, models))
+        np.testing.assert_allclose(empty, [math.log(1 / 3)] * 3, rtol=1e-12)
 
     def test_softmax_values(self):
         ll = log_likelihoods_from_scores([1.0, 0.0], temperature=1.0)
@@ -237,8 +227,6 @@ class TestLogLikelihoods:
     def test_rejections(self):
         with pytest.raises(ValueError):
             log_likelihoods_from_scores([1.0], temperature=0.0)
-        with pytest.raises(ValueError):
-            log_likelihoods(None, None, [])
 
 
 def _trained_loop(learn=True):
@@ -385,6 +373,21 @@ class TestExplorationStep:
     def test_loop_state_rejects_a_previous_packet_outside_the_models(self):
         with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
             LoopState(models=[_zero_model()], prev_packet=SpikePacket({3: 0.0}))
+
+    @pytest.mark.parametrize("interval", [math.nan, math.inf])
+    def test_loop_state_rejects_a_non_finite_interval(self, interval):
+        with pytest.raises(ValueError, match=f"inter_contact_interval must exceed the packet span, got {interval}"):
+            LoopState(models=[_zero_model()], inter_contact_interval=interval)
+
+    def test_loop_state_rejects_non_finite_weights_naming_the_model(self):
+        bad = _zero_model(label="bad")
+        bad.weights.w[0, 1], bad.weights.w[1, 0] = math.inf, -math.inf  # set after the matrix checked itself
+        with pytest.raises(ValueError, match="object model 'bad' has non-finite weights"):
+            LoopState(models=[_zero_model(label="good"), bad])
+        bad.weights.w[1, 0] = 0.0
+        bad.weights.w[0, 1] = math.nan
+        with pytest.raises(ValueError, match="object model 'bad' has non-finite weights"):
+            LoopState(models=[bad, _zero_model(label="good")], learn=False)
 
 
 def _loop_snapshot(state):
