@@ -36,6 +36,7 @@ from .experiments import (
     DiscriminationReport,
     LambdaReport,
     NoiseSweepReport,
+    _resolve_objects,
     run_discrimination,
     run_lambda_convergence,
     run_noise_sweep,
@@ -110,12 +111,18 @@ def _write_curves(report, curves_dir: Path) -> None:
                   list(enumerate(report.trajectories[name], start=1)))
 
 
-def _config_objects(config: Config) -> list[SyntheticObject] | None:
-    """The objects named by ``world.objects``, loaded before any run starts."""
+def _config_objects(config: Config, command: str) -> list[SyntheticObject] | None:
+    """The objects named by ``world.objects``, loaded before any run starts.
+
+    A discrimination command also checks them as its run will, so a file of
+    one object is a config error there; ``lambda-converge`` reads no objects.
+    """
     if config.world.objects is None:
         return None
     try:
-        return load_objects(config.world.objects)
+        if command == "lambda-converge":
+            return load_objects(config.world.objects)
+        return _resolve_objects(config, None)
     except (OSError, TypeError, ValueError) as exc:
         raise ConfigError(f"world.objects: {exc}") from exc
 
@@ -123,7 +130,7 @@ def _config_objects(config: Config) -> list[SyntheticObject] | None:
 def _run_experiment(command: str, args: argparse.Namespace) -> int:
     config = load_config(args.config)
     seed = config.resolved_seed(args.seed)
-    objects = _config_objects(config)
+    objects = _config_objects(config, command)
     if command == "discriminate":
         report = run_discrimination(config, seed=seed, objects=objects)
     elif command == "noise-sweep":
@@ -160,12 +167,14 @@ def _run_encode(args: argparse.Namespace) -> int:
 
 
 def _run_capacity(args: argparse.Namespace) -> int:
+    # Both figures are computed before either is printed, so a failed run prints nothing.
     try:
-        print(f"ordered: {code_capacity_bits(args.n, 'ordered'):.3f} bits")
+        lines = [f"ordered: {code_capacity_bits(args.n, 'ordered'):.3f} bits"]
         if args.k is not None:
-            print(f"unordered: {code_capacity_bits(args.k, 'unordered', n_total=args.n):.3f} bits")
+            lines.append(f"unordered: {code_capacity_bits(args.k, 'unordered', n_total=args.n):.3f} bits")
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+    print("\n".join(lines))
     return 0
 
 

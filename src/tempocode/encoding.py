@@ -23,7 +23,10 @@ in id order), finite non-negative float offsets and a zero minimum (rank 0
 gets ``tau_base * 0.0``, and ``tau_base`` is positive and finite). Two
 invariants still need a check, with the constructor's ``ValueError``: a
 finite ``arrival``, and pairwise distinct offsets, which a subnormal
-``tau_base`` can round together.
+``tau_base`` can round together. ``_from_ordered`` also builds the
+packet's :attr:`~tempocode.types.SpikePacket.id_time_arrays`, by that
+property's rule (each global time is Python's ``arrival + offset``, which
+overflows to ``inf`` without a warning), so no later reader builds them.
 
 A training phase encodes all its traversals at once with
 :func:`_encode_block`, into padded arrays, and gives every spike
@@ -71,20 +74,23 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     Neurons with activation strictly greater than the sparsity threshold
     fire, ordered by descending activation (ties by ascending neuron id);
     all others stay silent. Raises ValueError on non-finite activations.
+    The packet comes with its :attr:`~tempocode.types.SpikePacket.id_time_arrays`
+    already built.
     """
     values = as_features(features).tolist()
     if not math.isfinite(arrival):
         raise ValueError(f"packet arrival time must be finite, got {arrival}")
     threshold = params.sparsity_threshold
     active = [i for i, x in enumerate(values) if x > threshold]
-    # Python's sort is stable under reverse=True, so ties keep ascending id.
-    ranked = sorted(active, key=values.__getitem__, reverse=True)
-    n = len(ranked)
-    rank_of = dict(zip(ranked, range(n)))
+    n = len(active)
     tau_base = float(params.tau_base)
-    spikes = {nid: tau_base * (rank_of[nid] / n) for nid in active}
-    if len(set(spikes.values())) != n:
-        raise ValueError(f"spike offsets must be pairwise distinct: {list(spikes.values())}")
+    # Keys in ascending id order; Python's sort is stable under reverse=True, so ties keep ascending id.
+    spikes = dict.fromkeys(active)
+    for rank, nid in enumerate(sorted(active, key=values.__getitem__, reverse=True)):
+        spikes[nid] = tau_base * (rank / n)
+    offsets = spikes.values()
+    if len(set(offsets)) != n:
+        raise ValueError(f"spike offsets must be pairwise distinct: {list(offsets)}")
     return SpikePacket._from_ordered(spikes, arrival)
 
 

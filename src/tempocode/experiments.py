@@ -403,16 +403,27 @@ def _effective_config_dict(cfg: Config, seed: int, sigma: float | None = None) -
 
 
 def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
+    """The objects to discriminate: ``objects``, else the ``world.objects`` file, else the default pair.
+
+    Fewer than two objects are rejected: one object has nothing to be
+    confused with, so every trial would be right and the report would
+    claim 100% for a task that tests nothing.
+    """
     if objects is not None:
         objects = list(objects)
-        if not objects:
-            raise ValueError("need at least one object")
-        require_one_dimensionality(objects)
-        require_unique_labels(objects)
-        return objects
-    if cfg.world.objects is not None:
-        return load_objects(cfg.world.objects)
-    return discrimination_pair()
+        if objects:
+            require_one_dimensionality(objects)
+            require_unique_labels(objects)
+    elif cfg.world.objects is not None:
+        objects = load_objects(cfg.world.objects)
+    else:
+        return discrimination_pair()
+    if len(objects) < 2:
+        raise ValueError(
+            f"discrimination needs at least two objects, got {len(objects)}: "
+            "a lone object has nothing to be confused with and would always score 100%"
+        )
+    return objects
 
 
 def _train(

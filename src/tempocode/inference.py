@@ -28,8 +28,10 @@ keeps the causally ordered ones; weights gathered there and folded by
 checks the packets' neuron ids once per distinct neuron count and gathers
 each model's matrix at that index; :func:`alignment_score` is its
 one-model case. :func:`left_sum` is the one ordered sum that scores and
-reports use; STDP inside the loop follows the exactness rule of
-:mod:`tempocode.stdp`.
+reports use: one ``np.add.accumulate`` along each row, whose last column
+plus 0.0 is the fold from 0.0 bit for bit (a float sum is -0.0 only when
+both terms are), with no column of zeros joined on first. STDP inside the
+loop follows the exactness rule of :mod:`tempocode.stdp`.
 
 :class:`LoopState` reads the frozen models once, at construction: it
 stacks their weights into one read-only array, checks once that they are
@@ -38,9 +40,11 @@ finite, and every step scores against that stack with one ``take``.
 neuron count, and its motor command, once per step and before any state
 changes. Every id of the packet it encodes is then in range, as is every
 id of the previous packet. Each paired step builds its pair block once,
-the flat synapse indices and the spike-time differences, and hands it
-unchecked to the one STDP fold loop, :func:`tempocode.stdp._fold`, and to
-:func:`_causal_index`.
+the flat synapse indices and the spike-time differences, from the id and
+time arrays :func:`~tempocode.encoding.encode` built with each packet, and
+hands it unchecked to the one STDP fold loop,
+:func:`tempocode.stdp._fold`, which takes a one-pair block through its
+pair loop, and to :func:`_causal_index`.
 """
 
 from __future__ import annotations
@@ -72,13 +76,19 @@ def left_sum(values) -> float | np.ndarray:
     numpy's ``sum`` is pairwise, and builtin ``sum`` is compensated from
     Python 3.12, so either would change the bits of a score or a report
     with the interpreter or the array length. ``np.add.accumulate`` adds in
-    order, row by row; the leading 0.0 turns a lone -0.0 into 0.0, as a
-    fold from 0.0 does. A 1-D input gives a float, an m x k input the array
-    of its m row sums.
+    order, row by row, from each row's first term. That gives the fold
+    from 0.0 its bits once 0.0 is added at the end: a float sum is -0.0
+    only when both terms are -0.0, so the two folds differ only while every
+    term so far is -0.0, where the fold from 0.0 holds 0.0 and the
+    accumulate -0.0. (``np.add.reduce`` over another axis is not a left
+    fold.) A 1-D input gives a float, an m x k input the array of its m row
+    sums; a row of no terms sums to 0.0.
     """
     terms = np.asarray(values, dtype=float)
-    start = np.zeros(terms.shape[:-1] + (1,))
-    totals = np.add.accumulate(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
+    if terms.shape[-1]:
+        totals = np.add.accumulate(terms, axis=-1)[..., -1] + 0.0
+    else:
+        totals = np.zeros(terms.shape[:-1])
     return float(totals) if totals.ndim == 0 else totals
 
 
@@ -120,13 +130,21 @@ def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | N
 
 
 def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
-    """Normalized log-likelihoods: log softmax of scores / temperature."""
+    """Normalized log-likelihoods: log softmax of scores / temperature.
+
+    ``exp`` and ``log`` come from numpy, whose float64 kernels numpy picks
+    for the CPU it runs on, so these bits, and the evidence and lambda
+    built on them, are not portable across CPUs: on an AVX512F Xeon,
+    ``np.log`` and ``math.log`` disagree in the last bit on about 0.09% of
+    inputs in [1, 8] (see also :meth:`EvidenceState.update`).
+    """
     _check_temperature(temperature)
     s = np.asarray(scores, dtype=float) / temperature
     if s.size < 1:
         raise ValueError("need at least one score")
-    s = s - s.max()
-    return s - np.log(np.exp(s).sum())
+    s -= s.max()
+    s -= np.log(np.exp(s).sum())
+    return s
 
 
 def _check_motor(motor) -> tuple[LatencyParams, float]:
@@ -275,7 +293,6 @@ def exploration_step(
         displacement = decode_displacement(dt, direction, latency)
         stages.append("decode")
 
-    scores = [0.0] * len(state.models)
     if state.prev_packet and packet:
         # The pair block, built once: flat synapse indices and spike dts in double-loop order.
         (prev_ids, pre_times), (cur_ids, post_times) = state.prev_packet.id_time_arrays, packet.id_time_arrays
@@ -284,8 +301,10 @@ def exploration_step(
             spike_dt = (post_times - pre_times[:, None]).ravel()
             _fold(state.learning_matrix.w, index, spike_dt, (pre_times, post_times), [0, index.size], state.stdp)
             stages.append("stdp")
-        scores = left_sum(state.weight_stack.take(_causal_index(index, pre_times, post_times), axis=1)).tolist()
-    ll = log_likelihoods_from_scores(scores, state.temperature)
+        totals = left_sum(state.weight_stack.take(_causal_index(index, pre_times, post_times), axis=1))
+    else:
+        totals = np.zeros(len(state.models))
+    ll = log_likelihoods_from_scores(totals, state.temperature)
     stages.append("score")
 
     state.evidence.update(ll)
@@ -300,7 +319,7 @@ def exploration_step(
         step=state.step,
         dt=dt,
         displacement=displacement,
-        scores=scores,
+        scores=totals.tolist(),
         best=best,
         prediction_error=error,
         stage_order=tuple(stages),

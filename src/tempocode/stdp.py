@@ -27,9 +27,12 @@ pairs before it written. So the scatter runs only when every weight it
 touches is finite, and the whole matrix when a later traversal starts in
 the block; if a touched weight comes out non-finite, it is undone and the
 pair loop runs instead. The pair loop also serves a matrix that is not
-C-contiguous, which has no flat view to scatter into. It reads, updates,
-clips and writes one pair's synapses at a time, through flat
-``take``/``put``. Either way a synapse no pair touches is never written.
+C-contiguous, which has no flat view to scatter into, and a block of one
+pair, which is every online step: a pair never repeats an index, so the
+pair loop gives it the scatter's bits, and the scatter's save, undo and
+re-check would buy nothing. It reads, updates, clips and writes one
+pair's synapses at a time, through flat ``take``/``put``. Either way a
+synapse no pair touches is never written.
 
 Two builders feed them. The training phase of :mod:`tempocode.experiments`
 hands :func:`_fold_traversals` padded arrays from its block encoder: for
@@ -118,9 +121,9 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
         chunk = window[start : start + _CHUNK]
         chunk[:] = np.fromiter(map(math.exp, memoryview(chunk)), float, chunk.size)
     # w - a*e == w + (-a*e) exactly.
-    increments = np.multiply(np.where(potentiate, params.a_plus, -params.a_minus), window, out=window)
-    increments[dt == 0.0] = -0.0
-    return increments
+    window *= np.where(potentiate, params.a_plus, -params.a_minus)
+    window[dt == 0.0] = -0.0
+    return window
 
 
 def _fold(
@@ -138,8 +141,9 @@ def _fold(
     in scalar double-loop order: its flat index into ``weights`` and its
     post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
     + 1]`` and touches each synapse at most once. Without ``w_max``, with
-    finite weights and a C-contiguous matrix the pairs are applied by one
-    scatter-add, else one pair at a time; see the module docstring.
+    finite weights, a C-contiguous matrix and more than one pair, the pairs
+    are applied by one scatter-add, else one pair at a time; see the module
+    docstring.
     ``times`` iterates over
     arrays that hold every spike time of those synapses; it is read only if
     some dt is not finite, since finite times far apart can overflow dt and
@@ -154,7 +158,13 @@ def _fold(
         raise ValueError(_NON_FINITE)
     increments = _increments(dt, params)
     # Only a C-contiguous matrix has a flat view to scatter into; reshape copies any other.
-    if params.w_max is None and weights.flags.c_contiguous and (not starts or np.isfinite(weights).all()):
+    # One pair never repeats an index, so the pair loop applies it as one scatter would.
+    if (
+        len(bounds) > 2
+        and params.w_max is None
+        and weights.flags.c_contiguous
+        and (not starts or np.isfinite(weights).all())
+    ):
         flat = weights.reshape(-1)
         before = flat.take(index)
         with np.errstate(over="ignore"):  # an overflow is redone, and warned of, by the pair loop

@@ -66,6 +66,11 @@ class TestCapacityCommand:
         code, _, err = _run(capsys, ["capacity", "--n", "0"])
         assert code == 2
 
+    def test_invalid_k_prints_no_partial_answer(self, capsys):
+        code, out, err = _run(capsys, ["capacity", "--n", "3", "--k", "5"])
+        assert (code, out) == (2, "")
+        assert err == "config error: n_total=3 must be >= n_active=5\n"
+
 
 class TestArgumentErrors:
     def test_unknown_flag_exit_2(self, capsys):
@@ -279,6 +284,20 @@ class TestExitCodesMeanWhatTheySay:
             assert "config error" in err and "world.objects" in err and "'A'" in err
             assert out == ""
         assert not (tmp_path / "out").exists()
+
+    def test_one_object_file_exit_2(self, capsys, tmp_path):
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps([{"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]}]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
+        for command in ("discriminate", "noise-sweep"):
+            code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert (code, out) == (2, "")
+            assert "config error: world.objects: discrimination needs at least two objects, got 1" in err
+        assert not (tmp_path / "out").exists()
+        # lambda-converge reads no objects, so it still accepts the file.
+        code, _, _ = _run(capsys, ["lambda-converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 0
 
     def test_zero_n_train_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

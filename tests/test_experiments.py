@@ -69,6 +69,18 @@ class TestLeftToRightSums:
         assert left_sum([]) == 0.0
         assert str(left_sum([-0.0])) == "0.0"
 
+    def test_left_sum_matches_a_fold_from_zero_row_by_row(self):
+        # Runs of -0.0 at the start, in the middle and filling a row, where a fold from 0.0 holds 0.0.
+        rows = [[-0.0, -0.0, -0.0], [-0.0, 1e16, -1e16], [-0.0, 2.5, -2.5], [1e-300, -0.0, -1e-300]]
+        expected = []
+        for row in rows:
+            total = 0.0
+            for x in row:
+                total += x
+            expected.append(total)
+        assert left_sum(np.array(rows)).tobytes() == np.array(expected).tobytes()
+        assert left_sum(np.empty((3, 0))).tobytes() == np.zeros(3).tobytes()
+
     def test_pathway_scores_fold_left(self):
         w = WeightMatrix.zeros(4)
         w.w[0, 1], w.w[1, 2], w.w[2, 3] = self.VALUES
@@ -145,6 +157,28 @@ class TestDiscrimination:
     def test_rejects_empty_test_phase(self):
         with pytest.raises(ValueError, match="n_test must be >= 1"):
             run_discrimination(_small_config(n_test=0))
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_rejects_fewer_than_two_objects(self, count):
+        # One object has nothing to be confused with: it scored 100%/100% with a [98.1%, 100%] interval.
+        cfg = _small_config(n_train=2, n_test=2)
+        objects = discrimination_pair()[:count]
+        for run in (run_discrimination, run_noise_sweep):
+            with pytest.raises(ValueError, match=f"at least two objects, got {count}: a lone object"):
+                run(cfg, seed=1, objects=objects)
+
+    @pytest.mark.parametrize("as_list", [False, True])
+    def test_rejects_a_one_object_file_that_load_objects_reads(self, tmp_path, as_list):
+        obj = discrimination_pair()[0]
+        entry = {"label": obj.label, "contacts": [c.tolist() for c in obj.contacts]}
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps([entry] if as_list else entry))
+        assert [o.label for o in load_objects(path)] == ["A"]
+        cfg = _small_config(n_train=2, n_test=2)
+        cfg = dataclasses.replace(cfg, world=dataclasses.replace(cfg.world, objects=str(path)))
+        for run in (run_discrimination, run_noise_sweep):
+            with pytest.raises(ValueError, match="at least two objects, got 1"):
+                run(cfg, seed=1)
 
     def test_noiseless_single_trial(self):
         report = run_discrimination(_small_config(n_test=1), sigma=0.0)

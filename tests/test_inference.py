@@ -20,6 +20,7 @@ from tempocode.inference import (
     exploration_step,
     log_likelihoods_from_scores,
 )
+from tempocode.latency import arrival_time
 from tempocode.stdp import train_on_traversal
 from tempocode.types import SpikePacket, WeightMatrix
 from tempocode.world import discrimination_pair
@@ -324,6 +325,14 @@ class TestExplorationStep:
         exploration_step(state, [0.9, 0.2, 0.1], contact_time=1.0)
         _, diag = exploration_step(state, [0.2, 0.8, 0.2], contact_time=1.5)
         assert diag.dt == pytest.approx(0.5, abs=1e-15)
+
+    def test_a_previous_packet_given_at_construction_times_the_first_step(self):
+        # The loop keeps the previous packet's arrival beside it, read here from the packet handed in.
+        prev = SpikePacket({2: -0.0, 0: 0.004}, arrival=0.25)
+        state = LoopState(models=[_zero_model(), _zero_model(label="n")], prev_packet=prev, learn=False)
+        _, diag = exploration_step(state, [0.9, 0.2, 0.1], contact_time=0.3)
+        assert diag.dt == 0.3 - arrival_time(prev)
+        assert diag.stage_order[:3] == ("encode", "latency", "decode")
 
     def test_diagnostics_json_lines(self):
         state = _trained_loop(learn=False)

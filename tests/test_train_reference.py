@@ -177,9 +177,11 @@ def test_overflowing_weights_raise_the_same_error(n_contacts, n_train, expected,
     cfg = dataclasses.replace(base, stdp=dataclasses.replace(base.stdp, a_plus=1e308))
     assert _same_first_error(cfg, 1, 0.0, [obj]) == expected
     if expected is None:
+        # A discrimination run needs two objects; the mirror c -> s overflows in its last traversal too.
+        mirror = SyntheticObject("cs", tuple(reversed(obj.contacts)))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            _assert_matches_reference(cfg, 1, 0.0, [obj], monkeypatch)
+            _assert_matches_reference(cfg, 1, 0.0, [obj, mirror], monkeypatch)
 
 
 def _sparse_objects(seed, n_objects, n_neurons=64, n_contacts=20, driven=24):
