@@ -19,6 +19,16 @@ identical noisy traversals. Reports serialize to aligned text, CSV, and
 JSON (with the full effective config echoed for provenance); identical
 inputs produce byte-identical report files.
 
+The transcendental functions of the noise and of STDP give the C
+library's bits, not numpy's float64 kernels, which numpy picks per CPU and
+which may differ from libm by an ulp. ``exp`` (STDP) and ``cos``
+(Box-Muller) run vectorised through numpy's complex128 loops, which call
+libm's ``cexp`` and ``ccos`` per element: at imaginary part 0 their real
+parts are exactly ``exp(x)`` and ``cos(v)``. ``log`` (Box-Muller) runs per
+element through :mod:`math`, because ``clog``'s real part is computed
+another way and differs from ``log`` in the last bit. See
+:mod:`tempocode.rng` and :mod:`tempocode.stdp`.
+
 A discrimination test phase runs as arrays. The generated trials of one
 object are stacked into a (trials, contacts, neurons) block, and no spike
 packet is built. The temporal score needs only each contact's leading
@@ -41,12 +51,11 @@ traversals of one object are stacked into one block and encoded at once
 (:func:`~tempocode.encoding._encode_block`): every contact's active ids
 and global spike times, padded to the phase's largest active count. The
 STDP increments of all consecutive contact pairs are computed in blocks of
-traversals, with ``exp`` from :mod:`math` fed from a ``memoryview``, and
-folded in place into one matrix per object
-(:func:`~tempocode.stdp._fold_traversals`): by one ordered scatter-add
-per block, or pair by pair where ``w_max`` clips or a weight is not
-finite, with the bits and the errors of training a fresh matrix per
-traversal on its packets. Before folding,
+traversals, with libm's ``exp`` (see above), and folded in place into one
+matrix per object (:func:`~tempocode.stdp._fold_traversals`): by one
+ordered scatter-add per block, or pair by pair where ``w_max`` clips or a
+weight is not finite, with the bits and the errors of training a fresh
+matrix per traversal on its packets. Before folding,
 the encoder's checks run on the block; the traversals before the first
 one they reject are trained, and that traversal is then encoded on its own
 to raise the error :func:`~tempocode.encoding.encode_traversal` gives it.
@@ -521,6 +530,8 @@ def run_noise_sweep(
     """
     cfg = config if config is not None else Config()
     master = cfg.resolved_seed(seed)
+    if not cfg.experiment.sigmas:
+        raise ValueError("sigmas must hold at least one noise level: a sweep over none reports nothing")
     objs = _resolve_objects(cfg, objects)
     rows = []
     for i, sigma in enumerate(cfg.experiment.sigmas):
@@ -541,6 +552,8 @@ def run_lambda_convergence(config: Config | None = None, *, seed: int | None = N
     seed = cfg.resolved_seed(seed)
     sched = cfg.experiment.error_schedule
     steps = cfg.experiment.steps
+    if steps < 1:
+        raise ValueError("steps must be >= 1: a mean over no steps is undefined")
     names = ("uniform", "moderate", "complex")
     bases = (sched.uniform, sched.moderate, sched.complex)
     state = EvidenceState(len(names), cfg.accumulator.initial_lambda, sched.alpha)

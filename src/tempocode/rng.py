@@ -15,13 +15,17 @@ draws a whole grid of substreams in one array pass and gives the same bits
 as calling :meth:`NoiseStream.normal` per element, which stays as the scalar
 reference. The exactness rule that makes this hold: the SplitMix64 integer
 mixing runs in numpy ``uint64``, where wrapping multiply, xor and shift are
-exact; ``log`` and ``cos`` come from :mod:`math`, one element at a time,
-because numpy's vectorised transcendentals may differ by an ulp; only
-correctly rounded float operations (``+ - * /`` and ``sqrt``) run in numpy
-otherwise; and the scalar and array paths share one Box-Muller transform,
-which works through its input in chunks of about 4k elements and feeds
-``log`` and ``cos`` from a ``memoryview`` of each chunk's arguments, so
-the same doubles reach libm without a Python list in between.
+exact; ``log`` and ``cos`` are the C library's, because numpy's float64
+transcendentals are its own SIMD kernels, chosen per CPU, and may differ
+from libm by an ulp; only correctly rounded float operations (``+ - * /``
+and ``sqrt``) run in numpy otherwise; and the scalar and array paths share
+one Box-Muller transform, which works through its input in chunks of about
+4k elements. ``cos`` runs in numpy's complex128 loop, which calls libm's
+``ccos`` per element in C: at imaginary part 0, ``ccos(v + 0i)`` is
+``cosh(0) * cos(v) = cos(v)``, so its real part has ``math.cos``'s bits.
+``log`` has no such route (``clog`` computes the real part its own way and
+differs from ``log`` in the last bit), so it stays per element through
+:mod:`math`, fed from a ``memoryview`` of each chunk's arguments.
 :meth:`NoiseStream.normal_vector` is the one-index form, ``[t] == normal(t)``,
 with which the lambda experiment draws each object's whole error
 trajectory at once.
@@ -38,6 +42,7 @@ at a time).
 from __future__ import annotations
 
 import math
+from itertools import starmap
 
 import numpy as np
 
@@ -51,7 +56,7 @@ _TWO_PI = 2.0 * math.pi
 
 #: Elements per Box-Muller and STDP ``exp`` chunk: large enough to amortise
 #: numpy's per-call cost, small enough that each temporary array of a chunk
-#: stays at 32 kB.
+#: stays at 32 kB (64 kB for a complex one).
 _CHUNK = 4096
 
 _MIX_A_U64 = np.uint64(_MIX_A)
@@ -136,15 +141,18 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
 
 
 def _box_muller(u1s, u2s) -> np.ndarray:
-    """Cosine-branch Box-Muller over paired uniforms, with libm per element.
+    """Cosine-branch Box-Muller over paired uniforms, with libm's bits.
 
     A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite.
-    ``log`` and ``cos`` come from :mod:`math`, fed from a ``memoryview``
-    of each chunk's arguments; ``-2.0 *``, ``sqrt``, ``2 pi *`` and the
-    product run in numpy, where each is correctly rounded, so every value
-    equals the scalar formula's. The work runs in chunks of ``_CHUNK``
-    elements to bound the temporary arrays it needs. The scalar and the
-    array paths both come through here.
+    ``cos`` is the real part of libm's ``ccos`` at imaginary part 0, run by
+    numpy's complex128 loop. ``log`` comes from :mod:`math` per element,
+    through ``starmap`` over ``zip``: ``math.log`` takes its argument as a
+    tuple (it has an optional base), and ``zip`` hands over one 1-tuple it
+    reuses, where ``map`` would build one per call. ``-2.0 *``, ``sqrt``,
+    ``2 pi *`` and the product run in numpy, where each is correctly
+    rounded, so every value equals the scalar formula's. The work runs in
+    chunks of ``_CHUNK`` elements to bound the temporary arrays it needs.
+    The scalar and the array paths both come through here.
     """
     u1s = np.asarray(u1s, dtype=float)
     u2s = np.asarray(u2s, dtype=float)
@@ -153,8 +161,8 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     for start in range(0, flat_out.size, _CHUNK):
         u1 = flat1[start : start + _CHUNK]
         size = u1.size
-        logs = np.fromiter(map(math.log, memoryview(np.where(u1 != 0.0, u1, _TWO_POW_NEG53))), float, size)
-        cosines = np.fromiter(map(math.cos, memoryview(_TWO_PI * flat2[start : start + _CHUNK])), float, size)
+        logs = np.fromiter(starmap(math.log, zip(memoryview(np.where(u1 != 0.0, u1, _TWO_POW_NEG53)))), float, size)
+        cosines = np.cos((_TWO_PI * flat2[start : start + _CHUNK]).astype(np.complex128)).real
         np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + size])
     return out
 

@@ -47,11 +47,13 @@ the list from their packets' id and time arrays (:func:`_fold_packets`),
 one traversal at a time. The online step of :mod:`tempocode.inference`
 hands :func:`_fold` the one pair block it also scores.
 
-The exactness rule: ``exp`` comes from :mod:`math`, one element at a time,
-because numpy's vectorised ``exp`` may differ by an ulp; ``map`` reads its
-arguments straight from a ``memoryview`` of each chunk, so the same
-doubles reach libm without a Python list in between. The only numpy float
-operations used are correctly rounded ones (``+ - * /``,
+The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
+takes it from :mod:`math`, because numpy's float64 ``exp`` is its own SIMD
+kernel, chosen per CPU, and may differ from libm by an ulp. It runs in
+numpy's complex128 loop, which calls libm's ``cexp`` per element in C: at
+imaginary part 0, ``cexp(x + 0i)`` is ``exp(x) * cos(0) = exp(x)``, so its
+real part has ``math.exp``'s bits. The only numpy float operations used
+otherwise are correctly rounded ones (``+ - * /``,
 ``minimum``/``maximum``); and a packet pair touches each synapse at most
 once, so the fold gives each synapse one rounded update per pair. Every
 updated synapse therefore ends bit-identical to :func:`stdp_update`, the
@@ -109,17 +111,19 @@ def _check_packet_ids(packet: SpikePacket, n: int) -> None:
 def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     """The additive STDP increment of every element of a 1-D dt array.
 
-    ``exp`` runs per element through :mod:`math`, fed from a ``memoryview``
-    of each ``_CHUNK``-element chunk, which bounds the temporary array each
-    chunk needs. A dt of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for
-    every w, as :func:`stdp_update`'s no-op.
+    ``exp`` is the real part of libm's ``cexp`` at imaginary part 0 (see
+    the module docstring). Every window is at most 0, so no ``exp``
+    overflows. It runs in ``_CHUNK``-element chunks, which bounds its
+    complex temporaries however large the array is. A dt
+    of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for every w, as
+    :func:`stdp_update`'s no-op.
     """
     potentiate = dt > 0.0
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
     window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
     for start in range(0, window.size, _CHUNK):
         chunk = window[start : start + _CHUNK]
-        chunk[:] = np.fromiter(map(math.exp, memoryview(chunk)), float, chunk.size)
+        chunk[:] = np.exp(chunk.astype(np.complex128)).real
     # w - a*e == w + (-a*e) exactly.
     window *= np.where(potentiate, params.a_plus, -params.a_minus)
     window[dt == 0.0] = -0.0

@@ -117,7 +117,9 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     """
     values = np.array(obj.contacts)
     if params.noise_sigma > 0.0:
-        values += params.noise_sigma * stream.normal_grid(*values.shape)
+        # An overflow is not warned of: the public constructor below names the contact it spoils.
+        with np.errstate(over="ignore"):
+            values += params.noise_sigma * stream.normal_grid(*values.shape)
     times = [k * params.inter_contact_interval for k in range(len(values))]
     if not (np.isfinite(values).all() and math.isfinite(times[-1])):
         return Traversal(tuple(zip(values, times)), label=obj.label)

@@ -198,6 +198,11 @@ class TestDiscrimination:
         with pytest.raises(ValueError):
             run_discrimination(sigma=-0.1)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_noise_raises_without_a_warning(self):
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
+            run_discrimination(_small_config(n_train=2, n_test=2), seed=1, sigma=1e308)
+
     def test_reports_are_deterministic_bytes(self):
         cfg = _small_config(n_train=10, n_test=30)
         a = run_discrimination(cfg, seed=7)
@@ -262,6 +267,10 @@ class TestNoiseSweep:
         for row in report.rows:
             assert row.temporal_acc >= row.dense_acc
 
+    def test_rejects_an_empty_grid(self):
+        with pytest.raises(ValueError, match="sigmas must hold at least one noise level"):
+            run_noise_sweep(_small_config(sigmas=()), seed=1)
+
     def test_rows_use_independent_seeds(self):
         report = run_noise_sweep(_small_config(n_train=5, n_test=5), seed=1)
         seeds = [row.seed for row in report.rows]
@@ -310,6 +319,11 @@ class TestLambdaConvergence:
             c = run_lambda_convergence(seed=seed).converged
             assert c["uniform"] < c["moderate"] < c["complex"]
             assert c["uniform"] < 0.5 < c["complex"]
+
+    @pytest.mark.parametrize("steps", [0, -3])
+    def test_rejects_fewer_than_one_step(self, steps):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            run_lambda_convergence(_small_config(steps=steps), seed=1)
 
     def test_trajectory_csv_schema(self):
         report = run_lambda_convergence(_small_config(steps=10), seed=1)

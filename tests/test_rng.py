@@ -210,29 +210,50 @@ class TestFamilyNormalsAcrossChunks:
 
 
 class TestLibmPerElement:
-    """``_box_muller`` takes ``log`` and ``cos`` from :mod:`math` for every element.
+    """``_box_muller`` gives libm's bits: ``log`` from :mod:`math` per element, ``cos`` equal to ``math.cos``.
 
-    numpy's vectorised ``log`` and ``cos`` may differ from libm by an ulp on
-    some builds, and on others they agree with it everywhere, so comparing
-    values cannot tell them apart. Shims on :mod:`math` that move every
-    result by a known amount can.
+    numpy's vectorised ``log`` may agree with libm on a given build, so only
+    a shim on :mod:`math` that moves every result by a known amount shows
+    that each element's ``log`` comes from there. ``cos`` comes from libm's
+    ``ccos`` at imaginary part 0, and is compared with ``math.cos`` as
+    bits. numpy's float64 ``cos`` matches libm on an AVX512F Xeon with
+    numpy 2.4.6, so there these tests cannot tell it from ``ccos``; they
+    catch any cosine that is not libm's.
     """
 
-    def test_every_element_follows_math_log_and_cos(self, monkeypatch):
+    def test_every_element_follows_math_log(self, monkeypatch):
         size = 2 * rng._CHUNK + 3
         gen = np.random.default_rng(5)
         u1, u2 = gen.random(size), gen.random(size)
         u1[rng._CHUNK + 1] = 0.0
-        log, cos = math.log, math.cos
+        log = math.log
         monkeypatch.setattr(math, "log", lambda x: log(x) - 1.0)
-        monkeypatch.setattr(math, "cos", lambda x: cos(x) + 3.0)
         got = rng._box_muller(u1, u2)
         monkeypatch.undo()
         want = [
-            math.sqrt(-2.0 * (math.log(a if a != 0.0 else 2.0**-53) - 1.0)) * (math.cos(2.0 * math.pi * b) + 3.0)
+            math.sqrt(-2.0 * (math.log(a if a != 0.0 else 2.0**-53) - 1.0)) * math.cos(2.0 * math.pi * b)
             for a, b in zip(u1.tolist(), u2.tolist())
         ]
         assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_cosines_match_math_cos(self, monkeypatch):
+        gen = np.random.default_rng(5)
+        samples = [
+            gen.random(2 * rng._CHUNK + 3),
+            np.linspace(0.0, 1.0, 300_001)[:-1],
+            # next_float's own grid of multiples of 2**-53, around each quarter turn.
+            *(q + np.arange(-20_000, 20_000) * 2.0**-53 for q in (0.25, 0.5, 0.75)),
+            np.arange(40_000) * 2.0**-53,
+            1.0 - np.arange(1, 40_001) * 2.0**-53,
+            [0.0, -0.0, np.finfo(float).smallest_subnormal, np.finfo(float).tiny, 2.0**-53, 0.5 - 2.0**-53],
+        ]
+        # A log of -0.5 makes the radius exactly 1.0, so each output keeps its cosine's bits.
+        monkeypatch.setattr(math, "log", lambda x: -0.5)
+        for u2 in map(np.asarray, samples):
+            got = rng._box_muller(np.full(u2.shape, 0.5), u2)
+            want = [math.cos(2.0 * math.pi * b) for b in u2.tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 class TestNormalVector:

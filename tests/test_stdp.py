@@ -282,32 +282,62 @@ class TestTrainOnTraversalMatchesScalarRule:
 
 
 class TestIncrementsFollowMathExp:
-    """``_increments`` takes ``exp`` from :mod:`math` for every element.
+    """``_increments`` gives every element the bits of the scalar rule with :mod:`math`'s ``exp``.
 
-    As with Box-Muller's ``log`` and ``cos``, numpy's ``exp`` may agree with
-    libm on a given build, so only a shim that moves every result by a
-    known amount tells them apart, and a lost element too.
+    The increments come from libm's ``cexp`` at imaginary part 0, which must
+    equal ``math.exp`` bit for bit. numpy's float64 ``exp`` is a kernel of
+    its own on some CPUs (on an AVX512F Xeon with numpy 2.4.6 it differs
+    from libm on 4–5% of inputs), so these samples also catch a slide
+    back to it there. A ``RuntimeWarning`` fails the test wherever it runs.
     """
 
-    def test_every_element_follows_math_exp(self, monkeypatch):
+    PARAMS = StdpParams(a_plus=0.3, a_minus=0.07, tau_plus=0.007, tau_minus=0.013)
+    #: A window of ``-|dt|`` exactly, and an increment of ``±exp(-|dt|)`` exactly.
+    UNIT = StdpParams(a_plus=1.0, a_minus=1.0, tau_plus=1.0, tau_minus=1.0)
+
+    @staticmethod
+    def _scalar(dt, params):
+        def one(d):
+            if d > 0.0:
+                return params.a_plus * math.exp(-d / params.tau_plus)
+            if d < 0.0:
+                return -(params.a_minus * math.exp(d / params.tau_minus))
+            return -0.0
+
+        return np.array([one(d) for d in dt.tolist()])
+
+    def _assert_bits(self, dt, params):
+        dt = np.array(dt, dtype=float)
+        assert stdp._increments(dt, params).tobytes() == self._scalar(dt, params).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_random_sample_with_zeros(self):
         size = 2 * _CHUNK + 3
         dt = np.random.default_rng(3).uniform(-0.1, 0.1, size)
         dt[[0, _CHUNK, size - 1]] = 0.0
         dt[[1, _CHUNK + 1]] = -0.0
-        params = StdpParams(a_plus=0.3, a_minus=0.07, tau_plus=0.007, tau_minus=0.013)
-        exp = math.exp
-        monkeypatch.setattr(math, "exp", lambda x: exp(x) + 0.25)
-        got = stdp._increments(dt, params)
-        monkeypatch.undo()
+        self._assert_bits(dt, self.PARAMS)
 
-        def want(d):
-            if d > 0.0:
-                return params.a_plus * (exp(-d / params.tau_plus) + 0.25)
-            if d < 0.0:
-                return -(params.a_minus * (exp(d / params.tau_minus) + 0.25))
-            return -0.0
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_dense_grid_over_the_whole_window_domain(self):
+        # Windows from -746 to 0: exp underflows to subnormals near -708 and to 0 past -745.13.
+        grid = np.linspace(0.0, 746.0, 200_001)
+        self._assert_bits(np.concatenate([grid, -grid]), self.UNIT)
+        self._assert_bits(np.linspace(-5.0, 5.0, 100_001), self.PARAMS)
 
-        assert got.tobytes() == np.array([want(d) for d in dt.tolist()]).tobytes()
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_consecutive_doubles(self):
+        band = 0.75 + np.arange(100_000) * np.spacing(0.75)
+        self._assert_bits(np.concatenate([band, -band]), self.UNIT)
+        underflow = np.nextafter(708.39, 0.0) + np.arange(50_000) * np.spacing(708.39)
+        self._assert_bits(np.concatenate([underflow, -underflow]), self.UNIT)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edge_values(self):
+        tiny = np.finfo(float).smallest_subnormal
+        edges = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 744.44, 745.13, 745.14, 1e300, -1e300]
+        self._assert_bits(edges, self.UNIT)
+        self._assert_bits(edges, self.PARAMS)
 
 
 def _phase_arrays(traversals):

@@ -90,13 +90,16 @@ class TestGenerateTraversal:
         assert trav.features.tobytes() == public.features.tobytes() == values.tobytes()
         assert trav.feature_sum().tobytes() == public.feature_sum().tobytes()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_noise_still_raises_non_finite_activations(self):
+        # The overflow is not warned of: the error names the spoilt contact instead.
         obj = SyntheticObject("huge", (np.array([0.5, 1.7e308, 0.5]), np.array([1.7e308, 0.5, 1.7e308])))
         params = WorldParams(noise_sigma=1e308)
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
-                for trial in range(4):  # some draw pushes a component past the largest double
-                    generate_traversal(obj, params, NoiseStream(1, 0, 0, trial))
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
+            for trial in range(4):  # some draw pushes a component past the largest double
+                generate_traversal(obj, params, NoiseStream(1, 0, 0, trial))
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
+            generate_traversal(discrimination_pair()[0], params, NoiseStream(1))
 
     def test_overflowing_contact_time_still_raises(self):
         obj = SyntheticObject("long", tuple(np.array([0.5]) for _ in range(3)))
