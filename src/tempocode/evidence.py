@@ -88,7 +88,9 @@ def prediction_error(log_likelihoods, best_hypothesis: int) -> float:
     """1 - likelihood of the current best hypothesis, clamped into [0, 1].
 
     The clamp guards against likelihoods above 1 (possible when raw scores
-    are fed in unnormalized).
+    are fed in unnormalized). ``best_hypothesis`` must lie in [0, n).
     """
     ll = np.asarray(log_likelihoods, dtype=float)
+    if not 0 <= best_hypothesis < ll.size:
+        raise ValueError(f"hypothesis index {best_hypothesis} out of range [0, {ll.size})")
     return float(min(max(1.0 - math.exp(ll[best_hypothesis]), 0.0), 1.0))

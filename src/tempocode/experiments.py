@@ -21,13 +21,14 @@ inputs produce byte-identical report files.
 
 The transcendental functions of the noise and of STDP give the C
 library's bits, not numpy's float64 kernels, which numpy picks per CPU and
-which may differ from libm by an ulp. ``exp`` (STDP) and ``cos``
-(Box-Muller) run vectorised through numpy's complex128 loops, which call
-libm's ``cexp`` and ``ccos`` per element: at imaginary part 0 their real
-parts are exactly ``exp(x)`` and ``cos(v)``. ``log`` (Box-Muller) runs per
-element through :mod:`math`, because ``clog``'s real part is computed
-another way and differs from ``log`` in the last bit. See
-:mod:`tempocode.rng` and :mod:`tempocode.stdp`.
+which may differ from libm by an ulp. ``log`` and ``cos`` (Box-Muller)
+and ``exp`` (STDP) take one route, ``rng._libm``: numpy's float64 ufunc
+writing its output one element before its input, which stands the vector
+kernel aside and calls libm per element in numpy's scalar loop. A pad
+element makes even a one-element call overlap, and a probe at the first
+call in a process checks the route against :mod:`math` and falls back to
+:mod:`math` per element if any bit differs. See :mod:`tempocode.rng` and
+:mod:`tempocode.stdp`.
 
 A discrimination test phase runs as arrays. The generated trials of one
 object are stacked into a (trials, contacts, neurons) block, and no spike

@@ -25,11 +25,13 @@ def decode_displacement(delta_t: float, motor_direction: float, params: LatencyP
     """Displacement implied by an inter-packet interval and motor direction.
 
     Raises ValueError for a negative interval (a caller error: packets are
-    temporally ordered).
+    temporally ordered), and for a non-finite interval or direction.
     """
-    delta_t = float(delta_t)
+    delta_t, motor_direction = float(delta_t), float(motor_direction)
     if not math.isfinite(delta_t) or delta_t < 0.0:
         raise ValueError(f"inter-packet interval must be finite and >= 0, got {delta_t}")
+    if not math.isfinite(motor_direction):
+        raise ValueError(f"motor direction must be finite, got {motor_direction}")
     distance = params.assumed_velocity * delta_t
     return Displacement(
         dx=distance * math.cos(motor_direction),

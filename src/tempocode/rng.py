@@ -15,17 +15,21 @@ draws a whole grid of substreams in one array pass and gives the same bits
 as calling :meth:`NoiseStream.normal` per element, which stays as the scalar
 reference. The exactness rule that makes this hold: the SplitMix64 integer
 mixing runs in numpy ``uint64``, where wrapping multiply, xor and shift are
-exact; ``log`` and ``cos`` are the C library's, because numpy's float64
-transcendentals are its own SIMD kernels, chosen per CPU, and may differ
-from libm by an ulp; only correctly rounded float operations (``+ - * /``
-and ``sqrt``) run in numpy otherwise; and the scalar and array paths share
-one Box-Muller transform, which works through its input in chunks of about
-4k elements. ``cos`` runs in numpy's complex128 loop, which calls libm's
-``ccos`` per element in C: at imaginary part 0, ``ccos(v + 0i)`` is
-``cosh(0) * cos(v) = cos(v)``, so its real part has ``math.cos``'s bits.
-``log`` has no such route (``clog`` computes the real part its own way and
-differs from ``log`` in the last bit), so it stays per element through
-:mod:`math`, fed from a ``memoryview`` of each chunk's arguments.
+exact; only correctly rounded float operations (``+ - * /`` and ``sqrt``)
+run in numpy otherwise; the scalar and array paths share one Box-Muller
+transform, which works through its input in chunks of about 4k elements;
+and ``log`` and ``cos`` are the C library's, through :func:`_libm`, the one
+route this package takes to libm (STDP's ``exp`` takes it too). numpy's
+float64 transcendentals are its own SIMD kernels, chosen per CPU, and
+differ from libm in the last bit on some inputs. But a float64 ``log``,
+``exp`` or ``cos`` whose output starts one element before its input
+(``ufunc(buf[1:], out=buf[:-1])``) stands its vector kernel aside and runs
+numpy's scalar loop, which calls libm once per element, in C. A
+one-element input alone would not overlap its output, so a pad element
+after every input makes each call overlap, whatever its size. The first
+call in a process probes the route against :mod:`math` on fixed inputs;
+if any bit differs, as on a numpy build whose vector kernels accept the
+overlap, every later call takes :mod:`math` per element instead.
 :meth:`NoiseStream.normal_vector` is the one-index form, ``[t] == normal(t)``,
 with which the lambda experiment draws each object's whole error
 trajectory at once.
@@ -42,6 +46,7 @@ at a time).
 from __future__ import annotations
 
 import math
+from functools import cache
 from itertools import starmap
 
 import numpy as np
@@ -56,8 +61,18 @@ _TWO_PI = 2.0 * math.pi
 
 #: Elements per Box-Muller and STDP ``exp`` chunk: large enough to amortise
 #: numpy's per-call cost, small enough that each temporary array of a chunk
-#: stays at 32 kB (64 kB for a complex one).
+#: stays at 32 kB.
 _CHUNK = 4096
+
+#: The :mod:`math` function behind each ufunc :func:`_libm` serves, bound at
+#: import, so that neither the probe nor the fallback can follow a later
+#: rebinding of :mod:`math`.
+_MATH = {np.log: math.log, np.exp: math.exp, np.cos: math.cos}
+
+#: Inputs per function of the probe behind :func:`_libm`. On an AVX512F
+#: Xeon, numpy 2.4.6's contiguous ``log`` and ``exp`` differ from glibc's on
+#: 8 and 81 of them, and the probe adds about 1 ms to a process.
+_PROBE_SIZE = 2048
 
 _MIX_A_U64 = np.uint64(_MIX_A)
 _MIX_B_U64 = np.uint64(_MIX_B)
@@ -140,15 +155,63 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
     return _seeded_uniforms(states)
 
 
+def _overlapped(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc`` over a 1-D float array through numpy's scalar loop: libm per element, in C.
+
+    The output starts one element before the input in one buffer, so
+    numpy's vector kernel stands aside; the pad after the input makes a
+    one-element call overlap too.
+    """
+    n = values.size
+    buf = np.empty(n + 2)
+    buf[1 : n + 1] = values
+    buf[n + 1] = 1.0
+    ufunc(buf[1:], out=buf[:-1])
+    return buf[:n]
+
+
+def _per_element(ufunc, values: np.ndarray) -> np.ndarray:
+    """``ufunc``'s :mod:`math` function over a contiguous 1-D float array, one call per element.
+
+    ``starmap`` over ``zip`` hands each call one 1-tuple that ``zip``
+    reuses; ``map`` would build one per ``math.log`` call, since it takes an
+    optional base.
+    """
+    return np.fromiter(starmap(_MATH[ufunc], zip(memoryview(values))), float, values.size)
+
+
+def _probe(route) -> bool:
+    """Whether ``route(ufunc, values)`` gives :mod:`math`'s bits on fixed inputs.
+
+    The inputs are the first ``_PROBE_SIZE`` uniforms ``u`` of ``SplitMix64(0)``,
+    taken as ``log(u)``, ``exp(-745 u)`` (down to libm's subnormal results)
+    and ``cos(2 pi u)``.
+    """
+    u = _unit_floats(_mix64_u64(np.arange(1, _PROBE_SIZE + 1, dtype=np.uint64) * _GOLDEN_U64))
+    cases = ((np.log, u), (np.exp, -745.0 * u), (np.cos, _TWO_PI * u))
+    return all(route(ufunc, x).tobytes() == _per_element(ufunc, x).tobytes() for ufunc, x in cases)
+
+
+@cache
+def _overlap_is_libm() -> bool:
+    """The probe's verdict on :func:`_overlapped`, taken once per process."""
+    return _probe(_overlapped)
+
+
+def _libm(ufunc, values: np.ndarray) -> np.ndarray:
+    """``np.log``, ``np.exp`` or ``np.cos`` over a contiguous 1-D float array, with libm's bits.
+
+    The one route to libm (see the module docstring): :func:`_overlapped`
+    where the probe passed it, else :mod:`math` per element.
+    """
+    return (_overlapped if _overlap_is_libm() else _per_element)(ufunc, values)
+
+
 def _box_muller(u1s, u2s) -> np.ndarray:
     """Cosine-branch Box-Muller over paired uniforms, with libm's bits.
 
     A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite.
-    ``cos`` is the real part of libm's ``ccos`` at imaginary part 0, run by
-    numpy's complex128 loop. ``log`` comes from :mod:`math` per element,
-    through ``starmap`` over ``zip``: ``math.log`` takes its argument as a
-    tuple (it has an optional base), and ``zip`` hands over one 1-tuple it
-    reuses, where ``map`` would build one per call. ``-2.0 *``, ``sqrt``,
+    ``log`` and ``cos`` come from :func:`_libm`. ``-2.0 *``, ``sqrt``,
     ``2 pi *`` and the product run in numpy, where each is correctly
     rounded, so every value equals the scalar formula's. The work runs in
     chunks of ``_CHUNK`` elements to bound the temporary arrays it needs.
@@ -160,10 +223,9 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     flat1, flat2, flat_out = u1s.reshape(-1), u2s.reshape(-1), out.reshape(-1)
     for start in range(0, flat_out.size, _CHUNK):
         u1 = flat1[start : start + _CHUNK]
-        size = u1.size
-        logs = np.fromiter(starmap(math.log, zip(memoryview(np.where(u1 != 0.0, u1, _TWO_POW_NEG53)))), float, size)
-        cosines = np.cos((_TWO_PI * flat2[start : start + _CHUNK]).astype(np.complex128)).real
-        np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + size])
+        logs = _libm(np.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53))
+        cosines = _libm(np.cos, _TWO_PI * flat2[start : start + _CHUNK])
+        np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + u1.size])
     return out
 
 

@@ -49,10 +49,12 @@ hands :func:`_fold` the one pair block it also scores.
 
 The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
 takes it from :mod:`math`, because numpy's float64 ``exp`` is its own SIMD
-kernel, chosen per CPU, and may differ from libm by an ulp. It runs in
-numpy's complex128 loop, which calls libm's ``cexp`` per element in C: at
-imaginary part 0, ``cexp(x + 0i)`` is ``exp(x) * cos(0) = exp(x)``, so its
-real part has ``math.exp``'s bits. The only numpy float operations used
+kernel, chosen per CPU, and may differ from libm by an ulp. It comes
+through :func:`tempocode.rng._libm`, the package's one route to libm: a
+float64 ``exp`` whose output overlaps its input one element ahead runs
+numpy's scalar loop, which calls libm per element in C, and a probe at the
+first call in a process falls back to :mod:`math` per element if that
+route ever gives other bits. The only numpy float operations used
 otherwise are correctly rounded ones (``+ - * /``,
 ``minimum``/``maximum``); and a packet pair touches each synapse at most
 once, so the fold gives each synapse one rounded update per pair. Every
@@ -68,7 +70,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _CHUNK
+from .rng import _CHUNK, _libm
 from .types import SpikePacket, StdpParams, WeightMatrix
 
 #: (pairs x M x M) slots per block of a training phase. A 64-neuron
@@ -111,10 +113,10 @@ def _check_packet_ids(packet: SpikePacket, n: int) -> None:
 def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     """The additive STDP increment of every element of a 1-D dt array.
 
-    ``exp`` is the real part of libm's ``cexp`` at imaginary part 0 (see
-    the module docstring). Every window is at most 0, so no ``exp``
-    overflows. It runs in ``_CHUNK``-element chunks, which bounds its
-    complex temporaries however large the array is. A dt
+    ``exp`` is libm's, through :func:`tempocode.rng._libm` (see the module
+    docstring). Every window is at most 0, so no ``exp`` overflows. It runs
+    in ``_CHUNK``-element chunks, which bounds its temporaries however large
+    the array is. A dt
     of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for every w, as
     :func:`stdp_update`'s no-op.
     """
@@ -123,7 +125,7 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
     for start in range(0, window.size, _CHUNK):
         chunk = window[start : start + _CHUNK]
-        chunk[:] = np.exp(chunk.astype(np.complex128)).real
+        chunk[:] = _libm(np.exp, chunk)
     # w - a*e == w + (-a*e) exactly.
     window *= np.where(potentiate, params.a_plus, -params.a_minus)
     window[dt == 0.0] = -0.0

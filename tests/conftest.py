@@ -2,8 +2,17 @@
 
 import pytest
 
+from tempocode import rng
+
 
 @pytest.fixture(autouse=True)
 def _no_seed_from_environment(monkeypatch):
     """Run every test as if TEMPOCODE_SEED were unset, since the library reads it."""
     monkeypatch.delenv("TEMPOCODE_SEED", raising=False)
+
+
+@pytest.fixture(params=["probed route", "math fallback"])
+def libm_route(request, monkeypatch):
+    """Run a test on the libm route the probe chose, then as if the probe had failed."""
+    if request.param == "math fallback":
+        monkeypatch.setattr(rng, "_overlap_is_libm", lambda: False)

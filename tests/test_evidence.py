@@ -104,6 +104,11 @@ class TestPredictionError:
     def test_clamped_for_super_unit_likelihood(self):
         assert prediction_error([0.5], 0) == 0.0  # exp(0.5) > 1 would go negative
 
+    @pytest.mark.parametrize("index", [-1, -2, 2])
+    def test_rejects_index_out_of_range(self, index):
+        with pytest.raises(ValueError, match=rf"hypothesis index {index} out of range \[0, 2\)"):
+            prediction_error([-0.1, -2.0], index)
+
 
 class TestInvariants:
     @given(

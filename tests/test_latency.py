@@ -44,6 +44,11 @@ class TestDecodeDisplacement:
         with pytest.raises(ValueError):
             decode_displacement(-0.001, 0.0)
 
+    @pytest.mark.parametrize("direction", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_direction(self, direction):
+        with pytest.raises(ValueError, match="motor direction must be finite"):
+            decode_displacement(0.1, direction)
+
     def test_linearity_in_time(self):
         rng = np.random.default_rng(3)
         for _ in range(200):

@@ -1,5 +1,6 @@
 """Portable generator: reference vectors, stream discipline, moments."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -209,51 +210,131 @@ class TestFamilyNormalsAcrossChunks:
         assert child.normal_grid(3, 3).tobytes() == NoiseStream(42, 0, 1).normal_grid(3, 3).tobytes()
 
 
-class TestLibmPerElement:
-    """``_box_muller`` gives libm's bits: ``log`` from :mod:`math` per element, ``cos`` equal to ``math.cos``.
+def _scalar_box_muller(u1, u2):
+    """The scalar Box-Muller formula with :mod:`math`'s ``log`` and ``cos``, element by element."""
+    return np.array(
+        [
+            math.sqrt(-2.0 * math.log(a if a != 0.0 else 2.0**-53)) * math.cos(2.0 * math.pi * b)
+            for a, b in zip(np.ravel(u1).tolist(), np.ravel(u2).tolist())
+        ]
+    ).reshape(np.shape(u1))
 
-    numpy's vectorised ``log`` may agree with libm on a given build, so only
-    a shim on :mod:`math` that moves every result by a known amount shows
-    that each element's ``log`` comes from there. ``cos`` comes from libm's
-    ``ccos`` at imaginary part 0, and is compared with ``math.cos`` as
-    bits. numpy's float64 ``cos`` matches libm on an AVX512F Xeon with
-    numpy 2.4.6, so there these tests cannot tell it from ``ccos``; they
-    catch any cosine that is not libm's.
+
+def _unit_samples():
+    gen = np.random.default_rng(5)
+    random = gen.random(2 * rng._CHUNK + 3)
+    random[rng._CHUNK + 1] = 0.0
+    return [
+        random,
+        np.linspace(0.0, 1.0, 300_001)[:-1],
+        # next_float's own grid of multiples of 2**-53, around each quarter turn.
+        *(q + np.arange(-20_000, 20_000) * 2.0**-53 for q in (0.25, 0.5, 0.75)),
+        np.arange(40_000) * 2.0**-53,
+        1.0 - np.arange(1, 40_001) * 2.0**-53,
+        np.array([0.0, -0.0, np.finfo(float).smallest_subnormal, np.finfo(float).tiny, 2.0**-53, 0.5 - 2.0**-53]),
+    ]
+
+
+class TestLibmPerElement:
+    """``_box_muller`` equals the scalar formula with :mod:`math`'s ``log`` and ``cos``, as bits.
+
+    numpy's contiguous float64 ``log`` differs from libm in the last bit on
+    some inputs on an AVX512F Xeon with numpy 2.4.6, so there these samples
+    also catch a slide back to it. Its ``cos`` matches libm there; the
+    cosine samples catch any cosine that is not libm's where it does not.
     """
 
-    def test_every_element_follows_math_log(self, monkeypatch):
-        size = 2 * rng._CHUNK + 3
-        gen = np.random.default_rng(5)
-        u1, u2 = gen.random(size), gen.random(size)
-        u1[rng._CHUNK + 1] = 0.0
-        log = math.log
-        monkeypatch.setattr(math, "log", lambda x: log(x) - 1.0)
-        got = rng._box_muller(u1, u2)
-        monkeypatch.undo()
-        want = [
-            math.sqrt(-2.0 * (math.log(a if a != 0.0 else 2.0**-53) - 1.0)) * math.cos(2.0 * math.pi * b)
-            for a, b in zip(u1.tolist(), u2.tolist())
-        ]
-        assert got.tobytes() == np.array(want).tobytes()
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_every_element_follows_math_log(self):
+        # At a cosine of exactly 1.0 each output is its radius, sqrt(-2 log u1).
+        for u1 in _unit_samples():
+            u2 = np.zeros(u1.shape)
+            assert rng._box_muller(u1, u2).tobytes() == _scalar_box_muller(u1, u2).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_cosines_match_math_cos(self, monkeypatch):
-        gen = np.random.default_rng(5)
-        samples = [
-            gen.random(2 * rng._CHUNK + 3),
-            np.linspace(0.0, 1.0, 300_001)[:-1],
-            # next_float's own grid of multiples of 2**-53, around each quarter turn.
-            *(q + np.arange(-20_000, 20_000) * 2.0**-53 for q in (0.25, 0.5, 0.75)),
-            np.arange(40_000) * 2.0**-53,
-            1.0 - np.arange(1, 40_001) * 2.0**-53,
-            [0.0, -0.0, np.finfo(float).smallest_subnormal, np.finfo(float).tiny, 2.0**-53, 0.5 - 2.0**-53],
-        ]
-        # A log of -0.5 makes the radius exactly 1.0, so each output keeps its cosine's bits.
-        monkeypatch.setattr(math, "log", lambda x: -0.5)
-        for u2 in map(np.asarray, samples):
-            got = rng._box_muller(np.full(u2.shape, 0.5), u2)
-            want = [math.cos(2.0 * math.pi * b) for b in u2.tolist()]
-            assert got.tobytes() == np.array(want).tobytes()
+    def test_cosines_match_math_cos(self):
+        for u2 in _unit_samples():
+            u1 = np.full(u2.shape, 0.5)
+            assert rng._box_muller(u1, u2).tobytes() == _scalar_box_muller(u1, u2).tobytes()
+
+    def test_one_element_call_gives_libms_log(self):
+        # A lone element does not overlap its output; the pad after it keeps it off the vector kernel.
+        gen = SplitMix64(derive_seed(NoiseStream(42, 0, 0, 0)._seed, 12, 2))
+        u1, u2 = gen.next_float(), gen.next_float()
+        assert u1 == 0.39842633484951917
+        assert rng._libm(np.log, np.array([u1])).tobytes() == np.array([math.log(u1)]).tobytes()
+        assert NoiseStream(42, 0, 0, 0).normal(12, 2) == _scalar_box_muller(u1, u2)
+
+
+def _probe_inputs():
+    """The probe's ``(ufunc, inputs)`` pairs, from the scalar generator."""
+    gen = SplitMix64(0)
+    u = np.array([gen.next_float() for _ in range(rng._PROBE_SIZE)])
+    return ((np.log, u), (np.exp, -745.0 * u), (np.cos, 2.0 * math.pi * u))
+
+
+@pytest.fixture
+def fresh_verdict():
+    """Forget the probe's verdict before and after a test, so that no test sees another's."""
+    rng._overlap_is_libm.cache_clear()
+    yield
+    rng._overlap_is_libm.cache_clear()
+
+
+class TestLibmRoute:
+    """The probe behind ``rng._libm`` and the ``math`` fallback it chooses on a failure."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_route_gives_maths_bits_on_the_probe_inputs(self):
+        for ufunc, x in _probe_inputs():
+            fn = getattr(math, ufunc.__name__)
+            want = np.array([fn(v) for v in x.tolist()])
+            assert rng._libm(ufunc, x).tobytes() == want.tobytes()
+            assert rng._per_element(ufunc, x).tobytes() == want.tobytes()
+
+    def test_probe_rejects_the_contiguous_kernels(self):
+        differing = sum(
+            int((ufunc(x) != np.array([getattr(math, ufunc.__name__)(v) for v in x.tolist()])).sum())
+            for ufunc, x in _probe_inputs()
+        )
+        if differing == 0:
+            pytest.skip("numpy's contiguous kernels equal libm on every probe input here")
+        assert not rng._probe(lambda ufunc, values: ufunc(values))
+
+    def test_patched_math_cannot_flip_the_verdict(self, monkeypatch, fresh_verdict):
+        verdict = rng._overlap_is_libm()
+        rng._overlap_is_libm.cache_clear()
+        log, exp, cos = math.log, math.exp, math.cos
+        monkeypatch.setattr(math, "log", lambda x: log(x) - 1.0)
+        monkeypatch.setattr(math, "exp", lambda x: 2.0 * exp(x))
+        monkeypatch.setattr(math, "cos", lambda x: cos(x) + 1.0)
+        u = np.linspace(0.01, 0.99, 99)
+        got = rng._libm(np.log, u)
+        assert rng._overlap_is_libm() == verdict
+        monkeypatch.undo()
+        assert got.tobytes() == np.array([math.log(v) for v in u.tolist()]).tobytes()
+
+    def test_after_a_failed_probe_every_path_keeps_maths_bits(self, monkeypatch):
+        # normal_grid's and _increments' fallback bits are pinned by TestPinnedBits and test_stdp.
+        monkeypatch.setattr(rng, "_overlap_is_libm", lambda: False)
+        stream = NoiseStream(7, 2, 1)
+        states = [SplitMix64(derive_seed(stream._seed, t)) for t in range(300)]
+        u1, u2 = np.array([[gen.next_float(), gen.next_float()] for gen in states]).T
+        assert stream.normal_vector(300).tobytes() == _scalar_box_muller(u1, u2).tobytes()
+        for u in _unit_samples():
+            assert rng._box_muller(u, u[::-1]).tobytes() == _scalar_box_muller(u, u[::-1]).tobytes()
+
+
+class TestPinnedBits:
+    """sha256 of fixed draws, so that a numpy or libm upgrade that moves any bit fails here."""
+
+    def test_normal_grid(self, libm_route):
+        digest = hashlib.sha256(NoiseStream(42, 0, 0).normal_grid(20, 64).tobytes()).hexdigest()
+        assert digest == "3eb80c56affdff28ed32f7e8ede89105ce1a7223ca42d1c1a91ccac7401105ba"
+
+    def test_normal_vector(self, libm_route):
+        digest = hashlib.sha256(NoiseStream(7, 2, 1).normal_vector(300).tobytes()).hexdigest()
+        assert digest == "470131cfc8f42df827535354e077888397a72f82c847c086675329f0235862b9"
 
 
 class TestNormalVector:

@@ -1,5 +1,6 @@
 """Pairwise STDP rule and traversal-level training."""
 
+import hashlib
 import math
 import random
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from test_train_reference import _first_error
-from tempocode import stdp
+from tempocode import rng, stdp
 from tempocode.encoding import encode_traversal
-from tempocode.rng import _CHUNK
+from tempocode.rng import _CHUNK, SplitMix64
 from tempocode.stdp import apply_packet_pair, stdp_update, train_on_traversal
 from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import discrimination_pair
@@ -284,8 +285,8 @@ class TestTrainOnTraversalMatchesScalarRule:
 class TestIncrementsFollowMathExp:
     """``_increments`` gives every element the bits of the scalar rule with :mod:`math`'s ``exp``.
 
-    The increments come from libm's ``cexp`` at imaginary part 0, which must
-    equal ``math.exp`` bit for bit. numpy's float64 ``exp`` is a kernel of
+    The increments take libm's ``exp`` through ``rng._libm``, on the route
+    the probe chose, and two tests also force the :mod:`math` fallback. numpy's contiguous float64 ``exp`` is a kernel of
     its own on some CPUs (on an AVX512F Xeon with numpy 2.4.6 it differs
     from libm on 4–5% of inputs), so these samples also catch a slide
     back to it there. A ``RuntimeWarning`` fails the test wherever it runs.
@@ -338,6 +339,20 @@ class TestIncrementsFollowMathExp:
         edges = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 744.44, 745.13, 745.14, 1e300, -1e300]
         self._assert_bits(edges, self.UNIT)
         self._assert_bits(edges, self.PARAMS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_math_fallback_keeps_the_bits(self, monkeypatch):
+        monkeypatch.setattr(rng, "_overlap_is_libm", lambda: False)
+        self.test_random_sample_with_zeros()
+        self.test_edge_values()
+
+    def test_pinned_bits(self, libm_route):
+        # sha256 of a fixed sample's increments: a numpy or libm upgrade that moves any bit fails here.
+        gen = SplitMix64(11)
+        dt = np.array([0.2 * (gen.next_float() - 0.5) for _ in range(10_000)])
+        dt[::1000] = 0.0
+        digest = hashlib.sha256(stdp._increments(dt, self.PARAMS).tobytes()).hexdigest()
+        assert digest == "9bce2fb15e50015ca1413516b22775da2055e6dbe5185d534421f62a0385c7f6"
 
 
 def _phase_arrays(traversals):
