@@ -43,8 +43,9 @@ chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
 pair with a silent contact, which leaves a left fold from 0.0 unchanged.
 The dense sums of all trials and their centroid distances take one pass
 more. The leading-pair rule is :func:`_pathway_scores` alone, and
-:func:`classify_temporal` is its one-row case. The online loop's
-all-causal-pairs rule is :func:`tempocode.inference._causal_index` plus
+:func:`classify_temporal` is its one-row case. The inference loop,
+which scores contacts against frozen models and learns nothing, has the
+all-causal-pairs rule: :func:`tempocode.inference._causal_index` plus
 ``left_sum``, through ``alignment_scores`` and ``exploration_step``.
 
 A training phase runs as arrays too, and builds no packet either. The
@@ -265,10 +266,6 @@ class DiscriminationReport:
             sum(r.dense_correct for r in self.per_object),
             sum(r.temporal_correct for r in self.per_object),
         )
-
-    @property
-    def total_tests(self) -> int:
-        return self.overall.n_test
 
     @property
     def dense_acc(self) -> float:

@@ -1,4 +1,4 @@
-"""The complete exploration step: encode, decode, learn, score, accumulate.
+"""The complete exploration step: encode, decode, score, accumulate.
 
 One call to :func:`exploration_step` advances a sensorimotor loop by a
 single contact:
@@ -6,11 +6,14 @@ single contact:
 1. encode the sensor reading into a spike packet,
 2. measure the inter-packet interval from arrival times,
 3. decode the implied displacement from that interval,
-4. STDP-update the active learning matrix over the consecutive packet pair,
-5. score the pair against every frozen object model (causal alignment),
-6. mix the resulting log-likelihoods into the evidence,
-7. adapt the best hypothesis's memory coefficient from prediction error,
-8. return the best hypothesis.
+4. score the pair against every frozen object model (causal alignment),
+5. mix the resulting log-likelihoods into the evidence,
+6. adapt the best hypothesis's memory coefficient from prediction error,
+7. return the best hypothesis.
+
+The loop infers; it does not learn. STDP writes each object's model while
+it trains (:mod:`tempocode.stdp`), and the loop scores contacts against
+those models as they were when it was built.
 
 Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
@@ -30,8 +33,7 @@ each model's matrix at that index; :func:`alignment_score` is its
 one-model case. :func:`left_sum` is the one ordered sum that scores and
 reports use: one ``np.add.accumulate`` along each row, whose last column
 plus 0.0 is the fold from 0.0 bit for bit (a float sum is -0.0 only when
-both terms are), with no column of zeros joined on first. STDP inside the
-loop follows the exactness rule of :mod:`tempocode.stdp`.
+both terms are), with no column of zeros joined on first.
 
 :class:`LoopState` reads the frozen models once, at construction: it
 stacks their weights into one read-only array, checks once that they are
@@ -39,12 +41,10 @@ finite, and every step scores against that stack with one ``take``.
 :func:`exploration_step` checks each reading's length against the models'
 neuron count, and its motor command, once per step and before any state
 changes. Every id of the packet it encodes is then in range, as is every
-id of the previous packet. Each paired step builds its pair block once,
-the flat synapse indices and the spike-time differences, from the id and
-time arrays :func:`~tempocode.encoding.encode` built with each packet, and
-hands it unchecked to the one STDP fold loop,
-:func:`tempocode.stdp._fold`, which takes a one-pair block through its
-pair loop, and to :func:`_causal_index`.
+id of the previous packet. Each paired step builds the pair's flat
+synapse indices from the id and time arrays
+:func:`~tempocode.encoding.encode` built with each packet, and hands them
+unchecked to :func:`_causal_index`.
 """
 
 from __future__ import annotations
@@ -58,8 +58,8 @@ import numpy as np
 from .encoding import EncoderParams, encode
 from .evidence import EvidenceState, prediction_error
 from .latency import arrival_time, decode_displacement
-from .stdp import _check_packet_ids, _fold
-from .types import Displacement, LatencyParams, SpikePacket, StdpParams, WeightMatrix
+from .stdp import _check_packet_ids
+from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix
 
 
 @dataclass(frozen=True)
@@ -136,12 +136,20 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     for the CPU it runs on, so these bits, and the evidence and lambda
     built on them, are not portable across CPUs: on an AVX512F Xeon,
     ``np.log`` and ``math.log`` disagree in the last bit on about 0.09% of
-    inputs in [1, 8] (see also :meth:`EvidenceState.update`).
+    inputs in [1, 8] (see also :meth:`EvidenceState.update`). A score that
+    is not finite, or that overflows once divided by the temperature,
+    raises ``ValueError`` naming its index and value: its softmax would be
+    NaN.
     """
     _check_temperature(temperature)
-    s = np.asarray(scores, dtype=float) / temperature
-    if s.size < 1:
+    raw = np.asarray(scores, dtype=float)
+    if raw.size < 1:
         raise ValueError("need at least one score")
+    s = raw / temperature
+    finite = np.isfinite(s)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise ValueError(f"score {i} / temperature must be finite, got {raw[i]} / {temperature}")
     s -= s.max()
     s -= np.log(np.exp(s).sum())
     return s
@@ -200,13 +208,12 @@ class StepDiagnostics:
 class LoopState:
     """Mutable state of one sensorimotor inference loop (single-threaded).
 
-    ``learning_matrix`` is the active matrix mutated by online STDP. The
-    frozen per-object ``models`` are read once, here: their weights are
+    The frozen per-object ``models`` are read once, here: their weights are
     copied into ``weight_stack``, one read-only (models, N*N) array that
     every step scores against, so a later change to a model's matrix does
-    not reach the loop. With ``learn=False`` a step is a pure function of
-    (state, input). When no explicit contact time is supplied, contacts are
-    assumed to arrive ``inter_contact_interval`` seconds apart.
+    not reach the loop. A step is a pure function of (state, input). When
+    no explicit contact time is supplied, contacts are assumed to arrive
+    ``inter_contact_interval`` seconds apart.
     ``temperature`` must be positive; a step checks it again before it
     changes any state, since it may be set after construction. Weights and
     ``inter_contact_interval`` (above the encoder's span) must be finite.
@@ -215,11 +222,8 @@ class LoopState:
     models: list[ObjectModel]
     evidence: EvidenceState = None  # type: ignore[assignment]
     encoder: EncoderParams = EncoderParams()
-    stdp: StdpParams = StdpParams()
     temperature: float = 1.0
     inter_contact_interval: float = 0.020
-    learn: bool = True
-    learning_matrix: WeightMatrix | None = None
     prev_packet: SpikePacket | None = None
     step: int = 0
     clock: float = 0.0
@@ -236,10 +240,6 @@ class LoopState:
             self.evidence = EvidenceState(len(self.models))
         if self.evidence.n_classes != len(self.models):
             raise ValueError("evidence state and model list disagree on class count")
-        if self.learn and self.learning_matrix is None:
-            self.learning_matrix = WeightMatrix.zeros(n)
-        if self.learning_matrix is not None and self.learning_matrix.n != n:
-            raise ValueError("learning matrix dimension does not match models")
         if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > self.encoder.tau_base):
             raise ValueError(f"inter_contact_interval must exceed the packet span, got {self.inter_contact_interval}")
         if self.prev_packet is not None:
@@ -266,8 +266,8 @@ def exploration_step(
     must be a positive finite velocity and a finite direction, on every
     step, the ones that decode no displacement included. Interval
     measurement and displacement decoding are skipped on the first contact
-    and around empty packets; STDP is skipped whenever either packet of the
-    consecutive pair is empty or learning is disabled.
+    and around empty packets, and a pair with an empty packet scores 0
+    against every model. A step that raises changes no state.
     """
     _check_temperature(state.temperature)
     latency, direction = _check_motor(motor)
@@ -294,13 +294,8 @@ def exploration_step(
         stages.append("decode")
 
     if state.prev_packet and packet:
-        # The pair block, built once: flat synapse indices and spike dts in double-loop order.
         (prev_ids, pre_times), (cur_ids, post_times) = state.prev_packet.id_time_arrays, packet.id_time_arrays
         index = (prev_ids[:, None] * n + cur_ids).ravel()
-        if state.learn:
-            spike_dt = (post_times - pre_times[:, None]).ravel()
-            _fold(state.learning_matrix.w, index, spike_dt, (pre_times, post_times), [0, index.size], state.stdp)
-            stages.append("stdp")
         totals = left_sum(state.weight_stack.take(_causal_index(index, pre_times, post_times), axis=1))
     else:
         totals = np.zeros(len(state.models))

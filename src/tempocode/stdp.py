@@ -27,12 +27,9 @@ pairs before it written. So the scatter runs only when every weight it
 touches is finite, and the whole matrix when a later traversal starts in
 the block; if a touched weight comes out non-finite, it is undone and the
 pair loop runs instead. The pair loop also serves a matrix that is not
-C-contiguous, which has no flat view to scatter into, and a block of one
-pair, which is every online step: a pair never repeats an index, so the
-pair loop gives it the scatter's bits, and the scatter's save, undo and
-re-check would buy nothing. It reads, updates, clips and writes one
-pair's synapses at a time, through flat ``take``/``put``. Either way a
-synapse no pair touches is never written.
+C-contiguous, which has no flat view to scatter into. It reads, updates,
+clips and writes one pair's synapses at a time, through flat
+``take``/``put``. Either way a synapse no pair touches is never written.
 
 Two builders feed them. The training phase of :mod:`tempocode.experiments`
 hands :func:`_fold_traversals` padded arrays from its block encoder: for
@@ -44,8 +41,9 @@ block holds as many whole traversals as fit in ``_SLOTS`` (pairs x M x M)
 slots, and always at least one, so the working set is bounded however long
 a phase is. :func:`train_on_traversal` and :func:`apply_packet_pair` build
 the list from their packets' id and time arrays (:func:`_fold_packets`),
-one traversal at a time. The online step of :mod:`tempocode.inference`
-hands :func:`_fold` the one pair block it also scores.
+one traversal at a time. Training is the only writer of weights: the
+inference loop of :mod:`tempocode.inference` scores against frozen
+models and learns nothing.
 
 The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
 takes it from :mod:`math`, because numpy's float64 ``exp`` is its own SIMD
@@ -147,9 +145,8 @@ def _fold(
     in scalar double-loop order: its flat index into ``weights`` and its
     post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
     + 1]`` and touches each synapse at most once. Without ``w_max``, with
-    finite weights, a C-contiguous matrix and more than one pair, the pairs
-    are applied by one scatter-add, else one pair at a time; see the module
-    docstring.
+    finite weights and a C-contiguous matrix, the pairs are applied by one
+    scatter-add, else one pair at a time; see the module docstring.
     ``times`` iterates over
     arrays that hold every spike time of those synapses; it is read only if
     some dt is not finite, since finite times far apart can overflow dt and
@@ -164,13 +161,7 @@ def _fold(
         raise ValueError(_NON_FINITE)
     increments = _increments(dt, params)
     # Only a C-contiguous matrix has a flat view to scatter into; reshape copies any other.
-    # One pair never repeats an index, so the pair loop applies it as one scatter would.
-    if (
-        len(bounds) > 2
-        and params.w_max is None
-        and weights.flags.c_contiguous
-        and (not starts or np.isfinite(weights).all())
-    ):
+    if params.w_max is None and weights.flags.c_contiguous and (not starts or np.isfinite(weights).all()):
         flat = weights.reshape(-1)
         before = flat.take(index)
         with np.errstate(over="ignore"):  # an overflow is redone, and warned of, by the pair loop

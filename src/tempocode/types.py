@@ -9,7 +9,6 @@ in ascending neuron-id order so downstream sums are reproducible.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -157,24 +156,6 @@ class WeightMatrix:
 
     def copy(self) -> "WeightMatrix":
         return WeightMatrix(self.w.copy())
-
-    def to_json(self) -> str:
-        """Serialize as {"n": N, "w": [[...], ...]}; exact for finite doubles.
-
-        Python's float repr is shortest-round-trip, so load(dump(m)) is
-        bit-identical.
-        """
-        return json.dumps({"n": self.n, "w": [[float(x) for x in row] for row in self.w]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "WeightMatrix":
-        data = json.loads(text)
-        if not isinstance(data, dict) or set(data) != {"n", "w"}:
-            raise ValueError("weight matrix JSON must be an object with keys 'n' and 'w'")
-        arr = np.asarray(data["w"], dtype=float)
-        if arr.shape != (data["n"], data["n"]):
-            raise ValueError(f"weight matrix JSON shape {arr.shape} does not match n={data['n']}")
-        return cls(arr)
 
 
 def _require_positive(name: str, value: float) -> float:

@@ -234,7 +234,7 @@ class TestDiscrimination:
         report = run_discrimination(_small_config(n_train=5, n_test=8))
         assert [r.label for r in report.per_object] == ["A", "B"]
         assert all(r.n_test == 8 for r in report.per_object)
-        assert report.total_tests == 16
+        assert report.overall.n_test == 16
 
 
 class TestNoiseSweep:

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -178,7 +179,7 @@ class TestAlignmentScoresMatchScalarLoop:
             ObjectModel(str(k), WeightMatrix(np.array([[rnd.uniform(-1, 1) for _ in range(n)] for _ in range(n)])))
             for k in range(5)
         ]
-        state = LoopState(models=models, learn=True)
+        state = LoopState(models=models)
         for step in range(40):
             reading = [rnd.choice([0.0, 0.5, rnd.uniform(-0.2, 1.0)]) for _ in range(n)]
             prev = state.prev_packet
@@ -229,56 +230,61 @@ class TestLogLikelihoods:
         with pytest.raises(ValueError):
             log_likelihoods_from_scores([1.0], temperature=0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_score_raises_naming_it(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"score 1 / temperature must be finite, got {bad} / 1.0")):
+            log_likelihoods_from_scores([0.0, bad, 1.0])
 
-def _trained_loop(learn=True):
+    def test_a_score_that_overflows_at_the_temperature_raises(self):
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            ValueError, match=re.escape("score 0 / temperature must be finite, got 1e+300 / 1e-10")
+        ):
+            log_likelihoods_from_scores([1e300, 0.0], temperature=1e-10)
+
+
+def _trained_loop():
     obj_a, obj_b = discrimination_pair()
     model_a = ObjectModel("A", train_on_traversal(WeightMatrix.zeros(3), _packets_for(obj_a)))
     model_b = ObjectModel("B", train_on_traversal(WeightMatrix.zeros(3), _packets_for(obj_b)))
-    return LoopState(models=[model_a, model_b], learn=learn)
+    return LoopState(models=[model_a, model_b])
 
 
 class TestExplorationStep:
     def test_cold_start(self):
-        state = _trained_loop(learn=True)
+        state = _trained_loop()
         best, diag = exploration_step(state, [0.9, 0.2, 0.1])
         assert diag.dt is None
         assert diag.displacement is None
-        assert "stdp" not in diag.stage_order
         assert diag.scores == [0.0, 0.0]
         np.testing.assert_allclose(state.evidence.evidence, [0.5, 0.5], atol=1e-12)
         assert best == 0
 
     def test_noiseless_traversal_recovers_object(self):
         obj_a = discrimination_pair()[0]
-        state = _trained_loop(learn=False)
+        state = _trained_loop()
         best = None
         for contact in obj_a.contacts:
             best, _ = exploration_step(state, contact)
         assert state.models[best].label == "A"
 
     def test_dt_and_displacement(self):
-        state = _trained_loop(learn=False)
+        state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1], motor=(2.0, 0.0))
         _, diag = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.0))
         assert diag.dt == pytest.approx(0.020, abs=1e-15)
         np.testing.assert_allclose(diag.displacement.to_array(), [0.04, 0.0, 0.0], atol=1e-12)
 
-    def test_dt_measured_before_stdp(self):
-        state = _trained_loop(learn=True)
+    def test_dt_measured_before_scoring(self):
+        state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1])
         _, diag = exploration_step(state, [0.2, 0.8, 0.2])
-        order = diag.stage_order
-        assert "latency" in order and "stdp" in order
-        assert order.index("latency") < order.index("stdp")
-        assert order.index("encode") == 0
-        assert order.index("score") < order.index("update") < order.index("adapt")
+        assert diag.stage_order == ("encode", "latency", "decode", "score", "update", "adapt")
 
-    def test_learning_updates_active_matrix_only(self):
-        state = _trained_loop(learn=True)
+    def test_steps_leave_the_models_unchanged(self):
+        state = _trained_loop()
         frozen_before = [m.weights.w.copy() for m in state.models]
         exploration_step(state, [0.9, 0.2, 0.1])
         exploration_step(state, [0.2, 0.8, 0.2])
-        assert state.learning_matrix.w.sum() > 0.0
         for model, before in zip(state.models, frozen_before):
             assert np.array_equal(model.weights.w, before)
 
@@ -286,15 +292,14 @@ class TestExplorationStep:
         readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
         outs = []
         for _ in range(2):
-            state = _trained_loop(learn=False)
+            state = _trained_loop()
             outs.append([exploration_step(state, r)[1].to_json() for r in readings])
         assert outs[0] == outs[1]
 
     def test_empty_packet_skips_and_decays_to_uniform(self):
-        state = _trained_loop(learn=True)
+        state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1])
         exploration_step(state, [0.2, 0.8, 0.2])
-        before = state.learning_matrix.w.copy()
         evidence = state.evidence.evidence.copy()
         lam = state.evidence.lambdas.copy()
         uniform = np.full(2, 0.5)
@@ -302,26 +307,24 @@ class TestExplorationStep:
             _, diag = exploration_step(state, [0.0, 0.0, 0.0])
             assert diag.dt is None
             assert diag.displacement is None
-            assert "stdp" not in diag.stage_order
             assert diag.scores == [0.0, 0.0]
             expected = uniform + lam * (evidence - uniform)
             np.testing.assert_allclose(state.evidence.evidence, expected, atol=1e-12)
             evidence = state.evidence.evidence.copy()
             lam = state.evidence.lambdas.copy()
-        assert np.array_equal(state.learning_matrix.w, before)
         # the contact after a silent one has no reference arrival either
         _, diag = exploration_step(state, [0.9, 0.2, 0.1])
         assert diag.dt is None
 
     def test_single_class(self):
-        state = LoopState(models=[_zero_model(label="only")], learn=False)
+        state = LoopState(models=[_zero_model(label="only")])
         for reading in ([0.9, 0.2, 0.1], [0.2, 0.8, 0.2]):
             best, _ = exploration_step(state, reading)
             assert best == 0
             np.testing.assert_allclose(state.evidence.evidence, [1.0], atol=1e-15)
 
     def test_explicit_contact_times(self):
-        state = _trained_loop(learn=False)
+        state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1], contact_time=1.0)
         _, diag = exploration_step(state, [0.2, 0.8, 0.2], contact_time=1.5)
         assert diag.dt == pytest.approx(0.5, abs=1e-15)
@@ -329,13 +332,13 @@ class TestExplorationStep:
     def test_a_previous_packet_given_at_construction_times_the_first_step(self):
         # The loop keeps the previous packet's arrival beside it, read here from the packet handed in.
         prev = SpikePacket({2: -0.0, 0: 0.004}, arrival=0.25)
-        state = LoopState(models=[_zero_model(), _zero_model(label="n")], prev_packet=prev, learn=False)
+        state = LoopState(models=[_zero_model(), _zero_model(label="n")], prev_packet=prev)
         _, diag = exploration_step(state, [0.9, 0.2, 0.1], contact_time=0.3)
         assert diag.dt == 0.3 - arrival_time(prev)
         assert diag.stage_order[:3] == ("encode", "latency", "decode")
 
     def test_diagnostics_json_lines(self):
-        state = _trained_loop(learn=False)
+        state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1])
         _, diag = exploration_step(state, [0.2, 0.8, 0.2])
         record = json.loads(diag.to_json())
@@ -345,11 +348,14 @@ class TestExplorationStep:
         assert len(record["scores"]) == 2
         assert 0.0 <= record["prediction_error"] <= 1.0
 
-    @pytest.mark.parametrize("learn", [True, False])
-    def test_diagnostics_json_holds_every_field(self, learn):
-        state = _trained_loop(learn=learn)
-        _, first = exploration_step(state, [0.9, 0.2, 0.1])
-        _, second = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.5))
+    @pytest.mark.parametrize("timed", [True, False])
+    def test_diagnostics_json_holds_every_field(self, timed):
+        # Timed steps take explicit contact times; the others run on the loop's own clock.
+        times = (1.0, 1.5) if timed else (None, None)
+        state = _trained_loop()
+        _, first = exploration_step(state, [0.9, 0.2, 0.1], contact_time=times[0])
+        _, second = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.5), contact_time=times[1])
+        assert second.dt == pytest.approx(0.5 if timed else 0.020, abs=1e-15)
         assert json.loads(first.to_json()) == {
             "step": 0,
             "dt": None,
@@ -368,7 +374,7 @@ class TestExplorationStep:
             "scores": second.scores,
             "best": second.best,
             "prediction_error": second.prediction_error,
-            "stage_order": ["encode", "latency", "decode"] + ["stdp"] * learn + ["score", "update", "adapt"],
+            "stage_order": ["encode", "latency", "decode", "score", "update", "adapt"],
         }
 
     def test_loop_state_validation(self):
@@ -396,12 +402,11 @@ class TestExplorationStep:
         bad.weights.w[1, 0] = 0.0
         bad.weights.w[0, 1] = math.nan
         with pytest.raises(ValueError, match="object model 'bad' has non-finite weights"):
-            LoopState(models=[bad, _zero_model(label="good")], learn=False)
+            LoopState(models=[bad, _zero_model(label="good")])
 
 
 def _loop_snapshot(state):
     return (
-        None if state.learning_matrix is None else state.learning_matrix.w.tobytes(),
         state.evidence.evidence.tobytes(),
         state.evidence.lambdas.tobytes(),
         state.step,
@@ -410,13 +415,28 @@ def _loop_snapshot(state):
     )
 
 
+class TestOverflowingScore:
+    """A score that overflows raises on its own step, before the evidence changes."""
+
+    def test_the_step_raises_and_changes_nothing(self):
+        huge = ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308)))
+        state = LoopState(models=[huge, _zero_model(label="b")])
+        exploration_step(state, [0.9, 0.5, 0.7])
+        before = _loop_snapshot(state)
+        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
+            ValueError, match=re.escape("score 0 / temperature must be finite, got inf / 1.0")
+        ):
+            exploration_step(state, [0.9, 0.5, 0.7])
+        assert _loop_snapshot(state) == before
+
+
 class TestReadingLength:
     """Every step checks the reading's neuron count against the models', before any state changes."""
 
     @pytest.mark.parametrize("size", [2, 5])
     @pytest.mark.parametrize("at_step", [0, 1, 3])
     def test_a_reading_of_the_wrong_length_raises_and_changes_nothing(self, size, at_step):
-        state = _trained_loop(learn=True)
+        state = _trained_loop()
         readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
         for reading in readings[:at_step]:
             exploration_step(state, reading)
@@ -448,7 +468,7 @@ class TestMotorCommand:
     # Step 0 and a step after an empty packet decode nothing; step 2 decodes.
     @pytest.mark.parametrize("before", [[], [[0.0, 0.0, 0.0]], [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2]]])
     def test_a_bad_command_raises_on_its_own_step_and_changes_nothing(self, motor, message, before):
-        state = _trained_loop(learn=True)
+        state = _trained_loop()
         for reading in before:
             exploration_step(state, reading)
         snapshot = _loop_snapshot(state)
@@ -471,10 +491,12 @@ class TestTemperature:
             log_likelihoods_from_scores([1.0, 0.0], temperature=temperature)
 
     @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("learn", [True, False])
-    def test_set_after_construction_raises_and_changes_nothing(self, temperature, learn):
-        state = _trained_loop(learn=learn)
-        exploration_step(state, [0.9, 0.2, 0.1])
+    @pytest.mark.parametrize("stepped", [True, False])
+    def test_set_after_construction_raises_and_changes_nothing(self, temperature, stepped):
+        # Unstepped, the step that raises is the cold start, which scores nothing.
+        state = _trained_loop()
+        if stepped:
+            exploration_step(state, [0.9, 0.2, 0.1])
         state.temperature = temperature
         before = _loop_snapshot(state)
         with pytest.raises(ValueError, match="temperature must be positive"):
@@ -483,4 +505,4 @@ class TestTemperature:
         # The loop goes on from where it was once the temperature is mended.
         state.temperature = 1.0
         _, diag = exploration_step(state, [0.2, 0.8, 0.2])
-        assert diag.step == 1
+        assert diag.step == int(stepped)

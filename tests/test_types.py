@@ -1,6 +1,5 @@
 """Constructor invariants of the shared value types."""
 
-import json
 import math
 
 import numpy as np
@@ -91,30 +90,6 @@ class TestWeightMatrix:
             WeightMatrix(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[np.nan]]))
-
-    def test_json_round_trip_bit_exact(self):
-        rng = np.random.default_rng(0)
-        # exercise tiny, huge, full-mantissa and signed-zero doubles
-        vals = np.concatenate(
-            [
-                rng.standard_normal(12),
-                rng.standard_normal(4) * 1e-300,
-                rng.standard_normal(4) * 1e300,
-                np.array([0.1 + 0.2, 1 / 3, -5e-324, 2.2250738585072014e-308, -0.0]),
-            ]
-        )
-        w = WeightMatrix(vals.reshape(5, 5))
-        back = WeightMatrix.from_json(w.to_json())
-        # byte comparison: array_equal would let -0.0 come back as 0.0
-        assert w.w.tobytes() == back.w.tobytes()
-
-    def test_json_schema(self):
-        data = json.loads(WeightMatrix.zeros(2).to_json())
-        assert data == {"n": 2, "w": [[0.0, 0.0], [0.0, 0.0]]}
-
-    def test_from_json_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            WeightMatrix.from_json('{"n": 3, "w": [[0.0]]}')
 
 
 class TestParams:
