@@ -55,9 +55,10 @@ and global spike times, padded to the phase's largest active count. The
 STDP increments of all consecutive contact pairs are computed in blocks of
 traversals, with libm's ``exp`` (see above), and folded in place into one
 matrix per object (:func:`~tempocode.stdp._fold_traversals`): by one
-ordered scatter-add per block, or pair by pair where ``w_max`` clips or a
-weight is not finite, with the bits and the errors of training a fresh
-matrix per traversal on its packets. Before folding,
+ordered scatter-add per block, or pair by pair where ``w_max`` clips, with
+the bits of training a fresh matrix per traversal on its packets. A weight
+that overflows fails the phase once it is folded, with an error that names
+the object, so no report is scored from it. Before folding,
 the encoder's checks run on the block; the traversals before the first
 one they reject are trained, and that traversal is then encoded on its own
 to raise the error :func:`~tempocode.encoding.encode_traversal` gives it.
@@ -77,7 +78,7 @@ from .encoding import EncoderParams, _accepted_rows, _encode_block, encode_trave
 from .evidence import EvidenceState
 from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
-from .stdp import _fold_traversals
+from .stdp import _fold_traversals, _WeightOverflow
 from .types import Traversal, WeightMatrix
 from .world import (
     SyntheticObject,
@@ -454,7 +455,10 @@ def _train(
         ids, spike_times, counts = _encode_block(np.stack([trav.features for trav in traversals]), times, cfg.encoder)
         accepted = _accepted_rows(counts, times, cfg.encoder)
         weights = WeightMatrix.zeros(n)
-        _fold_traversals(weights.w, ids[:accepted], spike_times[:accepted], counts[:accepted], cfg.stdp)
+        try:
+            _fold_traversals(weights.w, ids[:accepted], spike_times[:accepted], counts[:accepted], cfg.stdp)
+        except _WeightOverflow as exc:
+            raise ValueError(f"object {obj.label!r}: {exc}") from None
         _require_encodable(traversals, accepted, cfg.encoder)
         models.append(ObjectModel(obj.label, weights))
         train_traversals.extend(traversals)

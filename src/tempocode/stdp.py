@@ -20,30 +20,35 @@ scalar double loop over (pre, post): each synapse's flat weight index and
 its dt. Without ``w_max``, the fold is one ``np.add.at`` over the whole
 list: it adds repeated indices in list order, so every synapse gets its
 pairs' rounded additions in (traversal, pair) order, as one pair at a
-time would give it. The pair loop stays for what a single scatter cannot
-do: clipping to ``w_max`` after every pair, and non-finite weights, which
-must raise at the pair (or the traversal) that first reads one, with the
-pairs before it written. So the scatter runs only when every weight it
-touches is finite, and the whole matrix when a later traversal starts in
-the block; if a touched weight comes out non-finite, it is undone and the
-pair loop runs instead. The pair loop also serves a matrix that is not
-C-contiguous, which has no flat view to scatter into. It reads, updates,
-clips and writes one pair's synapses at a time, through flat
-``take``/``put``. Either way a synapse no pair touches is never written.
+time would give it. With ``w_max``, which clips after every pair, the fold
+reads, updates, clips and writes one pair's synapses at a time, through
+flat ``take``/``put``. Either way a synapse no pair touches is never
+written.
 
-Two builders feed them. The training phase of :mod:`tempocode.experiments`
-hands :func:`_fold_traversals` padded arrays from its block encoder: for
-each contact of each traversal, the active ids in ascending order and
+Weights are finite on entry: a :class:`WeightMatrix` rejects any other,
+and the arrays of its ``zeros`` and ``copy`` are C-contiguous, so they have
+a flat view to scatter into. Increments are finite too, so the one way a
+weight leaves the finite doubles is an addition that overflows. That is
+checked once per phase, after its last block: a weight that overflowed
+raises one ``ValueError`` that names the keys bounding it
+(``stdp.a_plus``, ``stdp.a_minus``, ``stdp.w_max``), and no matrix holding
+it is returned or scored. Under ``w_max`` a sum that overflows clips to
+``w_max``, as in :func:`stdp_update`, so no weight is left non-finite.
+
+One fold builder feeds them. :func:`_fold_traversals` takes padded arrays:
+for each contact of each traversal, the active ids in ascending order and
 their global spike times, padded to the phase's largest active count M.
 Each consecutive contact pair is an M x M slab of (pre, post) slots, and
 the slots of real synapses, taken in row-major order, are the list. A
 block holds as many whole traversals as fit in ``_SLOTS`` (pairs x M x M)
 slots, and always at least one, so the working set is bounded however long
-a phase is. :func:`train_on_traversal` and :func:`apply_packet_pair` build
-the list from their packets' id and time arrays (:func:`_fold_packets`),
-one traversal at a time. Training is the only writer of weights: the
-inference loop of :mod:`tempocode.inference` scores against frozen
-models and learns nothing.
+a phase is. The training phase of :mod:`tempocode.experiments` hands it a
+block from its block encoder; :func:`train_on_traversal` pads its packets'
+id and time arrays into a one-traversal block; and
+:func:`apply_packet_pair` is a two-packet :func:`train_on_traversal`
+written back into its array. Training is the only writer of weights: the
+inference loop of :mod:`tempocode.inference` scores against frozen models
+and learns nothing.
 
 The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
 takes it from :mod:`math`, because numpy's float64 ``exp`` is its own SIMD
@@ -77,6 +82,11 @@ from .types import SpikePacket, StdpParams, WeightMatrix
 _SLOTS = 16384
 
 _NON_FINITE = "stdp_update requires finite weight and spike times"
+_OVERFLOW = "STDP weights overflowed: lower stdp.a_plus or stdp.a_minus, or set stdp.w_max to clip them"
+
+
+class _WeightOverflow(ValueError):
+    """A weight that overflowed in training, so that a caller can name its object."""
 
 
 def stdp_update(w: float, pre_time: float, post_time: float, params: StdpParams = StdpParams()) -> float:
@@ -120,7 +130,8 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     """
     potentiate = dt > 0.0
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
-    window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
+    with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is stdp_update's 0.0
+        window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
     for start in range(0, window.size, _CHUNK):
         chunk = window[start : start + _CHUNK]
         chunk[:] = _libm(np.exp, chunk)
@@ -130,60 +141,28 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     return window
 
 
-def _fold(
-    weights: np.ndarray,
-    index: np.ndarray,
-    dt: np.ndarray,
-    times,
-    bounds: list[int],
-    params: StdpParams,
-    starts: range = range(0),
-) -> None:
-    """STDP-update ``weights`` in place over consecutive packet pairs, in pair order.
+def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, bounds: list[int], params: StdpParams) -> None:
+    """STDP-update the C-contiguous ``weights`` in place over consecutive packet pairs, in pair order.
 
     ``index`` and ``dt`` hold one entry per synapse to update, pair by pair
     in scalar double-loop order: its flat index into ``weights`` and its
     post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
-    + 1]`` and touches each synapse at most once. Without ``w_max``, with
-    finite weights and a C-contiguous matrix, the pairs are applied by one
-    scatter-add, else one pair at a time; see the module docstring.
-    ``times`` iterates over
-    arrays that hold every spike time of those synapses; it is read only if
-    some dt is not finite, since finite times far apart can overflow dt and
-    only a non-finite time is an error. Such a time raises ``ValueError``
-    as :func:`stdp_update` does, before anything is written; so does a
-    non-finite weight, before its pair writes. At each pair in ``starts`` a
-    later traversal begins, and a matrix that holds a non-finite entry then
-    raises :class:`WeightMatrix`'s error, as training a fresh matrix per
-    traversal does.
+    + 1]`` and touches each synapse at most once. Without ``w_max`` the
+    pairs are applied by one ordered scatter-add, else one pair at a time,
+    clipped before the next pair reads them; see the module docstring. A
+    weight that overflows is left as ``inf`` for the caller's check.
     """
-    if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in times):
-        raise ValueError(_NON_FINITE)
     increments = _increments(dt, params)
-    # Only a C-contiguous matrix has a flat view to scatter into; reshape copies any other.
-    if params.w_max is None and weights.flags.c_contiguous and (not starts or np.isfinite(weights).all()):
-        flat = weights.reshape(-1)
-        before = flat.take(index)
-        with np.errstate(over="ignore"):  # an overflow is redone, and warned of, by the pair loop
+    flat = weights.reshape(-1)
+    if params.w_max is None:
+        with np.errstate(over="ignore"):  # an overflow raises once the phase is folded
             np.add.at(flat, index, increments)
-        if np.isfinite(flat.take(index)).all():
-            return
-        # A touched weight was or became non-finite: undo, and let the pair loop raise or keep it.
-        flat.put(index, before)
-    for p in range(len(bounds) - 1):
-        if p in starts and not np.isfinite(weights).all():
-            raise ValueError("weight matrix contains non-finite entries")
-        lo, hi = bounds[p], bounds[p + 1]
-        if lo == hi:
-            continue
+        return
+    for lo, hi in zip(bounds, bounds[1:]):
         synapses = index[lo:hi]
-        w = weights.take(synapses)
-        if not np.isfinite(w).all():
-            raise ValueError(_NON_FINITE)
-        new = w + increments[lo:hi]
-        if params.w_max is not None:
-            new = np.minimum(np.maximum(new, -params.w_max), params.w_max)
-        weights.put(synapses, new)
+        with np.errstate(over="ignore"):  # the clip makes an overflowed sum exact, as in stdp_update
+            new = flat.take(synapses) + increments[lo:hi]
+        flat.put(synapses, np.minimum(np.maximum(new, -params.w_max), params.w_max))
 
 
 def _fold_traversals(
@@ -191,50 +170,39 @@ def _fold_traversals(
 ) -> None:
     """STDP-update ``weights`` in place over the consecutive contacts of every traversal, in order.
 
-    ``ids`` and ``times`` are (traversals, contacts, M): each contact's
-    active neuron ids in ascending order and their global spike times,
-    valid in the first ``counts`` (traversals, contacts) slots and ignored
-    past them. Ids must lie in [0, N). Blocks of whole traversals go to
-    :func:`_fold`, each within the ``_SLOTS`` budget.
+    ``weights`` is C-contiguous with finite entries, as the arrays of
+    :meth:`WeightMatrix.zeros` and :meth:`WeightMatrix.copy` are. ``ids``
+    and ``times`` are (traversals, contacts, M): each contact's active
+    neuron ids in ascending order and their global spike times, valid in
+    the first ``counts`` (traversals, contacts) slots and ignored past them.
+    Ids must lie in [0, N). Blocks of whole traversals go to :func:`_fold`,
+    each within the ``_SLOTS`` budget. A non-finite spike time of a synapse
+    to update raises ``ValueError`` as :func:`stdp_update` does, before its
+    block writes; its times are read only if some dt is not finite, since
+    finite times far apart can overflow dt and only a non-finite time is an
+    error. A weight that overflowed in any block raises ``ValueError`` once
+    all are folded, naming the keys that bound the weights.
     """
     n_traversals, n_contacts, m = ids.shape
     if n_contacts < 2 or m == 0:
         return
     n = weights.shape[0]
-    pairs = n_contacts - 1
-    step = max(1, _SLOTS // (pairs * m * m))
+    step = max(1, _SLOTS // ((n_contacts - 1) * m * m))
     present = np.arange(m) < counts[..., None]
     for first in range(0, n_traversals, step):
         block_ids, block_times, block_present = (a[first : first + step] for a in (ids, times, present))
         valid = block_present[:, :-1, :, None] & block_present[:, 1:, None, :]
         index = (block_ids[:, :-1, :, None] * n + block_ids[:, 1:, None, :])[valid]
-        dt = (block_times[:, 1:, None, :] - block_times[:, :-1, :, None])[valid]
-        pre_post = (block_times[:, :-1, :, None], block_times[:, 1:, None, :])
-        synapse_times = (np.broadcast_to(t, valid.shape)[valid] for t in pre_post)
+        pre, post = block_times[:, :-1, :, None], block_times[:, 1:, None, :]
+        dt = (post - pre)[valid]
+        synapse_times = (np.broadcast_to(t, valid.shape)[valid] for t in (pre, post))
+        if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in synapse_times):
+            raise ValueError(_NON_FINITE)
         sizes = counts[first : first + step]
         bounds = list(accumulate((sizes[:, :-1] * sizes[:, 1:]).ravel().tolist(), initial=0))
-        # Each traversal of the block but the phase's first starts anew.
-        starts = range(0 if first else pairs, len(bounds) - 1, pairs)
-        _fold(weights, index, dt, synapse_times, bounds, params, starts)
-
-
-def _fold_packets(weights: np.ndarray, packets: Sequence[SpikePacket], params: StdpParams) -> None:
-    """:func:`_fold` over the consecutive pairs of one traversal's packets.
-
-    Each packet's ids and global times come from
-    :attr:`SpikePacket.id_time_arrays`, built once per packet however
-    many pairs it is part of. Ids are not checked.
-    """
-    n = weights.shape[0]
-    pairs = [(prev.id_time_arrays, cur.id_time_arrays) for prev, cur in zip(packets, packets[1:])]
-    if not pairs:
-        return
-    index = np.concatenate([(prev_ids[:, None] * n + cur_ids).ravel() for (prev_ids, _), (cur_ids, _) in pairs])
-    dt = np.concatenate([(post - pre[:, None]).ravel() for (_, pre), (_, post) in pairs])
-    # A pair with an empty packet updates nothing, so its times go unread.
-    times = (t for (_, pre), (_, post) in pairs if pre.size and post.size for t in (pre, post))
-    bounds = list(accumulate((pre.size * post.size for (_, pre), (_, post) in pairs), initial=0))
-    _fold(weights, index, dt, times, bounds, params)
+        _fold(weights, index, dt, bounds, params)
+    if not np.isfinite(weights).all():
+        raise _WeightOverflow(_OVERFLOW)
 
 
 def apply_packet_pair(
@@ -246,14 +214,14 @@ def apply_packet_pair(
     """STDP-update ``weights`` in place over prev x cur neuron pairs.
 
     A neuron active in both packets updates its own diagonal entry like any
-    other synapse. Every updated synapse ends bit-identical to
-    :func:`stdp_update` applied to it, and a non-finite weight or spike time
-    on an updated synapse raises ``ValueError`` as it does there.
+    other synapse. The pair is trained as a two-packet traversal by
+    :func:`train_on_traversal` and written back into ``weights``, whatever
+    its memory layout, so every updated synapse ends bit-identical to
+    :func:`stdp_update` applied to it. ``weights`` must be a valid
+    :class:`WeightMatrix` array, finite throughout; a call that raises
+    leaves it as it was.
     """
-    n = weights.shape[0]
-    _check_packet_ids(prev_packet, n)
-    _check_packet_ids(cur_packet, n)
-    _fold_packets(weights, (prev_packet, cur_packet), params)
+    weights[...] = train_on_traversal(WeightMatrix(weights), (prev_packet, cur_packet), params).w
 
 
 def train_on_traversal(
@@ -265,10 +233,17 @@ def train_on_traversal(
 
     Packets must be temporally ordered and non-overlapping (the traversal
     invariant); 0 or 1 packets leave the matrix unchanged. Neuron ids outside
-    [0, N) are rejected.
+    [0, N) are rejected. The packets' :attr:`SpikePacket.id_time_arrays`
+    are padded into a one-traversal block for :func:`_fold_traversals`, so
+    a weight that overflows raises its error and no matrix is returned.
     """
     out = w.copy()
     for packet in packets:
         _check_packet_ids(packet, out.n)
-    _fold_packets(out.w, packets, params)
+    counts = np.array([[len(packet) for packet in packets]], dtype=np.intp)
+    ids = np.zeros((1, len(packets), counts.max(initial=0)), dtype=np.intp)
+    times = np.zeros(ids.shape)
+    for k, packet in enumerate(packets):
+        ids[0, k, : len(packet)], times[0, k, : len(packet)] = packet.id_time_arrays
+    _fold_traversals(out.w, ids, times, counts, params)
     return out

@@ -306,6 +306,15 @@ class TestExitCodesMeanWhatTheySay:
         assert code == 2
         assert "config error" in err and "experiment.n_train" in err
 
+    def test_weights_that_overflow_exit_1_with_no_report(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"stdp": {"a_plus": 1e308, "tau_plus": 1e6}, "experiment": {"n_train": 1}}))
+        code, out, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: object 'A': STDP weights overflowed")
+        assert "stdp.a_plus" in err and "stdp.w_max" in err
+        assert not (tmp_path / "out").exists()
+
     def test_value_error_during_run_exit_1(self, capsys, tmp_path, small_config, monkeypatch):
         import tempocode.cli as cli
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from tempocode import stdp
 from tempocode.config import Config, config_from_dict
 from tempocode.experiments import (
     _pathway_scores,
@@ -202,6 +203,15 @@ class TestDiscrimination:
     def test_overflowing_noise_raises_without_a_warning(self):
         with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
             run_discrimination(_small_config(n_train=2, n_test=2), seed=1, sigma=1e308)
+
+    def test_weights_that_overflow_give_no_report(self):
+        # Every pair of the first object's one traversal adds about 1e308: scored, the
+        # inf weights used to report A at 100% and B at 0%.
+        cfg = _small_config(n_train=1)
+        cfg = dataclasses.replace(cfg, stdp=dataclasses.replace(cfg.stdp, a_plus=1e308, tau_plus=1e6))
+        with pytest.raises(ValueError) as info:
+            run_discrimination(cfg, seed=1)
+        assert str(info.value) == f"object 'A': {stdp._OVERFLOW}"
 
     def test_reports_are_deterministic_bytes(self):
         cfg = _small_config(n_train=10, n_test=30)

@@ -1,5 +1,6 @@
 """Pairwise STDP rule and traversal-level training."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -257,15 +258,29 @@ class TestTrainOnTraversalMatchesScalarRule:
             trained = train_on_traversal(start, packets, params)
             assert trained.w.tobytes() == expected.tobytes(), f"case {case}"
 
-    def test_a_weight_that_overflowed_raises_when_a_later_pair_reads_it(self):
+    def test_a_weight_that_overflows_raises_and_no_matrix_is_returned(self):
+        # The first pair overflows 1.7e308 with no warning (a test fails on one), whether
+        # or not a later pair reads the inf; apply_packet_pair leaves its array as it was.
         packets = [SpikePacket({0: 0.0}, arrival=0.020 * k) for k in range(3)]
         params = StdpParams(a_plus=1e308)
         start = WeightMatrix(np.full((1, 1), 1.7e308))
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            trained = train_on_traversal(start, packets[:2], params)  # the last update may overflow
-            assert trained.w[0, 0] == math.inf
-            with pytest.raises(ValueError, match="finite"):
-                train_on_traversal(start, packets, params)
+        for n_packets in (2, 3):
+            assert _first_error(lambda: train_on_traversal(start, packets[:n_packets], params)) == stdp._OVERFLOW
+        weights = start.w.copy()
+        assert _first_error(lambda: apply_packet_pair(weights, packets[0], packets[1], params)) == stdp._OVERFLOW
+        assert weights.tobytes() == start.w.tobytes() == np.full((1, 1), 1.7e308).tobytes()
+
+    def test_a_clipped_sum_that_overflows_gives_w_max_without_a_warning(self):
+        # The second pair's sum passes the largest double; stdp_update clips the inf
+        # to w_max silently, and so must the fold.
+        packets = [SpikePacket({0: 0.0}, arrival=0.020 * k) for k in range(3)]
+        params = StdpParams(a_plus=1.5e308, tau_plus=1e6, w_max=1.6e308)
+        expected = 0.0
+        for prev, cur in zip(packets, packets[1:]):
+            expected = stdp_update(expected, prev.arrival, cur.arrival, params)
+        assert expected == 1.6e308
+        trained = train_on_traversal(WeightMatrix.zeros(1), packets, params)
+        assert trained.w.tobytes() == np.full((1, 1), expected).tobytes()
 
     def test_non_finite_times_raise_only_on_a_synapse_to_update(self):
         far = SpikePacket({0: 0.0, 1: 1e308}, arrival=1e308)  # global time of neuron 1 overflows
@@ -336,7 +351,8 @@ class TestIncrementsFollowMathExp:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edge_values(self):
         tiny = np.finfo(float).smallest_subnormal
-        edges = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 744.44, 745.13, 745.14, 1e300, -1e300]
+        # 1.7e308 / 0.007 overflows the window to -inf, with no warning, as in stdp_update.
+        edges = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 744.44, 745.13, 745.14, 1e300, -1e300, 1.7e308, -1.7e308]
         self._assert_bits(edges, self.UNIT)
         self._assert_bits(edges, self.PARAMS)
 
@@ -369,67 +385,50 @@ def _phase_arrays(traversals):
 
 
 def _phase_reference(weights, traversals, params):
-    """stdp_update pair after pair, each pair written whole or not at all.
-
-    Each traversal after the first starts as training a fresh
-    ``WeightMatrix`` does, by checking the whole matrix.
-    """
-    for t, packets in enumerate(traversals):
-        if t:
-            WeightMatrix(weights)
+    """stdp_update pair after pair, traversal after traversal."""
+    for packets in traversals:
         for prev, cur in zip(packets, packets[1:]):
-            pair = weights.copy()
-            _pairwise_reference(pair, prev, cur, params)
-            weights[...] = pair
+            _pairwise_reference(weights, prev, cur, params)
 
 
 class TestScatterAddFold:
-    """Without ``w_max``, a block is folded by one scatter-add: bytes and first error against the pair loop."""
+    """Without ``w_max``, a block is folded by one scatter-add: bytes against the pair loop."""
 
     @staticmethod
     def _assert_matches(values, traversals, params):
         weights, expected = values.copy(), values.copy()
-        expected_error = _first_error(lambda: _phase_reference(expected, traversals, params))
-        got_error = _first_error(lambda: stdp._fold_traversals(weights, *_phase_arrays(traversals), params))
-        assert got_error == expected_error
+        _phase_reference(expected, traversals, params)
+        stdp._fold_traversals(weights, *_phase_arrays(traversals), params)
         assert weights.tobytes() == expected.tobytes()
-        return got_error
+        return weights
 
-    @pytest.mark.parametrize("slots", [36, stdp._SLOTS])
+    @pytest.mark.parametrize("slots", [1, 4, 36, stdp._SLOTS])
     def test_every_synapse_repeats_in_every_pair(self, slots, monkeypatch):
-        # Four 3 x 3 pairs per traversal: one traversal per block, or all of them in one.
+        # Four 3 x 3 pairs per traversal: a block of one traversal (1, 4 and 36 slots) or all of them.
         monkeypatch.setattr(stdp, "_SLOTS", slots)
         rnd = random.Random(31)
         # Packets 5 ms apart with offsets up to 39 ms overlap, so some dt are exactly 0.
         traversals = [[_random_packet(rnd, 3, 3, 0.005 * k) for k in range(5)] for _ in range(6)]
         values = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(3)] for _ in range(3)])
-        assert self._assert_matches(values, traversals, StdpParams(a_plus=0.3, a_minus=0.07)) is None
+        params = StdpParams(a_plus=0.3, a_minus=0.07)
+        scattered = self._assert_matches(values, traversals, params)
+        # A w_max that never binds takes the pair loop, which must give the scatter-add's bytes.
+        clipped = self._assert_matches(values, traversals, dataclasses.replace(params, w_max=1e300))
+        assert clipped.tobytes() == scattered.tobytes()
 
-    @pytest.mark.parametrize(
-        "synapse, n_traversals, expected",
-        [
-            # The first traversal never touches neuron 2, nor either traversal neuron 3:
-            # the second raises as it starts.
-            ((2, 2), 2, "weight matrix contains non-finite entries"),
-            ((3, 3), 2, "weight matrix contains non-finite entries"),
-            # A lone traversal leaves an untouched NaN as it is.
-            ((2, 2), 1, None),
-            ((3, 3), 1, None),
-            # The second pair reads the NaN: the first pair stays written.
-            ((1, 0), 1, "stdp_update requires finite weight and spike times"),
-            ((1, 0), 2, "stdp_update requires finite weight and spike times"),
-        ],
-    )
-    def test_a_non_finite_entry_raises_where_the_pair_loop_does(self, synapse, n_traversals, expected):
-        first = [
-            SpikePacket({0: 0.0}, arrival=0.0),
-            SpikePacket({1: 0.0}, arrival=0.020),
-            SpikePacket({0: 0.0, 1: 0.004}, arrival=0.040),
-        ]
-        second = [SpikePacket({0: 0.0, 1: 0.002, 2: 0.005}, arrival=0.020 * k) for k in range(3)]
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("synapse", [(2, 2), (3, 3), (1, 0)])
+    def test_a_non_finite_entry_is_rejected_before_anything_is_written(self, synapse, value):
+        # The pair 1 -> {0, 1} updates (1, 0) and never (2, 2) or (3, 3): either way nothing is written.
+        prev, cur = SpikePacket({1: 0.0}, arrival=0.020), SpikePacket({0: 0.0, 1: 0.004}, arrival=0.040)
         values = np.full((4, 4), 0.01)
-        values[synapse] = math.nan
-        assert self._assert_matches(values, [first, second][:n_traversals], StdpParams()) == expected
+        values[synapse] = value
+        with pytest.raises(ValueError, match="weight matrix contains non-finite entries"):
+            WeightMatrix(values)
+        weights = values.copy()
+        with pytest.raises(ValueError, match="weight matrix contains non-finite entries"):
+            apply_packet_pair(weights, prev, cur)
+        assert weights.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
     def test_apply_packet_pair_updates_a_non_contiguous_matrix_in_place(self, layout):

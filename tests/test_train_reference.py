@@ -4,13 +4,13 @@
 traversal: ``encode_traversal`` builds one ``SpikePacket`` per contact,
 ``train_on_traversal`` trains a validated copy of the matrix, and each
 traversal starts from a fresh ``WeightMatrix``. Every trained weight, every
-report rendering and every first error must match it.
+report rendering and every first error must match it; the error of a
+weight that overflows names its object as well.
 """
 
 import dataclasses
 import random
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -119,10 +119,8 @@ def _first_error(run):
 
 def _same_first_error(cfg, seed, sigma, objs):
     world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # weights that overflow to inf
-        expected = _first_error(lambda: _reference_train(cfg, seed, world, objs))
-        assert _first_error(lambda: _train(cfg, seed, world, objs)) == expected
+    expected = _first_error(lambda: _reference_train(cfg, seed, world, objs))
+    assert _first_error(lambda: _train(cfg, seed, world, objs)) == expected
     return expected
 
 
@@ -157,31 +155,28 @@ def test_colliding_subnormal_offsets_raise_the_same_error():
 
 
 @pytest.mark.parametrize(
-    "n_contacts, n_train, expected",
+    "n_contacts, n_train",
     [
-        # One s -> c pair per traversal: the fifth traversal overflows, the sixth starts on inf.
-        (2, 6, "weight matrix contains non-finite entries"),
-        # The overflow in the last traversal goes unread: no error, as before.
-        (2, 5, None),
-        # s, c, s, c, ...: the pair after the overflowing one reads inf in the same traversal.
-        (14, 1, "stdp_update requires finite weight and spike times"),
+        # One s -> c pair per traversal: the fifth traversal overflows, and a sixth follows it.
+        (2, 6),
+        # The fifth and last traversal overflows: nothing reads the inf, and the phase still fails.
+        (2, 5),
+        # s, c, s, c, ...: the ninth pair overflows (s -> c's fifth), and four more follow it.
+        (14, 1),
     ],
 )
 @pytest.mark.parametrize("slots", [1, 4, stdp._SLOTS])
-def test_overflowing_weights_raise_the_same_error(n_contacts, n_train, expected, slots, monkeypatch):
+def test_overflowing_weights_raise_the_same_error(n_contacts, n_train, slots, monkeypatch):
     # One slot per block trains one traversal per block; four slots hold two 2-contact traversals.
+    # No RuntimeWarning either: a test fails on one.
     monkeypatch.setattr(stdp, "_SLOTS", slots)
     s, c = np.array([0.9, 0.0]), np.array([0.0, 0.9])
     obj = SyntheticObject("sc", tuple((s, c)[k % 2] for k in range(n_contacts)))
     base = _config(n_train=n_train, n_test=3)
     cfg = dataclasses.replace(base, stdp=dataclasses.replace(base.stdp, a_plus=1e308))
-    assert _same_first_error(cfg, 1, 0.0, [obj]) == expected
-    if expected is None:
-        # A discrimination run needs two objects; the mirror c -> s overflows in its last traversal too.
-        mirror = SyntheticObject("cs", tuple(reversed(obj.contacts)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            _assert_matches_reference(cfg, 1, 0.0, [obj, mirror], monkeypatch)
+    world = WorldParams(noise_sigma=0.0, inter_contact_interval=cfg.world.inter_contact_interval)
+    assert _first_error(lambda: _reference_train(cfg, 1, world, [obj])) == stdp._OVERFLOW
+    assert _first_error(lambda: _train(cfg, 1, world, [obj])) == f"object 'sc': {stdp._OVERFLOW}"
 
 
 def _sparse_objects(seed, n_objects, n_neurons=64, n_contacts=20, driven=24):
