@@ -6,10 +6,11 @@ class, and classification picks the Euclidean-nearest centroid. Any two
 traversals that visit the same features in different orders are identical
 to this classifier by construction.
 
-Distances from many sums to all centroids come from one array pass; each
-(sum, centroid) row is still reduced on its own, so every distance, and
-with it every argmin tie, has the bits of the per-centroid ``np.sum`` it
-replaced. :func:`dense_classify` is the one-sum case.
+Sums and distances come from array passes that reduce each row on its own,
+so each has the bits of the per-traversal or per-centroid ``np.sum`` it
+replaced: :func:`dense_train` sums each class's traversals of one length
+as one stack, and the distances from many sums to all centroids, argmin
+ties included, take one pass. :func:`dense_classify` is the one-sum case.
 """
 
 from __future__ import annotations
@@ -27,10 +28,15 @@ def dense_train(traversals: list[Traversal]) -> list[tuple[str, np.ndarray]]:
     """
     if not traversals:
         raise ValueError("dense_train needs at least one traversal per class")
-    sums: dict[str, list[np.ndarray]] = {}
-    for trav in traversals:
-        sums.setdefault(trav.label, []).append(trav.feature_sum())
-    return [(label, np.mean(np.stack(class_sums), axis=0)) for label, class_sums in sums.items()]
+    keys = [(trav.label, len(trav)) for trav in traversals]
+    if any(length == 0 for _, length in keys):
+        raise ValueError("cannot sum an empty traversal")
+    sums = np.empty((len(traversals), traversals[0].features.shape[-1]))
+    for key in set(keys):
+        rows = [row for row, other in enumerate(keys) if other == key]
+        sums[rows] = np.sum(np.stack([traversals[row].features for row in rows]), axis=-2)
+    labels = [label for label, _ in keys]
+    return [(label, np.mean(sums[[other == label for other in labels]], axis=0)) for label in dict.fromkeys(labels)]
 
 
 def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]) -> str:

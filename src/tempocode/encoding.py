@@ -29,25 +29,23 @@ property's rule (each global time is Python's ``arrival + offset``, which
 overflows to ``inf`` without a warning), so no later reader builds them.
 
 A training phase encodes all its traversals at once with
-:func:`_encode_block`, into padded arrays, and gives every spike
+:func:`_encode_block`, into padded arrays in firing order, with
 :func:`encode`'s bits. One stable ``argsort`` of the negated activations
-orders neurons by descending activation with ties in ascending id, as
-``sorted(..., reverse=True)`` does; numpy's sort, like Python's, holds
-``-0.0`` and ``0.0`` equal. Active neurons lie above the threshold and the
-others do not, so the active ones take the first n places, with
-``encode``'s ranks. One stable ``argsort`` of the inactive mask lists the
-active ids first, in ascending order. The offset is ``tau_base * (rank /
-n)`` in that order, where numpy divides the two exact integers with one
-rounding, as Python's ``int / int`` does, and each global time is one
-addition, ``time + offset``, as :attr:`SpikePacket.id_time_arrays` makes
-it. :func:`_accepted_rows` makes :func:`encode_traversal`'s two checks on
-the block's active counts.
+lists neurons by descending activation, ties in ascending id, as
+``sorted(..., reverse=True)`` does (numpy's sort, like Python's, holds
+``-0.0`` and ``0.0`` equal), so the n active ones come first and place r
+holds rank r. Its offset is ``tau_base * (r / n)``, where numpy divides
+the two exact integers with one rounding, as Python does, and its time is
+``time + offset``, as :attr:`SpikePacket.id_time_arrays` makes it.
+:func:`_accepted_rows` makes :func:`encode_traversal`'s two checks on the
+block's active counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -66,6 +64,12 @@ class EncoderParams:
             raise ValueError(f"tau_base must be positive and finite, got {self.tau_base}")
         if not math.isfinite(self.sparsity_threshold):
             raise ValueError(f"sparsity_threshold must be finite, got {self.sparsity_threshold}")
+
+
+@cache
+def _offsets_collide(tau_base: float, n: int) -> bool:
+    """Whether ``n`` active neurons get fewer than ``n`` distinct offsets ``tau_base * (r / n)``."""
+    return len({tau_base * (r / n) for r in range(n)}) != n
 
 
 def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float = 0.0) -> SpikePacket:
@@ -88,9 +92,8 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     spikes = dict.fromkeys(active)
     for rank, nid in enumerate(sorted(active, key=values.__getitem__, reverse=True)):
         spikes[nid] = tau_base * (rank / n)
-    offsets = spikes.values()
-    if len(set(offsets)) != n:
-        raise ValueError(f"spike offsets must be pairwise distinct: {list(offsets)}")
+    if _offsets_collide(tau_base, n):
+        raise ValueError(f"spike offsets must be pairwise distinct: {list(spikes.values())}")
     return SpikePacket._from_ordered(spikes, arrival)
 
 
@@ -116,21 +119,16 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     """The packets of every traversal of a (traversals, contacts, neurons) block, as padded arrays.
 
     Every traversal's contacts occur at ``times``. Returns ``(ids,
-    spike_times, counts)``: the active neuron ids of each contact in
-    ascending order and their global spike times, both (traversals,
-    contacts, M) with M the largest active count, valid in the first
-    ``counts`` (traversals, contacts) slots. Nothing is checked; see
-    :func:`_accepted_rows`.
+    spike_times, counts)``: the active neuron ids of each contact in firing
+    order and their global spike times, both (traversals, contacts, M) with
+    M the largest active count, valid in the first ``counts`` (traversals,
+    contacts) slots. Nothing is checked; see :func:`_accepted_rows`.
     """
-    active = block > params.sparsity_threshold
-    counts = np.count_nonzero(active, axis=-1)
+    counts = np.count_nonzero(block > params.sparsity_threshold, axis=-1)
     m = int(counts.max(initial=0))
-    ids = np.argsort(~active, axis=-1, kind="stable")[..., :m]
-    order = np.argsort(-block, axis=-1, kind="stable")
-    rank_of = np.empty_like(order)
-    np.put_along_axis(rank_of, order, np.arange(block.shape[-1]), axis=-1)
+    ids = np.argsort(-block, axis=-1, kind="stable")[..., :m]
     # A padded slot gets rank 0, so its time is the contact's and stays finite.
-    ranks = np.where(np.arange(m) < counts[..., None], np.take_along_axis(rank_of, ids, axis=-1), 0)
+    ranks = np.where(np.arange(m) < counts[..., None], np.arange(m), 0)
     offsets = float(params.tau_base) * (ranks / np.maximum(counts, 1)[..., None])
     # Python's float addition overflows to inf without a warning; the fold rejects such a time.
     with np.errstate(over="ignore"):
@@ -145,14 +143,14 @@ def _accepted_rows(counts: np.ndarray, times, params: EncoderParams) -> int:
     contact, and every traversal's contacts occur at ``times``. A contact
     gap within the packet span fails every traversal, so the first. A
     contact fails when its n active neurons get fewer than n distinct
-    offsets ``tau_base * (r / n)``, as a subnormal ``tau_base`` can make
-    them; that depends on n alone, so each count is checked once.
+    offsets, as a subnormal ``tau_base`` can make them: the check
+    :func:`encode` makes, once per process for each ``(tau_base, n)``.
     """
     if any(t - prev <= params.tau_base for prev, t in zip(times, times[1:])):
         return 0
     tau_base = float(params.tau_base)
     # A set, not np.unique: np.unique imports numpy.ma, which a CLI run needs nowhere else.
-    colliding = [n for n in set(counts.ravel().tolist()) if len({tau_base * (r / n) for r in range(n)}) != n]
+    colliding = [n for n in set(counts.ravel().tolist()) if _offsets_collide(tau_base, n)]
     rejected = np.flatnonzero(np.isin(counts, colliding).any(axis=-1))
     return int(rejected[0]) if rejected.size else len(counts)
 

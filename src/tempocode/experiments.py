@@ -20,15 +20,9 @@ JSON (with the full effective config echoed for provenance); identical
 inputs produce byte-identical report files.
 
 The transcendental functions of the noise and of STDP give the C
-library's bits, not numpy's float64 kernels, which numpy picks per CPU and
-which may differ from libm by an ulp. ``log`` and ``cos`` (Box-Muller)
-and ``exp`` (STDP) take one route, ``rng._libm``: numpy's float64 ufunc
-writing its output one element before its input, which stands the vector
-kernel aside and calls libm per element in numpy's scalar loop. A pad
-element makes even a one-element call overlap, and a probe at the first
-call in a process checks the route against :mod:`math` and falls back to
-:mod:`math` per element if any bit differs. See :mod:`tempocode.rng` and
-:mod:`tempocode.stdp`.
+library's bits, not numpy's per-CPU float64 kernels: ``log`` and ``cos``
+(Box-Muller) and ``exp`` (STDP) take one route, ``rng._libm``. See
+:mod:`tempocode.rng` and :mod:`tempocode.stdp`.
 
 A discrimination test phase runs as arrays. The generated trials of one
 object are stacked into a (trials, contacts, neurons) block, and no spike
@@ -48,20 +42,17 @@ which scores contacts against frozen models and learns nothing, has the
 all-causal-pairs rule: :func:`tempocode.inference._causal_index` plus
 ``left_sum``, through ``alignment_scores`` and ``exploration_step``.
 
-A training phase runs as arrays too, and builds no packet either. The
-traversals of one object are stacked into one block and encoded at once
-(:func:`~tempocode.encoding._encode_block`): every contact's active ids
-and global spike times, padded to the phase's largest active count. The
-STDP increments of all consecutive contact pairs are computed in blocks of
-traversals, with libm's ``exp`` (see above), and folded in place into one
-matrix per object (:func:`~tempocode.stdp._fold_traversals`): by one
-ordered scatter-add per block, or pair by pair where ``w_max`` clips, with
-the bits of training a fresh matrix per traversal on its packets. A weight
+A training phase runs as arrays too, and builds no packet either. Each
+object's traversals are stacked, encoded at once
+(:func:`~tempocode.encoding._encode_block`: every contact's active ids in
+firing order and their global spike times) and folded in place into one
+matrix per object (:func:`~tempocode.stdp._fold_traversals`), with the
+bits of training a fresh matrix per traversal on its packets. A weight
 that overflows fails the phase once it is folded, with an error that names
-the object, so no report is scored from it. Before folding,
-the encoder's checks run on the block; the traversals before the first
-one they reject are trained, and that traversal is then encoded on its own
-to raise the error :func:`~tempocode.encoding.encode_traversal` gives it.
+the object, so no report is scored from it. The encoder's checks run on
+the block first; the traversals before the first one they reject are
+trained, and that traversal is then encoded on its own to raise the error
+:func:`~tempocode.encoding.encode_traversal` gives it.
 """
 
 from __future__ import annotations

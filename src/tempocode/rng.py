@@ -223,9 +223,10 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     flat1, flat2, flat_out = u1s.reshape(-1), u2s.reshape(-1), out.reshape(-1)
     for start in range(0, flat_out.size, _CHUNK):
         u1 = flat1[start : start + _CHUNK]
-        logs = _libm(np.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53))
+        radii = _libm(np.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53))
+        np.sqrt(np.multiply(radii, -2.0, out=radii), out=radii)
         cosines = _libm(np.cos, _TWO_PI * flat2[start : start + _CHUNK])
-        np.multiply(np.sqrt(-2.0 * logs), cosines, out=flat_out[start : start + u1.size])
+        np.multiply(radii, cosines, out=flat_out[start : start + u1.size])
     return out
 
 

@@ -15,8 +15,8 @@ their fold into the weights is sequential.
 
 One increment function (:func:`_increments`) and one fold
 (:func:`_fold`) serve every caller. Their input is a flat list of the
-synapses to update, pair by pair and, within a pair, in the order of the
-scalar double loop over (pre, post): each synapse's flat weight index and
+synapses to update, pair by pair, in any order within a pair, since a pair
+touches each synapse at most once: each synapse's flat weight index and
 its dt. Without ``w_max``, the fold is one ``np.add.at`` over the whole
 list: it adds repeated indices in list order, so every synapse gets its
 pairs' rounded additions in (traversal, pair) order, as one pair at a
@@ -36,33 +36,28 @@ it is returned or scored. Under ``w_max`` a sum that overflows clips to
 ``w_max``, as in :func:`stdp_update`, so no weight is left non-finite.
 
 One fold builder feeds them. :func:`_fold_traversals` takes padded arrays:
-for each contact of each traversal, the active ids in ascending order and
-their global spike times, padded to the phase's largest active count M.
-Each consecutive contact pair is an M x M slab of (pre, post) slots, and
-the slots of real synapses, taken in row-major order, are the list. A
+for each contact of each traversal, the active ids, in any order, and
+their global spike times, padded to the phase's largest active count M. A
 block holds as many whole traversals as fit in ``_SLOTS`` (pairs x M x M)
 slots, and always at least one, so the working set is bounded however long
-a phase is. The training phase of :mod:`tempocode.experiments` hands it a
-block from its block encoder; :func:`train_on_traversal` pads its packets'
-id and time arrays into a one-traversal block; and
-:func:`apply_packet_pair` is a two-packet :func:`train_on_traversal`
-written back into its array. Training is the only writer of weights: the
-inference loop of :mod:`tempocode.inference` scores against frozen models
-and learns nothing.
+a phase is; each block is cut to its own largest active count. Each
+consecutive contact pair is a square slab of (pre, post) slots, and the
+slots of real synapses, taken in row-major order, are the list. The
+training phase of :mod:`tempocode.experiments` hands it a block from its
+block encoder, in firing order; :func:`train_on_traversal` pads its
+packets' id and time arrays, in ascending id order, into a one-traversal
+block; and :func:`apply_packet_pair` is a two-packet
+:func:`train_on_traversal` written back into its array. Training is the
+only writer of weights: the inference loop of :mod:`tempocode.inference`
+scores against frozen models and learns nothing.
 
 The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
-takes it from :mod:`math`, because numpy's float64 ``exp`` is its own SIMD
-kernel, chosen per CPU, and may differ from libm by an ulp. It comes
-through :func:`tempocode.rng._libm`, the package's one route to libm: a
-float64 ``exp`` whose output overlaps its input one element ahead runs
-numpy's scalar loop, which calls libm per element in C, and a probe at the
-first call in a process falls back to :mod:`math` per element if that
-route ever gives other bits. The only numpy float operations used
-otherwise are correctly rounded ones (``+ - * /``,
-``minimum``/``maximum``); and a packet pair touches each synapse at most
-once, so the fold gives each synapse one rounded update per pair. Every
-updated synapse therefore ends bit-identical to :func:`stdp_update`, the
-scalar reference, applied pair after pair.
+takes it from :mod:`math`, through :func:`tempocode.rng._libm`, the
+package's one route to libm (see :mod:`tempocode.rng`). The only numpy
+float operations used otherwise are correctly rounded ones (``+ - * /``,
+``minimum``/``maximum``), and the fold gives each synapse one rounded
+update per pair. Every updated synapse therefore ends bit-identical to
+:func:`stdp_update`, the scalar reference, applied pair after pair.
 """
 
 from __future__ import annotations
@@ -76,9 +71,9 @@ import numpy as np
 from .rng import _CHUNK, _libm
 from .types import SpikePacket, StdpParams, WeightMatrix
 
-#: (pairs x M x M) slots per block of a training phase. A 64-neuron
-#: traversal of 20 contacts with up to about 30 active neurons per contact
-#: fills it alone; a 3-neuron phase of 50 traversals fits in one block.
+#: (pairs x M x M) slots per block of a training phase, M its largest active count,
+#: whatever order each contact lists its ids in. A 64-neuron traversal of 20 contacts
+#: with about 30 active neurons per contact fills it; 50 3-neuron traversals fit in one.
 _SLOTS = 16384
 
 _NON_FINITE = "stdp_update requires finite weight and spike times"
@@ -124,11 +119,13 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     ``exp`` is libm's, through :func:`tempocode.rng._libm` (see the module
     docstring). Every window is at most 0, so no ``exp`` overflows. It runs
     in ``_CHUNK``-element chunks, which bounds its temporaries however large
-    the array is. A dt
-    of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for every w, as
-    :func:`stdp_update`'s no-op.
+    the array is. A dt of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for
+    every w, as :func:`stdp_update`'s no-op. Where every dt is positive, as
+    when no packets overlap, ``tau`` and the amplitude are scalars, not
+    per-element choices; the formula, and so every bit, is the same.
     """
-    potentiate = dt > 0.0
+    mixed = not dt.min(initial=math.inf) > 0.0
+    potentiate = dt > 0.0 if mixed else True
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
     with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is stdp_update's 0.0
         window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
@@ -137,20 +134,21 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
         chunk[:] = _libm(np.exp, chunk)
     # w - a*e == w + (-a*e) exactly.
     window *= np.where(potentiate, params.a_plus, -params.a_minus)
-    window[dt == 0.0] = -0.0
+    if mixed:
+        window[dt == 0.0] = -0.0
     return window
 
 
-def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, bounds: list[int], params: StdpParams) -> None:
+def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, sizes: np.ndarray, params: StdpParams) -> None:
     """STDP-update the C-contiguous ``weights`` in place over consecutive packet pairs, in pair order.
 
-    ``index`` and ``dt`` hold one entry per synapse to update, pair by pair
-    in scalar double-loop order: its flat index into ``weights`` and its
-    post minus pre spike time. Pair p owns the entries ``bounds[p]:bounds[p
-    + 1]`` and touches each synapse at most once. Without ``w_max`` the
-    pairs are applied by one ordered scatter-add, else one pair at a time,
-    clipped before the next pair reads them; see the module docstring. A
-    weight that overflows is left as ``inf`` for the caller's check.
+    ``index`` and ``dt`` hold one entry per synapse to update, pair by
+    pair: its flat index into ``weights`` and its post minus pre spike
+    time. Pair p owns the next ``sizes.flat[p]`` entries and touches each
+    synapse at most once. Without ``w_max`` the pairs are applied by one
+    ordered scatter-add, else one pair at a time, clipped before the next
+    pair reads them; see the module docstring. A weight that overflows is
+    left as ``inf`` for the caller's check.
     """
     increments = _increments(dt, params)
     flat = weights.reshape(-1)
@@ -158,6 +156,7 @@ def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, bounds: list[i
         with np.errstate(over="ignore"):  # an overflow raises once the phase is folded
             np.add.at(flat, index, increments)
         return
+    bounds = list(accumulate(sizes.ravel().tolist(), initial=0))
     for lo, hi in zip(bounds, bounds[1:]):
         synapses = index[lo:hi]
         with np.errstate(over="ignore"):  # the clip makes an overflowed sum exact, as in stdp_update
@@ -173,15 +172,16 @@ def _fold_traversals(
     ``weights`` is C-contiguous with finite entries, as the arrays of
     :meth:`WeightMatrix.zeros` and :meth:`WeightMatrix.copy` are. ``ids``
     and ``times`` are (traversals, contacts, M): each contact's active
-    neuron ids in ascending order and their global spike times, valid in
-    the first ``counts`` (traversals, contacts) slots and ignored past them.
+    neuron ids, in any order, and their global spike times, valid in the
+    first ``counts`` (traversals, contacts) slots and ignored past them.
     Ids must lie in [0, N). Blocks of whole traversals go to :func:`_fold`,
-    each within the ``_SLOTS`` budget. A non-finite spike time of a synapse
-    to update raises ``ValueError`` as :func:`stdp_update` does, before its
-    block writes; its times are read only if some dt is not finite, since
-    finite times far apart can overflow dt and only a non-finite time is an
-    error. A weight that overflowed in any block raises ``ValueError`` once
-    all are folded, naming the keys that bound the weights.
+    each within the ``_SLOTS`` budget and cut to its own largest count. A
+    non-finite spike time of a synapse to update raises ``ValueError`` as
+    :func:`stdp_update` does, before its block writes; its times are read
+    only if some dt is not finite, since finite times far apart can
+    overflow dt and only a non-finite time is an error. A weight that
+    overflowed in any block raises ``ValueError`` once all are folded,
+    naming the keys that bound the weights.
     """
     n_traversals, n_contacts, m = ids.shape
     if n_contacts < 2 or m == 0:
@@ -190,7 +190,9 @@ def _fold_traversals(
     step = max(1, _SLOTS // ((n_contacts - 1) * m * m))
     present = np.arange(m) < counts[..., None]
     for first in range(0, n_traversals, step):
-        block_ids, block_times, block_present = (a[first : first + step] for a in (ids, times, present))
+        sizes = counts[first : first + step]
+        width = sizes.max()
+        block_ids, block_times, block_present = (a[first : first + step, :, :width] for a in (ids, times, present))
         valid = block_present[:, :-1, :, None] & block_present[:, 1:, None, :]
         index = (block_ids[:, :-1, :, None] * n + block_ids[:, 1:, None, :])[valid]
         pre, post = block_times[:, :-1, :, None], block_times[:, 1:, None, :]
@@ -198,9 +200,7 @@ def _fold_traversals(
         synapse_times = (np.broadcast_to(t, valid.shape)[valid] for t in (pre, post))
         if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in synapse_times):
             raise ValueError(_NON_FINITE)
-        sizes = counts[first : first + step]
-        bounds = list(accumulate((sizes[:, :-1] * sizes[:, 1:]).ravel().tolist(), initial=0))
-        _fold(weights, index, dt, bounds, params)
+        _fold(weights, index, dt, sizes[:, :-1] * sizes[:, 1:], params)
     if not np.isfinite(weights).all():
         raise _WeightOverflow(_OVERFLOW)
 
@@ -238,12 +238,11 @@ def train_on_traversal(
     a weight that overflows raises its error and no matrix is returned.
     """
     out = w.copy()
-    for packet in packets:
-        _check_packet_ids(packet, out.n)
     counts = np.array([[len(packet) for packet in packets]], dtype=np.intp)
     ids = np.zeros((1, len(packets), counts.max(initial=0)), dtype=np.intp)
     times = np.zeros(ids.shape)
     for k, packet in enumerate(packets):
+        _check_packet_ids(packet, out.n)
         ids[0, k, : len(packet)], times[0, k, : len(packet)] = packet.id_time_arrays
     _fold_traversals(out.w, ids, times, counts, params)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -28,26 +28,28 @@ F_EDGE = (0.1, 0.2, 0.9)
 
 @dataclass(frozen=True)
 class SyntheticObject:
-    """An object as its canonical left-to-right contact sequence."""
+    """An object's canonical left-to-right contacts: the rows of its own read-only block :attr:`features`."""
 
     label: str
     contacts: tuple[np.ndarray, ...]
+    features: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.contacts:
             raise ValueError("synthetic object needs at least one contact")
         arrs = tuple(np.asarray(c, dtype=float) for c in self.contacts)
-        dim = arrs[0].size
-        for arr in arrs:
-            if arr.ndim != 1 or arr.size != dim:
-                raise ValueError("all contact vectors must share one dimensionality")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("contact vectors must be finite")
-        object.__setattr__(self, "contacts", arrs)
+        if any(arr.ndim != 1 or arr.size != arrs[0].size for arr in arrs):
+            raise ValueError("all contact vectors must share one dimensionality")
+        block = np.stack(arrs)
+        if not np.isfinite(block).all():
+            raise ValueError("contact vectors must be finite")
+        block.flags.writeable = False
+        object.__setattr__(self, "features", block)
+        object.__setattr__(self, "contacts", tuple(block))
 
     @property
     def n_neurons(self) -> int:
-        return self.contacts[0].size
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -71,13 +73,13 @@ def builtin_objects() -> list[SyntheticObject]:
     discrimination pair); uniform / moderate / complex vary how much of the
     sweep repeats (the memory-adaptation triple).
     """
-    s, c, e = np.array(F_SMOOTH), np.array(F_CURVED), np.array(F_EDGE)
+    s, c, e = F_SMOOTH, F_CURVED, F_EDGE
     return [
-        SyntheticObject("A", (s.copy(), c.copy(), e.copy())),
-        SyntheticObject("B", (e.copy(), c.copy(), s.copy())),
-        SyntheticObject("uniform", (s.copy(), s.copy(), s.copy())),
-        SyntheticObject("moderate", (s.copy(), c.copy(), s.copy())),
-        SyntheticObject("complex", (s.copy(), c.copy(), e.copy())),
+        SyntheticObject("A", (s, c, e)),
+        SyntheticObject("B", (e, c, s)),
+        SyntheticObject("uniform", (s, s, s)),
+        SyntheticObject("moderate", (s, c, s)),
+        SyntheticObject("complex", (s, c, e)),
     ]
 
 
@@ -96,30 +98,35 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
 
     Contact k happens at time k * inter_contact_interval with features
     canonical + sigma * stream.normal(k, component). Identical (object,
-    params, stream) always yields a bit-identical traversal.
+    params, stream) always yields a bit-identical traversal, on a
+    read-only (contacts, neurons) block.
 
     The whole traversal's noise is drawn as one
     :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the scalar
     ``stream.normal`` bit for bit (see :mod:`tempocode.rng` for the exactness
-    rule), and the noise is added elementwise, so each component is still
-    ``canonical + (sigma * z)`` rounded once per operation. A ``stream`` from
-    :meth:`~tempocode.rng.NoiseStream.children` gives the same traversal as
-    the lone stream it equals; the first traversal of a family draws the
-    uniforms of every sibling, so a run of trials pays the integer mixing
-    once.
+    rule). The grid is this call's own copy, so sigma scales it and the
+    object's block is added to it in place: each component is still
+    ``(sigma * z) + canonical``, rounded once per operation. A ``stream``
+    from :meth:`~tempocode.rng.NoiseStream.children` gives the same
+    traversal as the lone stream it equals; the first traversal of a family
+    draws the uniforms of every sibling, so a run of trials pays the integer
+    mixing once.
 
-    The noisy (contacts, neurons) block is checked once as a whole, and the
-    traversal is built on it without a per-contact check
-    (:meth:`Traversal._from_checked`). The times ``k * interval`` rise
-    strictly with ``k`` for a positive finite interval, so only the last can
-    fail, by overflow. A block or time that fails goes through the public
-    constructor, which raises its own error for the first bad contact.
+    The noisy block is checked once as a whole, and the traversal is built
+    on it without a per-contact check (:meth:`Traversal._from_checked`). The
+    times ``k * interval`` rise strictly with ``k`` for a positive finite
+    interval, so only the last can fail, by overflow. A block or time that
+    fails goes through the public constructor, which raises its own error
+    for the first bad contact.
     """
-    values = np.array(obj.contacts)
+    values = obj.features
     if params.noise_sigma > 0.0:
+        values = stream.normal_grid(*values.shape)
         # An overflow is not warned of: the public constructor below names the contact it spoils.
         with np.errstate(over="ignore"):
-            values += params.noise_sigma * stream.normal_grid(*values.shape)
+            values *= params.noise_sigma
+            values += obj.features
+        values.flags.writeable = False
     times = [k * params.inter_contact_interval for k in range(len(values))]
     if not (np.isfinite(values).all() and math.isfinite(times[-1])):
         return Traversal(tuple(zip(values, times)), label=obj.label)
@@ -170,9 +177,7 @@ def load_objects(path: str | Path) -> list[SyntheticObject]:
     for entry in data:
         if not isinstance(entry, dict) or set(entry) != {"label", "contacts"}:
             raise ValueError("each object needs exactly the keys 'label' and 'contacts'")
-        objects.append(
-            SyntheticObject(str(entry["label"]), tuple(np.asarray(c, dtype=float) for c in entry["contacts"]))
-        )
+        objects.append(SyntheticObject(str(entry["label"]), tuple(entry["contacts"])))
     require_one_dimensionality(objects)
     require_unique_labels(objects)
     return objects

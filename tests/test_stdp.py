@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from test_train_reference import _first_error
 from tempocode import rng, stdp
@@ -362,6 +364,14 @@ class TestIncrementsFollowMathExp:
         self.test_random_sample_with_zeros()
         self.test_edge_values()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_dt_gets_one_increment_in_any_block(self):
+        # An all-potentiating block takes scalar operands, a mixed one per-element operands: same bits.
+        dt = np.concatenate([np.random.default_rng(8).uniform(1e-6, 0.1, 3 * _CHUNK), [np.inf, 1.7e308]])
+        alone = stdp._increments(dt, self.PARAMS)
+        mixed = stdp._increments(np.concatenate([dt, [0.0, -0.0, -0.02, -np.inf]]), self.PARAMS)
+        assert alone.tobytes() == mixed[: dt.size].tobytes() == self._scalar(dt, self.PARAMS).tobytes()
+
     def test_pinned_bits(self, libm_route):
         # sha256 of a fixed sample's increments: a numpy or libm upgrade that moves any bit fails here.
         gen = SplitMix64(11)
@@ -415,6 +425,29 @@ class TestScatterAddFold:
         # A w_max that never binds takes the pair loop, which must give the scatter-add's bytes.
         clipped = self._assert_matches(values, traversals, dataclasses.replace(params, w_max=1e300))
         assert clipped.tobytes() == scattered.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spacing=st.sampled_from([0.005, 0.05]),
+        w_max=st.sampled_from([None, 0.05, 1e300]),
+        data=st.data(),
+    )
+    def test_the_slot_order_within_a_contact_leaves_every_byte(self, seed, spacing, w_max, data):
+        # A pair touches each synapse once, so each contact's (id, time) slots may come in any order.
+        # Packets 5 ms apart overlap (dt == 0 and dt < 0); 50 ms apart every dt is positive.
+        rnd = random.Random(seed)
+        traversals = [[_random_packet(rnd, 5, rnd.randint(1, 5), spacing * k) for k in range(4)] for _ in range(3)]
+        ids, times, counts = _phase_arrays(traversals)
+        shuffled_ids, shuffled_times = ids.copy(), times.copy()
+        for t, k in np.ndindex(counts.shape):
+            order = data.draw(st.permutations(range(counts[t, k])))
+            shuffled_ids[t, k, : len(order)], shuffled_times[t, k, : len(order)] = ids[t, k, order], times[t, k, order]
+        values = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.1, 0.1)]) for _ in range(5)] for _ in range(5)])
+        params = StdpParams(a_plus=0.3, a_minus=0.07, w_max=w_max)
+        weights = self._assert_matches(values, traversals, params)
+        stdp._fold_traversals(values, shuffled_ids, shuffled_times, counts, params)
+        assert values.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("synapse", [(2, 2), (3, 3), (1, 0)])

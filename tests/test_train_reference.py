@@ -92,8 +92,8 @@ def test_default_pair_matches_the_per_traversal_loop(monkeypatch):
 
 @pytest.mark.parametrize("threshold", [0.1, 0.0, -0.2])
 def test_the_block_encoder_gives_the_packets_of_encode(threshold):
-    # Ranks from a stable argsort of the negated activations, ids from a stable
-    # argsort of ~active, times as time + tau_base * (rank / n): encode's, bit for bit.
+    # Ids in firing order from a stable argsort of the negated activations, times as
+    # time + tau_base * (rank / n): encode's packet in by_time order, bit for bit.
     rnd = random.Random(17)
     levels = [threshold, -0.0, 0.0, 0.05, 0.3, 0.3, 0.9, -0.5]
     params = EncoderParams(tau_base=0.007, sparsity_threshold=threshold)
@@ -103,10 +103,12 @@ def test_the_block_encoder_gives_the_packets_of_encode(threshold):
         ids, spike_times, counts = _encode_block(block, times, params)
         for t in range(7):
             for k, time in enumerate(times):
-                ref_ids, ref_times = encode(block[t, k], params, arrival=time).id_time_arrays
+                packet = encode(block[t, k], params, arrival=time)
+                fired = packet.by_time()
                 c = counts[t, k]
-                assert ids[t, k, :c].tolist() == ref_ids.tolist()
-                assert spike_times[t, k, :c].tobytes() == ref_times.tobytes()
+                assert c == len(packet)
+                assert ids[t, k, :c].tolist() == [nid for nid, _ in fired]
+                assert spike_times[t, k, :c].tobytes() == np.array([time + offset for _, offset in fired]).tobytes()
 
 
 def _first_error(run):

@@ -52,6 +52,20 @@ class TestBuiltinObjects:
         with pytest.raises(ValueError):
             SyntheticObject("ragged", (np.array([0.1]), np.array([0.1, 0.2])))
 
+    def test_owns_its_contacts(self):
+        a, b = np.array([0.9, 0.2, 0.1]), np.array([0.1, 0.2, 0.9])
+        obj = SyntheticObject("x", (a, b))
+        a[0] = np.nan
+        assert obj.contacts[0].tolist() == [0.9, 0.2, 0.1]
+        assert obj.features.tolist() == [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]
+        for contact in (*obj.contacts, obj.features):
+            with pytest.raises(ValueError, match="read-only"):
+                contact[0] = 99.0
+        assert [c.tolist() for c in generate_traversal(obj, WorldParams(), NoiseStream(1)).features] == [
+            [0.9, 0.2, 0.1],
+            [0.1, 0.2, 0.9],
+        ]
+
 
 class TestGenerateTraversal:
     def test_zero_noise_is_canonical(self):
@@ -89,6 +103,16 @@ class TestGenerateTraversal:
             assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
         assert trav.features.tobytes() == public.features.tobytes() == values.tobytes()
         assert trav.feature_sum().tobytes() == public.feature_sum().tobytes()
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_contacts_are_read_only(self, sigma):
+        obj = discrimination_pair()[0]
+        trav = generate_traversal(obj, WorldParams(noise_sigma=sigma), NoiseStream(4, 0, 0, 2))
+        before = trav.features.tobytes()
+        for block in (trav.features, trav.contacts[0][0], obj.features):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 99.0
+        assert trav.features.tobytes() == before == np.stack([f for f, _ in trav.contacts]).tobytes()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_noise_still_raises_non_finite_activations(self):
