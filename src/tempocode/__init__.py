@@ -33,8 +33,8 @@ from .inference import (
     exploration_step,
 )
 from .latency import arrival_time, decode_displacement
-from .rng import NoiseStream, SplitMix64, derive_seed, mix64
-from .stdp import stdp_update, train_on_traversal
+from .rng import NoiseStream, derive_seed, mix64
+from .stdp import train_on_traversal
 from .types import (
     Displacement,
     LatencyParams,
@@ -71,7 +71,6 @@ __all__ = [
     "NoiseSweepReport",
     "ObjectModel",
     "SpikePacket",
-    "SplitMix64",
     "StdpParams",
     "StepDiagnostics",
     "SyntheticObject",
@@ -101,7 +100,6 @@ __all__ = [
     "run_discrimination",
     "run_lambda_convergence",
     "run_noise_sweep",
-    "stdp_update",
     "train_on_traversal",
     "wilson_interval",
 ]

@@ -406,7 +406,10 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
 
     Fewer than two objects are rejected: one object has nothing to be
     confused with, so every trial would be right and the report would
-    claim 100% for a task that tests nothing.
+    claim 100% for a task that tests nothing. So is an object of one
+    contact: it has no packet pair, so its model never trains, its trials
+    score +0.0 against every model, and the tie would go to whichever
+    object comes first.
     """
     if objects is not None:
         objects = list(objects)
@@ -422,6 +425,12 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
             f"discrimination needs at least two objects, got {len(objects)}: "
             "a lone object has nothing to be confused with and would always score 100%"
         )
+    for obj in objects:
+        if len(obj.contacts) < 2:
+            raise ValueError(
+                f"object {obj.label!r} has {len(obj.contacts)} contact: discrimination needs at least two per object, "
+                "since one contact gives no packet pair to train or score"
+            )
     return objects
 
 
@@ -550,7 +559,7 @@ def run_lambda_convergence(config: Config | None = None, *, seed: int | None = N
     names = ("uniform", "moderate", "complex")
     bases = (sched.uniform, sched.moderate, sched.complex)
     state = EvidenceState(len(names), cfg.accumulator.initial_lambda, sched.alpha)
-    # Row c, step t is NoiseStream(seed, _LAMBDA_DOMAIN, c).normal(t), drawn as one array per object.
+    # Row c, step t is the stream (seed, _LAMBDA_DOMAIN, c)'s normal t, drawn as one array per object.
     draws = [NoiseStream(seed, _LAMBDA_DOMAIN, c).normal_vector(steps).tolist() for c in range(len(names))]
     trajectories: dict[str, list[float]] = {name: [] for name in names}
     for t in range(steps):

@@ -11,17 +11,18 @@ Gaussians come from the Box-Muller transform applied to the SplitMix64
 uniform stream (cosine branch only, one gaussian per substream).
 
 Because the scheme is addressed by index, :meth:`NoiseStream.normal_grid`
-draws a whole grid of substreams in one array pass and gives the same bits
-as calling :meth:`NoiseStream.normal` per element, which stays as the scalar
-reference. The exactness rule that makes this hold: the SplitMix64 integer
-mixing runs in numpy ``uint64``, where wrapping multiply, xor and shift are
-exact; only correctly rounded float operations (``+ - * /`` and ``sqrt``)
-run in numpy otherwise; the scalar and array paths share one Box-Muller
-transform, which works through its input in chunks of about 4k elements;
-and ``log`` and ``cos`` are the C library's, through :func:`_libm`, the one
-route this package takes to libm (STDP's ``exp`` takes it too). numpy's
-float64 transcendentals are its own SIMD kernels, chosen per CPU, and
-differ from libm in the last bit on some inputs. But a float64 ``log``,
+draws a whole grid of substreams in one array pass, with the bits of the
+scalar definition: one SplitMix64 stream and one Box-Muller transform per
+index tuple, in Python ints and floats, as ``tests/oracle.py`` writes it
+out and the tests compare. The exactness rule that makes this hold: the
+SplitMix64 integer mixing runs in numpy ``uint64``, where wrapping
+multiply, xor and shift are exact; only correctly rounded float operations
+(``+ - * /`` and ``sqrt``) run in numpy otherwise; one Box-Muller transform
+serves every draw, and works through its input in chunks of about 4k
+elements; and ``log`` and ``cos`` are the C library's, through
+:func:`_libm`, the one route this package takes to libm (STDP's ``exp``
+takes it too). numpy's float64 transcendentals are its own SIMD kernels,
+chosen per CPU, and differ from libm in the last bit on some inputs. But a float64 ``log``,
 ``exp`` or ``cos`` whose output starts one element before its input
 (``ufunc(buf[1:], out=buf[:-1])``) stands its vector kernel aside and runs
 numpy's scalar loop, which calls libm once per element, in C. A
@@ -30,9 +31,9 @@ after every input makes each call overlap, whatever its size. The first
 call in a process probes the route against :mod:`math` on fixed inputs;
 if any bit differs, as on a numpy build whose vector kernels accept the
 overlap, every later call takes :mod:`math` per element instead.
-:meth:`NoiseStream.normal_vector` is the one-index form, ``[t] == normal(t)``,
-with which the lambda experiment draws each object's whole error
-trajectory at once.
+:meth:`NoiseStream.normal_vector` is the one-index form, whose ``[t]`` is the
+draw at index ``t``, with which the lambda experiment draws each object's
+whole error trajectory at once.
 
 :meth:`NoiseStream.children` extends this across sibling streams: child
 ``t`` is ``NoiseStream(seed, *prefix, t)``, and the first ``normal_grid``
@@ -109,7 +110,7 @@ def _mix64_u64(z: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
 
 
 def _unit_floats(u64: np.ndarray) -> np.ndarray:
-    """:meth:`SplitMix64.next_float` over a ``uint64`` array (exact: 53 bits).
+    """A SplitMix64 output's double in [0, 1), its top 53 bits, over a ``uint64`` array (exact).
 
     Shifts ``u64`` in place.
     """
@@ -127,7 +128,7 @@ def _child_seeds(parent: int, n: int) -> np.ndarray:
 
 
 def _seeded_uniforms(states: np.ndarray) -> np.ndarray:
-    """The first two ``next_float`` draws of the streams seeded by ``states[0]``.
+    """The first two uniforms of the SplitMix64 streams seeded by ``states[0]``.
 
     ``states`` has shape ``(2, ...)`` and is overwritten.
     """
@@ -143,7 +144,7 @@ def _seeded_uniforms(states: np.ndarray) -> np.ndarray:
 def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
     """The ``(2, members, rows, cols)`` uniforms behind every member's ``normal_grid``.
 
-    ``[:, m, k, c]`` are the two ``next_float`` draws of the stream seeded
+    ``[:, m, k, c]`` are the first two uniforms of the stream seeded
     by ``derive_seed(member_seeds[m], k, c)``. A row and a column index hash
     to the same ``mix64(index + 1)``, so one key array serves both.
     """
@@ -183,9 +184,9 @@ def _per_element(ufunc, values: np.ndarray) -> np.ndarray:
 def _probe(route) -> bool:
     """Whether ``route(ufunc, values)`` gives :mod:`math`'s bits on fixed inputs.
 
-    The inputs are the first ``_PROBE_SIZE`` uniforms ``u`` of ``SplitMix64(0)``,
-    taken as ``log(u)``, ``exp(-745 u)`` (down to libm's subnormal results)
-    and ``cos(2 pi u)``.
+    The inputs are the first ``_PROBE_SIZE`` uniforms ``u`` of the SplitMix64
+    stream over seed 0 (``tests/oracle.py``), taken as ``log(u)``,
+    ``exp(-745 u)`` (down to libm's subnormal results) and ``cos(2 pi u)``.
     """
     u = _unit_floats(_mix64_u64(np.arange(1, _PROBE_SIZE + 1, dtype=np.uint64) * _GOLDEN_U64))
     cases = ((np.log, u), (np.exp, -745.0 * u), (np.cos, _TWO_PI * u))
@@ -213,9 +214,10 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     A zero ``u1`` is replaced by 2**-53 so the logarithm stays finite.
     ``log`` and ``cos`` come from :func:`_libm`. ``-2.0 *``, ``sqrt``,
     ``2 pi *`` and the product run in numpy, where each is correctly
-    rounded, so every value equals the scalar formula's. The work runs in
-    chunks of ``_CHUNK`` elements to bound the temporary arrays it needs.
-    The scalar and the array paths both come through here.
+    rounded, so every value equals the scalar formula's, as
+    ``tests/oracle.py`` writes it. The work runs in chunks of ``_CHUNK``
+    elements to bound the temporary arrays it needs. Every draw of the
+    package comes through here.
     """
     u1s = np.asarray(u1s, dtype=float)
     u2s = np.asarray(u2s, dtype=float)
@@ -240,27 +242,6 @@ def derive_seed(seed: int, *indices: int) -> int:
     for ix in indices:
         h = mix64(h ^ mix64((int(ix) + 1) & _MASK64))
     return h
-
-
-class SplitMix64:
-    """Sequential SplitMix64 stream over a given seed."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return mix64(self._state)
-
-    def next_float(self) -> float:
-        """Uniform double in [0, 1) using the top 53 bits."""
-        return (self.next_u64() >> 11) * _TWO_POW_NEG53
-
-    def next_gauss(self) -> float:
-        """Standard normal via Box-Muller (cosine branch)."""
-        u1 = self.next_float()
-        u2 = self.next_float()
-        return float(_box_muller((u1,), (u2,))[0])
 
 
 class _Family:
@@ -289,10 +270,11 @@ class _Family:
 class NoiseStream:
     """Family of independent gaussian substreams below a common prefix.
 
-    ``NoiseStream(seed, phase, obj, trial).normal(contact, component)`` draws
-    the one standard-normal value owned by that full index tuple. Each draw
-    reseeds from the hashed indices, so the scheme is counter-based: values
-    do not depend on call order, and disjoint prefixes never share state.
+    ``NoiseStream(seed, phase, obj, trial).normal_grid(contacts, components)[k, c]``
+    is the one standard-normal value owned by the full index tuple
+    ``(seed, phase, obj, trial, k, c)``. Each draw reseeds from the hashed
+    indices, so the scheme is counter-based: values do not depend on call
+    order, and disjoint prefixes never share state.
     """
 
     def __init__(self, seed: int, *prefix: int):
@@ -314,17 +296,14 @@ class NoiseStream:
             kids.append(child)
         return kids
 
-    def normal(self, *indices: int) -> float:
-        return SplitMix64(derive_seed(self._seed, *indices)).next_gauss()
-
     def normal_vector(self, count: int) -> np.ndarray:
-        """The length-``count`` array whose ``[t]`` is ``normal(t)``, bit for bit."""
+        """The length-``count`` array whose ``[t]`` is the draw at index ``t``."""
         states = np.empty((2, count), dtype=np.uint64)
         states[0] = _child_seeds(mix64(self._seed), count)
         return _box_muller(*_seeded_uniforms(states))
 
     def normal_grid(self, rows: int, cols: int) -> np.ndarray:
-        """The ``(rows, cols)`` array whose ``[k, c]`` is ``normal(k, c)``, bit for bit.
+        """The ``(rows, cols)`` array whose ``[k, c]`` is the draw at indices ``(k, c)``.
 
         A lone stream is a family of one; a child copies its slice of the
         normals its family draws for all members at once.

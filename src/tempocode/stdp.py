@@ -33,7 +33,7 @@ checked once per phase, after its last block: a weight that overflowed
 raises one ``ValueError`` that names the keys bounding it
 (``stdp.a_plus``, ``stdp.a_minus``, ``stdp.w_max``), and no matrix holding
 it is returned or scored. Under ``w_max`` a sum that overflows clips to
-``w_max``, as in :func:`stdp_update`, so no weight is left non-finite.
+``w_max``, as the scalar rule's does, so no weight is left non-finite.
 
 One fold builder feeds them. :func:`_fold_traversals` takes padded arrays:
 for each contact of each traversal, the active ids, in any order, and
@@ -51,13 +51,14 @@ block; and :func:`apply_packet_pair` is a two-packet
 only writer of weights: the inference loop of :mod:`tempocode.inference`
 scores against frozen models and learns nothing.
 
-The exactness rule: ``exp`` is the C library's, as :func:`stdp_update`
-takes it from :mod:`math`, through :func:`tempocode.rng._libm`, the
-package's one route to libm (see :mod:`tempocode.rng`). The only numpy
-float operations used otherwise are correctly rounded ones (``+ - * /``,
-``minimum``/``maximum``), and the fold gives each synapse one rounded
-update per pair. Every updated synapse therefore ends bit-identical to
-:func:`stdp_update`, the scalar reference, applied pair after pair.
+The exactness rule: ``exp`` is the C library's, as :mod:`math` gives it,
+through :func:`tempocode.rng._libm`, the package's one route to libm (see
+:mod:`tempocode.rng`). The only numpy float operations used otherwise are
+correctly rounded ones (``+ - * /``, ``minimum``/``maximum``), and the fold
+gives each synapse one rounded update per pair. Every updated synapse
+therefore ends bit-identical to the pairwise rule above applied in Python
+floats, synapse by synapse and pair after pair, as ``tests/oracle.py``
+writes it out and the tests compare.
 """
 
 from __future__ import annotations
@@ -76,29 +77,12 @@ from .types import SpikePacket, StdpParams, WeightMatrix
 #: with about 30 active neurons per contact fills it; 50 3-neuron traversals fit in one.
 _SLOTS = 16384
 
-_NON_FINITE = "stdp_update requires finite weight and spike times"
+_NON_FINITE = "STDP training requires finite spike times"
 _OVERFLOW = "STDP weights overflowed: lower stdp.a_plus or stdp.a_minus, or set stdp.w_max to clip them"
 
 
 class _WeightOverflow(ValueError):
     """A weight that overflowed in training, so that a caller can name its object."""
-
-
-def stdp_update(w: float, pre_time: float, post_time: float, params: StdpParams = StdpParams()) -> float:
-    """Apply the pairwise STDP rule to a single weight."""
-    w = float(w)
-    pre_time = float(pre_time)
-    post_time = float(post_time)
-    if not (math.isfinite(w) and math.isfinite(pre_time) and math.isfinite(post_time)):
-        raise ValueError(_NON_FINITE)
-    dt = post_time - pre_time
-    if dt > 0.0:
-        w = w + params.a_plus * math.exp(-dt / params.tau_plus)
-    elif dt < 0.0:
-        w = w - params.a_minus * math.exp(dt / params.tau_minus)
-    if params.w_max is not None:
-        w = min(max(w, -params.w_max), params.w_max)
-    return w
 
 
 def _check_packet_ids(packet: SpikePacket, n: int) -> None:
@@ -120,14 +104,15 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     docstring). Every window is at most 0, so no ``exp`` overflows. It runs
     in ``_CHUNK``-element chunks, which bounds its temporaries however large
     the array is. A dt of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for
-    every w, as :func:`stdp_update`'s no-op. Where every dt is positive, as
+    every w, the pairwise rule's no-op. Where every dt is positive, as
     when no packets overlap, ``tau`` and the amplitude are scalars, not
-    per-element choices; the formula, and so every bit, is the same.
+    per-element choices; the formula, and so every bit, is the same. Each
+    element is ``increment(dt)`` of ``tests/oracle.py``.
     """
     mixed = not dt.min(initial=math.inf) > 0.0
     potentiate = dt > 0.0 if mixed else True
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
-    with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is stdp_update's 0.0
+    with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is the scalar rule's 0.0
         window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
     for start in range(0, window.size, _CHUNK):
         chunk = window[start : start + _CHUNK]
@@ -147,8 +132,9 @@ def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, sizes: np.ndar
     time. Pair p owns the next ``sizes.flat[p]`` entries and touches each
     synapse at most once. Without ``w_max`` the pairs are applied by one
     ordered scatter-add, else one pair at a time, clipped before the next
-    pair reads them; see the module docstring. A weight that overflows is
-    left as ``inf`` for the caller's check.
+    pair reads them; see the module docstring. Either way each synapse ends
+    as ``tests/oracle.py``'s pair loop leaves it. A weight that overflows
+    is left as ``inf`` for the caller's check.
     """
     increments = _increments(dt, params)
     flat = weights.reshape(-1)
@@ -159,7 +145,7 @@ def _fold(weights: np.ndarray, index: np.ndarray, dt: np.ndarray, sizes: np.ndar
     bounds = list(accumulate(sizes.ravel().tolist(), initial=0))
     for lo, hi in zip(bounds, bounds[1:]):
         synapses = index[lo:hi]
-        with np.errstate(over="ignore"):  # the clip makes an overflowed sum exact, as in stdp_update
+        with np.errstate(over="ignore"):  # the clip makes an overflowed sum exact, as in the scalar rule
             new = flat.take(synapses) + increments[lo:hi]
         flat.put(synapses, np.minimum(np.maximum(new, -params.w_max), params.w_max))
 
@@ -176,12 +162,12 @@ def _fold_traversals(
     first ``counts`` (traversals, contacts) slots and ignored past them.
     Ids must lie in [0, N). Blocks of whole traversals go to :func:`_fold`,
     each within the ``_SLOTS`` budget and cut to its own largest count. A
-    non-finite spike time of a synapse to update raises ``ValueError`` as
-    :func:`stdp_update` does, before its block writes; its times are read
-    only if some dt is not finite, since finite times far apart can
-    overflow dt and only a non-finite time is an error. A weight that
-    overflowed in any block raises ``ValueError`` once all are folded,
-    naming the keys that bound the weights.
+    non-finite spike time of a synapse to update raises ``ValueError``, as
+    the scalar rule of ``tests/oracle.py`` rejects it, before its block
+    writes; its times are read only if some dt is not finite, since finite
+    times far apart can overflow dt and only a non-finite time is an
+    error. A weight that overflowed in any block raises ``ValueError``
+    once all are folded, naming the keys that bound the weights.
     """
     n_traversals, n_contacts, m = ids.shape
     if n_contacts < 2 or m == 0:
@@ -216,10 +202,10 @@ def apply_packet_pair(
     A neuron active in both packets updates its own diagonal entry like any
     other synapse. The pair is trained as a two-packet traversal by
     :func:`train_on_traversal` and written back into ``weights``, whatever
-    its memory layout, so every updated synapse ends bit-identical to
-    :func:`stdp_update` applied to it. ``weights`` must be a valid
-    :class:`WeightMatrix` array, finite throughout; a call that raises
-    leaves it as it was.
+    its memory layout, so every updated synapse ends bit-identical to the
+    scalar rule applied to it (``tests/oracle.py``). ``weights`` must be a
+    valid :class:`WeightMatrix` array, finite throughout; a call that
+    raises leaves it as it was.
     """
     weights[...] = train_on_traversal(WeightMatrix(weights), (prev_packet, cur_packet), params).w
 

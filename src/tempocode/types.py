@@ -10,7 +10,7 @@ in ascending neuron-id order so downstream sums are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator
 
@@ -229,7 +229,10 @@ class Traversal:
     exceed the encoder's packet span (so packets never overlap) depends on
     the encoder in use and is enforced at packetization time.
 
-    The public constructor checks every contact.
+    The contact vectors are the rows of :attr:`features`, one read-only
+    (contacts, neurons) block the traversal owns, so no caller's array can
+    change a traversal once it is validated. The public constructor checks
+    every contact and copies them into that block.
     :func:`tempocode.world.generate_traversal` builds its traversals through
     :meth:`_from_checked` instead, which trusts a block it has checked once.
     """
@@ -237,9 +240,10 @@ class Traversal:
     contacts: tuple[tuple[np.ndarray, float], ...]
     motor_direction: float = 0.0
     label: str = ""
+    features: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        checked = []
+        rows, times = [], []
         dim = None
         prev_time = None
         for features, t in self.contacts:
@@ -254,10 +258,14 @@ class Traversal:
             if prev_time is not None and t <= prev_time:
                 raise ValueError(f"contact times must be strictly increasing: {prev_time} -> {t}")
             prev_time = t
-            checked.append((arr, t))
+            rows.append(arr)
+            times.append(t)
         if not math.isfinite(float(self.motor_direction)):
             raise ValueError("motor direction must be finite")
-        object.__setattr__(self, "contacts", tuple(checked))
+        block = np.array(rows) if rows else np.empty((0, 0))
+        block.flags.writeable = False
+        object.__setattr__(self, "features", block)
+        object.__setattr__(self, "contacts", tuple(zip(block, times)))
         object.__setattr__(self, "motor_direction", float(self.motor_direction))
 
     @classmethod
@@ -274,15 +282,6 @@ class Traversal:
         object.__setattr__(traversal, "label", label)
         object.__setattr__(traversal, "features", features)
         return traversal
-
-    @cached_property
-    def features(self) -> np.ndarray:
-        """The contact vectors as one (contacts, neurons) array.
-
-        Built on first use and kept outside the dataclass fields, like
-        :attr:`SpikePacket.id_time_arrays`.
-        """
-        return np.stack([f for f, _ in self.contacts])
 
     def __len__(self) -> int:
         return len(self.contacts)

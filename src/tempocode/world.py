@@ -97,16 +97,17 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     """One left-to-right traversal of ``obj`` with per-component sensor noise.
 
     Contact k happens at time k * inter_contact_interval with features
-    canonical + sigma * stream.normal(k, component). Identical (object,
-    params, stream) always yields a bit-identical traversal, on a
-    read-only (contacts, neurons) block.
+    canonical + sigma * z, z the stream's draw at (k, component).
+    Identical (object, params, stream) always yields a bit-identical
+    traversal, on a read-only (contacts, neurons) block.
 
     The whole traversal's noise is drawn as one
-    :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the scalar
-    ``stream.normal`` bit for bit (see :mod:`tempocode.rng` for the exactness
-    rule). The grid is this call's own copy, so sigma scales it and the
-    object's block is added to it in place: each component is still
-    ``(sigma * z) + canonical``, rounded once per operation. A ``stream``
+    :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the
+    scalar definition in ``tests/oracle.py`` bit for bit (see
+    :mod:`tempocode.rng` for the exactness rule). The grid is this call's
+    own copy, so sigma scales it and the object's block is added to it in
+    place: each component is still ``(sigma * z) + canonical``, rounded
+    once per operation. A ``stream``
     from :meth:`~tempocode.rng.NoiseStream.children` gives the same
     traversal as the lone stream it equals; the first traversal of a family
     draws the uniforms of every sibling, so a run of trials pays the integer

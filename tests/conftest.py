@@ -1,8 +1,14 @@
 """Shared test set-up."""
 
 import pytest
+from hypothesis import settings
 
 from tempocode import rng
+
+# Every run draws the same examples, so a failure reproduces from its test id alone;
+# a test's own max_examples and deadline still apply.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(autouse=True)

@@ -19,8 +19,8 @@ from tempocode.evidence import EvidenceState
 from tempocode.experiments import run_discrimination, run_lambda_convergence, run_noise_sweep
 from tempocode.latency import arrival_time, decode_displacement
 from tempocode.rng import NoiseStream
-from tempocode.stdp import stdp_update
-from tempocode.types import LatencyParams, Traversal
+from tempocode.stdp import train_on_traversal
+from tempocode.types import LatencyParams, SpikePacket, Traversal, WeightMatrix
 from tempocode.world import WorldParams, discrimination_pair, generate_traversal
 from tempocode.encoding import encode_traversal
 
@@ -122,17 +122,23 @@ def test_criterion_5_encoder_unit_vector():
     _criterion(5, ok, f"spikes={packet.by_time()}, neuron 2 silent")
 
 
+def _weight_change(pre_time, post_time):
+    """Synapse 0 -> 1 after one pair of one-spike packets at these times, from a zero matrix."""
+    packets = [SpikePacket({0: 0.0}, arrival=pre_time), SpikePacket({1: 0.0}, arrival=post_time)]
+    return float(train_on_traversal(WeightMatrix.zeros(2), packets).w[0, 1])
+
+
 def test_criterion_6_stdp_window():
     a, tau = 0.01, 0.020
-    at_tau = stdp_update(0.0, 0.0, tau)
+    at_tau = _weight_change(0.0, tau)
     value_ok = abs(at_tau - a * math.exp(-1.0)) <= 1e-12
     anti_ok = True
     decay_ok = True
     prev_mag = None
     for i in range(1, 51):
         dt = i * 0.1 * tau
-        up = stdp_update(0.0, 0.0, dt)
-        down = stdp_update(0.0, dt, 0.0)
+        up = _weight_change(0.0, dt)
+        down = _weight_change(dt, 0.0)
         anti_ok = anti_ok and up == -down
         if prev_mag is not None:
             decay_ok = decay_ok and abs(up) < prev_mag

@@ -299,6 +299,20 @@ class TestExitCodesMeanWhatTheySay:
         code, _, _ = _run(capsys, ["lambda-converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 0
 
+    def test_one_contact_object_file_exit_2(self, capsys, tmp_path):
+        objects = tmp_path / "objects.json"
+        objects.write_text(json.dumps([
+            {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]},
+            {"label": "B", "contacts": [[0.1, 0.2, 0.9]]},
+        ]))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
+        for command in ("discriminate", "noise-sweep"):
+            code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+            assert (code, out) == (2, "")
+            assert "config error: world.objects: object 'B' has 1 contact" in err
+        assert not (tmp_path / "out").exists()
+
     def test_zero_n_train_exit_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"experiment": {"n_train": 0}}))

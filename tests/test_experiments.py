@@ -3,14 +3,19 @@
 import dataclasses
 import json
 import math
+import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import oracle
+from test_stdp import _packet
 from tempocode import stdp
 from tempocode.config import Config, config_from_dict
 from tempocode.experiments import (
     _pathway_scores,
+    _train,
     classify_temporal,
     run_discrimination,
     run_lambda_convergence,
@@ -19,7 +24,7 @@ from tempocode.experiments import (
 )
 from tempocode.inference import ObjectModel, left_sum
 from tempocode.types import SpikePacket, WeightMatrix
-from tempocode.world import SyntheticObject, discrimination_pair, load_objects
+from tempocode.world import F_CURVED, F_EDGE, F_SMOOTH, SyntheticObject, WorldParams, discrimination_pair, load_objects
 
 
 def _small_config(**experiment_overrides) -> Config:
@@ -29,18 +34,8 @@ def _small_config(**experiment_overrides) -> Config:
 
 
 def _leading_pair_scores(packets, models) -> list[float]:
-    """Reference: each model's w[prev.first_neuron(), cur.first_neuron()], folded left from 0.0.
-
-    A pair with an empty packet adds nothing.
-    """
-    scores = []
-    for model in models:
-        total = 0.0
-        for prev, cur in zip(packets, packets[1:]):
-            if prev and cur:
-                total += float(model.weights.w[prev.first_neuron(), cur.first_neuron()])
-        scores.append(total)
-    return scores
+    """The oracle's scores: each model's weights on the leading pairs, folded left from 0.0."""
+    return [oracle.leading_score(model.weights.w.tolist(), [_packet(p) for p in packets]) for model in models]
 
 
 class TestWilsonInterval:
@@ -168,6 +163,17 @@ class TestDiscrimination:
             with pytest.raises(ValueError, match=f"at least two objects, got {count}: a lone object"):
                 run(cfg, seed=1, objects=objects)
 
+    @pytest.mark.parametrize("order", ["one first", "three first"])
+    def test_rejects_a_one_contact_object_in_either_order(self, order):
+        # A one-contact object never trains: its trials scored +0.0 against every model and the
+        # tie went to model 0, so [one, three] reported 100% / 100% and [three, one] 100% / 0%.
+        one, three = SyntheticObject("one", (F_SMOOTH,)), SyntheticObject("three", (F_SMOOTH, F_CURVED, F_EDGE))
+        objects = [one, three] if order == "one first" else [three, one]
+        cfg = _small_config(n_train=10, n_test=50)
+        for run in (run_discrimination, run_noise_sweep):
+            with pytest.raises(ValueError, match="object 'one' has 1 contact: discrimination needs at least two"):
+                run(cfg, seed=1, objects=objects)
+
     @pytest.mark.parametrize("as_list", [False, True])
     def test_rejects_a_one_object_file_that_load_objects_reads(self, tmp_path, as_list):
         obj = discrimination_pair()[0]
@@ -245,6 +251,32 @@ class TestDiscrimination:
         assert [r.label for r in report.per_object] == ["A", "B"]
         assert all(r.n_test == 8 for r in report.per_object)
         assert report.overall.n_test == 16
+
+
+def _sparse_objects(seed, n_objects, n_neurons=64, n_contacts=20, driven=24):
+    rnd = random.Random(seed)
+    shared = []
+    for _ in range(n_contacts):
+        vec = np.zeros(n_neurons)
+        vec[rnd.sample(range(n_neurons), driven)] = [0.3 + 0.7 * rnd.random() for _ in range(driven)]
+        shared.append(vec)
+    return [SyntheticObject(f"p{o}", tuple(rnd.sample(shared, n_contacts))) for o in range(n_objects)]
+
+
+@pytest.mark.parametrize("driven", [24, 64])
+def test_the_training_working_set_stays_bounded(driven):
+    # A dense (traversals, pairs, N, N) increment block of this phase alone takes 6.2 MB.
+    cfg = _small_config(n_train=10)
+    world = WorldParams(noise_sigma=0.1, inter_contact_interval=cfg.world.inter_contact_interval)
+    objs = _sparse_objects(5, 1, driven=driven)
+    _train(cfg, 1, world, objs)
+    tracemalloc.start()
+    try:
+        _train(cfg, 1, world, objs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
 
 
 class TestNoiseSweep:

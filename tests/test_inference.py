@@ -10,6 +10,9 @@ import re
 import numpy as np
 import pytest
 
+import oracle
+from test_oracle import _models, _readings
+from test_stdp import _packet
 from tempocode.encoding import EncoderParams, encode
 from tempocode.evidence import EvidenceState
 from tempocode.inference import (
@@ -22,7 +25,7 @@ from tempocode.inference import (
     log_likelihoods_from_scores,
 )
 from tempocode.latency import arrival_time
-from tempocode.stdp import train_on_traversal
+from tempocode.stdp import apply_packet_pair, train_on_traversal
 from tempocode.types import SpikePacket, WeightMatrix
 from tempocode.world import discrimination_pair
 
@@ -74,41 +77,14 @@ class TestAlignmentScore:
         score_ab = sum(alignment_score(p, q, model_b) for p, q in zip(packets_a, packets_a[1:]))
         assert score_aa > score_ab
 
-    def test_out_of_range_ids_rejected(self):
-        prev = SpikePacket({7: 0.0}, arrival=0.0)
-        cur = SpikePacket({0: 0.0}, arrival=0.020)
-        with pytest.raises(ValueError):
-            alignment_score(prev, cur, _zero_model())
-
 
 def _alignment_reference(prev, cur, model):
-    """The scalar definition: causal pairs' weights added left to right from 0.0."""
-    score = 0.0
-    for i, t_pre in prev.items():
-        for j, t_post in cur.items():
-            if prev.arrival + t_pre < cur.arrival + t_post:
-                score += model.weights.w[i, j]
-    return score
+    """The oracle's score: causal pairs' weights added in (pre, post) order from 0.0."""
+    return oracle.causal_score(model.weights.w.tolist(), _packet(prev), _packet(cur))
 
 
 class TestAlignmentScoreMatchesScalarLoop:
-    """The masked gather against the double loop, compared as bytes."""
-
-    def test_random_overlapping_packets(self):
-        rnd = random.Random(7)
-        n = 24
-        for case in range(200):
-            prev_ids, cur_ids = rnd.sample(range(n), rnd.randint(1, 16)), rnd.sample(range(n), rnd.randint(1, 16))
-            prev = SpikePacket({nid: 0.001 * k for k, nid in enumerate(prev_ids)}, arrival=0.0)
-            arrival = rnd.choice([0.0, 0.004, 0.020])
-            cur = SpikePacket({nid: 0.001 * k for k, nid in enumerate(cur_ids)}, arrival=arrival)
-            # magnitudes far apart make any other summation order show in the bits
-            choices = [-0.0, 1e16, -1e16, 1.0]
-            w = np.array([[rnd.choice(choices + [rnd.uniform(-1, 1)]) for _ in range(n)] for _ in range(n)])
-            model = ObjectModel("m", WeightMatrix(w))
-            got = alignment_score(prev, cur, model)
-            expected = _alignment_reference(prev, cur, model)
-            assert np.float64(got).tobytes() == np.float64(expected).tobytes(), f"case {case}"
+    """The masked gather against the oracle's double loop, compared as bytes (``test_oracle`` draws the rest)."""
 
     def test_non_causal_pairs_and_negative_zero(self):
         prev = SpikePacket({0: 0.0, 1: 0.009}, arrival=0.0)
@@ -127,31 +103,6 @@ def _bytes(values):
 
 class TestAlignmentScoresMatchScalarLoop:
     """One packet-pair block scored against many models, compared as bytes."""
-
-    def test_random_pairs_and_model_counts(self):
-        rnd = random.Random(11)
-        n = 24
-        choices = [-0.0, 1e16, -1e16, 1.0]
-        empties = 0
-        for case in range(200):
-            packets = []
-            for arrival in (0.0, rnd.choice([0.0, 0.004, 0.020])):
-                ids = rnd.sample(range(n), rnd.randint(0, 16))
-                packets.append(SpikePacket({nid: 0.001 * k for k, nid in enumerate(ids)}, arrival=arrival))
-            prev, cur = packets
-            empties += not (prev and cur)
-            models = [
-                ObjectModel(str(k), WeightMatrix(np.array(
-                    [[rnd.choice(choices + [rnd.uniform(-1, 1)]) for _ in range(n)] for _ in range(n)]
-                )))
-                for k in range(rnd.randint(1, 8))
-            ]
-            got = alignment_scores(prev, cur, models)
-            assert isinstance(got, list) and len(got) == len(models)
-            expected = [_alignment_reference(prev, cur, m) for m in models]
-            assert _bytes(got) == _bytes(expected), f"case {case}"
-            assert _bytes(got) == _bytes([alignment_score(prev, cur, m) for m in models]), f"case {case}"
-        assert empties > 0
 
     def test_missing_packets_and_no_models(self):
         models = [_single_weight_model(0, 1, 0.3), _zero_model()]
@@ -172,21 +123,44 @@ class TestAlignmentScoresMatchScalarLoop:
         with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
             alignment_scores(prev, SpikePacket({3: 0.0}, arrival=0.020), [large, small])
 
-    def test_exploration_step_scores_every_model_alike(self):
-        rnd = random.Random(5)
-        n = 16
-        models = [
-            ObjectModel(str(k), WeightMatrix(np.array([[rnd.uniform(-1, 1) for _ in range(n)] for _ in range(n)])))
-            for k in range(5)
-        ]
-        state = LoopState(models=models)
-        for step in range(40):
-            reading = [rnd.choice([0.0, 0.5, rnd.uniform(-0.2, 1.0)]) for _ in range(n)]
+
+class TestWeightStack:
+    """The loop reads the models' weights once, into one read-only stack."""
+
+    def _state(self):
+        models = _models(random.Random(3), 5, 3)
+        originals = [ObjectModel(m.label, m.weights.copy()) for m in models]
+        return LoopState(models=models), originals
+
+    def test_the_stack_holds_each_model_row_major_and_is_read_only(self):
+        state, originals = self._state()
+        assert state.weight_stack.shape == (3, 25)
+        assert state.weight_stack.tobytes() == np.stack([m.weights.w.ravel() for m in originals]).tobytes()
+        assert not state.weight_stack.flags.writeable
+        with pytest.raises(ValueError):
+            state.weight_stack[0, 0] = 1.0
+
+    def test_later_changes_to_a_model_do_not_reach_the_loop(self):
+        state, originals = self._state()
+        for model in state.models:
+            model.weights.w[:] = 7.0
+        rnd = random.Random(4)
+        for step, reading in enumerate(_readings(rnd, 5, 20)):
             prev = state.prev_packet
             _, diag = exploration_step(state, reading)
-            cur = state.prev_packet
-            expected = [alignment_score(prev, cur, m) for m in models]
-            assert _bytes(diag.scores) == _bytes(expected), f"step {step}"
+            assert _bytes(diag.scores) == _bytes(alignment_scores(prev, state.prev_packet, originals)), f"step {step}"
+
+    def test_learning_into_a_model_matrix_scores_the_matrix_as_it_was(self):
+        state, originals = self._state()
+        rnd = random.Random(5)
+        for step, reading in enumerate(_readings(rnd, 5, 20)):
+            prev = state.prev_packet
+            _, diag = exploration_step(state, reading)
+            assert _bytes(diag.scores) == _bytes(alignment_scores(prev, state.prev_packet, originals)), f"step {step}"
+            # Train the first model on the pair just scored, in place, as the next step begins.
+            if prev and state.prev_packet:
+                apply_packet_pair(state.models[0].weights.w, prev, state.prev_packet)
+        assert not np.array_equal(state.models[0].weights.w, originals[0].weights.w)
 
 
 class TestPacketIdRange:

@@ -1,4 +1,4 @@
-"""Portable generator: reference vectors, stream discipline, moments."""
+"""Portable generator: reference vectors, stream discipline, moments, the libm route."""
 
 import hashlib
 import math
@@ -6,17 +6,16 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from tempocode import rng
-from tempocode.rng import NoiseStream, SplitMix64, derive_seed, mix64
+from tempocode.rng import NoiseStream, derive_seed, mix64
 
 
 class TestSplitMix64:
     def test_reference_vectors_seed_zero(self):
         """First outputs for seed 0, from the published reference implementation."""
-        gen = SplitMix64(0)
-        assert gen.next_u64() == 0xE220A8397B1DCDAF
-        assert gen.next_u64() == 0x6E789E6AA1B965F4
-        assert gen.next_u64() == 0x06C45D188009454F
+        states = np.arange(1, 4, dtype=np.uint64) * rng._GOLDEN_U64
+        assert rng._mix64_u64(states).tolist() == [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
 
     def test_mix64_is_deterministic_bijection_sample(self):
         outs = {mix64(x) for x in range(10000)}
@@ -24,14 +23,13 @@ class TestSplitMix64:
         assert mix64(0) == 0  # documented fixed point; derive_seed offsets around it
 
     def test_uniforms_in_unit_interval(self):
-        gen = SplitMix64(12345)
-        us = [gen.next_float() for _ in range(10000)]
-        assert all(0.0 <= u < 1.0 for u in us)
+        # The first 10,000 uniforms of the stream over seed 12345, by the array path.
+        us = rng._unit_floats(rng._mix64_u64(np.uint64(12345) + np.arange(1, 10001, dtype=np.uint64) * rng._GOLDEN_U64))
+        assert ((0.0 <= us) & (us < 1.0)).all()
         assert abs(np.mean(us) - 0.5) < 0.02
 
     def test_gaussian_moments(self):
-        gen = SplitMix64(987654321)
-        zs = np.array([gen.next_gauss() for _ in range(50000)])
+        zs = NoiseStream(987654321).normal_vector(50000)
         assert abs(zs.mean()) < 0.02
         assert abs(zs.std() - 1.0) < 0.02
 
@@ -50,63 +48,43 @@ class TestDeriveSeed:
 
 class TestNoiseStream:
     def test_counter_based_order_independence(self):
+        # Draw t is the same whatever else is drawn with it, and in whatever order.
         s = NoiseStream(7, 0, 1)
-        forward = [s.normal(i) for i in range(10)]
-        backward = [s.normal(i) for i in reversed(range(10))]
-        assert forward == backward[::-1]
+        assert s.normal_vector(10)[:5].tobytes() == s.normal_vector(5).tobytes()
+        assert s.normal_grid(4, 3)[:2, :2].tobytes() == s.normal_grid(2, 2).tobytes()
 
     def test_prefix_separates_streams(self):
         a = NoiseStream(7, 0, 0)
         b = NoiseStream(7, 0, 1)
-        assert [a.normal(i) for i in range(5)] != [b.normal(i) for i in range(5)]
+        assert a.normal_vector(5).tolist() != b.normal_vector(5).tolist()
 
     def test_independent_substreams_uncorrelated(self):
-        a = NoiseStream(11, 0, 0)
-        b = NoiseStream(11, 0, 1)
-        za = np.array([a.normal(i) for i in range(10000)])
-        zb = np.array([b.normal(i) for i in range(10000)])
+        za = NoiseStream(11, 0, 0).normal_vector(10000)
+        zb = NoiseStream(11, 0, 1).normal_vector(10000)
         rho = np.corrcoef(za, zb)[0, 1]
         assert abs(rho) < 0.05
 
 
 class TestNormalGrid:
-    """The array path against the scalar reference, compared as bytes."""
-
     def test_uint64_mixing_matches_python_ints(self):
         xs = [0, 1, 2, 0x9E3779B97F4A7C15, 2**63, 2**64 - 1] + [mix64(i) for i in range(100)]
         mixed = rng._mix64_u64(np.array(xs, dtype=np.uint64))
         assert mixed.tolist() == [mix64(x) for x in xs]
 
-    @pytest.mark.parametrize(
-        "seed, prefix",
-        [(42, (0, 0, 0)), (42, (1, 3, 199)), (7, (0, 2, 5)), (0, ()), (2**64 - 1, (2, 1)), (2**70 + 9, (3,))],
-    )
-    def test_grid_matches_scalar_normal(self, seed, prefix):
-        stream = NoiseStream(seed, *prefix)
-        grid = stream.normal_grid(20, 64)
-        reference = np.array([[stream.normal(k, c) for c in range(64)] for k in range(20)])
-        assert grid.shape == (20, 64)
-        assert grid.tobytes() == reference.tobytes()
-
     def test_degenerate_shapes(self):
         stream = NoiseStream(42, 0)
         assert stream.normal_grid(0, 5).shape == (0, 5)
         assert stream.normal_grid(3, 0).shape == (3, 0)
-        assert stream.normal_grid(1, 1).tobytes() == np.array([[stream.normal(0, 0)]]).tobytes()
+        assert stream.normal_grid(1, 1).tolist() == [[oracle.normal(derive_seed(42, 0), 0, 0)]]
 
 
 class TestZeroUniform:
-    """u1 == 0 is replaced by 2**-53 in the Box-Muller transform both paths share."""
+    """u1 == 0 is replaced by 2**-53 in the Box-Muller transform every draw takes."""
 
     EXPECTED = math.sqrt(-2.0 * math.log(2.0**-53)) * math.cos(2.0 * math.pi * 0.25)
 
     def test_shared_transform_substitutes(self):
         assert rng._box_muller([0.0, 2.0**-53], [0.25, 0.25]).tolist() == [self.EXPECTED, self.EXPECTED]
-
-    def test_scalar_path(self, monkeypatch):
-        uniforms = iter([0.0, 0.25])
-        monkeypatch.setattr(SplitMix64, "next_float", lambda self: next(uniforms))
-        assert SplitMix64(1).next_gauss() == self.EXPECTED
 
     def test_array_path(self, monkeypatch):
         monkeypatch.setattr(rng, "_unit_floats", lambda u64: np.zeros(u64.shape))
@@ -135,16 +113,6 @@ class TestChildren:
         assert family.shape == (n, rows, cols)
         assert family.tobytes() == reference.tobytes()
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("prefix", [(), (0, 2)])
-    def test_children_scalar_normal_and_seed(self, seed, prefix):
-        children = NoiseStream(seed, *prefix).children(7)
-        lone = self._lone(seed, prefix, 7)
-        assert [c._seed for c in children] == [s._seed for s in lone]
-        got = np.array([[c.normal(k, j) for k in range(3) for j in range(4)] for c in children])
-        want = np.array([[s.normal(k, j) for k in range(3) for j in range(4)] for s in lone])
-        assert got.tobytes() == want.tobytes()
-
     def test_children_read_out_of_order(self):
         children = NoiseStream(42, 0, 1).children(7)
         order = [5, 0, 6, 2, 2, 3, 1, 4]
@@ -164,20 +132,7 @@ class TestChildren:
 
 
 class TestFamilyNormalsAcrossChunks:
-    """One Box-Muller pass per family, run in chunks, against the scalar reference."""
-
-    @pytest.mark.parametrize(
-        "members, rows, cols",
-        [(3, 3, 455), (2, 32, 64), (17, 1, 241), (1, 1, 3 * rng._CHUNK + 1)],
-        ids=["below", "at", "above", "several"],
-    )
-    def test_family_normals_match_scalar_normal(self, members, rows, cols):
-        size = members * rows * cols
-        assert size in (rng._CHUNK - 1, rng._CHUNK, rng._CHUNK + 1, 3 * rng._CHUNK + 1)
-        children = NoiseStream(42, 1, 2).children(members)
-        got = np.stack([child.normal_grid(rows, cols) for child in children])
-        want = np.array([[[child.normal(k, c) for c in range(cols)] for k in range(rows)] for child in children])
-        assert got.tobytes() == want.tobytes()
+    """One Box-Muller pass per family, run in chunks (``test_oracle`` compares its draws as bytes)."""
 
     def test_zero_u1_past_the_first_chunk(self, monkeypatch):
         original = rng._unit_floats
@@ -194,11 +149,7 @@ class TestFamilyNormalsAcrossChunks:
         children = NoiseStream(7, 0).children(3)
         got = np.stack([child.normal_grid(4, 700) for child in children])
         ((u1, u2),) = captured
-        want = [
-            math.sqrt(-2.0 * math.log(a if a != 0.0 else 2.0**-53)) * math.cos(2.0 * math.pi * b)
-            for a, b in zip(u1.ravel().tolist(), u2.ravel().tolist())
-        ]
-        assert got.tobytes() == np.array(want).reshape(got.shape).tobytes()
+        assert got.tobytes() == _scalar_box_muller(u1, u2).reshape(got.shape).tobytes()
         substituted = math.sqrt(-2.0 * math.log(2.0**-53))
         for i in zeroed:
             assert got.reshape(-1)[i] == substituted * math.cos(2.0 * math.pi * u2.reshape(-1)[i])
@@ -211,13 +162,8 @@ class TestFamilyNormalsAcrossChunks:
 
 
 def _scalar_box_muller(u1, u2):
-    """The scalar Box-Muller formula with :mod:`math`'s ``log`` and ``cos``, element by element."""
-    return np.array(
-        [
-            math.sqrt(-2.0 * math.log(a if a != 0.0 else 2.0**-53)) * math.cos(2.0 * math.pi * b)
-            for a, b in zip(np.ravel(u1).tolist(), np.ravel(u2).tolist())
-        ]
-    ).reshape(np.shape(u1))
+    """The oracle's Box-Muller, with :mod:`math`'s ``log`` and ``cos``, element by element."""
+    return np.array(list(map(oracle.box_muller, np.ravel(u1).tolist(), np.ravel(u2).tolist()))).reshape(np.shape(u1))
 
 
 def _unit_samples():
@@ -227,7 +173,7 @@ def _unit_samples():
     return [
         random,
         np.linspace(0.0, 1.0, 300_001)[:-1],
-        # next_float's own grid of multiples of 2**-53, around each quarter turn.
+        # The uniforms' own grid of multiples of 2**-53, around each quarter turn.
         *(q + np.arange(-20_000, 20_000) * 2.0**-53 for q in (0.25, 0.5, 0.75)),
         np.arange(40_000) * 2.0**-53,
         1.0 - np.arange(1, 40_001) * 2.0**-53,
@@ -259,17 +205,15 @@ class TestLibmPerElement:
 
     def test_one_element_call_gives_libms_log(self):
         # A lone element does not overlap its output; the pad after it keeps it off the vector kernel.
-        gen = SplitMix64(derive_seed(NoiseStream(42, 0, 0, 0)._seed, 12, 2))
-        u1, u2 = gen.next_float(), gen.next_float()
+        u1, u2 = oracle.uniforms(derive_seed(NoiseStream(42, 0, 0, 0)._seed, 12, 2), 2)
         assert u1 == 0.39842633484951917
         assert rng._libm(np.log, np.array([u1])).tobytes() == np.array([math.log(u1)]).tobytes()
-        assert NoiseStream(42, 0, 0, 0).normal(12, 2) == _scalar_box_muller(u1, u2)
+        assert rng._box_muller([u1], [u2]).tolist() == [oracle.box_muller(u1, u2)]
 
 
 def _probe_inputs():
-    """The probe's ``(ufunc, inputs)`` pairs, from the scalar generator."""
-    gen = SplitMix64(0)
-    u = np.array([gen.next_float() for _ in range(rng._PROBE_SIZE)])
+    """The probe's ``(ufunc, inputs)`` pairs, from the oracle's generator."""
+    u = np.array(oracle.uniforms(0, rng._PROBE_SIZE))
     return ((np.log, u), (np.exp, -745.0 * u), (np.cos, 2.0 * math.pi * u))
 
 
@@ -317,10 +261,8 @@ class TestLibmRoute:
     def test_after_a_failed_probe_every_path_keeps_maths_bits(self, monkeypatch):
         # normal_grid's and _increments' fallback bits are pinned by TestPinnedBits and test_stdp.
         monkeypatch.setattr(rng, "_overlap_is_libm", lambda: False)
-        stream = NoiseStream(7, 2, 1)
-        states = [SplitMix64(derive_seed(stream._seed, t)) for t in range(300)]
-        u1, u2 = np.array([[gen.next_float(), gen.next_float()] for gen in states]).T
-        assert stream.normal_vector(300).tobytes() == _scalar_box_muller(u1, u2).tobytes()
+        expected = [oracle.normal(derive_seed(7, 2, 1), t) for t in range(300)]
+        assert NoiseStream(7, 2, 1).normal_vector(300).tobytes() == np.array(expected).tobytes()
         for u in _unit_samples():
             assert rng._box_muller(u, u[::-1]).tobytes() == _scalar_box_muller(u, u[::-1]).tobytes()
 
@@ -338,15 +280,5 @@ class TestPinnedBits:
 
 
 class TestNormalVector:
-    """The vectorised lambda trajectory against scalar ``normal(t)``, compared as bytes."""
-
-    @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
-    @pytest.mark.parametrize("prefix", [(2, 0), (2, 2), ()])
-    def test_matches_scalar_normal(self, seed, prefix):
-        stream = NoiseStream(seed, *prefix)
-        got = stream.normal_vector(300)
-        want = np.array([stream.normal(t) for t in range(300)])
-        assert got.tobytes() == want.tobytes()
-
     def test_empty(self):
         assert NoiseStream(42).normal_vector(0).shape == (0,)

@@ -24,7 +24,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from test_phase_reference import _long_short_pair
+from test_oracle import _long_short_pair
 from tempocode.config import Config
 from tempocode.encoding import encode_traversal
 from tempocode.experiments import _TEST_PHASE, _best_models, _train, run_discrimination

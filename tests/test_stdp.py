@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_train_reference import _first_error
+import oracle
 from tempocode import rng, stdp
 from tempocode.encoding import encode_traversal
-from tempocode.rng import _CHUNK, SplitMix64
-from tempocode.stdp import apply_packet_pair, stdp_update, train_on_traversal
+from tempocode.rng import _CHUNK
+from tempocode.stdp import apply_packet_pair, train_on_traversal
 from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import discrimination_pair
 
@@ -26,66 +26,76 @@ def _traversal(vectors, interval=0.020, label=""):
     return Traversal(tuple((np.asarray(v), k * interval) for k, v in enumerate(vectors)), label=label)
 
 
+def _first_error(run):
+    try:
+        run()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _updated(w, pre_time, post_time, params=StdpParams()):
+    """Synapse 0 -> 1 of a 2-neuron matrix of ``w`` after one pair of one-spike packets, by ``train_on_traversal``."""
+    packets = [SpikePacket({0: 0.0}, arrival=pre_time), SpikePacket({1: 0.0}, arrival=post_time)]
+    return float(train_on_traversal(WeightMatrix(np.full((2, 2), w)), packets, params).w[0, 1])
+
+
 class TestStdpUpdate:
+    """The pairwise window, through one-spike packet pairs."""
+
     def test_potentiation_at_tau(self):
-        assert stdp_update(0.0, 0.0, TAU) == pytest.approx(A * math.exp(-1.0), abs=1e-12)
+        assert _updated(0.0, 0.0, TAU) == pytest.approx(A * math.exp(-1.0), abs=1e-12)
 
     def test_depression_at_tau(self):
-        assert stdp_update(0.0, TAU, 0.0) == pytest.approx(-A * math.exp(-1.0), abs=1e-12)
+        assert _updated(0.0, TAU, 0.0) == pytest.approx(-A * math.exp(-1.0), abs=1e-12)
 
     def test_simultaneous_spikes_leave_weight(self):
-        assert stdp_update(0.5, 1.0, 1.0) == 0.5
+        assert _updated(0.5, 1.0, 1.0) == 0.5
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            stdp_update(float("nan"), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            stdp_update(0.0, float("inf"), 1.0)
+            _updated(float("nan"), 0.0, 1.0)
+        # Neuron 1's global time, 1e308 + 1e308, overflows to inf.
+        far = SpikePacket({0: 0.0, 1: 1e308}, arrival=1e308)
+        with pytest.raises(ValueError, match="finite"):
+            train_on_traversal(WeightMatrix.zeros(2), [far, SpikePacket({0: 0.0}, arrival=0.020)])
 
     def test_antisymmetry_over_grid(self):
         # symmetric amplitudes and time constants: potentiation mirrors depression
         for i in range(-50, 51):
             dt = i * 0.1 * TAU
-            up = stdp_update(0.0, 0.0, dt)
-            down = stdp_update(0.0, dt, 0.0)
+            up = _updated(0.0, 0.0, dt)
+            down = _updated(0.0, dt, 0.0)
             assert up == pytest.approx(-down, abs=1e-15)
 
     def test_window_decays_monotonically(self):
-        mags = [abs(stdp_update(0.0, 0.0, i * 0.1 * TAU)) for i in range(1, 51)]
+        mags = [abs(_updated(0.0, 0.0, i * 0.1 * TAU)) for i in range(1, 51)]
         assert all(a > b for a, b in zip(mags, mags[1:]))
-        assert abs(stdp_update(0.0, 0.0, 100 * TAU)) < 1e-40
+        assert abs(_updated(0.0, 0.0, 100 * TAU)) < 1e-40
 
     def test_asymmetric_params(self):
         p = StdpParams(a_plus=0.02, a_minus=0.005, tau_plus=0.010, tau_minus=0.040)
-        assert stdp_update(0.0, 0.0, 0.010, p) == pytest.approx(0.02 * math.exp(-1.0), abs=1e-15)
-        assert stdp_update(0.0, 0.020, 0.0, p) == pytest.approx(-0.005 * math.exp(-0.5), abs=1e-15)
+        assert _updated(0.0, 0.0, 0.010, p) == pytest.approx(0.02 * math.exp(-1.0), abs=1e-15)
+        assert _updated(0.0, 0.020, 0.0, p) == pytest.approx(-0.005 * math.exp(-0.5), abs=1e-15)
 
     def test_optional_clip(self):
         p = StdpParams(w_max=0.005)
-        assert stdp_update(0.004, 0.0, 1e-6, p) == 0.005
-        assert stdp_update(-0.004, 1e-6, 0.0, p) == -0.005
+        assert _updated(0.004, 0.0, 1e-6, p) == 0.005
+        assert _updated(-0.004, 1e-6, 0.0, p) == -0.005
 
 
 def _expected_one_pass_of_a():
-    """Independent oracle: enumerate blocks and dts from first principles.
+    """The oracle's weights on packets whose spike times are derived by hand.
 
-    Offsets are hand-derived from the canonical vectors under the strict
-    0.1 threshold: S actives (0@0, 1@tau/2), C actives (1@0, 0@tau/3,
-    2@2tau/3), E actives (2@0, 1@tau/2), contacts 0.020 s apart.
+    Under the strict 0.1 threshold the canonical vectors fire S (0@0,
+    1@tau/2), C (1@0, 0@tau/3, 2@2tau/3) and E (2@0, 1@tau/2), contacts 0.020 s apart.
     """
-    s_off = {0: 0.0, 1: 0.005}
-    c_off = {1: 0.0, 0: 0.010 / 3, 2: 0.020 / 3}
-    e_off = {2: 0.0, 1: 0.005}
-    w = np.zeros((3, 3))
-    for pre, t_pre in s_off.items():
-        for post, t_post in c_off.items():
-            dt = (0.020 + t_post) - t_pre
-            w[pre, post] += A * math.exp(-dt / TAU)
-    for pre, t_pre in c_off.items():
-        for post, t_post in e_off.items():
-            dt = (0.040 + t_post) - (0.020 + t_pre)
-            w[pre, post] += A * math.exp(-dt / TAU)
-    return w
+    packets = [
+        [(0, 0.0), (1, 0.005)],
+        [(1, 0.020), (0, 0.020 + 0.010 / 3), (2, 0.020 + 0.020 / 3)],
+        [(2, 0.040), (1, 0.045)],
+    ]
+    return np.array(oracle.train(np.zeros((3, 3)).tolist(), [packets], StdpParams()))
 
 
 class TestTrainOnTraversal:
@@ -137,30 +147,6 @@ class TestTrainOnTraversal:
         assert w[0, 0] == w[2, 2]
         assert w[0, 2] == w[2, 0]
 
-    def test_rejects_out_of_range_neuron_ids(self):
-        packets = [SpikePacket({0: 0.0}), SpikePacket({5: 0.0}, arrival=0.020)]
-        with pytest.raises(ValueError):
-            train_on_traversal(WeightMatrix.zeros(3), packets)
-
-    def test_pair_iteration_order_is_immaterial(self):
-        # oracle: apply the same increments as an explicit event list in
-        # shuffled order; each increment depends only on spike times
-        vectors = [np.array([0.9, 0.2, 0.4]), np.array([0.2, 0.8, 0.3]), np.array([0.5, 0.2, 0.9]), np.array([0.7, 0.6, 0.2])]
-        packets = encode_traversal(_traversal(vectors))
-        trained = train_on_traversal(WeightMatrix.zeros(3), packets)
-        events = []
-        for prev, cur in zip(packets, packets[1:]):
-            for i, ti in prev.items():
-                for j, tj in cur.items():
-                    events.append((i, j, (cur.arrival + tj) - (prev.arrival + ti)))
-        rnd = random.Random(99)
-        for _ in range(5):
-            rnd.shuffle(events)
-            w = np.zeros((3, 3))
-            for i, j, dt in events:
-                w[i, j] += A * math.exp(-dt / TAU)
-            np.testing.assert_allclose(w, trained.w, rtol=0, atol=1e-15)
-
     def test_self_pairs_updated(self):
         vectors = [np.array([0.9, 0.2, 0.1]), np.array([0.9, 0.2, 0.1])]
         packets = encode_traversal(_traversal(vectors))
@@ -168,59 +154,36 @@ class TestTrainOnTraversal:
         assert with_self.w[0, 0] > 0 and with_self.w[1, 1] > 0
 
 
-def _pairwise_reference(weights, prev, cur, params):
-    """The scalar definition: stdp_update on every prev x cur synapse."""
-    for i, t_pre in prev.items():
-        for j, t_post in cur.items():
-            weights[i, j] = stdp_update(weights[i, j], prev.arrival + t_pre, cur.arrival + t_post, params)
-
-
 def _random_packet(rnd, n, size, arrival):
+    """A packet of ``size`` distinct random ids out of ``n``, empty at size 0."""
     ids = rnd.sample(range(n), size)
     # offsets on a 1 ms grid, so packets that overlap in time give exact dt == 0
-    offsets = [0.0] + [0.001 * k for k in rnd.sample(range(1, 40), size - 1)]
+    offsets = [0.0] + [0.001 * k for k in rnd.sample(range(1, 40), size - 1)] if size else []
     return SpikePacket(dict(zip(ids, offsets)), arrival=arrival)
 
 
-class TestApplyPacketPairMatchesScalarRule:
-    """apply_packet_pair against a stdp_update loop, compared as bytes."""
+def _packet(packet):
+    """A :class:`SpikePacket` as the oracle's packet: (id, global time) in firing order."""
+    return [(nid, packet.arrival + offset) for nid, offset in packet.by_time()]
 
-    def test_random_cases(self):
-        rnd = random.Random(2024)
-        n = 32
-        for case in range(300):
-            # sizes run from a single synapse to 24 x 24 blocks
-            prev = _random_packet(rnd, n, rnd.randint(1, 24), 0.0)
-            cur = _random_packet(rnd, n, rnd.randint(1, 24), rnd.choice([0.0, 0.003, 0.010, 0.020, 0.045]))
-            params = StdpParams(
-                a_plus=rnd.choice([0.01, 0.3]),
-                a_minus=rnd.choice([0.01, 0.07]),
-                tau_plus=rnd.choice([0.020, 0.007]),
-                tau_minus=rnd.choice([0.020, 0.013]),
-                w_max=rnd.choice([None, 0.05, 0.2]),
-            )
-            weights = np.array([[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)])
-            expected = weights.copy()
-            _pairwise_reference(expected, prev, cur, params)
-            apply_packet_pair(weights, prev, cur, params)
-            assert weights.tobytes() == expected.tobytes(), f"case {case}"
+
+def _oracle_train(weights, traversals, params):
+    """The oracle's weights after ``traversals`` (lists of packets), as an array."""
+    return np.array(oracle.train(weights.tolist(), [[_packet(p) for p in packets] for packets in traversals], params))
+
+
+class TestApplyPacketPairMatchesScalarRule:
+    """apply_packet_pair against the oracle's scalar rule, compared as bytes."""
 
     def test_overlapping_packets_depress_and_skip_simultaneous_spikes(self):
         prev = SpikePacket({i: 0.001 * i for i in range(10)}, arrival=0.0)
         cur = SpikePacket({i + 5: 0.001 * i for i in range(10)}, arrival=0.004)
         params = StdpParams(w_max=0.005)
         weights = np.full((16, 16), 0.004)
-        expected = weights.copy()
-        _pairwise_reference(expected, prev, cur, params)
+        expected = _oracle_train(weights, [[prev, cur]], params)
         apply_packet_pair(weights, prev, cur, params)
         assert weights.tobytes() == expected.tobytes()
         assert (weights < 0.004).any() and (weights == 0.004).any() and (weights == 0.005).any()
-
-    def test_rejects_out_of_range_ids(self):
-        prev = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.0)
-        cur = SpikePacket({i + 1: 0.001 * i for i in range(8)}, arrival=0.020)
-        with pytest.raises(ValueError, match="out of range"):
-            apply_packet_pair(np.zeros((8, 8)), prev, cur)
 
     def test_rejects_non_finite_weights_it_would_update(self):
         prev = SpikePacket({i: 0.001 * i for i in range(8)}, arrival=0.0)
@@ -240,25 +203,7 @@ class TestApplyPacketPairMatchesScalarRule:
 
 
 class TestTrainOnTraversalMatchesScalarRule:
-    """One increment block per traversal, folded pair by pair, against stdp_update on every synapse."""
-
-    def test_random_traversals(self):
-        rnd = random.Random(7)
-        n = 24
-        for case in range(150):
-            packets = []
-            for k in range(rnd.randint(0, 7)):
-                size = rnd.choice([0, 1, rnd.randint(1, 16)])
-                # arrivals 5 ms apart with offsets up to 39 ms: packets may overlap, and may hold dt == 0
-                packets.append(_random_packet(rnd, n, size, 0.005 * k) if size else SpikePacket({}, arrival=0.005 * k))
-            params = StdpParams(a_plus=rnd.choice([0.01, 0.3]), w_max=rnd.choice([None, 0.02, 0.2]))
-            values = [[rnd.choice([0.0, -0.0, rnd.uniform(-0.3, 0.3)]) for _ in range(n)] for _ in range(n)]
-            start = WeightMatrix(np.array(values))
-            expected = start.w.copy()
-            for prev, cur in zip(packets, packets[1:]):
-                _pairwise_reference(expected, prev, cur, params)
-            trained = train_on_traversal(start, packets, params)
-            assert trained.w.tobytes() == expected.tobytes(), f"case {case}"
+    """Weights that pass the largest double, against the oracle's scalar rule."""
 
     def test_a_weight_that_overflows_raises_and_no_matrix_is_returned(self):
         # The first pair overflows 1.7e308 with no warning (a test fails on one), whether
@@ -273,16 +218,14 @@ class TestTrainOnTraversalMatchesScalarRule:
         assert weights.tobytes() == start.w.tobytes() == np.full((1, 1), 1.7e308).tobytes()
 
     def test_a_clipped_sum_that_overflows_gives_w_max_without_a_warning(self):
-        # The second pair's sum passes the largest double; stdp_update clips the inf
+        # The second pair's sum passes the largest double; the scalar rule clips the inf
         # to w_max silently, and so must the fold.
         packets = [SpikePacket({0: 0.0}, arrival=0.020 * k) for k in range(3)]
         params = StdpParams(a_plus=1.5e308, tau_plus=1e6, w_max=1.6e308)
-        expected = 0.0
-        for prev, cur in zip(packets, packets[1:]):
-            expected = stdp_update(expected, prev.arrival, cur.arrival, params)
-        assert expected == 1.6e308
+        expected = _oracle_train(np.zeros((1, 1)), [packets], params)
+        assert expected.tolist() == [[1.6e308]]
         trained = train_on_traversal(WeightMatrix.zeros(1), packets, params)
-        assert trained.w.tobytes() == np.full((1, 1), expected).tobytes()
+        assert trained.w.tobytes() == expected.tobytes()
 
     def test_non_finite_times_raise_only_on_a_synapse_to_update(self):
         far = SpikePacket({0: 0.0, 1: 1e308}, arrival=1e308)  # global time of neuron 1 overflows
@@ -300,7 +243,7 @@ class TestTrainOnTraversalMatchesScalarRule:
 
 
 class TestIncrementsFollowMathExp:
-    """``_increments`` gives every element the bits of the scalar rule with :mod:`math`'s ``exp``.
+    """``_increments`` gives every element the bits of the oracle's increment, with :mod:`math`'s ``exp``.
 
     The increments take libm's ``exp`` through ``rng._libm``, on the route
     the probe chose, and two tests also force the :mod:`math` fallback. numpy's contiguous float64 ``exp`` is a kernel of
@@ -315,14 +258,7 @@ class TestIncrementsFollowMathExp:
 
     @staticmethod
     def _scalar(dt, params):
-        def one(d):
-            if d > 0.0:
-                return params.a_plus * math.exp(-d / params.tau_plus)
-            if d < 0.0:
-                return -(params.a_minus * math.exp(d / params.tau_minus))
-            return -0.0
-
-        return np.array([one(d) for d in dt.tolist()])
+        return np.array([oracle.increment(d, params) for d in dt.tolist()])
 
     def _assert_bits(self, dt, params):
         dt = np.array(dt, dtype=float)
@@ -353,7 +289,7 @@ class TestIncrementsFollowMathExp:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_edge_values(self):
         tiny = np.finfo(float).smallest_subnormal
-        # 1.7e308 / 0.007 overflows the window to -inf, with no warning, as in stdp_update.
+        # 1.7e308 / 0.007 overflows the window to -inf, with no warning, as in the scalar rule.
         edges = [np.inf, -np.inf, 0.0, -0.0, tiny, -tiny, 744.44, 745.13, 745.14, 1e300, -1e300, 1.7e308, -1.7e308]
         self._assert_bits(edges, self.UNIT)
         self._assert_bits(edges, self.PARAMS)
@@ -374,8 +310,7 @@ class TestIncrementsFollowMathExp:
 
     def test_pinned_bits(self, libm_route):
         # sha256 of a fixed sample's increments: a numpy or libm upgrade that moves any bit fails here.
-        gen = SplitMix64(11)
-        dt = np.array([0.2 * (gen.next_float() - 0.5) for _ in range(10_000)])
+        dt = np.array([0.2 * (u - 0.5) for u in oracle.uniforms(11, 10_000)])
         dt[::1000] = 0.0
         digest = hashlib.sha256(stdp._increments(dt, self.PARAMS).tobytes()).hexdigest()
         assert digest == "9bce2fb15e50015ca1413516b22775da2055e6dbe5185d534421f62a0385c7f6"
@@ -394,20 +329,12 @@ def _phase_arrays(traversals):
     return ids, times, counts
 
 
-def _phase_reference(weights, traversals, params):
-    """stdp_update pair after pair, traversal after traversal."""
-    for packets in traversals:
-        for prev, cur in zip(packets, packets[1:]):
-            _pairwise_reference(weights, prev, cur, params)
-
-
 class TestScatterAddFold:
     """Without ``w_max``, a block is folded by one scatter-add: bytes against the pair loop."""
 
     @staticmethod
     def _assert_matches(values, traversals, params):
-        weights, expected = values.copy(), values.copy()
-        _phase_reference(expected, traversals, params)
+        weights, expected = values.copy(), _oracle_train(values, traversals, params)
         stdp._fold_traversals(weights, *_phase_arrays(traversals), params)
         assert weights.tobytes() == expected.tobytes()
         return weights
@@ -477,9 +404,8 @@ class TestScatterAddFold:
             weights = np.zeros((2 * n, 3 * n))[::2, ::3]
             weights[...] = values
         assert not weights.flags.c_contiguous
-        expected = values.copy()
+        expected = _oracle_train(values, [packets], StdpParams())
         for prev, cur in zip(packets, packets[1:]):
-            _pairwise_reference(expected, prev, cur, StdpParams())
             apply_packet_pair(weights, prev, cur)
         assert np.ascontiguousarray(weights).tobytes() == expected.tobytes()
 

@@ -152,3 +152,22 @@ class TestTraversal:
     def test_feature_sum(self):
         t = Traversal(((np.array([1.0, 2.0]), 0.0), (np.array([3.0, 4.0]), 1.0)))
         assert t.feature_sum().tolist() == [4.0, 6.0]
+
+    def test_owns_its_contacts(self):
+        # The contacts used to be the caller's arrays: a later write showed in contacts
+        # while the stacked features kept the old values, and encoding then failed.
+        a, b = np.array([0.9, 0.2, 0.1]), np.array([0.1, 0.2, 0.9])
+        t = Traversal(((a, 0.0), (b, 0.02)))
+        a[0] = np.nan
+        assert t.contacts[0][0].tolist() == [0.9, 0.2, 0.1]
+        assert t.features.tolist() == [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]
+        for block in (t.contacts[1][0], t.features):
+            with pytest.raises(ValueError, match="read-only"):
+                block[0] = 99.0
+        assert t.features.tolist() == [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]
+
+    def test_an_empty_traversal_is_constructible(self):
+        t = Traversal((), label="A")
+        assert len(t) == 0 and t.label == "A"
+        with pytest.raises(ValueError, match="cannot sum an empty traversal"):
+            t.feature_sum()

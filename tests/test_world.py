@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+import oracle
 from tempocode.rng import NoiseStream
 from tempocode.types import Traversal
 from tempocode.world import (
@@ -94,10 +95,9 @@ class TestGenerateTraversal:
         obj = SyntheticObject("m", (np.array([0.9, -0.0, 0.1]), np.array([0.0, 0.8, 0.8]), np.array([1e300, 2.0, 0.5])))
         params = WorldParams(noise_sigma=sigma, inter_contact_interval=0.015)
         trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 1))
-        values = np.array(obj.contacts)
-        if sigma > 0.0:
-            values += sigma * NoiseStream(3, 0, 0, 1).normal_grid(*values.shape)
-        public = Traversal(tuple((row, k * 0.015) for k, row in enumerate(values)), label="m")
+        rows, times = oracle.traversal(obj.features.tolist(), sigma, 0.015, oracle.derive_seed(3, 0, 0, 1))
+        values = np.array(rows)
+        public = Traversal(tuple(zip(values, times)), label="m")
         assert (trav.label, trav.motor_direction, len(trav)) == (public.label, public.motor_direction, len(public))
         for (f, t), (pf, pt) in zip(trav.contacts, public.contacts):
             assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
