@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator
 
 import numpy as np
 
@@ -91,13 +90,13 @@ class SpikePacket:
     def id_time_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Neuron ids (``intp``) and global spike times (``float64``) in ascending id order.
 
-        Each time is :meth:`global_time`'s ``arrival + offset``, added in
-        Python, so a time past the largest double is ``inf`` with no
-        warning. A packet from :meth:`_from_ordered`, which
-        :func:`tempocode.encoding.encode` uses, gets them as it is built;
-        one from the public constructor builds them on first use. Either
-        way they are kept on the instance outside the dataclass fields, so
-        equality and repr do not see them, and both are read-only.
+        Each time is the spike's ``arrival + offset``, added in Python, so
+        a time past the largest double is ``inf`` with no warning. A packet
+        from :meth:`_from_ordered`, which :func:`tempocode.encoding.encode`
+        uses, gets them as it is built; one from the public constructor
+        builds them on first use. Either way they are kept on the instance
+        outside the dataclass fields, so equality and repr do not see them,
+        and both are read-only.
         """
         return _id_time_arrays(self.spikes, self.arrival)
 
@@ -106,13 +105,6 @@ class SpikePacket:
 
     def __bool__(self) -> bool:
         return bool(self.spikes)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        """(neuron id, offset) pairs in ascending neuron-id order."""
-        return iter(self.spikes.items())
-
-    def global_time(self, neuron_id: int) -> float:
-        return self.arrival + self.spikes[neuron_id]
 
     def first_neuron(self) -> int | None:
         """Neuron that fires first (offset 0), or None for an empty packet.
@@ -216,9 +208,6 @@ class Displacement:
 
     def to_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz])
-
-    def norm(self) -> float:
-        return math.sqrt(self.dx * self.dx + self.dy * self.dy + self.dz * self.dz)
 
 
 @dataclass(frozen=True)

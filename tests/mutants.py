@@ -1,0 +1,239 @@
+"""Mutation gate: every fault in the table below must fail a test.
+
+Run ``python tests/mutants.py``; it takes no arguments. It copies ``src/``,
+``tests/`` and ``pyproject.toml`` (for pytest's settings) into a temporary
+directory and first checks that the unmutated copy passes every test module
+the table names. Then, for each entry, it applies the entry's exact text
+replacement to its source file, runs the entry's test modules with
+``python -m pytest -x -q`` and restores the file; a second copy lets two
+entries run at once. It prints one line per mutant, in table order, and
+exits 1 if any mutant survives, or if an entry's text is not found exactly
+once, so that a refactor cannot quietly retire a mutant. A mutant counts as
+killed only when a test fails: text that does not compile, a pytest error
+and a run past the timeout each fail the gate too.
+
+This is mutation analysis over a fixed list (DeMillo, Lipton and Sayward,
+"Hints on test data selection", 1978): each entry is a fault that a past
+change guarded against. It is a development script, not a test module, so
+pytest does not collect it.
+"""
+
+import os
+import queue
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from functools import partial
+from pathlib import Path
+
+#: (source file under src/tempocode, what the mutant does, exact text, its replacement, test modules that kill it)
+MUTANTS = [
+    ("stdp.py", "fancy-index += for np.add.at",
+     "np.add.at(flat, index, increments)", "flat[index] += increments", "test_stdp"),
+    ("stdp.py", "no finiteness check after a phase", "if not np.isfinite(weights).all():", "if False:", "test_stdp"),
+    ("stdp.py", "no errstate on the w_max add",
+     'with np.errstate(over="ignore"):  # the clip', "if True:  # the clip", "test_stdp"),
+    ("stdp.py", "the scatter route taken under w_max", "if params.w_max is None:", "if True:", "test_stdp"),
+    ("stdp.py", "no -0.0 fix-up in _increments", "window[dt == 0.0] = -0.0", "pass", "test_stdp"),
+    ("stdp.py", "a fold block cut one slot short", "width = sizes.max()", "width = sizes.max() - 1", "test_stdp"),
+    ("stdp.py", "a scaled dt on the scalar route",
+     "dt / np.where(potentiate, -params.tau_plus, params.tau_minus)",
+     "dt / np.where(potentiate, -params.tau_plus, params.tau_minus) if mixed else dt * (-1 / params.tau_plus)",
+     "test_stdp"),
+    ("stdp.py", "-tau_minus in the exponent",
+     "-params.tau_plus, params.tau_minus)", "-params.tau_plus, -params.tau_minus)", "test_stdp"),
+    ("stdp.py", "only a packet's first id checked",
+     "(next(iter(packet.spikes)), next(reversed(packet.spikes)))", "(next(iter(packet.spikes)),)", "test_stdp"),
+    ("stdp.py", "one clip per block, not per pair",
+     "bounds = list(accumulate(sizes.ravel().tolist(), initial=0))", "bounds = [0, index.size]", "test_stdp"),
+    ("stdp.py", "spike times of unpaired slots checked",
+     "np.broadcast_to(t, valid.shape)[valid] for t in (pre, post)", "t for t in (pre, post)", "test_stdp"),
+    ("stdp.py", "only a packet's last id checked",
+     "(next(iter(packet.spikes)), next(reversed(packet.spikes)))", "(next(reversed(packet.spikes)),)", "test_stdp"),
+    ("rng.py", "contiguous np.exp/np.log/np.cos in _libm",
+     "return (_overlapped if _overlap_is_libm() else _per_element)(ufunc, values)", "return ufunc(values)", "test_rng"),
+    ("rng.py", "no pad element in _overlapped",
+     "buf = np.empty(n + 2)\n    buf[1 : n + 1] = values\n    buf[n + 1] = 1.0\n",
+     "buf = np.empty(n + 1)\n    buf[1 : n + 1] = values\n", "test_rng"),
+    ("rng.py", "child keys from t, not t + 1",
+     "np.arange(1, n + 1, dtype=np.uint64)", "np.arange(0, n, dtype=np.uint64)", "test_rng"),
+    ("rng.py", "a family cache not keyed by shape",
+     "if cache is None or cache[0] != (rows, cols):", "if cache is None:", "test_rng"),
+    ("rng.py", "normal_grid returning a view", "[self._member].copy()", "[self._member]", "test_rng"),
+    ("rng.py", "every child reading member 0", "child_seed, family, t", "child_seed, family, 0", "test_rng"),
+    ("rng.py", "a wrong zero-u1 substitute",
+     "np.where(u1 != 0.0, u1, _TWO_POW_NEG53)", "np.where(u1 != 0.0, u1, 2.0**-52)", "test_rng"),
+    ("rng.py", "normal_vector seeded without the extra mix64",
+     "_child_seeds(mix64(self._seed), count)", "_child_seeds(self._seed, count)", "test_rng"),
+    ("rng.py", "the first chunk's cosines for every chunk",
+     "_TWO_PI * flat2[start : start + _CHUNK]", "_TWO_PI * flat2[: u1.size]", "test_rng"),
+    ("rng.py", "the zero-u1 substitution in the first chunk only",
+     "np.where(u1 != 0.0, u1, _TWO_POW_NEG53)", "np.where((u1 != 0.0) | (start > 0), u1, _TWO_POW_NEG53)", "test_rng"),
+    ("rng.py", "u1 and u2 swapped", "return _unit_floats(states)", "return _unit_floats(states[::-1])", "test_rng"),
+    ("encoding.py", "block-encoder ids re-sorted ascending",
+     'ids = np.argsort(-block, axis=-1, kind="stable")[..., :m]',
+     'ids = np.sort(np.argsort(-block, axis=-1, kind="stable")[..., :m], axis=-1)', "test_oracle"),
+    ("encoding.py", "_accepted_rows naming the last rejected traversal",
+     "int(rejected[0])", "int(rejected[-1])", "test_oracle"),
+    ("encoding.py", "no gap check in _accepted_rows",
+     "if any(t - prev <= params.tau_base", "if False and any(t - prev", "test_oracle"),
+    ("encoding.py", "no errstate on the block encoder's times",
+     'with np.errstate(over="ignore"):\n        spike_times', "if True:\n        spike_times", "test_oracle"),
+    ("encoding.py", "np.unique, which imports numpy.ma",
+     "set(counts.ravel().tolist())", "np.unique(counts).tolist()", "test_cli"),
+    ("encoding.py", "a >= threshold in encode", "if x > threshold]", "if x >= threshold]", "test_encoding"),
+    ("encoding.py", "ties in descending id in encode",
+     "sorted(active, key=", "sorted(active[::-1], key=", "test_encoding"),
+    ("encoding.py", "(tau_base * rank) / n", "tau_base * (rank / n)", "tau_base * rank / n", "test_encoding"),
+    ("encoding.py", "no distinct-offset check in encode",
+     "if _offsets_collide(tau_base, n):", "if False:", "test_oracle"),
+    ("encoding.py", "no arrival check in encode", "if not math.isfinite(arrival):", "if False:", "test_encoding"),
+    ("encoding.py", "an unstable sort in the block encoder", 'kind="stable"', 'kind="quicksort"', "test_oracle"),
+    ("encoding.py", "no collision result in _accepted_rows",
+     "colliding = [n for n in", "colliding = [] and [n for n in", "test_oracle"),
+    ("encoding.py", "N = 2, k = 1 no longer ties",
+     "log_comb = math.lgamma(n_total + 1)", "log_comb = math.lgamma(n_total + 1.5)", "test_encoding"),
+    ("experiments.py", "_require_encodable encoding traversal 0",
+     "encode_traversal(traversals[accepted], encoder)", "encode_traversal(traversals[0], encoder)", "test_oracle"),
+    ("experiments.py", "no deferred encoding error in training",
+     "        _require_encodable(traversals, accepted, cfg.encoder)\n", "", "test_oracle"),
+    ("experiments.py", "one-contact objects accepted again",
+     "if len(obj.contacts) < 2:", "if len(obj.contacts) < 1:", "test_experiments"),
+    ("experiments.py", "the last argmax leads a contact",
+     "return block.argmax(axis=-1),", "return block.shape[-1] - 1 - block[..., ::-1].argmax(axis=-1),", "test_oracle"),
+    ("experiments.py", "a >= threshold for the leading neuron",
+     "block.max(axis=-1) > threshold", "block.max(axis=-1) >= threshold", "test_oracle"),
+    ("experiments.py", "score ties go to the last model",
+     "return np.where(np.isnan(scores), -np.inf, scores).argmax(",
+     "return scores.shape[-1] - 1 - np.where(np.isnan(scores), -np.inf, scores)[..., ::-1].argmax(",
+     "test_experiments"),
+    ("experiments.py", "no NaN guard on the scores",
+     "np.where(np.isnan(scores), -np.inf, scores).argmax(", "scores.argmax(", "test_experiments"),
+    ("experiments.py", "pairs with a silent contact scored",
+     "pairs = active[:, :-1] & active[:, 1:]", "pairs = np.ones_like(active[:, 1:])", "test_experiments"),
+    ("experiments.py", "a test trial's contacts summed in reverse",
+     "np.sum(block, axis=-2)", "np.sum(block[:, ::-1], axis=-2)", "test_oracle"),
+    ("experiments.py", "dense ties to the last centroid",
+     "centroid_arrays).argmin(axis=-1)",
+     "centroid_arrays)[..., ::-1].argmin(axis=-1) * -1 + len(centroid_arrays) - 1", "test_oracle"),
+    ("experiments.py", "contacts summed by an explicit left fold",
+     "np.sum(block, axis=-2)", "np.add.accumulate(block, axis=-2)[..., -1, :]", "test_oracle"),
+    ("world.py", "SyntheticObject.contacts left as the caller's arrays",
+     'object.__setattr__(self, "contacts", tuple(block))', 'object.__setattr__(self, "contacts", arrs)', "test_world"),
+    ("world.py", "no read-only flag on an object's block", "block.flags.writeable = False", "pass", "test_world"),
+    ("world.py", "no read-only flag on a traversal's block", "values.flags.writeable = False", "pass", "test_world"),
+    ("world.py", "generate_traversal skipping its block check",
+     "if not (np.isfinite(values).all() and", "if False and (np.isfinite(values).all() and", "test_world"),
+    ("types.py", "the public Traversal aliasing its caller's arrays",
+     "tuple(zip(block, times))", "tuple(zip(rows, times))", "test_types"),
+    ("types.py", "no read-only flag on a public Traversal's block",
+     "block.flags.writeable = False", "pass", "test_types"),
+    ("types.py", "first_neuron naming the lowest id",
+     "            if t == 0.0:\n                return nid", "            return nid", "test_types"),
+    ("types.py", "writeable packet arrays",
+     "ids.flags.writeable = times.flags.writeable = False", "pass", "test_types"),
+    ("types.py", "no finiteness check in WeightMatrix", "if not np.all(np.isfinite(arr)):", "if False:", "test_stdp"),
+    ("baseline.py", "one class stack left unsummed",
+     "sums = np.empty((len(traversals), traversals[0].features.shape[-1]))\n    for key in set(keys):",
+     "sums = np.zeros((len(traversals), traversals[0].features.shape[-1]))\n    for key in sorted(set(keys))[1:]:",
+     "test_baseline"),
+    ("baseline.py", "np.linalg.norm(...) ** 2 distances",
+     "return ((np.asarray(totals)[..., None, :] - np.stack(centroids)) ** 2).sum(axis=-1)",
+     "return np.linalg.norm(np.asarray(totals)[..., None, :] - np.stack(centroids), axis=-1) ** 2", "test_oracle"),
+    ("baseline.py", "dense_classify ties to the last centroid",
+     "centroids[int(distances[0].argmin())][0]",
+     "centroids[len(centroids) - 1 - int(distances[0][::-1].argmin())][0]", "test_baseline"),
+    ("inference.py", "the loop scoring the models' live matrices",
+     "state.weight_stack.take(", "np.stack([m.weights.w.reshape(-1) for m in state.models]).take(", "test_oracle"),
+    ("inference.py", "a writable weight stack", "self.weight_stack.flags.writeable = False", "pass", "test_inference"),
+    ("inference.py", "no reading-length check", "if len(sensor_reading) != n:", "if False:", "test_inference"),
+    ("inference.py", "the latency stage left out of stage_order", 'stages.append("latency")', "pass", "test_inference"),
+    ("inference.py", "no causal mask",
+     "return index[(pre_times[:, None] < post_times).ravel()]", "return index", "test_inference"),
+    ("inference.py", "no 0.0 added to left_sum's fold", "[..., -1] + 0.0", "[..., -1]", "test_experiments"),
+    ("inference.py", "a pairwise sum for left_sum",
+     "np.add.accumulate(terms, axis=-1)[..., -1]", "terms.sum(axis=-1)", "test_oracle"),
+    ("inference.py", "the step scoring without the causal mask",
+     "_causal_index(index, pre_times, post_times)", "index", "test_oracle"),
+    ("cli.py", "the text report printed for every --format",
+     "sys.stdout.write(rendered[args.format])", 'sys.stdout.write(rendered["text"])', "test_cli"),
+    ("cli.py", "a ValueError mapped to exit 2",
+     "except ConfigError as exc:", "except (ConfigError, ValueError) as exc:", "test_cli"),
+    ("cli.py", "the objects file not loaded before the run",
+     "objects = _config_objects(config, command)", "objects = None", "test_cli"),
+    ("cli.py", "a thread pool imported at start-up",
+     "import argparse\n", "import argparse\nimport concurrent.futures\n", "test_cli"),
+    ("config.py", "n_train may be 0",
+     '("n_train", "n_train", partial(_as_int, minimum=1))',
+     '("n_train", "n_train", partial(_as_int, minimum=0))', "test_config"),
+]
+
+
+#: Seconds one pytest run may take; the slowest entry took 12, run alone on 2 vCPUs.
+_TIMEOUT_S = 300
+
+#: What pytest's exit code says of a mutant: 0 all passed, 1 a test failed.
+_VERDICTS = {0: "SURVIVED", 1: "killed", None: f"TIMED OUT after {_TIMEOUT_S} s"}
+
+
+def _pytest(root: Path, modules) -> int | None:
+    """pytest's exit code over ``modules`` in the copy at ``root``, stopping at the first failure; None on a timeout."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *(f"tests/{m}.py" for m in modules)]
+    try:
+        return subprocess.run(argv, cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                              timeout=_TIMEOUT_S).returncode
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def _verdict(copies: queue.SimpleQueue, entry: tuple) -> str:
+    """Whether the entry's mutant is killed, judged in a copy taken from ``copies`` and then given back."""
+    path, _, old, new, named = entry
+    root = copies.get()
+    source = root / "src" / "tempocode" / path
+    original = source.read_text()
+    try:
+        if original.count(old) != 1:
+            return f"MISSING: its text occurs {original.count(old)} times"
+        mutated = original.replace(old, new)
+        try:
+            compile(mutated, str(source), "exec")
+        except SyntaxError as exc:
+            return f"INVALID: the mutated text does not compile ({exc.msg})"
+        source.write_text(mutated)
+        code = _pytest(root, named.split())
+        return _VERDICTS.get(code, f"ERROR: pytest exited {code}")
+    finally:
+        source.write_text(original)
+        copies.put(root)
+
+
+def main() -> int:
+    repo = Path(__file__).resolve().parents[1]
+    with tempfile.TemporaryDirectory() as tmp:
+        # Two copies, so that two mutants run at once.
+        copies = queue.SimpleQueue()
+        for k in range(2):
+            root = Path(tmp) / str(k)
+            for name in ("src", "tests"):
+                shutil.copytree(repo / name, root / name, ignore=shutil.ignore_patterns("__pycache__"))
+            shutil.copy(repo / "pyproject.toml", root)
+            copies.put(root)
+        if _pytest(root, sorted({m for *_, named in MUTANTS for m in named.split()})) != 0:
+            print("the unmutated copy fails its tests: no mutant can be judged")
+            return 1
+        failures = 0
+        with ThreadPoolExecutor(2) as pool:
+            verdicts = pool.map(partial(_verdict, copies), MUTANTS)
+            for (path, what, *_), verdict in zip(MUTANTS, verdicts):
+                print(f"{path}: {what}: {verdict}", flush=True)
+                failures += verdict != "killed"
+        print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+        return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -143,6 +143,7 @@ def test_criterion_6_stdp_window():
         if prev_mag is not None:
             decay_ok = decay_ok and abs(up) < prev_mag
         prev_mag = abs(up)
+    decay_ok = decay_ok and abs(_weight_change(0.0, 100 * tau)) < 1e-40
     ok = value_ok and anti_ok and decay_ok
     _criterion(6, ok, f"dw(tau)={at_tau:.12f} vs A/e={a / math.e:.12f}; antisymmetry+decay on dt grid")
 
@@ -191,7 +192,8 @@ def test_criterion_8_latency_round_trip():
     mismatch_ok = True
     for c in (0.5, 2.0):
         for g in gaps:
-            mag = decode_displacement(g, theta, LatencyParams(c * v_true)).norm()
+            d = decode_displacement(g, theta, LatencyParams(c * v_true))
+            mag = math.hypot(d.dx, d.dy, d.dz)
             mismatch_ok = mismatch_ok and abs(mag - c * v_true * interval) <= 1e-9 * c * v_true * interval
     ok = exact_ok and mismatch_ok
     _criterion(8, ok, "ground-truth recovery at exact velocity; linear scaling at c in {0.5, 2.0}")

@@ -20,21 +20,16 @@ def _run(capsys, argv):
 
 
 class TestEncodeCommand:
-    def test_docstring_example(self, capsys):
-        code, out, _ = _run(capsys, ["encode", "--features", "0.2,0.9,0.1,0.7"])
-        assert code == 0
-        record = json.loads(out)
-        assert list(record.items()) == [("1", 0.0), ("3", 0.003333), ("0", 0.006667)]
-
-    def test_custom_params(self, capsys):
-        code, out, _ = _run(capsys, ["encode", "--features", "0.4,0.9", "--tau-base", "0.02", "--threshold", "0.5"])
-        assert code == 0
-        assert json.loads(out) == {"1": 0.0}
-
-    def test_silent_packet(self, capsys):
-        code, out, _ = _run(capsys, ["encode", "--features", "0.0,0.05"])
-        assert code == 0
-        assert json.loads(out) == {}
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["--features", "0.2,0.9,0.1,0.7"], [("1", 0.0), ("3", 0.003333), ("0", 0.006667)]),
+         (["--features", "0.4,0.9", "--tau-base", "0.02", "--threshold", "0.5"], [("1", 0.0)]),
+         (["--features", "0.0,0.05"], [])],
+        ids=["docstring-example", "custom-params", "silent-packet"],
+    )
+    def test_examples(self, capsys, argv, expected):
+        code, out, _ = _run(capsys, ["encode", *argv])
+        assert (code, list(json.loads(out).items())) == (0, expected)
 
     def test_defaults_are_the_encoder_defaults(self, capsys):
         values = [0.05, 0.15, 0.3, 0.1, 0.12]
@@ -50,21 +45,17 @@ class TestEncodeCommand:
 
 
 class TestCapacityCommand:
-    def test_ordered(self, capsys):
-        code, out, _ = _run(capsys, ["capacity", "--n", "3"])
-        assert code == 0
-        assert out == "ordered: 2.585 bits\n"
-
-    def test_with_unordered(self, capsys):
-        code, out, _ = _run(capsys, ["capacity", "--n", "10", "--k", "3"])
-        assert code == 0
-        lines = out.strip().split("\n")
-        assert lines[0].startswith("ordered: 21.791")
-        assert lines[1].startswith("unordered: 6.907")
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [(["--n", "3"], "ordered: 2.585 bits\n"), (["--n", "10", "--k", "3"], "ordered: 21.791 bits\nunordered: 6.907 bits\n")],
+        ids=["ordered", "with-unordered"],
+    )
+    def test_examples(self, capsys, argv, expected):
+        assert _run(capsys, ["capacity", *argv])[:2] == (0, expected)
 
     def test_invalid_n_exit_2(self, capsys):
         code, _, err = _run(capsys, ["capacity", "--n", "0"])
-        assert code == 2
+        assert (code, err) == (2, "config error: n_active must be >= 1, got 0\n")
 
     def test_invalid_k_prints_no_partial_answer(self, capsys):
         code, out, err = _run(capsys, ["capacity", "--n", "3", "--k", "5"])
@@ -73,19 +64,16 @@ class TestCapacityCommand:
 
 
 class TestArgumentErrors:
-    def test_unknown_flag_exit_2(self, capsys):
-        code, _, err = _run(capsys, ["discriminate", "--bogus"])
-        assert code == 2
-        assert "usage" in err
-
-    def test_unknown_command_exit_2(self, capsys):
-        code, _, _ = _run(capsys, ["transmogrify"])
-        assert code == 2
-
-    def test_help_exit_0(self, capsys):
-        code, out, _ = _run(capsys, ["--help"])
-        assert code == 0
-        assert "discriminate" in out
+    @pytest.mark.parametrize(
+        "argv, code, stream, needle",
+        [(["discriminate", "--bogus"], 2, "err", "usage"), (["transmogrify"], 2, "err", "invalid choice"),
+         (["--help"], 0, "out", "discriminate")],
+        ids=["unknown-flag", "unknown-command", "help"],
+    )
+    def test_exit_codes(self, capsys, argv, code, stream, needle):
+        got, out, err = _run(capsys, argv)
+        assert got == code
+        assert needle in {"out": out, "err": err}[stream]
 
 
 @pytest.fixture()
@@ -144,20 +132,6 @@ class TestExperimentCommands:
             outs.append({p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()})
         assert outs[0] == outs[1]
 
-    def test_plot_writes_curves(self, capsys, tmp_path, small_config):
-        code, _, _ = _run(
-            capsys,
-            ["noise-sweep", "--config", str(small_config), "--seed", "1",
-             "--out", str(tmp_path / "out"), "--plot"],
-        )
-        assert code == 0
-        run_dir = next((tmp_path / "out" / "noise-sweep").iterdir())
-        curves = {p.name for p in (run_dir / "curves").iterdir()}
-        assert curves == {"dense_accuracy.dat", "temporal_accuracy.dat", "gap_pp.dat"}
-        first = (run_dir / "curves" / "temporal_accuracy.dat").read_text().splitlines()
-        assert first[0].startswith("#")
-        assert len(first[1].split()) == 2
-
     def test_lambda_converge_csv_format(self, capsys, tmp_path, small_config):
         code, out, _ = _run(
             capsys,
@@ -169,18 +143,6 @@ class TestExperimentCommands:
         run_dir = next((tmp_path / "out" / "lambda-converge").iterdir())
         curves = {p.name for p in (run_dir / "curves").iterdir()}
         assert curves == {"lambda_uniform.dat", "lambda_moderate.dat", "lambda_complex.dat"}
-
-    def test_config_error_exit_2(self, capsys, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"stdp": {"tau_plus": -1}}))
-        code, _, err = _run(capsys, ["discriminate", "--config", str(bad)])
-        assert code == 2
-        assert "stdp.tau_plus" in err
-
-    def test_missing_config_exit_2(self, capsys, tmp_path):
-        code, _, _ = _run(capsys, ["discriminate", "--config", str(tmp_path / "none.json")])
-        assert code == 2
-
 
 # sha256 of every curve file that --plot writes at seed 42 with the default config.
 _CURVE_DIGESTS = {
@@ -214,35 +176,18 @@ class TestCurveBytes:
 
 
 class TestSeedResolution:
-    def test_env_var_fallback(self, capsys, tmp_path, small_config, monkeypatch):
-        monkeypatch.setenv("TEMPOCODE_SEED", "99")
-        code, out, _ = _run(
-            capsys,
-            ["discriminate", "--config", str(small_config), "--out", str(tmp_path / "out"), "--format", "json"],
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 99
-
-    def test_flag_beats_env(self, capsys, tmp_path, small_config, monkeypatch):
-        monkeypatch.setenv("TEMPOCODE_SEED", "99")
-        code, out, _ = _run(
-            capsys,
-            ["discriminate", "--config", str(small_config), "--seed", "7",
-             "--out", str(tmp_path / "out"), "--format", "json"],
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 7
-
-    def test_config_seed_beats_env(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "sections, flag, expected",
+        [({}, [], 99), ({}, ["--seed", "7"], 7), ({"world": {"seed": 31}}, [], 31)],
+        ids=["env-var-fallback", "flag-beats-env", "config-seed-beats-env"],
+    )
+    def test_precedence(self, capsys, tmp_path, monkeypatch, sections, flag, expected):
         cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({"world": {"seed": 31}, "experiment": {"n_train": 3, "n_test": 4}}))
+        cfg_path.write_text(json.dumps({**sections, "experiment": {"n_train": 3, "n_test": 4}}))
         monkeypatch.setenv("TEMPOCODE_SEED", "99")
-        code, out, _ = _run(
-            capsys,
-            ["discriminate", "--config", str(cfg_path), "--out", str(tmp_path / "out"), "--format", "json"],
-        )
-        assert code == 0
-        assert json.loads(out)["seed"] == 31
+        argv = ["discriminate", "--config", str(cfg_path), *flag, "--out", str(tmp_path / "out"), "--format", "json"]
+        code, out, _ = _run(capsys, argv)
+        assert (code, json.loads(out)["seed"]) == (0, expected)
 
     def test_bad_env_seed_exit_2(self, capsys, tmp_path, small_config, monkeypatch):
         monkeypatch.setenv("TEMPOCODE_SEED", "not-a-number")
@@ -269,56 +214,47 @@ class TestSeedResolution:
         assert not out_dir.exists()
 
 
+_A = {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]}
+
+
 class TestExitCodesMeanWhatTheySay:
-    def test_duplicate_object_label_exit_2(self, capsys, tmp_path):
-        objects = tmp_path / "objects.json"
-        objects.write_text(json.dumps([
-            {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]},
-            {"label": "A", "contacts": [[0.1, 0.2, 0.9], [0.9, 0.2, 0.1]]},
-        ]))
+    @pytest.mark.parametrize(
+        "objects, message, lambda_code",
+        [
+            ([_A, {"label": "A", "contacts": [[0.1, 0.2, 0.9], [0.9, 0.2, 0.1]]}],
+             "object label 'A' is used by more than one object", 2),
+            ([_A], "discrimination needs at least two objects, got 1", 0),
+            ([_A, {"label": "B", "contacts": [[0.1, 0.2, 0.9]]}], "object 'B' has 1 contact", 0),
+        ],
+        ids=["duplicate-label", "one-object", "one-contact-object"],
+    )
+    def test_a_bad_objects_file_exits_2(self, capsys, tmp_path, objects, message, lambda_code):
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps(objects))
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
-        for command in ("discriminate", "noise-sweep"):
-            code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
-            assert code == 2
-            assert "config error" in err and "world.objects" in err and "'A'" in err
-            assert out == ""
-        assert not (tmp_path / "out").exists()
-
-    def test_one_object_file_exit_2(self, capsys, tmp_path):
-        objects = tmp_path / "objects.json"
-        objects.write_text(json.dumps([{"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]}]))
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
+        cfg.write_text(json.dumps({"world": {"objects": str(path)}, "experiment": {"n_train": 2, "n_test": 2}}))
         for command in ("discriminate", "noise-sweep"):
             code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
             assert (code, out) == (2, "")
-            assert "config error: world.objects: discrimination needs at least two objects, got 1" in err
+            assert err.startswith(f"config error: world.objects: {message}")
         assert not (tmp_path / "out").exists()
-        # lambda-converge reads no objects, so it still accepts the file.
+        # lambda-converge reads the file's labels but runs no discrimination.
         code, _, _ = _run(capsys, ["lambda-converge", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 0
+        assert code == lambda_code
 
-    def test_one_contact_object_file_exit_2(self, capsys, tmp_path):
-        objects = tmp_path / "objects.json"
-        objects.write_text(json.dumps([
-            {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]},
-            {"label": "B", "contacts": [[0.1, 0.2, 0.9]]},
-        ]))
+    @pytest.mark.parametrize(
+        "text, needle",
+        [('{"experiment": {"n_train": 0}}', "experiment.n_train"), ('{"stdp": {"tau_plus": -1}}', "stdp.tau_plus"),
+         (None, "cannot read config file")],
+        ids=["zero-n-train", "config-error", "missing-config"],
+    )
+    def test_a_bad_config_exits_2(self, capsys, tmp_path, text, needle):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"world": {"objects": str(objects)}, "experiment": {"n_train": 2, "n_test": 2}}))
-        for command in ("discriminate", "noise-sweep"):
-            code, out, err = _run(capsys, [command, "--config", str(cfg), "--out", str(tmp_path / "out")])
-            assert (code, out) == (2, "")
-            assert "config error: world.objects: object 'B' has 1 contact" in err
-        assert not (tmp_path / "out").exists()
-
-    def test_zero_n_train_exit_2(self, capsys, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"experiment": {"n_train": 0}}))
+        if text is not None:
+            cfg.write_text(text)
         code, _, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "config error" in err and "experiment.n_train" in err
+        assert err.startswith("config error") and needle in err
 
     def test_weights_that_overflow_exit_1_with_no_report(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -356,22 +292,17 @@ class TestRenderingAndStartup:
         run_dir = next((tmp_path / "out" / "discriminate").iterdir())
         assert out == (run_dir / f"report.{suffix}").read_text()
 
-    def test_import_leaves_thread_pool_unloaded(self):
-        """Starting the CLI does not import the thread pool (``concurrent.futures`` and ``logging``)."""
+    @pytest.mark.parametrize(
+        "argv, module",
+        # Starting the CLI does not import the thread pool (``concurrent.futures`` and ``logging``),
+        # and a discriminate run does not import ``numpy.ma``, as ``np.unique`` would.
+        [(None, "concurrent.futures"), (["discriminate", "--seed", "42"], "numpy.ma")],
+        ids=["import-leaves-thread-pool-unloaded", "discriminate-leaves-masked-arrays-unloaded"],
+    )
+    def test_startup_leaves_a_module_unloaded(self, tmp_path, argv, module):
         src = str(Path(tempocode.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = "import sys, tempocode.cli; print('concurrent.futures' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-        assert result.stdout.strip() == "False"
-
-    def test_discriminate_leaves_masked_arrays_unloaded(self, tmp_path):
-        """A ``discriminate`` run does not import ``numpy.ma``, as ``np.unique`` would."""
-        src = str(Path(tempocode.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        probe = (
-            "import sys, tempocode.cli\n"
-            f"code = tempocode.cli.main(['discriminate', '--seed', '42', '--out', {str(tmp_path)!r}])\n"
-            "print(code, 'numpy.ma' in sys.modules, file=sys.stderr)\n"
-        )
+        run = f"code = tempocode.cli.main({argv + ['--out', str(tmp_path)]!r})" if argv else "code = 0"
+        probe = f"import sys, tempocode.cli\n{run}\nprint(code, {module!r} in sys.modules, file=sys.stderr)\n"
         result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
         assert result.stderr.splitlines()[-1] == "0 False"

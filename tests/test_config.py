@@ -81,18 +81,6 @@ class TestDefaults:
 
 
 class TestValidation:
-    def test_unknown_section(self):
-        with pytest.raises(ConfigError, match="worl"):
-            config_from_dict({"worl": {}})
-
-    def test_unknown_key_named(self):
-        with pytest.raises(ConfigError, match=r"stdp\.tau_minuss"):
-            config_from_dict({"stdp": {"tau_minuss": 1.0}})
-
-    def test_invalid_value_names_key(self):
-        with pytest.raises(ConfigError, match=r"stdp\.tau_plus"):
-            config_from_dict({"stdp": {"tau_plus": -1}})
-
     @pytest.mark.parametrize(
         "data,key",
         [
@@ -105,25 +93,25 @@ class TestValidation:
             ({"experiment": {"error_schedule": {"uniform": 2.0}}}, r"error_schedule\.uniform"),
             ({"experiment": {"error_schedule": {"bogus": 1.0}}}, r"error_schedule\.bogus"),
         ]
-        + SINGLE_BAD_KEY,
+        + SINGLE_BAD_KEY
+        + [
+            ({"worl": {}}, "worl"),
+            ({"stdp": {"tau_minuss": 1.0}}, r"stdp\.tau_minuss"),
+            ({"stdp": {"tau_plus": -1}}, r"stdp\.tau_plus"),
+            ({"world": {"inter_contact_interval": 0.005}}, r"world\.inter_contact_interval: must exceed"),
+        ],
     )
     def test_key_paths_in_errors(self, data, key):
         with pytest.raises(ConfigError, match=key):
             config_from_dict(data)
 
-    def test_interval_must_exceed_packet_span(self):
-        with pytest.raises(ConfigError, match=r"world\.inter_contact_interval"):
-            config_from_dict({"world": {"inter_contact_interval": 0.005}})
-
-    def test_bad_json_file(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
+    @pytest.mark.parametrize("text", ["{not json", None], ids=["bad-json", "missing"])
+    def test_an_unreadable_file(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        if text is not None:
+            path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
-
-    def test_missing_file(self, tmp_path):
-        with pytest.raises(ConfigError):
-            load_config(tmp_path / "nope.json")
 
 
 class TestRoundTrip:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
@@ -20,32 +20,30 @@ F_E = [0.1, 0.2, 0.9]
 
 
 class TestEncodeExamples:
-    def test_docstring_vector(self):
-        p = encode([0.2, 0.9, 0.1, 0.7])
-        assert set(p.spikes) == {0, 1, 3}
-        assert p.spikes[1] == 0.0
-        assert abs(p.spikes[3] - TAU / 3) < 1e-12
-        assert abs(p.spikes[0] - 2 * TAU / 3) < 1e-12
-
-    def test_smooth_contact_strict_threshold(self):
-        # 0.1 is not strictly above the 0.1 threshold: two actives, so the
-        # second spike lands at tau/2
-        p = encode(F_S)
-        assert p.spikes == {0: 0.0, 1: 0.005}
-
-    def test_all_subthreshold_gives_silent_packet(self):
-        assert encode([0.0, 0.0, 0.0]).spikes == {}
-        assert encode([-0.5, 0.1, 0.05]).spikes == {}
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([0.2, 0.9, 0.1, 0.7], [(1, 0.0), (3, TAU * (1 / 3)), (0, TAU * (2 / 3))]),
+            # 0.1 is not strictly above the 0.1 threshold: two actives, so the second spike lands at tau/2.
+            (F_S, [(0, 0.0), (1, 0.005)]),
+            # The mirror contact fires another neuron first, though a sweep of either sums alike.
+            (F_E, [(2, 0.0), (1, 0.005)]),
+            ([0.0, 0.0, 0.0], []),
+            ([-0.5, 0.1, 0.05], []),
+            # Exact times, in the evaluation order the encoder fixes, tau_base * (r / n):
+            # TAU * (1 / 3) and TAU / 3 differ by 1 ulp. Ties fire in ascending id.
+            ([0.5, 0.5, 0.9], [(2, 0.0), (0, TAU * (1 / 3)), (1, TAU * (2 / 3))]),
+            ([0.31, 0.7, 0.1, 0.31], [(1, 0.0), (0, TAU * (1 / 3)), (3, TAU * (2 / 3))]),
+        ],
+        ids=["docstring-vector", "smooth-strict-threshold", "edge-mirror", "all-zero", "all-subthreshold",
+             "tie-break-ascending-id", "repeated-call"],
+    )
+    def test_examples(self, values, expected):
+        assert encode(values).by_time() == expected == encode(values).by_time()
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             encode([0.5, float("nan")])
-
-    def test_tie_break_ascending_id(self):
-        # Exact times, in the evaluation order the encoder fixes,
-        # tau_base * (r / n): TAU * (1 / 3) and TAU / 3 differ by 1 ulp.
-        p = encode([0.5, 0.5, 0.9])
-        assert p.by_time() == [(2, 0.0), (0, TAU * (1 / 3)), (1, TAU * (2 / 3))]
 
     def test_arrival_stamp(self):
         assert encode(F_S, arrival=0.040).arrival == 0.040
@@ -89,22 +87,6 @@ class TestEncodeProperties:
         if len(set(active_vals)) == len(active_vals):  # tie-breaks are id-based, so exact mapping needs distinct values
             for i in permuted.spikes:
                 assert permuted.spikes[i] == base.spikes[perm[i]]
-
-    def test_idempotent_determinism(self):
-        vals = [0.31, 0.7, 0.1, 0.31]
-        assert encode(vals).spikes == encode(vals).spikes
-
-    def test_order_sensitivity_vs_dense_sum(self):
-        # the two traversal endpoints fire different neurons first, yet a
-        # 3-contact sweep sums identically in the dense view
-        first_a = encode(F_S).first_neuron()
-        first_b = encode(F_E).first_neuron()
-        assert first_a == 0
-        assert first_b == 2
-        assert first_a != first_b
-        sum_a = np.sum(np.array([F_S, F_C, F_E]), axis=0)
-        sum_b = np.sum(np.array([F_E, F_C, F_S]), axis=0)
-        assert np.array_equal(sum_a, sum_b)
 
 
 def _encode_reference(features, params=EncoderParams()):

@@ -1,7 +1,5 @@
 """Scoring, likelihoods, and the full exploration step."""
 
-import copy
-import dataclasses
 import json
 import math
 import random
@@ -11,21 +9,20 @@ import numpy as np
 import pytest
 
 import oracle
-from test_oracle import _models, _readings
+from test_oracle import _models
 from test_stdp import _packet
 from tempocode.encoding import EncoderParams, encode
 from tempocode.evidence import EvidenceState
 from tempocode.inference import (
     LoopState,
     ObjectModel,
-    StepDiagnostics,
     alignment_score,
     alignment_scores,
     exploration_step,
     log_likelihoods_from_scores,
 )
 from tempocode.latency import arrival_time
-from tempocode.stdp import apply_packet_pair, train_on_traversal
+from tempocode.stdp import train_on_traversal
 from tempocode.types import SpikePacket, WeightMatrix
 from tempocode.world import discrimination_pair
 
@@ -44,28 +41,26 @@ def _packets_for(obj, interval=0.020):
     return [encode(c, arrival=k * interval) for k, c in enumerate(obj.contacts)]
 
 
+#: One packet 20 ms after the first contact, with neuron 1 alone.
+_ONE_AT_20MS = SpikePacket({1: 0.0}, arrival=0.020)
+
+
 class TestAlignmentScore:
-    def test_zero_weights_score_zero(self):
-        prev = SpikePacket({0: 0.0}, arrival=0.0)
-        cur = SpikePacket({1: 0.0}, arrival=0.020)
-        assert alignment_score(prev, cur, _zero_model()) == 0.0
-
-    def test_single_pair(self):
-        prev = SpikePacket({0: 0.0}, arrival=0.0)
-        cur = SpikePacket({1: 0.0}, arrival=0.020)
-        assert alignment_score(prev, cur, _single_weight_model(0, 1, 0.3)) == 0.3
-
-    def test_empty_packets_score_zero(self):
-        model = _single_weight_model(0, 1, 0.3)
-        assert alignment_score(SpikePacket({}), SpikePacket({0: 0.0}), model) == 0.0
-        assert alignment_score(None, SpikePacket({0: 0.0}), model) == 0.0
-
-    def test_causal_filter_on_overlapping_packets(self):
-        # anti-causal pairs are excluded when packets do overlap in time
-        prev = SpikePacket({0: 0.0, 1: 0.009}, arrival=0.0)
-        cur = SpikePacket({2: 0.0}, arrival=0.005)
-        model = ObjectModel("m", WeightMatrix(np.ones((3, 3))))
-        assert alignment_score(prev, cur, model) == 1.0  # only 0 -> 2 is causal
+    @pytest.mark.parametrize(
+        "prev, cur, model, expected",
+        [
+            (SpikePacket({0: 0.0}, arrival=0.0), _ONE_AT_20MS, _zero_model(), 0.0),
+            (SpikePacket({0: 0.0}, arrival=0.0), _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.3),
+            (SpikePacket({}), _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.0),
+            (None, _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.0),
+            # Packets that overlap in time: only 0 -> 2 is causal; 1 fires at 0.009, after 2 at 0.005.
+            (SpikePacket({0: 0.0, 1: 0.009}, arrival=0.0), SpikePacket({2: 0.0}, arrival=0.005),
+             ObjectModel("m", WeightMatrix(np.ones((3, 3)))), 1.0),
+        ],
+        ids=["zero-weights", "single-pair", "empty-packet", "no-packet", "causal-filter"],
+    )
+    def test_examples(self, prev, cur, model, expected):
+        assert alignment_score(prev, cur, model) == expected
 
     def test_trained_matrices_order_traversals(self):
         obj_a, obj_b = discrimination_pair()
@@ -125,42 +120,16 @@ class TestAlignmentScoresMatchScalarLoop:
 
 
 class TestWeightStack:
-    """The loop reads the models' weights once, into one read-only stack."""
-
-    def _state(self):
-        models = _models(random.Random(3), 5, 3)
-        originals = [ObjectModel(m.label, m.weights.copy()) for m in models]
-        return LoopState(models=models), originals
+    """The loop reads the models' weights once, into one read-only stack (``test_oracle`` changes the models after)."""
 
     def test_the_stack_holds_each_model_row_major_and_is_read_only(self):
-        state, originals = self._state()
+        models = _models(random.Random(3), 5, 3)
+        state = LoopState(models=models)
         assert state.weight_stack.shape == (3, 25)
-        assert state.weight_stack.tobytes() == np.stack([m.weights.w.ravel() for m in originals]).tobytes()
+        assert state.weight_stack.tobytes() == np.stack([m.weights.w.ravel() for m in models]).tobytes()
         assert not state.weight_stack.flags.writeable
         with pytest.raises(ValueError):
             state.weight_stack[0, 0] = 1.0
-
-    def test_later_changes_to_a_model_do_not_reach_the_loop(self):
-        state, originals = self._state()
-        for model in state.models:
-            model.weights.w[:] = 7.0
-        rnd = random.Random(4)
-        for step, reading in enumerate(_readings(rnd, 5, 20)):
-            prev = state.prev_packet
-            _, diag = exploration_step(state, reading)
-            assert _bytes(diag.scores) == _bytes(alignment_scores(prev, state.prev_packet, originals)), f"step {step}"
-
-    def test_learning_into_a_model_matrix_scores_the_matrix_as_it_was(self):
-        state, originals = self._state()
-        rnd = random.Random(5)
-        for step, reading in enumerate(_readings(rnd, 5, 20)):
-            prev = state.prev_packet
-            _, diag = exploration_step(state, reading)
-            assert _bytes(diag.scores) == _bytes(alignment_scores(prev, state.prev_packet, originals)), f"step {step}"
-            # Train the first model on the pair just scored, in place, as the next step begins.
-            if prev and state.prev_packet:
-                apply_packet_pair(state.models[0].weights.w, prev, state.prev_packet)
-        assert not np.array_equal(state.models[0].weights.w, originals[0].weights.w)
 
 
 class TestPacketIdRange:
@@ -185,24 +154,18 @@ class TestLogLikelihoods:
         empty = log_likelihoods_from_scores(alignment_scores(SpikePacket({}), cur, models))
         np.testing.assert_allclose(empty, [math.log(1 / 3)] * 3, rtol=1e-12)
 
-    def test_softmax_values(self):
-        ll = log_likelihoods_from_scores([1.0, 0.0], temperature=1.0)
-        np.testing.assert_allclose(
-            ll, [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], atol=1e-12
-        )
-        np.testing.assert_allclose(ll, [-0.31326168751822286, -1.3132616875182228], atol=1e-10)
-
-    def test_high_temperature_flattens(self):
-        ll = log_likelihoods_from_scores([5.0, 0.0, -3.0], temperature=1e9)
-        np.testing.assert_allclose(ll, [math.log(1 / 3)] * 3, atol=1e-8)
+    @pytest.mark.parametrize(
+        "scores, temperature, expected, atol",
+        [([1.0, 0.0], 1.0, [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], 1e-12),
+         ([5.0, 0.0, -3.0], 1e9, [math.log(1 / 3)] * 3, 1e-8)],
+        ids=["softmax-values", "high-temperature-flattens"],
+    )
+    def test_examples(self, scores, temperature, expected, atol):
+        np.testing.assert_allclose(log_likelihoods_from_scores(scores, temperature=temperature), expected, atol=atol)
 
     def test_likelihoods_sum_to_one(self):
         ll = log_likelihoods_from_scores([3.1, -2.0, 0.4, 0.0], temperature=0.7)
         assert np.exp(ll).sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejections(self):
-        with pytest.raises(ValueError):
-            log_likelihoods_from_scores([1.0], temperature=0.0)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_score_raises_naming_it(self, bad):
@@ -241,35 +204,6 @@ class TestExplorationStep:
             best, _ = exploration_step(state, contact)
         assert state.models[best].label == "A"
 
-    def test_dt_and_displacement(self):
-        state = _trained_loop()
-        exploration_step(state, [0.9, 0.2, 0.1], motor=(2.0, 0.0))
-        _, diag = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.0))
-        assert diag.dt == pytest.approx(0.020, abs=1e-15)
-        np.testing.assert_allclose(diag.displacement.to_array(), [0.04, 0.0, 0.0], atol=1e-12)
-
-    def test_dt_measured_before_scoring(self):
-        state = _trained_loop()
-        exploration_step(state, [0.9, 0.2, 0.1])
-        _, diag = exploration_step(state, [0.2, 0.8, 0.2])
-        assert diag.stage_order == ("encode", "latency", "decode", "score", "update", "adapt")
-
-    def test_steps_leave_the_models_unchanged(self):
-        state = _trained_loop()
-        frozen_before = [m.weights.w.copy() for m in state.models]
-        exploration_step(state, [0.9, 0.2, 0.1])
-        exploration_step(state, [0.2, 0.8, 0.2])
-        for model, before in zip(state.models, frozen_before):
-            assert np.array_equal(model.weights.w, before)
-
-    def test_frozen_loop_is_pure(self):
-        readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
-        outs = []
-        for _ in range(2):
-            state = _trained_loop()
-            outs.append([exploration_step(state, r)[1].to_json() for r in readings])
-        assert outs[0] == outs[1]
-
     def test_empty_packet_skips_and_decays_to_uniform(self):
         state = _trained_loop()
         exploration_step(state, [0.9, 0.2, 0.1])
@@ -297,12 +231,6 @@ class TestExplorationStep:
             assert best == 0
             np.testing.assert_allclose(state.evidence.evidence, [1.0], atol=1e-15)
 
-    def test_explicit_contact_times(self):
-        state = _trained_loop()
-        exploration_step(state, [0.9, 0.2, 0.1], contact_time=1.0)
-        _, diag = exploration_step(state, [0.2, 0.8, 0.2], contact_time=1.5)
-        assert diag.dt == pytest.approx(0.5, abs=1e-15)
-
     def test_a_previous_packet_given_at_construction_times_the_first_step(self):
         # The loop keeps the previous packet's arrival beside it, read here from the packet handed in.
         prev = SpikePacket({2: -0.0, 0: 0.004}, arrival=0.25)
@@ -311,25 +239,28 @@ class TestExplorationStep:
         assert diag.dt == 0.3 - arrival_time(prev)
         assert diag.stage_order[:3] == ("encode", "latency", "decode")
 
-    def test_diagnostics_json_lines(self):
-        state = _trained_loop()
-        exploration_step(state, [0.9, 0.2, 0.1])
-        _, diag = exploration_step(state, [0.2, 0.8, 0.2])
-        record = json.loads(diag.to_json())
-        assert list(record) == [f.name for f in dataclasses.fields(StepDiagnostics)]
-        assert record["step"] == 1
-        assert len(record["displacement"]) == 3
-        assert len(record["scores"]) == 2
-        assert 0.0 <= record["prediction_error"] <= 1.0
-
+    @pytest.mark.parametrize("motor", [None, (2.0, 0.5), (2.0, 0.0), (0.5, -1.0)])
     @pytest.mark.parametrize("timed", [True, False])
-    def test_diagnostics_json_holds_every_field(self, timed):
+    def test_diagnostics_json_holds_every_field(self, timed, motor):
         # Timed steps take explicit contact times; the others run on the loop's own clock.
         times = (1.0, 1.5) if timed else (None, None)
+        motor_kw = {} if motor is None else {"motor": motor}
+        readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2]]
+
+        def run(state):
+            return [exploration_step(state, r, contact_time=t, **motor_kw)[1] for r, t in zip(readings, times)]
+
         state = _trained_loop()
-        _, first = exploration_step(state, [0.9, 0.2, 0.1], contact_time=times[0])
-        _, second = exploration_step(state, [0.2, 0.8, 0.2], motor=(2.0, 0.5), contact_time=times[1])
+        built = [model.weights.w.copy() for model in state.models]
+        first, second = run(state)
         assert second.dt == pytest.approx(0.5 if timed else 0.020, abs=1e-15)
+        velocity, direction = motor or (1.0, 0.0)
+        expected = velocity * second.dt * np.array([math.cos(direction), math.sin(direction), 0.0])
+        np.testing.assert_allclose(second.displacement.to_array(), expected, rtol=0, atol=1e-12)
+        assert 0.0 <= second.prediction_error <= 1.0
+        # The loop is frozen: its models stay as built, and a fresh loop gives the same records.
+        assert all(np.array_equal(model.weights.w, w) for model, w in zip(state.models, built))
+        assert [d.to_json() for d in run(_trained_loop())] == [first.to_json(), second.to_json()]
         assert json.loads(first.to_json()) == {
             "step": 0,
             "dt": None,
@@ -351,22 +282,21 @@ class TestExplorationStep:
             "stage_order": ["encode", "latency", "decode", "score", "update", "adapt"],
         }
 
-    def test_loop_state_validation(self):
-        with pytest.raises(ValueError):
-            LoopState(models=[])
-        with pytest.raises(ValueError):
-            LoopState(models=[_zero_model()], evidence=EvidenceState(3))
-        with pytest.raises(ValueError):
-            LoopState(models=[_zero_model()], encoder=EncoderParams(tau_base=0.05))
-
-    def test_loop_state_rejects_a_previous_packet_outside_the_models(self):
-        with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
-            LoopState(models=[_zero_model()], prev_packet=SpikePacket({3: 0.0}))
-
-    @pytest.mark.parametrize("interval", [math.nan, math.inf])
-    def test_loop_state_rejects_a_non_finite_interval(self, interval):
-        with pytest.raises(ValueError, match=f"inter_contact_interval must exceed the packet span, got {interval}"):
-            LoopState(models=[_zero_model()], inter_contact_interval=interval)
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"models": []}, "need at least one object model"),
+            ({"evidence": EvidenceState(3)}, "evidence state and model list disagree on class count"),
+            ({"encoder": EncoderParams(tau_base=0.05)}, "inter_contact_interval must exceed the packet span, got 0.02"),
+            ({"prev_packet": SpikePacket({3: 0.0})}, "packet neuron id 3 out of range"),
+            ({"inter_contact_interval": math.nan}, "inter_contact_interval must exceed the packet span, got nan"),
+            ({"inter_contact_interval": math.inf}, "inter_contact_interval must exceed the packet span, got inf"),
+        ],
+        ids=["no-models", "evidence-size", "packet-span", "previous-packet-id", "nan-interval", "inf-interval"],
+    )
+    def test_loop_state_validation(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LoopState(**{"models": [_zero_model()], **kwargs})
 
     def test_loop_state_rejects_non_finite_weights_naming_the_model(self):
         bad = _zero_model(label="bad")

@@ -8,36 +8,30 @@ import pytest
 from tempocode.encoding import encode_traversal
 from tempocode.latency import arrival_time, decode_displacement
 from tempocode.rng import NoiseStream
-from tempocode.types import LatencyParams, SpikePacket, Traversal
+from tempocode.types import LatencyParams, SpikePacket
 from tempocode.world import SyntheticObject, WorldParams, generate_traversal
 
 
 class TestArrivalTime:
-    def test_min_offset_zero_gives_arrival(self):
-        p = SpikePacket({1: 0.0, 3: 0.00333}, arrival=0.020)
-        assert arrival_time(p) == 0.020
-
-    def test_empty_packet_absent(self):
-        assert arrival_time(SpikePacket({})) is None
-        assert arrival_time(None) is None
-
-    def test_single_spike(self):
-        assert arrival_time(SpikePacket({5: 0.0}, arrival=1.0)) == 1.0
+    @pytest.mark.parametrize(
+        "packet, expected",
+        [(SpikePacket({1: 0.0, 3: 0.00333}, arrival=0.020), 0.020), (SpikePacket({5: 0.0}, arrival=1.0), 1.0),
+         (SpikePacket({}), None), (None, None)],
+        ids=["min-offset-zero", "single-spike", "empty", "absent"],
+    )
+    def test_arrival_is_the_first_spike(self, packet, expected):
+        assert arrival_time(packet) == expected
 
 
 class TestDecodeDisplacement:
-    def test_axis_aligned(self):
-        d = decode_displacement(2.0, 0.0, LatencyParams(1.0))
-        assert (d.dx, d.dy, d.dz) == (2.0, 0.0, 0.0)
-
-    def test_zero_interval(self):
-        d = decode_displacement(0.0, 1.234)
-        assert (d.dx, d.dy, d.dz) == (0.0, 0.0, 0.0)
-
-    def test_quarter_turn(self):
-        d = decode_displacement(1.0, math.pi / 2, LatencyParams(0.5))
-        assert abs(d.dx - 0.0) < 1e-12
-        assert abs(d.dy - 0.5) < 1e-12
+    @pytest.mark.parametrize(
+        "dt, theta, velocity, expected",
+        [(2.0, 0.0, 1.0, (2.0, 0.0, 0.0)), (0.0, 1.234, 1.0, (0.0, 0.0, 0.0)), (1.0, math.pi / 2, 0.5, (0.0, 0.5, 0.0))],
+        ids=["axis-aligned", "zero-interval", "quarter-turn"],
+    )
+    def test_examples(self, dt, theta, velocity, expected):
+        d = decode_displacement(dt, theta, LatencyParams(velocity))
+        np.testing.assert_allclose((d.dx, d.dy, d.dz), expected, rtol=0, atol=1e-12)
         assert d.dz == 0.0
 
     def test_rejects_negative_interval(self):
@@ -66,7 +60,7 @@ class TestDecodeDisplacement:
             v = float(rng.uniform(0.1, 10))
             theta = float(rng.uniform(-math.pi, math.pi))
             d = decode_displacement(dt, theta, LatencyParams(v))
-            assert d.norm() == pytest.approx(v * dt, rel=1e-12, abs=1e-15)
+            assert math.hypot(d.dx, d.dy, d.dz) == pytest.approx(v * dt, rel=1e-12, abs=1e-15)
 
 
 class TestWorldRoundTrip:
@@ -80,17 +74,11 @@ class TestWorldRoundTrip:
         arrivals = [arrival_time(p) for p in packets]
         return [b - a for a, b in zip(arrivals, arrivals[1:])]
 
-    def test_exact_velocity_recovers_truth(self):
-        v_true, interval, theta = 1.7, 0.05, 0.3
+    @pytest.mark.parametrize("mismatch", [1.0, 0.5, 2.0])
+    def test_decoded_displacement_scales_with_the_assumed_velocity(self, mismatch):
+        # At the true velocity the decoded vector is the ground truth; a mismatch scales it linearly.
+        v_true, interval, theta = 1.25, 0.04, -1.1
         truth = np.array([v_true * interval * math.cos(theta), v_true * interval * math.sin(theta), 0.0])
         for gap in self._arrival_gaps(interval):
-            decoded = decode_displacement(gap, theta, LatencyParams(v_true)).to_array()
-            np.testing.assert_allclose(decoded, truth, atol=1e-9)
-
-    @pytest.mark.parametrize("mismatch", [0.5, 2.0])
-    def test_velocity_mismatch_scales_magnitude_linearly(self, mismatch):
-        v_true, interval, theta = 1.25, 0.04, -1.1
-        true_distance = v_true * interval
-        for gap in self._arrival_gaps(interval):
-            decoded = decode_displacement(gap, theta, LatencyParams(mismatch * v_true))
-            assert decoded.norm() == pytest.approx(mismatch * true_distance, rel=1e-9)
+            decoded = decode_displacement(gap, theta, LatencyParams(mismatch * v_true)).to_array()
+            np.testing.assert_allclose(decoded, mismatch * truth, rtol=1e-9, atol=1e-9 * mismatch)

@@ -163,7 +163,8 @@ def _worlds(draw):
 
 @pytest.mark.parametrize(
     "seed, prefix",
-    [(42, (0, 0, 0)), (42, (1, 3, 199)), (7, (0, 2, 5)), (0, ()), (2**64 - 1, (2, 1)), (2**70 + 9, (3,))],
+    [(42, (0, 0, 0)), (42, (1, 3, 199)), (7, (0, 2, 5)), (0, ()), (2**64 - 1, (2, 1)), (2**70 + 9, (3,)),
+     (2**64 + 5, (1,)), (42, (1, 2, 3))],
 )
 def test_grid_matches_the_oracle(seed, prefix):
     stream = oracle.derive_seed(seed, *prefix)
@@ -197,10 +198,11 @@ def _assert_streams_match(seed, prefix, members, rows, cols):
         assert child.normal_grid(rows, cols).tobytes() == _bytes(expected)
 
 
-@pytest.mark.parametrize("prefix", [(), (0, 2), (2, 0), (2, 2)])
+@pytest.mark.parametrize("members, rows, cols", [(7, 3, 300), (1, 20, 64), (200, 1, 5), (7, 5, 1)])
+@pytest.mark.parametrize("prefix", [(), (0, 2), (2, 0), (1, 3)])
 @pytest.mark.parametrize("seed", [42, 7, 2**64 - 1])
-def test_named_streams_match_the_oracle(seed, prefix):
-    _assert_streams_match(seed, prefix, 7, 3, 300)
+def test_named_streams_match_the_oracle(seed, prefix, members, rows, cols):
+    _assert_streams_match(seed, prefix, members, rows, cols)
 
 
 @settings(max_examples=40, deadline=None)
@@ -497,6 +499,16 @@ def test_overflowing_weights_raise_the_oracles_error(n_contacts, n_train, slots,
     assert (rejected.kind, *rejected.detail) == ("overflow", "sc")
 
 
+@pytest.mark.parametrize("slots", [1, 4, stdp._SLOTS])
+def test_sums_that_overflow_clip_to_w_max_as_the_oracles_do(slots, monkeypatch):
+    # The fifth s -> c pair passes the largest double; under w_max it clips with no warning (a test fails on one).
+    monkeypatch.setattr(stdp, "_SLOTS", slots)
+    cfg = _config(n_train=6, a_plus=1e308, w_max=1.6e308)
+    obj = SyntheticObject("sc", (np.array([0.9, 0.0]), np.array([0.0, 0.9])))
+    assert _assert_train_matches(cfg, 1, 0.0, [obj]) is None
+    assert _train(cfg, 1, WorldParams(0.0, 0.020), [obj])[0][0].weights.w[0, 1] == 1.6e308
+
+
 def test_a_spike_time_that_overflows_raises_the_oracles_error():
     # Contact 1 comes at 1.5e308, and its second spike 0.5e308 later, past the largest
     # double. That is no warning, as in Python's float addition, but the fold's error.
@@ -540,10 +552,8 @@ def test_alignment_scores_match_the_oracle(seed, n, n_models):
     assert _bytes([alignment_score(prev, cur, m) for m in models]) == expected
 
 
-@settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
-def test_dense_train_and_centroid_distances_match_the_oracle(seed, n):
-    rnd = random.Random(seed)
+def _assert_dense_matches(rnd, n):
+    """``dense_train`` and ``centroid_distances`` on 1-9 traversals of 1-6 contacts, against the oracle."""
     choices = [-0.0, 0.0, 1e16, -1e16, 1.0, 1e-300]
     traversals = []
     for _ in range(rnd.randint(1, 9)):
@@ -558,6 +568,21 @@ def test_dense_train_and_centroid_distances_match_the_oracle(seed, n):
     totals = [oracle.dense_sum(rows) for _, rows in traversals]
     distances = centroid_distances(np.array(totals), [c for _, c in got])
     assert distances.tobytes() == _bytes([[oracle.squared_distance(t, c) for c in centroids] for t in totals])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8))
+def test_dense_train_and_centroid_distances_match_the_oracle(seed, n):
+    _assert_dense_matches(random.Random(seed), n)
+
+
+@pytest.mark.parametrize("n", [1, 3, 64, 100])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_named_dense_worlds_match_the_oracle(seed, n):
+    # Many neurons, where numpy sums in blocks: 20 worlds each.
+    rnd = random.Random(1000 * seed + n)
+    for _ in range(20):
+        _assert_dense_matches(rnd, n)
 
 
 # --- the inference loop ---

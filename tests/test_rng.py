@@ -35,15 +35,10 @@ class TestSplitMix64:
 
 
 class TestDeriveSeed:
-    def test_deterministic(self):
-        assert derive_seed(42, 1, 2, 3) == derive_seed(42, 1, 2, 3)
-
+    # test_oracle compares every derived seed with the oracle's, masking to 64 bits included.
     def test_distinct_indices_distinct_seeds(self):
         seeds = {derive_seed(42, a, b) for a in range(30) for b in range(30)}
         assert len(seeds) == 900
-
-    def test_seed_masking_to_64_bits(self):
-        assert derive_seed(2**64 + 5, 1) == derive_seed(5, 1)
 
 
 class TestNoiseStream:
@@ -94,24 +89,11 @@ class TestZeroUniform:
 
 
 class TestChildren:
-    """A family of children against lone per-trial streams, compared as bytes."""
-
-    SEEDS = (42, 7, 2**64 - 1)
-    SHAPES = ((3, 3), (20, 64), (1, 5), (5, 1))
+    """A family of children against lone per-trial streams, compared as bytes (``test_oracle`` draws the rest)."""
 
     @staticmethod
     def _lone(seed, prefix, n):
         return [NoiseStream(seed, *prefix, t) for t in range(n)]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("n", [1, 7, 200])
-    @pytest.mark.parametrize("rows, cols", SHAPES)
-    def test_family_grid_matches_lone_streams(self, seed, n, rows, cols):
-        prefix = (1, 3)
-        family = np.stack([c.normal_grid(rows, cols) for c in NoiseStream(seed, *prefix).children(n)])
-        reference = np.stack([s.normal_grid(rows, cols) for s in self._lone(seed, prefix, n)])
-        assert family.shape == (n, rows, cols)
-        assert family.tobytes() == reference.tobytes()
 
     def test_children_read_out_of_order(self):
         children = NoiseStream(42, 0, 1).children(7)
@@ -202,6 +184,20 @@ class TestLibmPerElement:
         for u2 in _unit_samples():
             u1 = np.full(u2.shape, 0.5)
             assert rng._box_muller(u1, u2).tobytes() == _scalar_box_muller(u1, u2).tobytes()
+
+    def test_every_call_overlaps_its_output(self, monkeypatch):
+        # What the route and its pad are for, on any CPU: where the probe passed it, the output
+        # starts inside the input, even for one element.
+        monkeypatch.setattr(rng, "_overlap_is_libm", lambda: True)
+        overlaps = []
+
+        def spy(values, out=None):
+            overlaps.append(out is not None and np.shares_memory(values, out))
+            return np.log(values, out=out)
+
+        for size in (1, 2, 5):
+            rng._libm(spy, np.full(size, 0.5))
+        assert overlaps == [True, True, True]
 
     def test_one_element_call_gives_libms_log(self):
         # A lone element does not overlap its output; the pad after it keeps it off the vector kernel.

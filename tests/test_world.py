@@ -32,13 +32,6 @@ class TestBuiltinObjects:
         for ca, cb in zip(a.contacts, reversed(b.contacts)):
             np.testing.assert_array_equal(ca, cb)
 
-    def test_dense_sum_degeneracy(self):
-        a, b = discrimination_pair()
-        sum_a = np.sum(np.stack(a.contacts), axis=0)
-        sum_b = np.sum(np.stack(b.contacts), axis=0)
-        assert np.array_equal(sum_a, sum_b)
-        np.testing.assert_allclose(sum_a, [1.2, 1.2, 1.2], atol=1e-12)
-
     def test_complexity_triple_structure(self):
         uniform, moderate, complex_ = complexity_triple()
         assert uniform.label == "uniform" and len(set(map(tuple, uniform.contacts))) == 1
@@ -68,41 +61,31 @@ class TestBuiltinObjects:
         ]
 
 
+_MIXED = SyntheticObject("m", (np.array([0.9, -0.0, 0.1]), np.array([0.0, 0.8, 0.8]), np.array([1e300, 2.0, 0.5])))
+
+
 class TestGenerateTraversal:
-    def test_zero_noise_is_canonical(self):
-        obj = discrimination_pair()[0]
-        trav = generate_traversal(obj, WorldParams(noise_sigma=0.0), NoiseStream(5, 0, 0, 0))
-        for (features, _), canonical in zip(trav.contacts, obj.contacts):
-            assert np.array_equal(features, canonical)
-
-    def test_contact_times_arithmetic(self):
-        obj = discrimination_pair()[0]
-        trav = generate_traversal(obj, WorldParams(), NoiseStream(5, 0, 0, 0))
-        assert [t for _, t in trav.contacts] == [0.0, 0.020, 0.040]
-        assert trav.motor_direction == 0.0
-        assert trav.label == "A"
-
-    def test_bit_identical_given_same_stream(self):
-        obj = discrimination_pair()[1]
-        params = WorldParams(noise_sigma=0.3)
-        t1 = generate_traversal(obj, params, NoiseStream(9, 0, 1, 7))
-        t2 = generate_traversal(obj, params, NoiseStream(9, 0, 1, 7))
-        for (f1, _), (f2, _) in zip(t1.contacts, t2.contacts):
-            assert np.array_equal(f1, f2)
-
-    @pytest.mark.parametrize("sigma", [0.0, 0.3])
-    def test_equals_the_checked_public_build(self, sigma):
-        obj = SyntheticObject("m", (np.array([0.9, -0.0, 0.1]), np.array([0.0, 0.8, 0.8]), np.array([1e300, 2.0, 0.5])))
-        params = WorldParams(noise_sigma=sigma, inter_contact_interval=0.015)
+    @pytest.mark.parametrize(
+        "obj, sigma, interval",
+        [(_MIXED, 0.0, 0.015), (_MIXED, 0.3, 0.015), (discrimination_pair()[0], 0.0, 0.020),
+         (discrimination_pair()[0], 0.05, 0.020), (discrimination_pair()[1], 0.3, 0.020)],
+        ids=["mixed-sigma0", "mixed-sigma0.3", "A-zero-noise", "A-sigma0.05", "B-sigma0.3"],
+    )
+    def test_equals_the_checked_public_build(self, obj, sigma, interval):
+        # The oracle's rows and times, built as the public Traversal would be; the same stream gives the same bits.
+        params = WorldParams(noise_sigma=sigma, inter_contact_interval=interval)
         trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 1))
-        rows, times = oracle.traversal(obj.features.tolist(), sigma, 0.015, oracle.derive_seed(3, 0, 0, 1))
+        rows, times = oracle.traversal(obj.features.tolist(), sigma, interval, oracle.derive_seed(3, 0, 0, 1))
         values = np.array(rows)
-        public = Traversal(tuple(zip(values, times)), label="m")
-        assert (trav.label, trav.motor_direction, len(trav)) == (public.label, public.motor_direction, len(public))
+        public = Traversal(tuple(zip(values, times)), label=obj.label)
+        assert (trav.label, trav.motor_direction, len(trav)) == (obj.label, 0.0, len(public))
+        assert [t for _, t in trav.contacts] == [k * interval for k in range(len(obj.contacts))]
         for (f, t), (pf, pt) in zip(trav.contacts, public.contacts):
             assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
         assert trav.features.tobytes() == public.features.tobytes() == values.tobytes()
         assert trav.feature_sum().tobytes() == public.feature_sum().tobytes()
+        assert sigma > 0 or trav.features.tobytes() == obj.features.tobytes()
+        assert generate_traversal(obj, params, NoiseStream(3, 0, 0, 1)).features.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("sigma", [0.0, 0.3])
     def test_contacts_are_read_only(self, sigma):
@@ -175,30 +158,21 @@ class TestLoadObjects:
         single.write_text(json.dumps({"label": "solo", "contacts": [[0.5]]}))
         assert [o.label for o in load_objects(single)] == ["solo"]
 
-    def test_rejects_bad_schema(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps([{"label": "x", "contacts": [[0.9]], "extra": 1}]))
-        with pytest.raises(ValueError):
-            load_objects(path)
-        path.write_text(json.dumps([]))
-        with pytest.raises(ValueError):
-            load_objects(path)
-
-    def test_rejects_duplicate_labels(self, tmp_path):
-        # two objects labelled A in opposite orders would score 100% on both classifiers
-        path = tmp_path / "dup.json"
-        path.write_text(json.dumps([
-            {"label": "A", "contacts": [[0.9, 0.1], [0.1, 0.9]]},
-            {"label": "A", "contacts": [[0.1, 0.9], [0.9, 0.1]]},
-        ]))
-        with pytest.raises(ValueError, match="'A'"):
-            load_objects(path)
-
-    def test_rejects_mixed_dimensions(self, tmp_path):
-        path = tmp_path / "mixed.json"
-        path.write_text(json.dumps([
-            {"label": "x", "contacts": [[0.9, 0.1]]},
-            {"label": "y", "contacts": [[0.9]]},
-        ]))
-        with pytest.raises(ValueError, match="object 'y' has 1 neurons but 'x' has 2"):
+    @pytest.mark.parametrize(
+        "objects, message",
+        [
+            ([{"label": "x", "contacts": [[0.9]], "extra": 1}], "each object needs exactly the keys 'label' and 'contacts'"),
+            ([], "objects file must hold one object or a non-empty list of objects"),
+            # Two objects labelled A in opposite orders would score 100% on both classifiers.
+            ([{"label": "A", "contacts": [[0.9, 0.1], [0.1, 0.9]]}, {"label": "A", "contacts": [[0.1, 0.9], [0.9, 0.1]]}],
+             "object label 'A' is used by more than one object"),
+            ([{"label": "x", "contacts": [[0.9, 0.1]]}, {"label": "y", "contacts": [[0.9]]}],
+             "object 'y' has 1 neurons but 'x' has 2"),
+        ],
+        ids=["extra-key", "empty-list", "duplicate-labels", "mixed-dimensions"],
+    )
+    def test_rejects(self, tmp_path, objects, message):
+        path = tmp_path / "objects.json"
+        path.write_text(json.dumps(objects))
+        with pytest.raises(ValueError, match=message):
             load_objects(path)
