@@ -23,28 +23,32 @@ all-causal-pairs rule is :func:`_causal_index` plus :func:`left_sum`,
 through :func:`alignment_scores` and :func:`exploration_step`; the
 experiments' leading-pair rule is :func:`tempocode.experiments._pathway_scores`.
 
-:func:`_causal_index` is the one scoring order. From a packet pair's flat
-synapse indices ``i * N + j``, row-major and so in the order of the scalar
-double loop it replaces (ascending pre id, then ascending post id), it
-keeps the causally ordered ones; weights gathered there and folded by
-:func:`left_sum` give every score its bits. :func:`alignment_scores`
-checks the packets' neuron ids once per distinct neuron count and gathers
-each model's matrix at that index; :func:`alignment_score` is its
-one-model case. :func:`left_sum` is the one ordered sum that scores and
-reports use: one ``np.add.accumulate`` along each row, whose last column
-plus 0.0 is the fold from 0.0 bit for bit (a float sum is -0.0 only when
-both terms are), with no column of zeros joined on first.
+:func:`_causal_index` is the one scoring order. It builds a packet pair's
+flat synapse indices ``i * N + j``, row-major and so in the order of the
+scalar double loop it replaces (ascending pre id, then ascending post id),
+and keeps the causally ordered ones; weights gathered there and folded by
+:func:`left_sum` give every score its bits. It compares spike times pair
+by pair only when the packets overlap or touch; packets a contact interval
+apart, as on the loop's own clock, are causal throughout.
+:func:`alignment_scores` checks the packets' neuron ids once per distinct
+neuron count and gathers each model's matrix at that index;
+:func:`alignment_score` is its one-model case. :func:`left_sum` is the one
+ordered sum that scores and reports use: one ``np.add.accumulate`` along
+each row, whose last column plus 0.0 is the fold from 0.0 bit for bit (a
+float sum is -0.0 only when both terms are), with no column of zeros
+joined on first.
 
 :class:`LoopState` reads the frozen models once, at construction: it
 stacks their weights into one read-only array, checks once that they are
 finite, and every step scores against that stack with one ``take``.
-:func:`exploration_step` checks each reading's length against the models'
-neuron count, and its motor command, once per step and before any state
-changes. Every id of the packet it encodes is then in range, as is every
-id of the previous packet. Each paired step builds the pair's flat
-synapse indices from the id and time arrays
-:func:`~tempocode.encoding.encode` built with each packet, and hands them
-unchecked to :func:`_causal_index`.
+:func:`exploration_step` checks each input once per step, before any
+state changes: its motor command, the reading (``encode`` checks its
+values, the step its length against the models' neuron count), the
+interval (``decode_displacement`` rejects a packet that arrives before
+the previous one) and the temperature (``log_likelihoods_from_scores``).
+Every id of the packet it encodes is then in range, as is every id of the
+previous packet, so each paired step hands both packets unchecked to
+:func:`_causal_index`.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,19 +113,24 @@ def alignment_scores(
     for n in sizes:
         _check_packet_ids(prev_packet, n)
         _check_packet_ids(cur_packet, n)
-    (prev_ids, pre_times), (cur_ids, post_times) = prev_packet.id_time_arrays, cur_packet.id_time_arrays
-    causal = {n: _causal_index((prev_ids[:, None] * n + cur_ids).ravel(), pre_times, post_times) for n in sizes}
+    causal = {n: _causal_index(prev_packet, cur_packet, n) for n in sizes}
     return left_sum(np.stack([m.weights.w.take(causal[m.weights.n]) for m in models])).tolist()
 
 
-def _causal_index(index: np.ndarray, pre_times: np.ndarray, post_times: np.ndarray) -> np.ndarray:
-    """The entries of a pair's flat synapse ``index`` whose pre spike precedes its post spike.
+def _causal_index(prev: SpikePacket, cur: SpikePacket, n: int) -> np.ndarray:
+    """Flat synapse indices ``i * n + j`` of two non-empty packets' causally ordered (pre i, post j) pairs.
 
-    ``index`` holds ``i * N + j`` for every (pre, post) id pair in row-major
-    order, the scalar double loop's (ascending pre id, then ascending post
-    id); the result keeps that order, so a :func:`left_sum` of weights
-    gathered at it keeps every score's bits.
+    They come row-major, in the scalar double loop's order (ascending pre
+    id, then post id), so a :func:`left_sum` of weights gathered there keeps
+    every score's bits. Spike times are compared pair by pair only when the
+    packets overlap or touch: rounding is monotone, so ``prev.arrival`` plus
+    its largest offset is the last pre spike time, and ``cur.arrival`` (its
+    offset-0 spike's time) the first post spike time.
     """
+    (prev_ids, pre_times), (cur_ids, post_times) = prev.id_time_arrays, cur.id_time_arrays
+    index = (prev_ids[:, None] * n + cur_ids).ravel()
+    if prev.arrival + max(prev.spikes.values()) < cur.arrival:
+        return index
     return index[(pre_times[:, None] < post_times).ravel()]
 
 
@@ -147,7 +157,7 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
         raise ValueError("need at least one score")
     s = raw / temperature
     finite = np.isfinite(s)
-    if not finite.all():
+    if not np.logical_and.reduce(finite):
         i = int(finite.argmin())
         raise ValueError(f"score {i} / temperature must be finite, got {raw[i]} / {temperature}")
     s -= s.max()
@@ -155,17 +165,22 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     return s
 
 
+#: ``LatencyParams(velocity)``, built once while consecutive steps keep one velocity.
+_latency_params = lru_cache(maxsize=1)(LatencyParams)
+
+
 def _check_motor(motor) -> tuple[LatencyParams, float]:
     """A (velocity, direction) command as the decoder's ``LatencyParams`` and a finite direction.
 
     Every step checks its command, so a bad one fails on the step it is
-    given, whether or not that step decodes a displacement.
+    given, whether or not that step decodes a displacement. The last valid
+    velocity's ``LatencyParams`` is kept, not rebuilt.
     """
     try:
         velocity, direction = motor
     except (TypeError, ValueError):
         raise ValueError(f"motor must be a (velocity, direction) pair, got {motor!r}") from None
-    latency, direction = LatencyParams(velocity), float(direction)
+    latency, direction = _latency_params(float(velocity)), float(direction)
     if not math.isfinite(direction):
         raise ValueError(f"motor direction must be finite, got {direction}")
     return latency, direction
@@ -175,6 +190,11 @@ def _check_temperature(temperature: float) -> None:
     """Reject a temperature that is not positive, NaN included."""
     if not temperature > 0.0:
         raise ValueError(f"temperature must be positive, got {temperature}")
+
+
+#: A step's stages in execution order: one that times no packet pair, then one that does.
+_STAGES = ("encode", "score", "update", "adapt")
+_TIMED_STAGES = ("encode", "latency", "decode", "score", "update", "adapt")
 
 
 @dataclass
@@ -214,9 +234,10 @@ class LoopState:
     not reach the loop. A step is a pure function of (state, input). When
     no explicit contact time is supplied, contacts are assumed to arrive
     ``inter_contact_interval`` seconds apart.
-    ``temperature`` must be positive; a step checks it again before it
-    changes any state, since it may be set after construction. Weights and
-    ``inter_contact_interval`` (above the encoder's span) must be finite.
+    ``temperature`` must be positive. It may be set after construction, so
+    each step checks it once more, in :func:`log_likelihoods_from_scores`,
+    before it changes any state. Weights and ``inter_contact_interval``
+    (above the encoder's span) must be finite.
     """
 
     models: list[ObjectModel]
@@ -267,11 +288,11 @@ def exploration_step(
     step, the ones that decode no displacement included. Interval
     measurement and displacement decoding are skipped on the first contact
     and around empty packets, and a pair with an empty packet scores 0
-    against every model. A step that raises changes no state.
+    against every model. A ``contact_time`` whose packet arrives before the
+    previous packet raises ``ValueError``. A step that raises changes no
+    state.
     """
-    _check_temperature(state.temperature)
     latency, direction = _check_motor(motor)
-    stages: list[str] = []
     t = state.clock if contact_time is None else float(contact_time)
 
     packet = encode(sensor_reading, state.encoder, arrival=t)
@@ -279,36 +300,25 @@ def exploration_step(
     n = state.models[0].weights.n
     if len(sensor_reading) != n:
         raise ValueError(f"sensor reading has {len(sensor_reading)} neurons, but the models have {n}")
-    stages.append("encode")
 
     prev_arrival = arrival_time(state.prev_packet)
     cur_arrival = arrival_time(packet)
-    dt = None
+    dt = displacement = None
     if prev_arrival is not None and cur_arrival is not None:
         dt = cur_arrival - prev_arrival
-        stages.append("latency")
-
-    displacement = None
-    if dt is not None:
         displacement = decode_displacement(dt, direction, latency)
-        stages.append("decode")
 
     if state.prev_packet and packet:
-        (prev_ids, pre_times), (cur_ids, post_times) = state.prev_packet.id_time_arrays, packet.id_time_arrays
-        index = (prev_ids[:, None] * n + cur_ids).ravel()
-        totals = left_sum(state.weight_stack.take(_causal_index(index, pre_times, post_times), axis=1))
+        totals = left_sum(state.weight_stack.take(_causal_index(state.prev_packet, packet, n), axis=1))
     else:
         totals = np.zeros(len(state.models))
+    # The one temperature check of a step, before any state changes.
     ll = log_likelihoods_from_scores(totals, state.temperature)
-    stages.append("score")
 
     state.evidence.update(ll)
-    stages.append("update")
-
     best = state.evidence.best_hypothesis()
     error = prediction_error(ll, best)
     state.evidence.adapt_lambda(best, error)
-    stages.append("adapt")
 
     diagnostics = StepDiagnostics(
         step=state.step,
@@ -317,7 +327,7 @@ def exploration_step(
         scores=totals.tolist(),
         best=best,
         prediction_error=error,
-        stage_order=tuple(stages),
+        stage_order=_STAGES if dt is None else _TIMED_STAGES,
     )
     state.prev_packet = packet
     state.step += 1

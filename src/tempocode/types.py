@@ -200,11 +200,12 @@ class Displacement:
     dz: float = 0.0
 
     def __post_init__(self):
+        # The fields live in the instance dict, read and written there without getattr or a frozen setattr.
+        components = self.__dict__
         for name in ("dx", "dy", "dz"):
-            v = float(getattr(self, name))
+            v = components[name] = float(components[name])
             if not math.isfinite(v):
                 raise ValueError(f"displacement component {name} must be finite, got {v}")
-            object.__setattr__(self, name, v)
 
     def to_array(self) -> np.ndarray:
         return np.array([self.dx, self.dy, self.dz])

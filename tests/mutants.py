@@ -149,14 +149,24 @@ MUTANTS = [
      "state.weight_stack.take(", "np.stack([m.weights.w.reshape(-1) for m in state.models]).take(", "test_oracle"),
     ("inference.py", "a writable weight stack", "self.weight_stack.flags.writeable = False", "pass", "test_inference"),
     ("inference.py", "no reading-length check", "if len(sensor_reading) != n:", "if False:", "test_inference"),
-    ("inference.py", "the latency stage left out of stage_order", 'stages.append("latency")', "pass", "test_inference"),
+    ("inference.py", "the latency stage left out of stage_order",
+     '("encode", "latency", "decode",', '("encode", "decode",', "test_inference"),
     ("inference.py", "no causal mask",
      "return index[(pre_times[:, None] < post_times).ravel()]", "return index", "test_inference"),
     ("inference.py", "no 0.0 added to left_sum's fold", "[..., -1] + 0.0", "[..., -1]", "test_experiments"),
     ("inference.py", "a pairwise sum for left_sum",
      "np.add.accumulate(terms, axis=-1)[..., -1]", "terms.sum(axis=-1)", "test_oracle"),
     ("inference.py", "the step scoring without the causal mask",
-     "_causal_index(index, pre_times, post_times)", "index", "test_oracle"),
+     "_causal_index(state.prev_packet, packet, n)",
+     "(state.prev_packet.id_time_arrays[0][:, None] * n + packet.id_time_arrays[0]).ravel()", "test_oracle"),
+    ("inference.py", "touching packets left unmasked",
+     "max(prev.spikes.values()) < cur.arrival", "max(prev.spikes.values()) <= cur.arrival", "test_oracle"),
+    ("inference.py", "the mask bound from the first pre spike",
+     "prev.arrival + max(prev.spikes.values())", "prev.arrival + min(prev.spikes.values())", "test_inference"),
+    ("inference.py", "every step decoding at velocity 1",
+     "_latency_params(float(velocity))", "_latency_params(1.0)", "test_inference"),
+    ("inference.py", "no temperature check in the likelihoods",
+     "    _check_temperature(temperature)\n", "", "test_inference"),
     ("cli.py", "the text report printed for every --format",
      "sys.stdout.write(rendered[args.format])", 'sys.stdout.write(rendered["text"])', "test_cli"),
     ("cli.py", "a ValueError mapped to exit 2",

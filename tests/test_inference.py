@@ -21,9 +21,9 @@ from tempocode.inference import (
     exploration_step,
     log_likelihoods_from_scores,
 )
-from tempocode.latency import arrival_time
+from tempocode.latency import arrival_time, decode_displacement
 from tempocode.stdp import train_on_traversal
-from tempocode.types import SpikePacket, WeightMatrix
+from tempocode.types import LatencyParams, SpikePacket, WeightMatrix
 from tempocode.world import discrimination_pair
 
 
@@ -282,6 +282,13 @@ class TestExplorationStep:
             "stage_order": ["encode", "latency", "decode", "score", "update", "adapt"],
         }
 
+    def test_each_step_decodes_at_its_own_velocity(self):
+        state = _trained_loop()
+        exploration_step(state, [0.9, 0.2, 0.1])
+        for velocity, reading in zip((1.0, 2.0, 1.0), ([0.2, 0.8, 0.2], [0.1, 0.2, 0.9], [0.9, 0.2, 0.1])):
+            _, diag = exploration_step(state, reading, motor=(velocity, 0.5))
+            assert diag.displacement == decode_displacement(diag.dt, 0.5, LatencyParams(velocity))
+
     @pytest.mark.parametrize(
         "kwargs, message",
         [
@@ -331,6 +338,19 @@ class TestOverflowingScore:
             ValueError, match=re.escape("score 0 / temperature must be finite, got inf / 1.0")
         ):
             exploration_step(state, [0.9, 0.5, 0.7])
+        assert _loop_snapshot(state) == before
+
+
+class TestContactTime:
+    """A contact whose packet arrives before the previous one raises on its own step, before any state changes."""
+
+    @pytest.mark.parametrize("contact_time", [0.999, -1.0])
+    def test_an_earlier_contact_raises_and_changes_nothing(self, contact_time):
+        state = _trained_loop()
+        exploration_step(state, [0.9, 0.2, 0.1], contact_time=1.0)
+        before = _loop_snapshot(state)
+        with pytest.raises(ValueError, match="inter-packet interval must be finite and >= 0"):
+            exploration_step(state, [0.2, 0.8, 0.2], contact_time=contact_time)
         assert _loop_snapshot(state) == before
 
 

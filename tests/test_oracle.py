@@ -688,6 +688,17 @@ def test_overlapping_packets_drop_their_non_causal_pairs():
     assert _run_episode(models, readings, times).step == 30
 
 
+def test_touching_packets_drop_their_equal_time_pair():
+    # Each contact arrives exactly at the previous packet's last spike, so one pair a step is not causal.
+    rnd = random.Random(24)
+    models = _models(rnd, 6, 3)
+    readings = [[rnd.uniform(0.2, 1.0) for _ in range(6)] for _ in range(12)]
+    times = [0.0]
+    for reading in readings[:-1]:
+        times.append(encode(reading, EncoderParams(), arrival=times[-1]).id_time_arrays[1].max().item())
+    assert _run_episode(models, readings, times).step == 12
+
+
 def test_a_block_of_negative_zeros_scores_positive_zero():
     rnd = random.Random(22)
     models = [ObjectModel("zeros", WeightMatrix(np.full((6, 6), -0.0)))] + _models(rnd, 6, 2)
