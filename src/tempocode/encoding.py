@@ -67,9 +67,15 @@ class EncoderParams:
 
 
 @cache
+def _offsets(tau_base: float, n: int) -> tuple[float, ...]:
+    """The spike offset of each rank r of ``n`` active neurons, in rank order: ``tau_base * (r / n)``."""
+    return tuple(tau_base * (r / n) for r in range(n))
+
+
+@cache
 def _offsets_collide(tau_base: float, n: int) -> bool:
-    """Whether ``n`` active neurons get fewer than ``n`` distinct offsets ``tau_base * (r / n)``."""
-    return len({tau_base * (r / n) for r in range(n)}) != n
+    """Whether ``n`` active neurons get fewer than ``n`` distinct :func:`_offsets`."""
+    return len(set(_offsets(tau_base, n))) != n
 
 
 def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float = 0.0) -> SpikePacket:
@@ -90,8 +96,7 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     tau_base = float(params.tau_base)
     # Keys in ascending id order; Python's sort is stable under reverse=True, so ties keep ascending id.
     spikes = dict.fromkeys(active)
-    for rank, nid in enumerate(sorted(active, key=values.__getitem__, reverse=True)):
-        spikes[nid] = tau_base * (rank / n)
+    spikes.update(zip(sorted(active, key=values.__getitem__, reverse=True), _offsets(tau_base, n)))
     if _offsets_collide(tau_base, n):
         raise ValueError(f"spike offsets must be pairwise distinct: {list(spikes.values())}")
     return SpikePacket._from_ordered(spikes, arrival)

@@ -64,7 +64,7 @@ class EvidenceState:
         evidence = np.exp(ll)
         evidence *= 1.0 - self.lambdas
         evidence += self.lambdas * self.evidence
-        total = evidence.sum()
+        total = np.add.reduce(evidence)
         if total > 0.0:
             evidence /= total
         self.evidence = evidence

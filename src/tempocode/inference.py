@@ -19,33 +19,36 @@ Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets. Empty
 packets score 0 against every model, yielding uniform likelihoods. This
-all-causal-pairs rule is :func:`_causal_index` plus :func:`left_sum`,
+all-causal-pairs rule is :func:`_causal_index` plus :func:`_column_sums`,
 through :func:`alignment_scores` and :func:`exploration_step`; the
 experiments' leading-pair rule is :func:`tempocode.experiments._pathway_scores`.
 
 :func:`_causal_index` is the one scoring order. It builds a packet pair's
 flat synapse indices ``i * N + j``, row-major and so in the order of the
 scalar double loop it replaces (ascending pre id, then ascending post id),
-and keeps the causally ordered ones; weights gathered there and folded by
-:func:`left_sum` give every score its bits. It compares spike times pair
-by pair only when the packets overlap or touch; packets a contact interval
-apart, as on the loop's own clock, are causal throughout.
+and keeps the causally ordered ones; weights gathered there into a
+(synapses, models) block and folded down each column by
+:func:`_column_sums` give every score its bits. It compares spike times
+pair by pair only when the packets overlap or touch; packets a contact
+interval apart, as on the loop's own clock, are causal throughout.
 :func:`alignment_scores` checks the packets' neuron ids once per distinct
 neuron count and gathers each model's matrix at that index;
-:func:`alignment_score` is its one-model case. :func:`left_sum` is the one
-ordered sum that scores and reports use: one ``np.add.accumulate`` along
-each row, whose last column plus 0.0 is the fold from 0.0 bit for bit (a
-float sum is -0.0 only when both terms are), with no column of zeros
-joined on first.
+:func:`alignment_score` is its one-model case. :func:`_column_sums` is the
+one fold of a score: ``np.einsum`` adds the block's rows in order into
+zeroed column totals, the fold from 0.0 of each column, and one model goes
+to :func:`left_sum`, the ordered sum that the experiments' scores and
+reports use.
 
 :class:`LoopState` reads the frozen models once, at construction: it
-stacks their weights into one read-only array, checks once that they are
-finite, and every step scores against that stack with one ``take``.
+stacks their weights into one read-only (N*N, models) array, checks once
+that they are finite, and every step gathers the rows of that stack that
+its causal index names, one ``take`` of one row per synapse.
 :func:`exploration_step` checks each input once per step, before any
 state changes: its motor command, the reading (``encode`` checks its
 values, the step its length against the models' neuron count), the
-interval (``decode_displacement`` rejects a packet that arrives before
-the previous one) and the temperature (``log_likelihoods_from_scores``).
+contact time (one earlier than the previous packet's arrival is
+rejected, whether or not either packet fires) and the temperature
+(``log_likelihoods_from_scores``).
 Every id of the packet it encodes is then in range, as is every id of the
 previous packet, so each paired step hands both packets unchecked to
 :func:`_causal_index`.
@@ -85,9 +88,11 @@ def left_sum(values) -> float | np.ndarray:
     from 0.0 its bits once 0.0 is added at the end: a float sum is -0.0
     only when both terms are -0.0, so the two folds differ only while every
     term so far is -0.0, where the fold from 0.0 holds 0.0 and the
-    accumulate -0.0. (``np.add.reduce`` over another axis is not a left
-    fold.) A 1-D input gives a float, an m x k input the array of its m row
-    sums; a row of no terms sums to 0.0.
+    accumulate -0.0. (``np.add.reduce`` and ``np.einsum`` fold each column
+    of a C-contiguous block of two or more columns in row order, but they
+    sum a single column, or along the last axis, pairwise or unrolled: see
+    :func:`_column_sums`.) A 1-D input gives a float, an m x k input the
+    array of its m row sums; a row of no terms sums to 0.0.
     """
     terms = np.asarray(values, dtype=float)
     if terms.shape[-1]:
@@ -95,6 +100,21 @@ def left_sum(values) -> float | np.ndarray:
     else:
         totals = np.zeros(terms.shape[:-1])
     return float(totals) if totals.ndim == 0 else totals
+
+
+def _column_sums(terms: np.ndarray) -> np.ndarray:
+    """Each column's sum from 0.0, strictly down its rows, of a C-contiguous (terms, models) block.
+
+    With two or more columns ``np.einsum`` zeroes the column totals and
+    adds the rows into them one after another, so each total is its
+    column's fold from 0.0 bit for bit (verified on numpy 2.4.6 for 2-19
+    columns and 0-4,096 rows). One column collapses into numpy's fast
+    axis, where ``einsum`` sums unrolled, so one model goes to
+    :func:`left_sum`.
+    """
+    if terms.shape[1] == 1:
+        return left_sum(terms.T)
+    return np.einsum("ij->j", terms)
 
 
 def alignment_scores(
@@ -114,14 +134,14 @@ def alignment_scores(
         _check_packet_ids(prev_packet, n)
         _check_packet_ids(cur_packet, n)
     causal = {n: _causal_index(prev_packet, cur_packet, n) for n in sizes}
-    return left_sum(np.stack([m.weights.w.take(causal[m.weights.n]) for m in models])).tolist()
+    return _column_sums(np.stack([m.weights.w.take(causal[m.weights.n]) for m in models], axis=1)).tolist()
 
 
 def _causal_index(prev: SpikePacket, cur: SpikePacket, n: int) -> np.ndarray:
     """Flat synapse indices ``i * n + j`` of two non-empty packets' causally ordered (pre i, post j) pairs.
 
     They come row-major, in the scalar double loop's order (ascending pre
-    id, then post id), so a :func:`left_sum` of weights gathered there keeps
+    id, then post id), so a :func:`_column_sums` of weights gathered there keeps
     every score's bits. Spike times are compared pair by pair only when the
     packets overlap or touch: rounding is monotone, so ``prev.arrival`` plus
     its largest offset is the last pre spike time, and ``cur.arrival`` (its
@@ -160,8 +180,8 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     if not np.logical_and.reduce(finite):
         i = int(finite.argmin())
         raise ValueError(f"score {i} / temperature must be finite, got {raw[i]} / {temperature}")
-    s -= s.max()
-    s -= np.log(np.exp(s).sum())
+    s -= np.maximum.reduce(s)
+    s -= np.log(np.add.reduce(np.exp(s)))
     return s
 
 
@@ -229,11 +249,13 @@ class LoopState:
     """Mutable state of one sensorimotor inference loop (single-threaded).
 
     The frozen per-object ``models`` are read once, here: their weights are
-    copied into ``weight_stack``, one read-only (models, N*N) array that
-    every step scores against, so a later change to a model's matrix does
-    not reach the loop. A step is a pure function of (state, input). When
-    no explicit contact time is supplied, contacts are assumed to arrive
-    ``inter_contact_interval`` seconds apart.
+    copied into ``weight_stack``, one read-only C-contiguous (N*N, models)
+    array whose row ``i * N + j`` holds every model's weight on synapse
+    (i, j), so a later change to a model's matrix does not reach the loop.
+    Every step gathers its synapses' rows and folds each column. A step is
+    a pure function of (state, input). When no explicit contact time is
+    supplied, contacts are assumed to arrive ``inter_contact_interval``
+    seconds apart.
     ``temperature`` must be positive. It may be set after construction, so
     each step checks it once more, in :func:`log_likelihoods_from_scores`,
     before it changes any state. Weights and ``inter_contact_interval``
@@ -266,8 +288,8 @@ class LoopState:
         if self.prev_packet is not None:
             _check_packet_ids(self.prev_packet, n)
         _check_temperature(self.temperature)
-        self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models])
-        finite = np.isfinite(self.weight_stack).all(axis=1)
+        self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models], axis=1)
+        finite = np.isfinite(self.weight_stack).all(axis=0)
         if not finite.all():
             label = self.models[int(finite.argmin())].label
             raise ValueError(f"object model {label!r} has non-finite weights")
@@ -288,9 +310,9 @@ def exploration_step(
     step, the ones that decode no displacement included. Interval
     measurement and displacement decoding are skipped on the first contact
     and around empty packets, and a pair with an empty packet scores 0
-    against every model. A ``contact_time`` whose packet arrives before the
-    previous packet raises ``ValueError``. A step that raises changes no
-    state.
+    against every model. A ``contact_time`` earlier than the previous
+    packet's arrival raises ``ValueError``, whether or not either packet
+    fires. A step that raises changes no state.
     """
     latency, direction = _check_motor(motor)
     t = state.clock if contact_time is None else float(contact_time)
@@ -301,6 +323,9 @@ def exploration_step(
     if len(sensor_reading) != n:
         raise ValueError(f"sensor reading has {len(sensor_reading)} neurons, but the models have {n}")
 
+    # A packet's first spike is at its arrival, so between firing packets this is decode_displacement's check.
+    if state.prev_packet is not None and t < state.prev_packet.arrival:
+        raise ValueError(f"inter-packet interval must be finite and >= 0, got {t - state.prev_packet.arrival}")
     prev_arrival = arrival_time(state.prev_packet)
     cur_arrival = arrival_time(packet)
     dt = displacement = None
@@ -309,7 +334,7 @@ def exploration_step(
         displacement = decode_displacement(dt, direction, latency)
 
     if state.prev_packet and packet:
-        totals = left_sum(state.weight_stack.take(_causal_index(state.prev_packet, packet, n), axis=1))
+        totals = _column_sums(state.weight_stack.take(_causal_index(state.prev_packet, packet, n), axis=0))
     else:
         totals = np.zeros(len(state.models))
     # The one temperature check of a step, before any state changes.

@@ -43,12 +43,15 @@ to a lone stream's grid. The price is memory: the family keeps its
 normals, 8 bytes per draw, for as long as any child lives (one grid shape
 at a time).
 
-The overlap route, its probe, and NEP 50's promotion rules for the
-``uint64`` mixing were verified on numpy 2.4.6; no numpy 1.x was tried.
-The ``numpy>=1.24`` of ``pyproject.toml`` is an install floor, not a
-promise of these bits: on another numpy the probe still guards the libm
-route, and the pinned digests of ``tests/test_rng.py`` show whether the
-draws kept their bits.
+The overlap route, its probe, NEP 50's promotion rules for the
+``uint64`` mixing, and the in-order column fold of ``np.einsum`` that
+scores an inference step (``inference._column_sums``) were verified on
+numpy 2.4.6; no numpy 1.x was tried. The ``numpy>=2.4`` of
+``pyproject.toml`` names the only numpy series these bits were checked
+on, an install floor rather than a promise: on another numpy the probe still
+guards the libm route, and the pinned digests of ``tests/test_rng.py``
+and the oracle tests of ``tests/test_oracle.py`` show whether the draws
+and the scores kept their bits.
 """
 
 from __future__ import annotations

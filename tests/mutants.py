@@ -86,7 +86,8 @@ MUTANTS = [
     ("encoding.py", "a >= threshold in encode", "if x > threshold]", "if x >= threshold]", "test_encoding"),
     ("encoding.py", "ties in descending id in encode",
      "sorted(active, key=", "sorted(active[::-1], key=", "test_encoding"),
-    ("encoding.py", "(tau_base * rank) / n", "tau_base * (rank / n)", "tau_base * rank / n", "test_encoding"),
+    ("encoding.py", "an offset table of (tau_base * r) / n",
+     "tuple(tau_base * (r / n) for r in range(n))", "tuple(tau_base * r / n for r in range(n))", "test_encoding"),
     ("encoding.py", "no distinct-offset check in encode",
      "if _offsets_collide(tau_base, n):", "if False:", "test_oracle"),
     ("encoding.py", "no arrival check in encode", "if not math.isfinite(arrival):", "if False:", "test_encoding"),
@@ -146,7 +147,8 @@ MUTANTS = [
      "centroids[int(distances[0].argmin())][0]",
      "centroids[len(centroids) - 1 - int(distances[0][::-1].argmin())][0]", "test_baseline"),
     ("inference.py", "the loop scoring the models' live matrices",
-     "state.weight_stack.take(", "np.stack([m.weights.w.reshape(-1) for m in state.models]).take(", "test_oracle"),
+     "state.weight_stack.take(", "np.stack([m.weights.w.reshape(-1) for m in state.models], axis=1).take(",
+     "test_oracle"),
     ("inference.py", "a writable weight stack", "self.weight_stack.flags.writeable = False", "pass", "test_inference"),
     ("inference.py", "no reading-length check", "if len(sensor_reading) != n:", "if False:", "test_inference"),
     ("inference.py", "the latency stage left out of stage_order",
@@ -154,6 +156,9 @@ MUTANTS = [
     ("inference.py", "no causal mask",
      "return index[(pre_times[:, None] < post_times).ravel()]", "return index", "test_inference"),
     ("inference.py", "no 0.0 added to left_sum's fold", "[..., -1] + 0.0", "[..., -1]", "test_experiments"),
+    ("inference.py", "einsum folding a single model's column", "if terms.shape[1] == 1:", "if False:", "test_oracle"),
+    ("inference.py", "no contact-time check before the interval",
+     "if state.prev_packet is not None and t < state.prev_packet.arrival:", "if False:", "test_inference"),
     ("inference.py", "a pairwise sum for left_sum",
      "np.add.accumulate(terms, axis=-1)[..., -1]", "terms.sum(axis=-1)", "test_oracle"),
     ("inference.py", "the step scoring without the causal mask",

@@ -125,8 +125,9 @@ class TestWeightStack:
     def test_the_stack_holds_each_model_row_major_and_is_read_only(self):
         models = _models(random.Random(3), 5, 3)
         state = LoopState(models=models)
-        assert state.weight_stack.shape == (3, 25)
-        assert state.weight_stack.tobytes() == np.stack([m.weights.w.ravel() for m in models]).tobytes()
+        # Row i * 5 + j holds every model's weight on synapse (i, j), so a step gathers one row per synapse.
+        assert state.weight_stack.shape == (25, 3) and state.weight_stack.flags.c_contiguous
+        assert state.weight_stack.tobytes() == np.stack([m.weights.w.ravel() for m in models], axis=1).tobytes()
         assert not state.weight_stack.flags.writeable
         with pytest.raises(ValueError):
             state.weight_stack[0, 0] = 1.0
@@ -327,16 +328,15 @@ def _loop_snapshot(state):
 
 
 class TestOverflowingScore:
-    """A score that overflows raises on its own step, before the evidence changes."""
+    """A score that overflows raises on its own step, before the evidence changes, and warns of nothing."""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_the_step_raises_and_changes_nothing(self):
         huge = ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308)))
         state = LoopState(models=[huge, _zero_model(label="b")])
         exploration_step(state, [0.9, 0.5, 0.7])
         before = _loop_snapshot(state)
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-            ValueError, match=re.escape("score 0 / temperature must be finite, got inf / 1.0")
-        ):
+        with pytest.raises(ValueError, match=re.escape("score 0 / temperature must be finite, got inf / 1.0")):
             exploration_step(state, [0.9, 0.5, 0.7])
         assert _loop_snapshot(state) == before
 
@@ -352,6 +352,25 @@ class TestContactTime:
         with pytest.raises(ValueError, match="inter-packet interval must be finite and >= 0"):
             exploration_step(state, [0.2, 0.8, 0.2], contact_time=contact_time)
         assert _loop_snapshot(state) == before
+
+
+class TestContactTimeAroundSilentContacts:
+    """A contact earlier than the previous one raises even when a packet is silent, so the clock never runs back."""
+
+    @pytest.mark.parametrize("first, second", [
+        ([0.9, 0.2, 0.1], [0.0, 0.0, 0.0]),
+        ([0.0, 0.0, 0.0], [0.2, 0.8, 0.2]),
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    ])
+    def test_an_earlier_contact_raises_and_changes_nothing(self, first, second):
+        state = _trained_loop()
+        exploration_step(state, first, contact_time=1.0)
+        before = _loop_snapshot(state)
+        with pytest.raises(ValueError, match=re.escape("inter-packet interval must be finite and >= 0, got -0.5")):
+            exploration_step(state, second, contact_time=0.5)
+        assert _loop_snapshot(state) == before
+        # A contact at the previous one's time is not earlier.
+        exploration_step(state, second, contact_time=1.0)
 
 
 class TestReadingLength:

@@ -717,6 +717,20 @@ def test_a_pair_block_of_4900_synapses():
     _run_episode(models, [[rnd.uniform(0.2, 1.0) for _ in range(70)] for _ in range(4)], [None] * 4)
 
 
+@pytest.mark.parametrize("active", [(1, 8), (3, 3), (4, 4), (17, 1), (20, 25)], ids=["8", "9", "16", "17", "500"])
+@pytest.mark.parametrize("n_models", [1, 2, 3, 8, 9])
+def test_step_scores_on_both_sides_of_numpys_unroll_widths(n_models, active):
+    # Packets of p and q firing neurons, 20 ms apart, give p * q causal synapses a step: sizes on both sides of
+    # the 8- and 16-term widths at which numpy unrolls a sum along its fast axis, where one model's column lies.
+    rnd = random.Random(10 * n_models + active[0])
+    models = _models(rnd, 25, n_models)
+    readings = []
+    for k in range(6):
+        fired = rnd.sample(range(25), active[k % 2])
+        readings.append([rnd.uniform(0.2, 1.0) if i in fired else 0.0 for i in range(25)])
+    _run_episode(models, readings, [None] * 6)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
