@@ -39,8 +39,7 @@ The dense sums of all trials and their centroid distances take one pass
 more. The leading-pair rule is :func:`_pathway_scores` alone, and
 :func:`classify_temporal` is its one-row case. The inference loop,
 which scores contacts against frozen models and learns nothing, has the
-all-causal-pairs rule: :func:`tempocode.inference._causal_index` plus
-``left_sum``, through ``alignment_scores`` and ``exploration_step``.
+all-causal-pairs rule, :func:`tempocode.inference._pair_scores`.
 
 A training phase runs as arrays too, and builds no packet either. Each
 object's traversals are stacked, encoded at once

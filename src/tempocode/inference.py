@@ -17,46 +17,31 @@ those models as they were when it was built.
 
 Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
-all causally ordered (pre, post) neuron pairs of the two packets. Empty
-packets score 0 against every model, yielding uniform likelihoods. This
-all-causal-pairs rule is :func:`_causal_index` plus :func:`_column_sums`,
-through :func:`alignment_scores` and :func:`exploration_step`; the
-experiments' leading-pair rule is :func:`tempocode.experiments._pathway_scores`.
+all causally ordered (pre, post) neuron pairs of the two packets, and a
+missing or empty packet scores 0 against every model. :func:`_pair_scores`
+is the rule's one code path. :func:`_causal_index` names the pair's causal
+synapses, row-major and so in the scalar double loop's order, and the
+weights gathered there from a (synapses, models) stack are folded down
+each column in that order. :func:`exploration_step` scores every model at
+once over the loop's stack; :func:`alignment_score` scores one model's
+matrix as a one-column stack. The experiments' leading-pair rule is
+:func:`tempocode.experiments._pathway_scores`.
 
-:func:`_causal_index` is the one scoring order. It builds a packet pair's
-flat synapse indices ``i * N + j``, row-major and so in the order of the
-scalar double loop it replaces (ascending pre id, then ascending post id),
-and keeps the causally ordered ones; weights gathered there into a
-(synapses, models) block and folded down each column by
-:func:`_column_sums` give every score its bits. It compares spike times
-pair by pair only when the packets overlap or touch; packets a contact
-interval apart, as on the loop's own clock, are causal throughout.
-:func:`alignment_scores` checks the packets' neuron ids once per distinct
-neuron count and gathers each model's matrix at that index;
-:func:`alignment_score` is its one-model case. :func:`_column_sums` is the
-one fold of a score: ``np.einsum`` adds the block's rows in order into
-zeroed column totals, the fold from 0.0 of each column, and one model goes
-to :func:`left_sum`, the ordered sum that the experiments' scores and
-reports use.
-
-:class:`LoopState` reads the frozen models once, at construction: it
-stacks their weights into one read-only (N*N, models) array, checks once
-that they are finite, and every step gathers the rows of that stack that
-its causal index names, one ``take`` of one row per synapse.
+:class:`LoopState` is built from its models and settings alone. It reads
+the frozen models once: it stacks their weights into one read-only
+(N*N, models) array and checks once that they are finite.
 :func:`exploration_step` checks each input once per step, before any
 state changes: its motor command, the reading (``encode`` checks its
 values, the step its length against the models' neuron count), the
 contact time (one earlier than the previous packet's arrival is
 rejected, whether or not either packet fires) and the temperature
-(``log_likelihoods_from_scores``).
-Every id of the packet it encodes is then in range, as is every id of the
-previous packet, so each paired step hands both packets unchecked to
-:func:`_causal_index`.
+(``log_likelihoods_from_scores``). Every id of the packet it encodes is
+then in range, and so is every id of the previous packet, the step
+before's, so each step hands both packets unchecked to :func:`_pair_scores`.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -91,7 +76,7 @@ def left_sum(values) -> float | np.ndarray:
     accumulate -0.0. (``np.add.reduce`` and ``np.einsum`` fold each column
     of a C-contiguous block of two or more columns in row order, but they
     sum a single column, or along the last axis, pairwise or unrolled: see
-    :func:`_column_sums`.) A 1-D input gives a float, an m x k input the
+    :func:`_pair_scores`.) A 1-D input gives a float, an m x k input the
     array of its m row sums; a row of no terms sums to 0.0.
     """
     terms = np.asarray(values, dtype=float)
@@ -102,47 +87,12 @@ def left_sum(values) -> float | np.ndarray:
     return float(totals) if totals.ndim == 0 else totals
 
 
-def _column_sums(terms: np.ndarray) -> np.ndarray:
-    """Each column's sum from 0.0, strictly down its rows, of a C-contiguous (terms, models) block.
-
-    With two or more columns ``np.einsum`` zeroes the column totals and
-    adds the rows into them one after another, so each total is its
-    column's fold from 0.0 bit for bit (verified on numpy 2.4.6 for 2-19
-    columns and 0-4,096 rows). One column collapses into numpy's fast
-    axis, where ``einsum`` sums unrolled, so one model goes to
-    :func:`left_sum`.
-    """
-    if terms.shape[1] == 1:
-        return left_sum(terms.T)
-    return np.einsum("ij->j", terms)
-
-
-def alignment_scores(
-    prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, models: list[ObjectModel]
-) -> list[float]:
-    """Each model's sum of weights over causally ordered pre/post pairs.
-
-    A pair (i in prev, j in cur) contributes w[i, j] when i's global spike
-    time precedes j's; with non-overlapping packets that is every pair.
-    Missing or empty packets score 0 against every model. Scores come back
-    in model order. Neuron ids outside a model's [0, n) raise ``ValueError``.
-    """
-    if not models or prev_packet is None or cur_packet is None or not prev_packet or not cur_packet:
-        return [0.0] * len(models)
-    sizes = {m.weights.n for m in models}
-    for n in sizes:
-        _check_packet_ids(prev_packet, n)
-        _check_packet_ids(cur_packet, n)
-    causal = {n: _causal_index(prev_packet, cur_packet, n) for n in sizes}
-    return _column_sums(np.stack([m.weights.w.take(causal[m.weights.n]) for m in models], axis=1)).tolist()
-
-
 def _causal_index(prev: SpikePacket, cur: SpikePacket, n: int) -> np.ndarray:
     """Flat synapse indices ``i * n + j`` of two non-empty packets' causally ordered (pre i, post j) pairs.
 
     They come row-major, in the scalar double loop's order (ascending pre
-    id, then post id), so a :func:`_column_sums` of weights gathered there keeps
-    every score's bits. Spike times are compared pair by pair only when the
+    id, then post id), so a fold of weights gathered there keeps every
+    score's bits. Spike times are compared pair by pair only when the
     packets overlap or touch: rounding is monotone, so ``prev.arrival`` plus
     its largest offset is the last pre spike time, and ``cur.arrival`` (its
     offset-0 spike's time) the first post spike time.
@@ -154,9 +104,40 @@ def _causal_index(prev: SpikePacket, cur: SpikePacket, n: int) -> np.ndarray:
     return index[(pre_times[:, None] < post_times).ravel()]
 
 
+def _pair_scores(stack: np.ndarray, prev: SpikePacket | None, cur: SpikePacket | None, n: int) -> np.ndarray:
+    """Each column's score of a packet pair: its weights over the pair's causal synapses, summed from 0.0 in order.
+
+    ``stack`` is a C-contiguous (n*n, models) array whose row ``i * n + j``
+    holds every model's weight on synapse (i, j); the packets' ids must be
+    in [0, n). A missing or silent packet scores 0.0 in every column. With
+    two or more columns ``np.einsum`` zeroes the totals and adds the
+    gathered rows into them one after another, so each total is its
+    column's fold from 0.0 bit for bit (verified on numpy 2.4.6 for 2-19
+    columns and 0-4,096 rows). One column collapses into numpy's fast axis,
+    where ``einsum`` sums unrolled, so one model goes to :func:`left_sum`.
+    """
+    if not (prev and cur):
+        return np.zeros(stack.shape[1])
+    terms = stack.take(_causal_index(prev, cur, n), axis=0)
+    if stack.shape[1] == 1:
+        return left_sum(terms.T)
+    return np.einsum("ij->j", terms)
+
+
 def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | None, model: ObjectModel) -> float:
-    """One model's alignment score; see :func:`alignment_scores`."""
-    return alignment_scores(prev_packet, cur_packet, [model])[0]
+    """One model's sum of weights over the causally ordered (pre in prev, post in cur) pairs.
+
+    A pair contributes w[i, j] when i's global spike time precedes j's;
+    with non-overlapping packets that is every pair. A missing or empty
+    packet scores 0.0, before any id is checked. Neuron ids outside the
+    model's [0, n) raise ``ValueError``.
+    """
+    if not (prev_packet and cur_packet):
+        return 0.0
+    n = model.weights.n
+    _check_packet_ids(prev_packet, n)
+    _check_packet_ids(cur_packet, n)
+    return float(_pair_scores(model.weights.w.reshape(-1, 1), prev_packet, cur_packet, n)[0])
 
 
 def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
@@ -229,20 +210,6 @@ class StepDiagnostics:
     prediction_error: float
     stage_order: tuple[str, ...]
 
-    def to_json(self) -> str:
-        """One JSON-lines record for diagnostics streaming."""
-        return json.dumps(
-            {
-                "step": self.step,
-                "dt": self.dt,
-                "displacement": None if self.displacement is None else list(self.displacement.to_array()),
-                "scores": self.scores,
-                "best": self.best,
-                "prediction_error": self.prediction_error,
-                "stage_order": list(self.stage_order),
-            }
-        )
-
 
 @dataclass
 class LoopState:
@@ -252,8 +219,10 @@ class LoopState:
     copied into ``weight_stack``, one read-only C-contiguous (N*N, models)
     array whose row ``i * N + j`` holds every model's weight on synapse
     (i, j), so a later change to a model's matrix does not reach the loop.
-    Every step gathers its synapses' rows and folds each column. A step is
-    a pure function of (state, input). When no explicit contact time is
+    Every step scores over that stack (:func:`_pair_scores`). A step is
+    a pure function of (state, input). ``prev_packet``, ``step`` and
+    ``clock`` start empty, at 0 and at 0.0, and only steps write them; a
+    caller cannot pass them in. When no explicit contact time is
     supplied, contacts are assumed to arrive ``inter_contact_interval``
     seconds apart.
     ``temperature`` must be positive. It may be set after construction, so
@@ -267,9 +236,9 @@ class LoopState:
     encoder: EncoderParams = EncoderParams()
     temperature: float = 1.0
     inter_contact_interval: float = 0.020
-    prev_packet: SpikePacket | None = None
-    step: int = 0
-    clock: float = 0.0
+    prev_packet: SpikePacket | None = field(default=None, init=False)
+    step: int = field(default=0, init=False)
+    clock: float = field(default=0.0, init=False)
     weight_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -285,8 +254,6 @@ class LoopState:
             raise ValueError("evidence state and model list disagree on class count")
         if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > self.encoder.tau_base):
             raise ValueError(f"inter_contact_interval must exceed the packet span, got {self.inter_contact_interval}")
-        if self.prev_packet is not None:
-            _check_packet_ids(self.prev_packet, n)
         _check_temperature(self.temperature)
         self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models], axis=1)
         finite = np.isfinite(self.weight_stack).all(axis=0)
@@ -333,10 +300,7 @@ def exploration_step(
         dt = cur_arrival - prev_arrival
         displacement = decode_displacement(dt, direction, latency)
 
-    if state.prev_packet and packet:
-        totals = _column_sums(state.weight_stack.take(_causal_index(state.prev_packet, packet, n), axis=0))
-    else:
-        totals = np.zeros(len(state.models))
+    totals = _pair_scores(state.weight_stack, state.prev_packet, packet, n)
     # The one temperature check of a step, before any state changes.
     ll = log_likelihoods_from_scores(totals, state.temperature)
 

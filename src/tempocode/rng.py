@@ -45,7 +45,7 @@ at a time).
 
 The overlap route, its probe, NEP 50's promotion rules for the
 ``uint64`` mixing, and the in-order column fold of ``np.einsum`` that
-scores an inference step (``inference._column_sums``) were verified on
+scores an inference step (``inference._pair_scores``) were verified on
 numpy 2.4.6; no numpy 1.x was tried. The ``numpy>=2.4`` of
 ``pyproject.toml`` names the only numpy series these bits were checked
 on, an install floor rather than a promise: on another numpy the probe still

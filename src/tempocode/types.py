@@ -1,10 +1,12 @@
 """Shared domain types and their invariants.
 
-All types here are value types: validated on construction and treated as
-immutable afterwards, so they are safe to share between threads. Times are
-seconds in double precision throughout (milliseconds appear only in display
-formatting). Neuron ids are dense integers 0..N-1; sparse spike maps iterate
-in ascending neuron-id order so downstream sums are reproducible.
+Every type here is validated on construction. All but :class:`WeightMatrix`
+are value types, treated as immutable afterwards and so safe to share
+between threads; STDP writes a ``WeightMatrix``'s array in place
+(:mod:`tempocode.stdp`). Times are seconds in double precision throughout
+(milliseconds appear only in display formatting). Neuron ids are dense
+integers 0..N-1; sparse spike maps iterate in ascending neuron-id order so
+downstream sums are reproducible.
 """
 
 from __future__ import annotations
@@ -228,7 +230,6 @@ class Traversal:
     """
 
     contacts: tuple[tuple[np.ndarray, float], ...]
-    motor_direction: float = 0.0
     label: str = ""
     features: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -250,13 +251,10 @@ class Traversal:
             prev_time = t
             rows.append(arr)
             times.append(t)
-        if not math.isfinite(float(self.motor_direction)):
-            raise ValueError("motor direction must be finite")
         block = np.array(rows) if rows else np.empty((0, 0))
         block.flags.writeable = False
         object.__setattr__(self, "features", block)
         object.__setattr__(self, "contacts", tuple(zip(block, times)))
-        object.__setattr__(self, "motor_direction", float(self.motor_direction))
 
     @classmethod
     def _from_checked(cls, features: np.ndarray, times: list[float], label: str) -> "Traversal":
@@ -268,7 +266,6 @@ class Traversal:
         """
         traversal = object.__new__(cls)
         object.__setattr__(traversal, "contacts", tuple(zip(features, times)))
-        object.__setattr__(traversal, "motor_direction", 0.0)
         object.__setattr__(traversal, "label", label)
         object.__setattr__(traversal, "features", features)
         return traversal

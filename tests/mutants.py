@@ -147,7 +147,7 @@ MUTANTS = [
      "centroids[int(distances[0].argmin())][0]",
      "centroids[len(centroids) - 1 - int(distances[0][::-1].argmin())][0]", "test_baseline"),
     ("inference.py", "the loop scoring the models' live matrices",
-     "state.weight_stack.take(", "np.stack([m.weights.w.reshape(-1) for m in state.models], axis=1).take(",
+     "_pair_scores(state.weight_stack,", "_pair_scores(np.stack([m.weights.w.reshape(-1) for m in state.models], 1),",
      "test_oracle"),
     ("inference.py", "a writable weight stack", "self.weight_stack.flags.writeable = False", "pass", "test_inference"),
     ("inference.py", "no reading-length check", "if len(sensor_reading) != n:", "if False:", "test_inference"),
@@ -156,14 +156,18 @@ MUTANTS = [
     ("inference.py", "no causal mask",
      "return index[(pre_times[:, None] < post_times).ravel()]", "return index", "test_inference"),
     ("inference.py", "no 0.0 added to left_sum's fold", "[..., -1] + 0.0", "[..., -1]", "test_experiments"),
-    ("inference.py", "einsum folding a single model's column", "if terms.shape[1] == 1:", "if False:", "test_oracle"),
+    ("inference.py", "einsum folding a single model's column", "if stack.shape[1] == 1:", "if False:", "test_oracle"),
+    ("inference.py", "alignment_score checking a missing packet's partner",
+     "    if not (prev_packet and cur_packet):\n        return 0.0\n", "", "test_inference"),
+    ("inference.py", "alignment_score checking no ids",
+     "    _check_packet_ids(prev_packet, n)\n    _check_packet_ids(cur_packet, n)\n", "", "test_inference"),
     ("inference.py", "no contact-time check before the interval",
      "if state.prev_packet is not None and t < state.prev_packet.arrival:", "if False:", "test_inference"),
     ("inference.py", "a pairwise sum for left_sum",
      "np.add.accumulate(terms, axis=-1)[..., -1]", "terms.sum(axis=-1)", "test_oracle"),
-    ("inference.py", "the step scoring without the causal mask",
-     "_causal_index(state.prev_packet, packet, n)",
-     "(state.prev_packet.id_time_arrays[0][:, None] * n + packet.id_time_arrays[0]).ravel()", "test_oracle"),
+    ("inference.py", "scoring without the causal mask",
+     "stack.take(_causal_index(prev, cur, n), axis=0)",
+     "stack.take((prev.id_time_arrays[0][:, None] * n + cur.id_time_arrays[0]).ravel(), axis=0)", "test_oracle"),
     ("inference.py", "touching packets left unmasked",
      "max(prev.spikes.values()) < cur.arrival", "max(prev.spikes.values()) <= cur.arrival", "test_oracle"),
     ("inference.py", "the mask bound from the first pre spike",

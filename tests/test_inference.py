@@ -1,6 +1,5 @@
 """Scoring, likelihoods, and the full exploration step."""
 
-import json
 import math
 import random
 import re
@@ -16,12 +15,12 @@ from tempocode.evidence import EvidenceState
 from tempocode.inference import (
     LoopState,
     ObjectModel,
+    StepDiagnostics,
     alignment_score,
-    alignment_scores,
     exploration_step,
     log_likelihoods_from_scores,
 )
-from tempocode.latency import arrival_time, decode_displacement
+from tempocode.latency import decode_displacement
 from tempocode.stdp import train_on_traversal
 from tempocode.types import LatencyParams, SpikePacket, WeightMatrix
 from tempocode.world import discrimination_pair
@@ -53,11 +52,15 @@ class TestAlignmentScore:
             (SpikePacket({0: 0.0}, arrival=0.0), _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.3),
             (SpikePacket({}), _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.0),
             (None, _ONE_AT_20MS, _single_weight_model(0, 1, 0.3), 0.0),
+            (SpikePacket({0: 0.0}, arrival=0.0), None, _single_weight_model(0, 1, 0.3), 0.0),
+            # A missing packet scores 0 before the other packet's ids are checked.
+            (None, SpikePacket({3: 0.0}, arrival=0.020), _zero_model(), 0.0),
             # Packets that overlap in time: only 0 -> 2 is causal; 1 fires at 0.009, after 2 at 0.005.
             (SpikePacket({0: 0.0, 1: 0.009}, arrival=0.0), SpikePacket({2: 0.0}, arrival=0.005),
              ObjectModel("m", WeightMatrix(np.ones((3, 3)))), 1.0),
         ],
-        ids=["zero-weights", "single-pair", "empty-packet", "no-packet", "causal-filter"],
+        ids=["zero-weights", "single-pair", "empty-packet", "no-packet", "no-current-packet",
+             "no-packet-beside-a-bad-id", "causal-filter"],
     )
     def test_examples(self, prev, cur, model, expected):
         assert alignment_score(prev, cur, model) == expected
@@ -92,33 +95,6 @@ class TestAlignmentScoreMatchesScalarLoop:
         assert np.float64(score).tobytes() == np.float64(_alignment_reference(prev, cur, model)).tobytes()
 
 
-def _bytes(values):
-    return np.array(values, dtype=float).tobytes()
-
-
-class TestAlignmentScoresMatchScalarLoop:
-    """One packet-pair block scored against many models, compared as bytes."""
-
-    def test_missing_packets_and_no_models(self):
-        models = [_single_weight_model(0, 1, 0.3), _zero_model()]
-        packet = SpikePacket({0: 0.0}, arrival=0.020)
-        assert alignment_scores(None, packet, models) == [0.0, 0.0]
-        assert alignment_scores(packet, None, models) == [0.0, 0.0]
-        assert alignment_scores(SpikePacket({}), packet, models) == [0.0, 0.0]
-        assert alignment_scores(SpikePacket({0: 0.0}), packet, []) == []
-
-    def test_models_of_different_sizes(self):
-        prev = SpikePacket({0: 0.0, 2: 0.003}, arrival=0.0)
-        cur = SpikePacket({1: 0.0, 2: 0.005}, arrival=0.020)
-        small = ObjectModel("s", WeightMatrix(np.arange(9.0).reshape(3, 3)))
-        large = ObjectModel("l", WeightMatrix(np.arange(25.0).reshape(5, 5)))
-        got = alignment_scores(prev, cur, [small, large, small])
-        expected = [_alignment_reference(prev, cur, m) for m in (small, large, small)]
-        assert _bytes(got) == _bytes(expected)
-        with pytest.raises(ValueError, match="packet neuron id 3 out of range"):
-            alignment_scores(prev, SpikePacket({3: 0.0}, arrival=0.020), [large, small])
-
-
 class TestWeightStack:
     """The loop reads the models' weights once, into one read-only stack (``test_oracle`` changes the models after)."""
 
@@ -141,18 +117,16 @@ class TestPacketIdRange:
         for prev, cur in ((good, bad), (bad, good)):
             with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
                 alignment_score(prev, cur, _zero_model())
-            with pytest.raises(ValueError, match=f"packet neuron id {bad_id} out of range"):
-                alignment_scores(prev, cur, [_zero_model(), _zero_model()])
 
 
 class TestLogLikelihoods:
     def test_equal_scores_are_uniform(self):
         prev = SpikePacket({0: 0.0}, arrival=0.0)
         cur = SpikePacket({1: 0.0}, arrival=0.020)
-        ll = log_likelihoods_from_scores(alignment_scores(prev, cur, [_zero_model(), _zero_model()]))
+        ll = log_likelihoods_from_scores([alignment_score(prev, cur, m) for m in (_zero_model(), _zero_model())])
         np.testing.assert_allclose(ll, [math.log(0.5)] * 2, rtol=1e-12)
         models = [_single_weight_model(0, 1, 5.0)] * 3
-        empty = log_likelihoods_from_scores(alignment_scores(SpikePacket({}), cur, models))
+        empty = log_likelihoods_from_scores([alignment_score(SpikePacket({}), cur, m) for m in models])
         np.testing.assert_allclose(empty, [math.log(1 / 3)] * 3, rtol=1e-12)
 
     @pytest.mark.parametrize(
@@ -232,17 +206,9 @@ class TestExplorationStep:
             assert best == 0
             np.testing.assert_allclose(state.evidence.evidence, [1.0], atol=1e-15)
 
-    def test_a_previous_packet_given_at_construction_times_the_first_step(self):
-        # The loop keeps the previous packet's arrival beside it, read here from the packet handed in.
-        prev = SpikePacket({2: -0.0, 0: 0.004}, arrival=0.25)
-        state = LoopState(models=[_zero_model(), _zero_model(label="n")], prev_packet=prev)
-        _, diag = exploration_step(state, [0.9, 0.2, 0.1], contact_time=0.3)
-        assert diag.dt == 0.3 - arrival_time(prev)
-        assert diag.stage_order[:3] == ("encode", "latency", "decode")
-
     @pytest.mark.parametrize("motor", [None, (2.0, 0.5), (2.0, 0.0), (0.5, -1.0)])
     @pytest.mark.parametrize("timed", [True, False])
-    def test_diagnostics_json_holds_every_field(self, timed, motor):
+    def test_diagnostics_hold_every_field(self, timed, motor):
         # Timed steps take explicit contact times; the others run on the loop's own clock.
         times = (1.0, 1.5) if timed else (None, None)
         motor_kw = {} if motor is None else {"motor": motor}
@@ -261,27 +227,25 @@ class TestExplorationStep:
         assert 0.0 <= second.prediction_error <= 1.0
         # The loop is frozen: its models stay as built, and a fresh loop gives the same records.
         assert all(np.array_equal(model.weights.w, w) for model, w in zip(state.models, built))
-        assert [d.to_json() for d in run(_trained_loop())] == [first.to_json(), second.to_json()]
-        assert json.loads(first.to_json()) == {
-            "step": 0,
-            "dt": None,
-            "displacement": None,
-            "scores": [0.0, 0.0],
-            "best": first.best,
-            "prediction_error": first.prediction_error,
-            "stage_order": ["encode", "score", "update", "adapt"],
-        }
-        d = second.displacement
-        # JSON floats round-trip exactly, so the record equals the diagnostics it came from.
-        assert json.loads(second.to_json()) == {
-            "step": 1,
-            "dt": second.dt,
-            "displacement": [d.dx, d.dy, d.dz],
-            "scores": second.scores,
-            "best": second.best,
-            "prediction_error": second.prediction_error,
-            "stage_order": ["encode", "latency", "decode", "score", "update", "adapt"],
-        }
+        assert run(_trained_loop()) == [first, second]
+        assert first == StepDiagnostics(
+            step=0,
+            dt=None,
+            displacement=None,
+            scores=[0.0, 0.0],
+            best=first.best,
+            prediction_error=first.prediction_error,
+            stage_order=("encode", "score", "update", "adapt"),
+        )
+        assert second == StepDiagnostics(
+            step=1,
+            dt=second.dt,
+            displacement=decode_displacement(second.dt, direction, LatencyParams(velocity)),
+            scores=second.scores,
+            best=second.best,
+            prediction_error=second.prediction_error,
+            stage_order=("encode", "latency", "decode", "score", "update", "adapt"),
+        )
 
     def test_each_step_decodes_at_its_own_velocity(self):
         state = _trained_loop()
@@ -294,17 +258,22 @@ class TestExplorationStep:
         "kwargs, message",
         [
             ({"models": []}, "need at least one object model"),
+            ({"models": [_zero_model(), _zero_model(n=4)]}, "object models disagree on neuron count"),
             ({"evidence": EvidenceState(3)}, "evidence state and model list disagree on class count"),
             ({"encoder": EncoderParams(tau_base=0.05)}, "inter_contact_interval must exceed the packet span, got 0.02"),
-            ({"prev_packet": SpikePacket({3: 0.0})}, "packet neuron id 3 out of range"),
             ({"inter_contact_interval": math.nan}, "inter_contact_interval must exceed the packet span, got nan"),
             ({"inter_contact_interval": math.inf}, "inter_contact_interval must exceed the packet span, got inf"),
         ],
-        ids=["no-models", "evidence-size", "packet-span", "previous-packet-id", "nan-interval", "inf-interval"],
+        ids=["no-models", "models-of-different-sizes", "evidence-size", "packet-span", "nan-interval", "inf-interval"],
     )
     def test_loop_state_validation(self, kwargs, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             LoopState(**{"models": [_zero_model()], **kwargs})
+
+    @pytest.mark.parametrize("name, value", [("prev_packet", SpikePacket({0: 0.0})), ("step", 1), ("clock", 1.0)])
+    def test_a_loop_is_built_from_its_models_and_settings_alone(self, name, value):
+        with pytest.raises(TypeError, match=name):
+            LoopState(models=[_zero_model()], **{name: value})
 
     def test_loop_state_rejects_non_finite_weights_naming_the_model(self):
         bad = _zero_model(label="bad")
@@ -327,102 +296,6 @@ def _loop_snapshot(state):
     )
 
 
-class TestOverflowingScore:
-    """A score that overflows raises on its own step, before the evidence changes, and warns of nothing."""
-
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_the_step_raises_and_changes_nothing(self):
-        huge = ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308)))
-        state = LoopState(models=[huge, _zero_model(label="b")])
-        exploration_step(state, [0.9, 0.5, 0.7])
-        before = _loop_snapshot(state)
-        with pytest.raises(ValueError, match=re.escape("score 0 / temperature must be finite, got inf / 1.0")):
-            exploration_step(state, [0.9, 0.5, 0.7])
-        assert _loop_snapshot(state) == before
-
-
-class TestContactTime:
-    """A contact whose packet arrives before the previous one raises on its own step, before any state changes."""
-
-    @pytest.mark.parametrize("contact_time", [0.999, -1.0])
-    def test_an_earlier_contact_raises_and_changes_nothing(self, contact_time):
-        state = _trained_loop()
-        exploration_step(state, [0.9, 0.2, 0.1], contact_time=1.0)
-        before = _loop_snapshot(state)
-        with pytest.raises(ValueError, match="inter-packet interval must be finite and >= 0"):
-            exploration_step(state, [0.2, 0.8, 0.2], contact_time=contact_time)
-        assert _loop_snapshot(state) == before
-
-
-class TestContactTimeAroundSilentContacts:
-    """A contact earlier than the previous one raises even when a packet is silent, so the clock never runs back."""
-
-    @pytest.mark.parametrize("first, second", [
-        ([0.9, 0.2, 0.1], [0.0, 0.0, 0.0]),
-        ([0.0, 0.0, 0.0], [0.2, 0.8, 0.2]),
-        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
-    ])
-    def test_an_earlier_contact_raises_and_changes_nothing(self, first, second):
-        state = _trained_loop()
-        exploration_step(state, first, contact_time=1.0)
-        before = _loop_snapshot(state)
-        with pytest.raises(ValueError, match=re.escape("inter-packet interval must be finite and >= 0, got -0.5")):
-            exploration_step(state, second, contact_time=0.5)
-        assert _loop_snapshot(state) == before
-        # A contact at the previous one's time is not earlier.
-        exploration_step(state, second, contact_time=1.0)
-
-
-class TestReadingLength:
-    """Every step checks the reading's neuron count against the models', before any state changes."""
-
-    @pytest.mark.parametrize("size", [2, 5])
-    @pytest.mark.parametrize("at_step", [0, 1, 3])
-    def test_a_reading_of_the_wrong_length_raises_and_changes_nothing(self, size, at_step):
-        state = _trained_loop()
-        readings = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
-        for reading in readings[:at_step]:
-            exploration_step(state, reading)
-        before = _loop_snapshot(state)
-        bad = [0.9, 0.5, 0.3, 0.7, 0.2][:size]
-        with pytest.raises(ValueError, match=f"sensor reading has {size} neurons, but the models have 3"):
-            exploration_step(state, bad)
-        assert _loop_snapshot(state) == before
-        # The loop goes on from where it was.
-        exploration_step(state, [0.2, 0.8, 0.2])
-        assert state.step == at_step + 1
-
-
-class TestMotorCommand:
-    """Every step checks its motor command before any state changes, whether or not it decodes."""
-
-    @pytest.mark.parametrize(
-        "motor, message",
-        [
-            ((-1.0, math.nan), "assumed_velocity must be positive and finite"),
-            ((0.0, 0.0), "assumed_velocity must be positive and finite"),
-            ((math.inf, 0.0), "assumed_velocity must be positive and finite"),
-            ((1.0, math.nan), "motor direction must be finite"),
-            ((1.0, -math.inf), "motor direction must be finite"),
-            ((1.0, 0.0, 0.0), r"motor must be a \(velocity, direction\) pair"),
-            ((1.0,), r"motor must be a \(velocity, direction\) pair"),
-        ],
-    )
-    # Step 0 and a step after an empty packet decode nothing; step 2 decodes.
-    @pytest.mark.parametrize("before", [[], [[0.0, 0.0, 0.0]], [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2]]])
-    def test_a_bad_command_raises_on_its_own_step_and_changes_nothing(self, motor, message, before):
-        state = _trained_loop()
-        for reading in before:
-            exploration_step(state, reading)
-        snapshot = _loop_snapshot(state)
-        with pytest.raises(ValueError, match=message):
-            exploration_step(state, [0.1, 0.2, 0.9], motor=motor)
-        assert _loop_snapshot(state) == snapshot
-        # The loop goes on from where it was.
-        _, diag = exploration_step(state, [0.1, 0.2, 0.9], motor=(2.0, 0.5))
-        assert diag.step == len(before)
-
-
 class TestTemperature:
     """A temperature that is not positive, NaN included, is rejected before any state changes."""
 
@@ -433,19 +306,83 @@ class TestTemperature:
         with pytest.raises(ValueError, match="temperature must be positive"):
             log_likelihoods_from_scores([1.0, 0.0], temperature=temperature)
 
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    @pytest.mark.parametrize("stepped", [True, False])
-    def test_set_after_construction_raises_and_changes_nothing(self, temperature, stepped):
-        # Unstepped, the step that raises is the cold start, which scores nothing.
-        state = _trained_loop()
-        if stepped:
-            exploration_step(state, [0.9, 0.2, 0.1])
-        state.temperature = temperature
-        before = _loop_snapshot(state)
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            exploration_step(state, [0.2, 0.8, 0.2])
-        assert _loop_snapshot(state) == before
-        # The loop goes on from where it was once the temperature is mended.
+
+def _overflowing_loop():
+    return LoopState(models=[ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308))), _zero_model(label="b")])
+
+
+def _raising(name, before, step, message, after=None, loop=_trained_loop, temperature=1.0, **kwargs):
+    """A table row: the loop, its steps before as (reading, contact time), the temperature then set, the step that
+    raises, its error, and the step that follows once the temperature is 1.0 again (None: none follows)."""
+    return pytest.param(loop, before, temperature, step, message, after, id=name, **kwargs)
+
+
+_READINGS = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
+_SILENT = [0.0, 0.0, 0.0]
+_VELOCITY = "assumed_velocity must be positive and finite"
+_DIRECTION = "motor direction must be finite"
+_NOT_A_PAIR = r"motor must be a \(velocity, direction\) pair"
+
+_RAISING_STEPS = [
+    # Every step checks the reading's neuron count against the models'.
+    *(_raising(f"reading-of-{size}-at-step-{at}", [(r, None) for r in _READINGS[:at]],
+               {"sensor_reading": [0.9, 0.5, 0.3, 0.7, 0.2][:size]},
+               f"sensor reading has {size} neurons, but the models have 3", {"sensor_reading": [0.2, 0.8, 0.2]})
+      for size in (2, 5) for at in (0, 1, 3)),
+    # Every step checks its motor command, whether or not it decodes: step 0 and a step after an empty packet
+    # decode nothing; step 2 decodes.
+    *(_raising(f"motor-{name}-after-{len(before)}-steps", [(r, None) for r in before],
+               {"sensor_reading": [0.1, 0.2, 0.9], "motor": motor}, message,
+               {"sensor_reading": [0.1, 0.2, 0.9], "motor": (2.0, 0.5)})
+      for name, motor, message in [
+          ("negative-velocity", (-1.0, math.nan), _VELOCITY),
+          ("zero-velocity", (0.0, 0.0), _VELOCITY),
+          ("infinite-velocity", (math.inf, 0.0), _VELOCITY),
+          ("nan-direction", (1.0, math.nan), _DIRECTION),
+          ("infinite-direction", (1.0, -math.inf), _DIRECTION),
+          ("three-values", (1.0, 0.0, 0.0), _NOT_A_PAIR),
+          ("one-value", (1.0,), _NOT_A_PAIR),
+      ]
+      for before in ([], [_SILENT], _READINGS[:2])),
+    # A temperature that is not positive, NaN included, set after construction; unstepped, the step that
+    # raises is the cold start, which scores nothing.
+    *(_raising(f"temperature-{temperature}-after-{stepped}-steps", [(r, None) for r in _READINGS[:stepped]],
+               {"sensor_reading": [0.2, 0.8, 0.2]}, "temperature must be positive",
+               {"sensor_reading": [0.2, 0.8, 0.2]}, temperature=temperature)
+      for temperature in (0.0, -1.0, math.nan) for stepped in (1, 0)),
+    # A score that overflows raises before the evidence changes, and warns of nothing.
+    _raising("overflowing-score", [([0.9, 0.5, 0.7], None)], {"sensor_reading": [0.9, 0.5, 0.7]},
+             re.escape("score 0 / temperature must be finite, got inf / 1.0"), loop=_overflowing_loop,
+             marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # A contact whose packet arrives before the previous one.
+    *(_raising(f"contact-at-{t}", [([0.9, 0.2, 0.1], 1.0)], {"sensor_reading": [0.2, 0.8, 0.2], "contact_time": t},
+               "inter-packet interval must be finite and >= 0")
+      for t in (0.999, -1.0)),
+    # The same when a packet is silent, so the clock never runs back; a contact at the previous one's time is
+    # not earlier.
+    *(_raising(name, [(first, 1.0)], {"sensor_reading": second, "contact_time": 0.5},
+               re.escape("inter-packet interval must be finite and >= 0, got -0.5"),
+               {"sensor_reading": second, "contact_time": 1.0})
+      for name, first, second in [
+          ("firing-then-silent", [0.9, 0.2, 0.1], _SILENT),
+          ("silent-then-firing", _SILENT, [0.2, 0.8, 0.2]),
+          ("silent-then-silent", _SILENT, _SILENT),
+      ]),
+]
+
+
+@pytest.mark.parametrize("loop, before, temperature, step, message, after", _RAISING_STEPS)
+def test_a_step_that_raises_changes_nothing(loop, before, temperature, step, message, after):
+    """A bad input raises on its own step, before any state changes, and the loop goes on from where it was."""
+    state = loop()
+    for reading, contact_time in before:
+        exploration_step(state, reading, contact_time=contact_time)
+    state.temperature = temperature
+    snapshot = _loop_snapshot(state)
+    with pytest.raises(ValueError, match=message):
+        exploration_step(state, **step)
+    assert _loop_snapshot(state) == snapshot
+    if after is not None:
         state.temperature = 1.0
-        _, diag = exploration_step(state, [0.2, 0.8, 0.2])
-        assert diag.step == int(stepped)
+        _, diag = exploration_step(state, **after)
+        assert diag.step == len(before) == state.step - 1

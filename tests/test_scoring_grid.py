@@ -1,21 +1,20 @@
-"""Today's 3-neuron scoring grid at seed 42, pinned so that a change of scoring rule shows what it moves.
+"""The 3-neuron scoring grid at seed 42, pinned so that a change of scoring rule shows what it moves.
 
 Two rules score the same test trials against the same STDP models
 (``_train``, default config, 100 test trials per object):
 
 * leading pair: each packet pair adds the model's weight on its (leading
-  pre, leading post) synapse, as ``run_discrimination`` scores;
-* all causal pairs: each packet pair adds the model's weights over every
-  causally ordered (pre, post) synapse (``alignment_scores``), as the
-  online loop scores.
+  pre, leading post) synapse, read from ``run_discrimination``'s report;
+* all causal pairs: each packet pair's ``alignment_score`` against each
+  model, the online loop's rule, summed over the trial by ``left_sum``.
 
 Each trial picks the model of its highest summed score, ties to the lowest
 index. The pinned counts are the trials per object that pick their own
-model; the dense centroid's counts come from the same report. These are
-today's values, defects included: ``short`` is never picked by either
-temporal rule, while the dense baseline gets every ``short`` trial right at
-sigma 0.05 (a length bias: training potentiates more packet pairs per
-sweep of the 4-contact ``long``). The pins do not say the rules are right.
+model; the dense centroid's counts come from the same report. The pins hold
+the defects too: ``short`` is never picked by either temporal rule, while
+the dense baseline gets every ``short`` trial right at sigma 0.05 (a length
+bias: training potentiates more packet pairs per sweep of the 4-contact
+``long``). The pins do not say the rules are right.
 ``PYTHONPATH=src python tests/test_scoring_grid.py`` prints the table.
 """
 
@@ -28,7 +27,7 @@ from test_oracle import _long_short_pair
 from tempocode.config import Config
 from tempocode.encoding import encode_traversal
 from tempocode.experiments import _TEST_PHASE, _best_models, _train, run_discrimination
-from tempocode.inference import alignment_scores, left_sum
+from tempocode.inference import alignment_score, left_sum
 from tempocode.rng import NoiseStream
 from tempocode.world import WorldParams, complexity_triple, discrimination_pair, generate_traversal
 
@@ -59,7 +58,7 @@ def _all_pairs_correct(cfg, world, objs):
         scores = []
         for stream in NoiseStream(SEED, _TEST_PHASE, o).children(N_TEST):
             packets = encode_traversal(generate_traversal(obj, world, stream), cfg.encoder)
-            per_pair = [alignment_scores(prev, cur, models) for prev, cur in zip(packets, packets[1:])]
+            per_pair = [[alignment_score(prev, cur, m) for m in models] for prev, cur in zip(packets, packets[1:])]
             scores.append(left_sum(np.array(per_pair).T))
         correct.append(int(np.count_nonzero(_best_models(np.array(scores)) == o)))
     return tuple(correct)
