@@ -21,6 +21,7 @@ import json
 import math
 import numbers
 import os
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
@@ -116,6 +117,13 @@ def _positive(path: str, value) -> float:
     return value
 
 
+def _span(path: str, value) -> float:
+    value = _as_number(path, value)
+    if value < sys.float_info.min:
+        raise ConfigError(f"{path}: must be >= {sys.float_info.min}, the smallest normal double, got {value}")
+    return value
+
+
 def _non_negative(path: str, value) -> float:
     value = _as_number(path, value)
     if value < 0.0:
@@ -170,7 +178,7 @@ def _optional(check):
 # report echoes them.
 _SECTIONS = (
     ("encoder", "encoder", (EncoderParams, (
-        ("tau_base", "tau_base", _positive),
+        ("tau_base", "tau_base", _span),
         ("threshold", "sparsity_threshold", _as_number),
     ))),
     ("stdp", "stdp", (StdpParams, (

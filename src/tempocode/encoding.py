@@ -16,17 +16,23 @@ The threshold comparison is strict: activation must exceed the threshold to
 fire. An input with no super-threshold neuron yields an empty (silent)
 packet.
 
+The span is a normal double: :class:`EncoderParams` requires a finite
+``tau_base >= sys.float_info.min`` (2**-1022). Then no two ranks share an
+offset: ``fl(r / n)`` rises by at least ``1/n - 2**-53`` per rank, so for
+n <= 2**50 (8 PiB of features) neighbouring exact products differ by more
+than two ulps, and rounding to nearest cannot merge them. At a subnormal
+5e-324, ``tau_base * (1 / 2)`` would be 0.0.
+
 :func:`encode` builds each packet once, without the public
 :class:`~tempocode.types.SpikePacket` constructor's re-sort and re-check.
 Its construction guarantees ascending int ids (the active ids are listed
-in id order), finite non-negative float offsets and a zero minimum (rank 0
-gets ``tau_base * 0.0``, and ``tau_base`` is positive and finite). Two
-invariants still need a check, with the constructor's ``ValueError``: a
-finite ``arrival``, and pairwise distinct offsets, which a subnormal
-``tau_base`` can round together. ``_from_ordered`` also builds the
-packet's :attr:`~tempocode.types.SpikePacket.id_time_arrays`, by that
-property's rule (each global time is Python's ``arrival + offset``, which
-overflows to ``inf`` without a warning), so no later reader builds them.
+in id order) and finite, non-negative, distinct float offsets with a zero
+minimum (rank 0 gets ``tau_base * 0.0``); only ``arrival`` needs the
+constructor's finiteness check and ``ValueError``. ``_from_ordered`` also
+builds the packet's :attr:`~tempocode.types.SpikePacket.id_time_arrays`,
+by that property's rule (each global time is Python's ``arrival +
+offset``, which overflows to ``inf`` without a warning), so no later
+reader builds them.
 
 A training phase encodes all its traversals at once with
 :func:`_encode_block`, into padded arrays in firing order, with
@@ -37,13 +43,13 @@ lists neurons by descending activation, ties in ascending id, as
 holds rank r. Its offset is ``tau_base * (r / n)``, where numpy divides
 the two exact integers with one rounding, as Python does, and its time is
 ``time + offset``, as :attr:`SpikePacket.id_time_arrays` makes it.
-:func:`_accepted_rows` makes :func:`encode_traversal`'s two checks on the
-block's active counts.
+:func:`_check_gaps` checks the phase's contact gaps.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache
 
@@ -54,14 +60,14 @@ from .types import SpikePacket, Traversal, as_features
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Packet time span and firing threshold."""
+    """Packet time span, a finite normal double (see the module docstring), and firing threshold."""
 
     tau_base: float = 0.010
     sparsity_threshold: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau_base) and self.tau_base > 0.0):
-            raise ValueError(f"tau_base must be positive and finite, got {self.tau_base}")
+        if not (math.isfinite(self.tau_base) and self.tau_base >= sys.float_info.min):
+            raise ValueError(f"tau_base must be finite and at least {sys.float_info.min}, got {self.tau_base}")
         if not math.isfinite(self.sparsity_threshold):
             raise ValueError(f"sparsity_threshold must be finite, got {self.sparsity_threshold}")
 
@@ -70,12 +76,6 @@ class EncoderParams:
 def _offsets(tau_base: float, n: int) -> tuple[float, ...]:
     """The spike offset of each rank r of ``n`` active neurons, in rank order: ``tau_base * (r / n)``."""
     return tuple(tau_base * (r / n) for r in range(n))
-
-
-@cache
-def _offsets_collide(tau_base: float, n: int) -> bool:
-    """Whether ``n`` active neurons get fewer than ``n`` distinct :func:`_offsets`."""
-    return len(set(_offsets(tau_base, n))) != n
 
 
 def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float = 0.0) -> SpikePacket:
@@ -93,12 +93,9 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     threshold = params.sparsity_threshold
     active = [i for i, x in enumerate(values) if x > threshold]
     n = len(active)
-    tau_base = float(params.tau_base)
     # Keys in ascending id order; Python's sort is stable under reverse=True, so ties keep ascending id.
     spikes = dict.fromkeys(active)
-    spikes.update(zip(sorted(active, key=values.__getitem__, reverse=True), _offsets(tau_base, n)))
-    if _offsets_collide(tau_base, n):
-        raise ValueError(f"spike offsets must be pairwise distinct: {list(spikes.values())}")
+    spikes.update(zip(sorted(active, key=values.__getitem__, reverse=True), _offsets(float(params.tau_base), n)))
     return SpikePacket._from_ordered(spikes, arrival)
 
 
@@ -108,16 +105,15 @@ def encode_traversal(traversal: Traversal, params: EncoderParams = EncoderParams
     Rejects traversals whose inter-contact gaps do not exceed the packet
     span, since overlapping packets would break causal pair ordering.
     """
-    prev_time = None
-    packets = []
-    for features, t in traversal.contacts:
-        if prev_time is not None and t - prev_time <= params.tau_base:
-            raise ValueError(
-                f"contact gap {t - prev_time} s must exceed the packet span tau_base={params.tau_base} s"
-            )
-        packets.append(encode(features, params, arrival=t))
-        prev_time = t
-    return packets
+    _check_gaps([t for _, t in traversal.contacts], params)
+    return [encode(features, params, arrival=t) for features, t in traversal.contacts]
+
+
+def _check_gaps(times, params: EncoderParams) -> None:
+    """Raise on the first gap between consecutive contact ``times`` that does not exceed the packet span."""
+    for prev, t in zip(times, times[1:]):
+        if t - prev <= params.tau_base:
+            raise ValueError(f"contact gap {t - prev} s must exceed the packet span tau_base={params.tau_base} s")
 
 
 def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,7 +123,7 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     spike_times, counts)``: the active neuron ids of each contact in firing
     order and their global spike times, both (traversals, contacts, M) with
     M the largest active count, valid in the first ``counts`` (traversals,
-    contacts) slots. Nothing is checked; see :func:`_accepted_rows`.
+    contacts) slots. The contact gaps are not checked; see :func:`_check_gaps`.
     """
     counts = np.count_nonzero(block > params.sparsity_threshold, axis=-1)
     m = int(counts.max(initial=0))
@@ -139,25 +135,6 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     with np.errstate(over="ignore"):
         spike_times = np.asarray(times, dtype=float)[:, None] + offsets
     return ids, spike_times, counts
-
-
-def _accepted_rows(counts: np.ndarray, times, params: EncoderParams) -> int:
-    """How many leading traversals :func:`encode_traversal` accepts, of those ``counts`` describes.
-
-    ``counts`` is (traversals, contacts): the active count of every
-    contact, and every traversal's contacts occur at ``times``. A contact
-    gap within the packet span fails every traversal, so the first. A
-    contact fails when its n active neurons get fewer than n distinct
-    offsets, as a subnormal ``tau_base`` can make them: the check
-    :func:`encode` makes, once per process for each ``(tau_base, n)``.
-    """
-    if any(t - prev <= params.tau_base for prev, t in zip(times, times[1:])):
-        return 0
-    tau_base = float(params.tau_base)
-    # A set, not np.unique: np.unique imports numpy.ma, which a CLI run needs nowhere else.
-    colliding = [n for n in set(counts.ravel().tolist()) if _offsets_collide(tau_base, n)]
-    rejected = np.flatnonzero(np.isin(counts, colliding).any(axis=-1))
-    return int(rejected[0]) if rejected.size else len(counts)
 
 
 def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None = None) -> float:

@@ -48,10 +48,11 @@ firing order and their global spike times) and folded in place into one
 matrix per object (:func:`~tempocode.stdp._fold_traversals`), with the
 bits of training a fresh matrix per traversal on its packets. A weight
 that overflows fails the phase once it is folded, with an error that names
-the object, so no report is scored from it. The encoder's checks run on
-the block first; the traversals before the first one they reject are
-trained, and that traversal is then encoded on its own to raise the error
-:func:`~tempocode.encoding.encode_traversal` gives it.
+the object, so no report is scored from it. Every traversal of one object
+has the same contact times, so their gaps are checked once, before the
+fold (:func:`~tempocode.encoding._check_gaps`), and fail all or none; the
+test phase shares those times. Nothing else rejects a contact, since
+:class:`~tempocode.encoding.EncoderParams` keeps every rank's offset distinct.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ import numpy as np
 
 from .baseline import centroid_distances, dense_train
 from .config import Config
-from .encoding import EncoderParams, _accepted_rows, _encode_block, encode_traversal
+from .encoding import _check_gaps, _encode_block
 from .evidence import EvidenceState
 from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
@@ -161,18 +162,6 @@ def classify_temporal(packets, models: list[ObjectModel]) -> int:
     active = np.array([[nid is not None for nid in leading]], dtype=bool)
     chain = np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp)
     return int(_best_models(_pathway_scores(chain, active, models))[0])
-
-
-def _require_encodable(traversals: list[Traversal], accepted: int, encoder: EncoderParams) -> None:
-    """Raise :func:`encode_traversal`'s error for the first traversal past the ``accepted`` ones.
-
-    A phase builds no packets: it makes the encoder's checks on its whole
-    block (:func:`~tempocode.encoding._accepted_rows`). The traversal they
-    reject is encoded on its own, which raises the error of its first
-    failing contact.
-    """
-    if accepted < len(traversals):
-        encode_traversal(traversals[accepted], encoder)
 
 
 @dataclass(frozen=True)
@@ -438,8 +427,8 @@ def _train(
 ) -> tuple[list[ObjectModel], list[tuple[str, np.ndarray]]]:
     """One STDP model per object and the dense centroids, from the same training traversals.
 
-    Each object's phase is encoded as one block and folded into one matrix;
-    see the module docstring.
+    Each object's contact gaps are checked, then its phase is encoded as one
+    block and folded into one matrix; see the module docstring.
     """
     n = objs[0].n_neurons
     train_traversals: list[Traversal] = []
@@ -451,14 +440,13 @@ def _train(
         ]
         # Every traversal of one object has the same contact times.
         times = [t for _, t in traversals[0].contacts]
+        _check_gaps(times, cfg.encoder)
         ids, spike_times, counts = _encode_block(np.stack([trav.features for trav in traversals]), times, cfg.encoder)
-        accepted = _accepted_rows(counts, times, cfg.encoder)
         weights = WeightMatrix.zeros(n)
         try:
-            _fold_traversals(weights.w, ids[:accepted], spike_times[:accepted], counts[:accepted], cfg.stdp)
+            _fold_traversals(weights.w, ids, spike_times, counts, cfg.stdp)
         except _WeightOverflow as exc:
             raise ValueError(f"object {obj.label!r}: {exc}") from None
-        _require_encodable(traversals, accepted, cfg.encoder)
         models.append(ObjectModel(obj.label, weights))
         train_traversals.extend(traversals)
     return models, dense_train(train_traversals)
@@ -498,9 +486,6 @@ def run_discrimination(
             for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
         ]
         block = np.stack([trav.features for trav in trials])
-        counts = np.count_nonzero(block > cfg.encoder.sparsity_threshold, axis=-1)
-        times = [t for _, t in trials[0].contacts]
-        _require_encodable(trials, _accepted_rows(counts, times, cfg.encoder), cfg.encoder)
         temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
         dense = centroid_distances(np.sum(block, axis=-2), centroid_arrays).argmin(axis=-1)
         temporal_correct = int(np.count_nonzero(temporal == o))

@@ -17,11 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-#: A feature vector is a 1-D float64 array of finite activations, one per
-#: neuron. Use :func:`as_features` to validate raw input at API boundaries.
-FeatureVector = np.ndarray
-
-
 def as_features(values) -> np.ndarray:
     """Validate and convert a feature vector; rejects empty or non-finite input."""
     arr = np.asarray(values, dtype=float)
@@ -208,9 +203,6 @@ class Displacement:
             v = components[name] = float(components[name])
             if not math.isfinite(v):
                 raise ValueError(f"displacement component {name} must be finite, got {v}")
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.dx, self.dy, self.dz])
 
 
 @dataclass(frozen=True)

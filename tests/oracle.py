@@ -94,15 +94,11 @@ def encode(row, arrival, encoder):
     """One contact's packet: rank r of the n neurons above the threshold fires at ``arrival + tau_base * (r / n)``.
 
     Rank by descending activation, equal ones (``0.0`` and ``-0.0``
-    included) in ascending id. Offsets that round together are rejected,
-    with the offsets in ascending id.
+    included) in ascending id.
     """
     active = [i for i, x in enumerate(row) if x > encoder.sparsity_threshold]
     ranked = sorted(active, key=lambda i: -row[i])
-    offsets = {i: encoder.tau_base * (r / len(active)) for r, i in enumerate(ranked)}
-    if len(set(offsets.values())) != len(active):
-        raise Rejected("offsets", [offsets[i] for i in active])
-    return [(i, arrival + offsets[i]) for i in ranked]
+    return [(i, arrival + encoder.tau_base * (r / len(active))) for r, i in enumerate(ranked)]
 
 
 def encode_traversal(rows, times, encoder):
@@ -224,26 +220,17 @@ def training(objects, seed, sigma, n_train, interval, encoder, stdp):
     """Each object's trained weights and dense centroid, from the same training sweeps.
 
     ``objects`` holds ``(label, canonical rows)``; sweep t of object o draws
-    from the stream ``derive_seed(seed, TRAIN, o, t)``. The sweeps before
-    the first one the encoder rejects are trained and their weights
-    checked; then that sweep's error is raised.
+    from the stream ``derive_seed(seed, TRAIN, o, t)``. A sweep the encoder
+    rejects raises its error before the object's weights are trained.
     """
     n = len(objects[0][1][0])
     models, centroids = [], []
     for o, (label, canonical) in enumerate(objects):
         sweeps = [traversal(canonical, sigma, interval, derive_seed(seed, TRAIN, o, t)) for t in range(n_train)]
-        packets, rejected = [], None
-        for rows, times in sweeps:
-            try:
-                packets.append(encode_traversal(rows, times, encoder))
-            except Rejected as exc:
-                rejected = exc
-                break
+        packets = [encode_traversal(rows, times, encoder) for rows, times in sweeps]
         models.append(train([[0.0] * n for _ in range(n)], packets, stdp))
         if not all(math.isfinite(w) for row in models[-1] for w in row):
             raise Rejected("overflow", label)
-        if rejected is not None:
-            raise rejected
         centroids.append(centroid([dense_sum(rows) for rows, _ in sweeps]))
     return models, centroids
 

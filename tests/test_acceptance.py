@@ -8,6 +8,7 @@ invariants, the latency round trip, determinism, and code capacity.
 
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -186,7 +187,7 @@ def test_criterion_8_latency_round_trip():
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
     truth = np.array([v_true * interval * math.cos(theta), v_true * interval * math.sin(theta), 0.0])
     exact_ok = all(
-        np.allclose(decode_displacement(g, theta, LatencyParams(v_true)).to_array(), truth, atol=1e-9)
+        np.allclose(astuple(decode_displacement(g, theta, LatencyParams(v_true))), truth, atol=1e-9)
         for g in gaps
     )
     mismatch_ok = True

@@ -245,16 +245,17 @@ class TestExitCodesMeanWhatTheySay:
     @pytest.mark.parametrize(
         "text, needle",
         [('{"experiment": {"n_train": 0}}', "experiment.n_train"), ('{"stdp": {"tau_plus": -1}}', "stdp.tau_plus"),
-         (None, "cannot read config file")],
-        ids=["zero-n-train", "config-error", "missing-config"],
+         ('{"encoder": {"tau_base": 5e-324}}', "encoder.tau_base"), (None, "cannot read config file")],
+        ids=["zero-n-train", "config-error", "subnormal-tau-base", "missing-config"],
     )
     def test_a_bad_config_exits_2(self, capsys, tmp_path, text, needle):
         cfg = tmp_path / "cfg.json"
         if text is not None:
             cfg.write_text(text)
-        code, _, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
-        assert code == 2
+        code, out, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert (code, out) == (2, "")
         assert err.startswith("config error") and needle in err
+        assert not (tmp_path / "out").exists()
 
     def test_weights_that_overflow_exit_1_with_no_report(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -99,6 +99,8 @@ class TestValidation:
             ({"stdp": {"tau_minuss": 1.0}}, r"stdp\.tau_minuss"),
             ({"stdp": {"tau_plus": -1}}, r"stdp\.tau_plus"),
             ({"world": {"inter_contact_interval": 0.005}}, r"world\.inter_contact_interval: must exceed"),
+            ({"encoder": {"tau_base": 5e-324}}, r"encoder\.tau_base: must be >= 2\.2250738585072014e-308"),
+            ({"encoder": {"tau_base": 2.225073858507201e-308}}, r"encoder\.tau_base: must be >= "),
         ],
     )
     def test_key_paths_in_errors(self, data, key):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from tempocode.encoding import EncoderParams, code_capacity_bits, encode, encode_traversal
+from tempocode.encoding import EncoderParams, _offsets, code_capacity_bits, encode, encode_traversal
 from tempocode.types import SpikePacket, Traversal
 
 TAU = 0.010
@@ -120,6 +121,28 @@ class TestEncodeTraversal:
         trav = Traversal(((np.array(F_S), 0.0), (np.array(F_C), 0.005)))
         with pytest.raises(ValueError):
             encode_traversal(trav)
+
+
+class TestSpanFloor:
+    """Every span ``EncoderParams`` accepts gives each rank its own offset; a subnormal one is rejected."""
+
+    @pytest.mark.parametrize(
+        "tau_base",
+        [sys.float_info.min, math.nextafter(sys.float_info.min, math.inf), 3e-308, 1e-300, TAU, 1.7e308,
+         sys.float_info.max],
+    )
+    def test_offsets_are_distinct_at_and_above_the_floor(self, tau_base):
+        EncoderParams(tau_base=tau_base)
+        # numpy divides and multiplies with Python's roundings, so these are _offsets' values.
+        for n in (1, 2, 3, 2048):
+            assert (tau_base * (np.arange(n) / n)).tolist() == list(_offsets(tau_base, n))
+        for n in range(1, 2049):
+            assert (np.diff(tau_base * (np.arange(n) / n)) > 0.0).all(), n
+
+    @pytest.mark.parametrize("tau_base", [5e-324, math.nextafter(sys.float_info.min, 0.0)])
+    def test_a_subnormal_span_is_rejected(self, tau_base):
+        with pytest.raises(ValueError, match=f"tau_base must be finite and at least {sys.float_info.min}"):
+            EncoderParams(tau_base=tau_base)
 
 
 class TestCodeCapacity:

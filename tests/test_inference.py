@@ -3,6 +3,7 @@
 import math
 import random
 import re
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -223,7 +224,7 @@ class TestExplorationStep:
         assert second.dt == pytest.approx(0.5 if timed else 0.020, abs=1e-15)
         velocity, direction = motor or (1.0, 0.0)
         expected = velocity * second.dt * np.array([math.cos(direction), math.sin(direction), 0.0])
-        np.testing.assert_allclose(second.displacement.to_array(), expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(astuple(second.displacement), expected, rtol=0, atol=1e-12)
         assert 0.0 <= second.prediction_error <= 1.0
         # The loop is frozen: its models stay as built, and a fresh loop gives the same records.
         assert all(np.array_equal(model.weights.w, w) for model, w in zip(state.models, built))

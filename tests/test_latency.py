@@ -1,6 +1,7 @@
 """Arrival extraction and timing-based displacement decoding."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -49,9 +50,9 @@ class TestDecodeDisplacement:
             dt = float(rng.uniform(0, 5))
             k = float(rng.uniform(0, 4))
             theta = float(rng.uniform(-math.pi, math.pi))
-            base = decode_displacement(dt, theta).to_array()
-            scaled = decode_displacement(k * dt, theta).to_array()
-            np.testing.assert_allclose(scaled, k * base, rtol=1e-12, atol=1e-15)
+            base = astuple(decode_displacement(dt, theta))
+            scaled = astuple(decode_displacement(k * dt, theta))
+            np.testing.assert_allclose(scaled, k * np.array(base), rtol=1e-12, atol=1e-15)
 
     def test_norm_law(self):
         rng = np.random.default_rng(4)
@@ -80,5 +81,5 @@ class TestWorldRoundTrip:
         v_true, interval, theta = 1.25, 0.04, -1.1
         truth = np.array([v_true * interval * math.cos(theta), v_true * interval * math.sin(theta), 0.0])
         for gap in self._arrival_gaps(interval):
-            decoded = decode_displacement(gap, theta, LatencyParams(mismatch * v_true)).to_array()
+            decoded = astuple(decode_displacement(gap, theta, LatencyParams(mismatch * v_true)))
             np.testing.assert_allclose(decoded, mismatch * truth, rtol=1e-9, atol=1e-9 * mismatch)

@@ -10,6 +10,7 @@ same values.
 
 import dataclasses
 import random
+import sys
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from test_stdp import _packet, _random_packet
 from tempocode import rng, stdp
 from tempocode.baseline import centroid_distances, dense_train
 from tempocode.config import Config
-from tempocode.encoding import EncoderParams, _accepted_rows, _encode_block, encode
+from tempocode.encoding import EncoderParams, _check_gaps, _encode_block, encode
 from tempocode.experiments import (
     DiscriminationReport,
     ObjectResult,
@@ -75,7 +76,6 @@ MESSAGES = {
     "one contact": "object {!r} has 1 contact: discrimination needs at least two per object, "
     "since one contact gives no packet pair to train or score",
     "gap": "contact gap {} s must exceed the packet span tau_base={} s",
-    "offsets": "spike offsets must be pairwise distinct: {}",
     "spike time": stdp._NON_FINITE,
     "overflow": "object {!r}: " + stdp._OVERFLOW,
     "activations": "feature vector contains non-finite activations: {!r}",
@@ -233,20 +233,17 @@ def test_generate_traversal_matches_the_oracle(data, sigma, seed):
 
 
 def _assert_block_matches(block, times, params):
-    """``encode``, ``_encode_block`` and ``_accepted_rows`` against the oracle's encoder."""
+    """``encode``, ``_encode_block`` and ``_check_gaps`` against the oracle's encoder."""
     ids, spike_times, counts = _encode_block(block, times, params)
-    accepted = len(block)
+    try:
+        oracle.encode_traversal(block[0].tolist(), times, params)
+    except oracle.Rejected as rejected:
+        _assert_raises_as(rejected, lambda: _check_gaps(times, params))
+    else:
+        _check_gaps(times, params)
     for t, rows in enumerate(block.tolist()):
-        try:
-            oracle.encode_traversal(rows, times, params)
-        except oracle.Rejected:
-            accepted = min(accepted, t)
         for k, (row, time) in enumerate(zip(rows, times)):
-            try:
-                packet = oracle.encode(row, time, params)
-            except oracle.Rejected as rejected:
-                _assert_raises_as(rejected, lambda: encode(row, params, arrival=time))
-                continue
+            packet = oracle.encode(row, time, params)
             got = _packet(encode(row, params, arrival=time))
             assert [nid for nid, _ in got] == [nid for nid, _ in packet]
             assert _bytes([s for _, s in got]) == _bytes([s for _, s in packet])
@@ -254,7 +251,6 @@ def _assert_block_matches(block, times, params):
             assert c == len(packet)
             assert ids[t, k, :c].tolist() == [nid for nid, _ in packet]
             assert spike_times[t, k, :c].tobytes() == _bytes([s for _, s in packet])
-    assert _accepted_rows(counts, times, params) == accepted
 
 
 @pytest.mark.parametrize("threshold", [0.1, 0.0, -0.2])
@@ -272,11 +268,11 @@ def test_the_block_encoder_gives_the_oracles_packets(threshold):
 @given(
     data=st.data(),
     threshold=st.sampled_from([0.1, 0.0, -0.2]),
-    tau_base=st.sampled_from([0.010, 5e-324]),
+    tau_base=st.sampled_from([0.010, sys.float_info.min]),
     interval=st.sampled_from([0.020, 0.005, 5e-324]),
 )
 def test_encoders_and_their_checks_match_the_oracle(data, threshold, tau_base, interval):
-    # A subnormal tau_base makes the offsets of two or more active neurons collide; a short interval fails the gap.
+    # The smallest normal tau_base still gives every rank its own offset; a short interval fails the gap.
     n, k = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 6))
     block = np.array([data.draw(_rows(n, k)) for _ in range(data.draw(st.integers(1, 4)))])
     _assert_block_matches(block, [j * interval for j in range(k)], EncoderParams(tau_base, threshold))
@@ -432,49 +428,10 @@ def test_dense_sums_fold_contacts_in_traversal_order():
 
 
 def test_a_contact_gap_within_the_packet_span_raises_the_oracles_error():
-    cfg = _config(interval=0.005)  # built with replace: no config-level check ran
-    assert _assert_train_matches(cfg, 3, 0.1, discrimination_pair()).kind == "gap"
-    assert _assert_run_matches(cfg, 3, 0.1, discrimination_pair()).kind == "gap"
-
-
-@pytest.mark.parametrize("first_contact, kind", [((0.9, 0.8), "offsets"), ((0.9, 0.0), "gap")])
-def test_a_traversal_raises_its_first_encoding_error(first_contact, kind):
-    # The gap check fails at contact 1, after contact 0 is encoded; two active
-    # neurons collide there, since tau_base * (1 / 2) == 0.0 at tau_base 5e-324.
-    objs = [SyntheticObject("x", (np.array(first_contact), np.array([0.9, 0.8])))]
-    assert _assert_train_matches(_config(tau_base=5e-324, interval=5e-324), 1, 0.0, objs).kind == kind
-
-
-def _one_driven_neuron_pair():
-    # Offsets of one active neuron never collide, but noise that lifts a second neuron
-    # over the threshold makes tau_base * (1 / 2) == 0.0 at tau_base 5e-324.
-    return [
-        SyntheticObject("x", (np.array([0.9, 0.0, 0.0]), np.array([0.0, 0.9, 0.0]))),
-        SyntheticObject("y", (np.array([0.0, 0.9, 0.0]), np.array([0.9, 0.0, 0.0]))),
-    ]
-
-
-def test_colliding_subnormal_offsets_raise_the_oracles_error_in_training():
-    # At sigma 0.04 a collision first happens in traversals 1 to 4 of a phase, after the ones
-    # before it trained, or never.
-    cfg = _config(n_train=8, tau_base=5e-324)
-    errors = [_assert_train_matches(cfg, seed, 0.04, _one_driven_neuron_pair()) for seed in range(12)]
-    assert None in errors and any(e and e.kind == "offsets" for e in errors)
-    # Neurons at the threshold cross it about half the time, so the traversals rejected in one
-    # phase collide with 2 or 3 active neurons, and only the first one's offsets are right.
-    obj = SyntheticObject("z", (np.array([0.9, 0.1, 0.1]), np.array([0.1, 0.9, 0.1])))
-    assert len({str(_assert_train_matches(cfg, seed, 0.01, [obj]).detail) for seed in range(4)}) > 1
-
-
-def test_colliding_subnormal_offsets_raise_the_oracles_error_in_either_phase():
-    cfg = _config(n_train=1, n_test=60, tau_base=5e-324)
-    phases = set()
-    for seed in range(12):
-        result = _assert_run_matches(cfg, seed, 0.05, _one_driven_neuron_pair())
-        if isinstance(result, oracle.Rejected):
-            assert result.kind == "offsets"
-            phases.add("train" if _assert_train_matches(cfg, seed, 0.05, _one_driven_neuron_pair()) else "test")
-    assert phases == {"train", "test"}
+    # A gap of exactly the span (0.010) is rejected too. Built with replace: no config-level check ran.
+    for cfg in (_config(interval=0.005), _config(interval=0.010)):
+        assert _assert_train_matches(cfg, 3, 0.1, discrimination_pair()).kind == "gap"
+        assert _assert_run_matches(cfg, 3, 0.1, discrimination_pair()).kind == "gap"
 
 
 @pytest.mark.parametrize(

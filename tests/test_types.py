@@ -120,7 +120,7 @@ class TestDisplacement:
         d = Displacement(3.0, 4.0)
         assert d.dz == 0.0
         assert math.hypot(d.dx, d.dy, d.dz) == 5.0
-        assert d.to_array().tolist() == [3.0, 4.0, 0.0]
+        assert (d.dx, d.dy, d.dz) == (3.0, 4.0, 0.0)
 
 
 class TestTraversal:
