@@ -10,7 +10,9 @@ keeps packets bit-identical across implementations.
 The evaluation order of the offset is part of that bit-exactness contract:
 tau_base * (r / n) and (tau_base * r) / n can differ in the last bit (at
 tau_base = 0.010, r = 1, n = 3 they do). The frozen ``online`` golden
-digests in ``bench/golden.json`` depend on this order.
+digests in ``bench/golden.json`` depend on this order through the models
+that workload trains, not through its inference steps, which compute no
+offset for contacts that do not overlap.
 
 The threshold comparison is strict: activation must exceed the threshold to
 fire. An input with no super-threshold neuron yields an empty (silent)

@@ -3,7 +3,8 @@
 One call to :func:`exploration_step` advances a sensorimotor loop by a
 single contact:
 
-1. encode the sensor reading into a spike packet,
+1. encode the sensor reading as its active set and arrival (spike times
+   only where contacts overlap or touch),
 2. measure the inter-packet interval from arrival times,
 3. decode the implied displacement from that interval,
 4. score the pair against every frozen object model (causal alignment),
@@ -18,26 +19,24 @@ those models as they were when it was built.
 Scoring is defined purely from the trained weight matrices: the alignment
 score of a packet pair for a model is the sum of that model's weights over
 all causally ordered (pre, post) neuron pairs of the two packets, and a
-missing or empty packet scores 0 against every model. :func:`_pair_scores`
-is the rule's one code path. :func:`_causal_index` names the pair's causal
-synapses, row-major and so in the scalar double loop's order, and the
-weights gathered there from a (synapses, models) stack are folded down
-each column in that order. :func:`exploration_step` scores every model at
-once over the loop's stack; :func:`alignment_score` scores one model's
-matrix as a one-column stack. The experiments' leading-pair rule is
-:func:`tempocode.experiments._pathway_scores`.
+missing or empty packet scores 0 against every model. :func:`_causal_index`
+names the pair's causal synapses, in the scalar double loop's order, and
+:func:`_pair_scores` folds the weights gathered there from a (synapses,
+models) stack down each column: the rule's one code path, over the loop's
+stack for every model at once, and over one model's matrix as a
+one-column stack for :func:`alignment_score`. The experiments'
+leading-pair rule is :func:`tempocode.experiments._pathway_scores`.
 
 :class:`LoopState` is built from its models and settings alone. It reads
 the frozen models once: it stacks their weights into one read-only
 (N*N, models) array and checks once that they are finite.
 :func:`exploration_step` checks each input once per step, before any
-state changes: its motor command, the reading (``encode`` checks its
-values, the step its length against the models' neuron count), the
-contact time (one earlier than the previous packet's arrival is
-rejected, whether or not either packet fires) and the temperature
-(``log_likelihoods_from_scores``). Every id of the packet it encodes is
-then in range, and so is every id of the previous packet, the step
-before's, so each step hands both packets unchecked to :func:`_pair_scores`.
+state changes: its motor command, the reading's shape and values
+(:func:`~tempocode.types.as_features`), the contact time, the reading's
+length against the models' neuron count, the contact time against the
+previous contact's (an earlier one is rejected, whether or not either
+fires) and the temperature (``log_likelihoods_from_scores``). Every
+active id of this step and the one before is then in range.
 """
 
 from __future__ import annotations
@@ -48,11 +47,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .encoding import EncoderParams, encode
+from .encoding import EncoderParams, _offsets, encode
 from .evidence import EvidenceState, prediction_error
-from .latency import arrival_time, decode_displacement
+from .latency import decode_displacement
 from .stdp import _check_packet_ids
-from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix
+from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix, as_features
 
 
 @dataclass(frozen=True)
@@ -87,38 +86,33 @@ def left_sum(values) -> float | np.ndarray:
     return float(totals) if totals.ndim == 0 else totals
 
 
-def _causal_index(prev: SpikePacket, cur: SpikePacket, n: int) -> np.ndarray:
-    """Flat synapse indices ``i * n + j`` of two non-empty packets' causally ordered (pre i, post j) pairs.
+def _causal_index(prev_ids, cur_ids, n: int, times=None) -> np.ndarray:
+    """Flat synapse indices ``i * n + j`` of two contacts' causally ordered (pre i, post j) pairs.
 
-    They come row-major, in the scalar double loop's order (ascending pre
-    id, then post id), so a fold of weights gathered there keeps every
-    score's bits. Spike times are compared pair by pair only when the
-    packets overlap or touch: rounding is monotone, so ``prev.arrival`` plus
-    its largest offset is the last pre spike time, and ``cur.arrival`` (its
-    offset-0 spike's time) the first post spike time.
+    The ids come in ascending order, so the indices come row-major, in the
+    scalar double loop's order, and a fold of weights gathered there keeps
+    every score's bits. ``times`` holds both contacts' spike times in id
+    order, compared pair by pair; without them every pair is causal.
     """
-    (prev_ids, pre_times), (cur_ids, post_times) = prev.id_time_arrays, cur.id_time_arrays
     index = (prev_ids[:, None] * n + cur_ids).ravel()
-    if prev.arrival + max(prev.spikes.values()) < cur.arrival:
+    if times is None:
         return index
+    pre_times, post_times = times
     return index[(pre_times[:, None] < post_times).ravel()]
 
 
-def _pair_scores(stack: np.ndarray, prev: SpikePacket | None, cur: SpikePacket | None, n: int) -> np.ndarray:
-    """Each column's score of a packet pair: its weights over the pair's causal synapses, summed from 0.0 in order.
+def _pair_scores(stack: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Each column's weights over the synapse rows ``index``, summed from 0.0 in that order.
 
     ``stack`` is a C-contiguous (n*n, models) array whose row ``i * n + j``
-    holds every model's weight on synapse (i, j); the packets' ids must be
-    in [0, n). A missing or silent packet scores 0.0 in every column. With
-    two or more columns ``np.einsum`` zeroes the totals and adds the
-    gathered rows into them one after another, so each total is its
-    column's fold from 0.0 bit for bit (verified on numpy 2.4.6 for 2-19
-    columns and 0-4,096 rows). One column collapses into numpy's fast axis,
-    where ``einsum`` sums unrolled, so one model goes to :func:`left_sum`.
+    holds every model's weight on synapse (i, j). With two or more columns
+    ``np.einsum`` zeroes the totals and adds the gathered rows into them one
+    after another, so each total is its column's fold from 0.0 bit for bit
+    (verified on numpy 2.4.6 for 2-19 columns and 0-4,096 rows). One column
+    collapses into numpy's fast axis, where ``einsum`` sums unrolled, so one
+    model goes to :func:`left_sum`.
     """
-    if not (prev and cur):
-        return np.zeros(stack.shape[1])
-    terms = stack.take(_causal_index(prev, cur, n), axis=0)
+    terms = stack.take(index, axis=0)
     if stack.shape[1] == 1:
         return left_sum(terms.T)
     return np.einsum("ij->j", terms)
@@ -137,7 +131,9 @@ def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | N
     n = model.weights.n
     _check_packet_ids(prev_packet, n)
     _check_packet_ids(cur_packet, n)
-    return float(_pair_scores(model.weights.w.reshape(-1, 1), prev_packet, cur_packet, n)[0])
+    (prev_ids, pre_times), (cur_ids, post_times) = prev_packet.id_time_arrays, cur_packet.id_time_arrays
+    index = _causal_index(prev_ids, cur_ids, n, (pre_times, post_times))
+    return float(_pair_scores(model.weights.w.reshape(-1, 1), index)[0])
 
 
 def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
@@ -220,11 +216,13 @@ class LoopState:
     array whose row ``i * N + j`` holds every model's weight on synapse
     (i, j), so a later change to a model's matrix does not reach the loop.
     Every step scores over that stack (:func:`_pair_scores`). A step is
-    a pure function of (state, input). ``prev_packet``, ``step`` and
-    ``clock`` start empty, at 0 and at 0.0, and only steps write them; a
-    caller cannot pass them in. When no explicit contact time is
-    supplied, contacts are assumed to arrive ``inter_contact_interval``
-    seconds apart.
+    a pure function of (state, input). Of the previous contact the loop
+    keeps its arrival, ``prev_arrival`` (-inf before the first step), and
+    owned copies of its active ids, ascending, and their activations,
+    ``prev_active`` and ``prev_values`` (empty). These, ``step`` (from 0)
+    and ``clock`` (from 0.0) are written only by steps. When no explicit
+    contact time is supplied, contacts are assumed to arrive
+    ``inter_contact_interval`` seconds apart.
     ``temperature`` must be positive. It may be set after construction, so
     each step checks it once more, in :func:`log_likelihoods_from_scores`,
     before it changes any state. Weights and ``inter_contact_interval``
@@ -236,7 +234,9 @@ class LoopState:
     encoder: EncoderParams = EncoderParams()
     temperature: float = 1.0
     inter_contact_interval: float = 0.020
-    prev_packet: SpikePacket | None = field(default=None, init=False)
+    prev_arrival: float = field(default=-math.inf, init=False)
+    prev_active: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), init=False, repr=False)
+    prev_values: np.ndarray = field(default_factory=lambda: np.empty(0), init=False, repr=False)
     step: int = field(default=0, init=False)
     clock: float = field(default=0.0, init=False)
     weight_stack: np.ndarray = field(init=False, repr=False, compare=False)
@@ -276,31 +276,43 @@ def exploration_step(
     must be a positive finite velocity and a finite direction, on every
     step, the ones that decode no displacement included. Interval
     measurement and displacement decoding are skipped on the first contact
-    and around empty packets, and a pair with an empty packet scores 0
+    and around silent contacts, and a pair with a silent contact scores 0
     against every model. A ``contact_time`` earlier than the previous
-    packet's arrival raises ``ValueError``, whether or not either packet
-    fires. A step that raises changes no state.
+    contact's raises ``ValueError``, whether or not either contact fires.
+    A step that raises changes no state.
     """
     latency, direction = _check_motor(motor)
     t = state.clock if contact_time is None else float(contact_time)
-
-    packet = encode(sensor_reading, state.encoder, arrival=t)
-    # encode has checked that the reading is 1-D; every id is in range once its length is the models'.
+    reading = as_features(sensor_reading)
+    if not math.isfinite(t):
+        raise ValueError(f"packet arrival time must be finite, got {t}")
+    # Every active id is in range once the reading's length is the models'.
     n = state.models[0].weights.n
-    if len(sensor_reading) != n:
-        raise ValueError(f"sensor reading has {len(sensor_reading)} neurons, but the models have {n}")
+    if reading.size != n:
+        raise ValueError(f"sensor reading has {reading.size} neurons, but the models have {n}")
+    # A contact's first spike is at its arrival, so between firing contacts this is decode_displacement's check.
+    if t < state.prev_arrival:
+        raise ValueError(f"inter-packet interval must be finite and >= 0, got {t - state.prev_arrival}")
 
-    # A packet's first spike is at its arrival, so between firing packets this is decode_displacement's check.
-    if state.prev_packet is not None and t < state.prev_packet.arrival:
-        raise ValueError(f"inter-packet interval must be finite and >= 0, got {t - state.prev_packet.arrival}")
-    prev_arrival = arrival_time(state.prev_packet)
-    cur_arrival = arrival_time(packet)
+    encoder = state.encoder
+    active = np.flatnonzero(reading > encoder.sparsity_threshold)
+    # Fancy indexing copies, so the loop keeps no view of the caller's array.
+    values = reading[active]
+    arrival = t + 0.0
     dt = displacement = None
-    if prev_arrival is not None and cur_arrival is not None:
-        dt = cur_arrival - prev_arrival
+    if state.prev_active.size and active.size:
+        dt = arrival - state.prev_arrival
         displacement = decode_displacement(dt, direction, latency)
-
-    totals = _pair_scores(state.weight_stack, state.prev_packet, packet, n)
+        # Rounding is monotone, so the last rank's offset gives the last pre spike. Contacts that overlap or touch
+        # need spike times: encode ranks the active activations as it would the whole reading, so its times, in
+        # position order, are the active ids'.
+        last_pre = state.prev_arrival + _offsets(encoder.tau_base, state.prev_values.size)[-1]
+        times = None if last_pre < arrival else (
+            encode(state.prev_values, encoder, arrival=state.prev_arrival).id_time_arrays[1],
+            encode(values, encoder, arrival=arrival).id_time_arrays[1])
+        totals = _pair_scores(state.weight_stack, _causal_index(state.prev_active, active, n, times))
+    else:
+        totals = np.zeros(state.weight_stack.shape[1])
     # The one temperature check of a step, before any state changes.
     ll = log_likelihoods_from_scores(totals, state.temperature)
 
@@ -318,7 +330,7 @@ def exploration_step(
         prediction_error=error,
         stage_order=_STAGES if dt is None else _TIMED_STAGES,
     )
-    state.prev_packet = packet
+    state.prev_arrival, state.prev_active, state.prev_values = arrival, active, values
     state.step += 1
     state.clock = t + state.inter_contact_interval
     return best, diagnostics

@@ -141,7 +141,7 @@ MUTANTS = [
      "_pair_scores(state.weight_stack,", "_pair_scores(np.stack([m.weights.w.reshape(-1) for m in state.models], 1),",
      "test_oracle"),
     ("inference.py", "a writable weight stack", "self.weight_stack.flags.writeable = False", "pass", "test_inference"),
-    ("inference.py", "no reading-length check", "if len(sensor_reading) != n:", "if False:", "test_inference"),
+    ("inference.py", "no reading-length check", "if reading.size != n:", "if False:", "test_inference"),
     ("inference.py", "the latency stage left out of stage_order",
      '("encode", "latency", "decode",', '("encode", "decode",', "test_inference"),
     ("inference.py", "no causal mask",
@@ -153,16 +153,21 @@ MUTANTS = [
     ("inference.py", "alignment_score checking no ids",
      "    _check_packet_ids(prev_packet, n)\n    _check_packet_ids(cur_packet, n)\n", "", "test_inference"),
     ("inference.py", "no contact-time check before the interval",
-     "if state.prev_packet is not None and t < state.prev_packet.arrival:", "if False:", "test_inference"),
+     "if t < state.prev_arrival:", "if False:", "test_inference"),
+    ("inference.py", "no finiteness check of the contact time", "if not math.isfinite(t):", "if False:",
+     "test_inference"),
     ("inference.py", "a pairwise sum for left_sum",
      "np.add.accumulate(terms, axis=-1)[..., -1]", "terms.sum(axis=-1)", "test_oracle"),
     ("inference.py", "scoring without the causal mask",
-     "stack.take(_causal_index(prev, cur, n), axis=0)",
-     "stack.take((prev.id_time_arrays[0][:, None] * n + cur.id_time_arrays[0]).ravel(), axis=0)", "test_oracle"),
-    ("inference.py", "touching packets left unmasked",
-     "max(prev.spikes.values()) < cur.arrival", "max(prev.spikes.values()) <= cur.arrival", "test_oracle"),
+     "_causal_index(state.prev_active, active, n, times)", "_causal_index(state.prev_active, active, n)",
+     "test_oracle"),
+    ("inference.py", "touching packets left unmasked", "None if last_pre < arrival", "None if last_pre <= arrival",
+     "test_oracle"),
     ("inference.py", "the mask bound from the first pre spike",
-     "prev.arrival + max(prev.spikes.values())", "prev.arrival + min(prev.spikes.values())", "test_inference"),
+     "_offsets(encoder.tau_base, state.prev_values.size)[-1]", "_offsets(encoder.tau_base, state.prev_values.size)[0]",
+     "test_oracle"),
+    ("inference.py", "an all-active reading kept as the caller's array",
+     "values = reading[active]", "values = reading if active.size == n else reading[active]", "test_oracle"),
     ("inference.py", "every step decoding at velocity 1",
      "_latency_params(float(velocity))", "_latency_params(1.0)", "test_inference"),
     ("inference.py", "no temperature check in the likelihoods",

@@ -271,7 +271,11 @@ class TestExplorationStep:
         with pytest.raises(ValueError, match=re.escape(message)):
             LoopState(**{"models": [_zero_model()], **kwargs})
 
-    @pytest.mark.parametrize("name, value", [("prev_packet", SpikePacket({0: 0.0})), ("step", 1), ("clock", 1.0)])
+    @pytest.mark.parametrize(
+        "name, value",
+        [("prev_arrival", 0.0), ("prev_active", np.array([0])), ("prev_values", np.array([0.9])), ("step", 1),
+         ("clock", 1.0)],
+    )
     def test_a_loop_is_built_from_its_models_and_settings_alone(self, name, value):
         with pytest.raises(TypeError, match=name):
             LoopState(models=[_zero_model()], **{name: value})
@@ -293,7 +297,9 @@ def _loop_snapshot(state):
         state.evidence.lambdas.tobytes(),
         state.step,
         state.clock,
-        state.prev_packet,
+        state.prev_arrival,
+        state.prev_active.tobytes(),
+        state.prev_values.tobytes(),
     )
 
 
@@ -359,6 +365,10 @@ _RAISING_STEPS = [
     *(_raising(f"contact-at-{t}", [([0.9, 0.2, 0.1], 1.0)], {"sensor_reading": [0.2, 0.8, 0.2], "contact_time": t},
                "inter-packet interval must be finite and >= 0")
       for t in (0.999, -1.0)),
+    # A contact time that is not finite, though the clock before it is.
+    *(_raising(f"contact-at-{t}", [([0.9, 0.2, 0.1], 1.0)], {"sensor_reading": [0.2, 0.8, 0.2], "contact_time": t},
+               f"packet arrival time must be finite, got {t}", {"sensor_reading": [0.2, 0.8, 0.2]})
+      for t in (math.nan, math.inf)),
     # The same when a packet is silent, so the clock never runs back; a contact at the previous one's time is
     # not earlier.
     *(_raising(name, [(first, 1.0)], {"sensor_reading": second, "contact_time": 0.5},

@@ -36,7 +36,7 @@ from tempocode.experiments import (
 from tempocode.inference import LoopState, ObjectModel, alignment_score, exploration_step
 from tempocode.rng import NoiseStream
 from tempocode.stdp import apply_packet_pair, train_on_traversal
-from tempocode.types import StdpParams, Traversal, WeightMatrix
+from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import (
     F_CURVED,
     F_EDGE,
@@ -566,22 +566,26 @@ def _contact_times(rnd, steps, overlap):
     return times
 
 
-def _run_episode(models, readings, times, temperature=0.5, after_step=None):
+def _run_episode(models, readings, times, temperature=0.5, after_step=None, buffer=None):
     """Run the loop against the oracle's episode over the models as they are now; returns the loop's state.
 
-    ``after_step(prev, state)`` may change the models after each step.
+    ``after_step(state)`` may change the models after each step. With a
+    ``buffer`` the caller writes each reading into that one array, in place,
+    and hands the loop the array.
     """
     weights = [m.weights.w.tolist() for m in models]
     expected = oracle.episode(weights, readings, times, EncoderParams(), temperature, 0.020)
     state = LoopState(models=models, temperature=temperature, inter_contact_interval=0.020)
     for step, (reading, contact_time) in enumerate(zip(readings, times)):
-        prev = state.prev_packet
+        if buffer is not None:
+            buffer[:] = reading
+            reading = buffer
         best, diag = exploration_step(state, reading, contact_time=contact_time)
         scores, evidence, lambdas, pick = expected[step]
         got = (_bytes(diag.scores), state.evidence.evidence.tobytes(), state.evidence.lambdas.tobytes(), best)
         assert got == (_bytes(scores), _bytes(evidence), _bytes(lambdas), pick), f"step {step}"
         if after_step is not None:
-            after_step(prev, state)
+            after_step(state)
     return state
 
 
@@ -601,9 +605,13 @@ def test_every_step_matches_the_oracle(n, retrain, w_max, overlap):
     readings, times = _readings(rnd, n, 40), _contact_times(rnd, 40, overlap)
     built = [model.weights.w.copy() for model in models]
     seen = {"silent": 0, "non-causal": 0}
+    packets = [None]
 
-    def change_models(prev, state):
-        cur = state.prev_packet
+    def change_models(state):
+        # The packet of the step just taken, encoded from its reading at the arrival the loop keeps.
+        cur = encode(readings[state.step - 1], EncoderParams(), arrival=state.prev_arrival)
+        prev = packets[-1]
+        packets.append(cur)
         if w_max is not None and state.step == 1:
             for model in models:
                 np.clip(model.weights.w, -w_max, w_max, out=model.weights.w)
@@ -653,6 +661,31 @@ def test_touching_packets_drop_their_equal_time_pair():
     for reading in readings[:-1]:
         times.append(encode(reading, EncoderParams(), arrival=times[-1]).id_time_arrays[1].max().item())
     assert _run_episode(models, readings, times).step == 12
+
+
+def test_a_clocked_episode_builds_no_spike_packet():
+    # Contacts on the loop's clock never overlap, so the loop reads only each reading's active set and arrival.
+    rnd = random.Random(26)
+    models = _models(rnd, 8, 3)
+
+    def no_packet(*args, **kwargs):
+        raise AssertionError("the loop built a SpikePacket")
+
+    with (mock.patch.object(SpikePacket, "__init__", no_packet),
+          mock.patch.object(SpikePacket, "_from_ordered", no_packet)):
+        _run_episode(models, _readings(rnd, 8, 40), [None] * 40)
+
+
+def test_a_reading_buffer_the_caller_reuses_changes_no_later_step():
+    # Contacts 2-7 ms apart overlap, so each step reads the spike times of the contact before it, which must be
+    # those of the reading it was given, not of the one the caller wrote over it. Every neuron fires.
+    rnd = random.Random(25)
+    models = _models(rnd, 6, 3)
+    readings = [[rnd.uniform(0.2, 1.0) for _ in range(6)] for _ in range(20)]
+    times = [0.0]
+    for _ in readings[1:]:
+        times.append(times[-1] + rnd.choice([0.002, 0.004, 0.007]))
+    _run_episode(models, readings, times, buffer=np.empty(6))
 
 
 def test_a_block_of_negative_zeros_scores_positive_zero():
