@@ -56,10 +56,42 @@ class EvidenceState:
         ``math.exp`` disagree in the last bit on about 4.6% of inputs in
         [-20, 0]. Switching to :mod:`math` would change recorded evidence
         bits, the benchmark's frozen ``online`` digest among them.
+        ``log_likelihoods`` must have shape ``(n_classes,)``.
+        :func:`tempocode.inference.exploration_step` mixes through the same
+        code, in :meth:`_observe`, without calling this method.
         """
         ll = np.asarray(log_likelihoods, dtype=float)
         if ll.shape != (self.n_classes,):
             raise ValueError(f"expected {self.n_classes} log-likelihoods, got shape {ll.shape}")
+        self._mix(ll)
+
+    def adapt_lambda(self, class_idx: int, prediction_error: float) -> None:
+        """Nudge one class's lambda from its prediction error in [0, 1]."""
+        if not 0 <= class_idx < self.n_classes:
+            raise ValueError(f"class index {class_idx} out of range [0, {self.n_classes})")
+        prediction_error = float(prediction_error)
+        if not (0.0 <= prediction_error <= 1.0):
+            raise ValueError(f"prediction error must lie in [0, 1], got {prediction_error}")
+        self._adapt(class_idx, prediction_error)
+
+    def best_hypothesis(self) -> int:
+        """Argmax class; ties break toward the lowest index."""
+        return int(self.evidence.argmax())
+
+    def _observe(self, ll: np.ndarray) -> tuple[int, float]:
+        """One observation of checked ``(n_classes,)`` log-likelihoods: (best hypothesis, its prediction error).
+
+        The public chain :meth:`update`, :meth:`best_hypothesis`,
+        :func:`prediction_error` and :meth:`adapt_lambda` without their
+        checks: the same operations, in the same order, on the same bits.
+        """
+        self._mix(ll)
+        best = self.best_hypothesis()
+        error = _error(ll, best)
+        self._adapt(best, error)
+        return best, error
+
+    def _mix(self, ll: np.ndarray) -> None:
         # (1 - lambda) * likelihood + lambda * evidence, each product and the sum rounded once.
         evidence = np.exp(ll)
         evidence *= 1.0 - self.lambdas
@@ -69,28 +101,25 @@ class EvidenceState:
             evidence /= total
         self.evidence = evidence
 
-    def adapt_lambda(self, class_idx: int, prediction_error: float) -> None:
-        """Nudge one class's lambda from its prediction error in [0, 1]."""
-        if not 0 <= class_idx < self.n_classes:
-            raise ValueError(f"class index {class_idx} out of range [0, {self.n_classes})")
-        prediction_error = float(prediction_error)
-        if not (0.0 <= prediction_error <= 1.0):
-            raise ValueError(f"prediction error must lie in [0, 1], got {prediction_error}")
-        delta = self.alpha * (0.5 - prediction_error)
+    def _adapt(self, class_idx: int, error: float) -> None:
+        delta = self.alpha * (0.5 - error)
         self.lambdas[class_idx] = min(max(self.lambdas[class_idx] + delta, 0.0), 1.0)
-
-    def best_hypothesis(self) -> int:
-        """Argmax class; ties break toward the lowest index."""
-        return int(self.evidence.argmax())
 
 
 def prediction_error(log_likelihoods, best_hypothesis: int) -> float:
     """1 - likelihood of the current best hypothesis, clamped into [0, 1].
 
     The clamp guards against likelihoods above 1 (possible when raw scores
-    are fed in unnormalized). ``best_hypothesis`` must lie in [0, n).
+    are fed in unnormalized). ``log_likelihoods`` must be 1-D and
+    ``best_hypothesis`` must lie in [0, n).
     """
     ll = np.asarray(log_likelihoods, dtype=float)
+    if ll.ndim != 1:
+        raise ValueError(f"log-likelihoods must be 1-D, got shape {ll.shape}")
     if not 0 <= best_hypothesis < ll.size:
         raise ValueError(f"hypothesis index {best_hypothesis} out of range [0, {ll.size})")
-    return float(min(max(1.0 - math.exp(ll[best_hypothesis]), 0.0), 1.0))
+    return _error(ll, best_hypothesis)
+
+
+def _error(ll: np.ndarray, best: int) -> float:
+    return min(max(1.0 - math.exp(ll[best]), 0.0), 1.0)

@@ -35,8 +35,14 @@ state changes: its motor command, the reading's shape and values
 (:func:`~tempocode.types.as_features`), the contact time, the reading's
 length against the models' neuron count, the contact time against the
 previous contact's (an earlier one is rejected, whether or not either
-fires) and the temperature (``log_likelihoods_from_scores``). Every
-active id of this step and the one before is then in range.
+fires), the temperature, the evidence's class count, and each score once
+divided by the temperature. Every active id of this step and the one
+before is then in range. Its evidence stages run the public functions'
+private code without their checks: :func:`_log_softmax` for
+:func:`log_likelihoods_from_scores`, and
+:meth:`~tempocode.evidence.EvidenceState._observe` for ``update``,
+``best_hypothesis``, ``prediction_error`` and ``adapt_lambda``. So the
+step's bits are the public chain's, and each formula has one copy.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .encoding import EncoderParams, _offsets, encode
-from .evidence import EvidenceState, prediction_error
+from .evidence import EvidenceState
 from .latency import decode_displacement
 from .stdp import _check_packet_ids
 from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix, as_features
@@ -143,15 +149,26 @@ def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
     for the CPU it runs on, so these bits, and the evidence and lambda
     built on them, are not portable across CPUs: on an AVX512F Xeon,
     ``np.log`` and ``math.log`` disagree in the last bit on about 0.09% of
-    inputs in [1, 8] (see also :meth:`EvidenceState.update`). A score that
-    is not finite, or that overflows once divided by the temperature,
-    raises ``ValueError`` naming its index and value: its softmax would be
-    NaN.
+    inputs in [1, 8] (see also :meth:`EvidenceState.update`). ``scores``
+    must be 1-D and not empty. A score that is not finite, or that
+    overflows once divided by the temperature, raises ``ValueError`` naming
+    its index and value: its softmax would be NaN.
     """
     _check_temperature(temperature)
     raw = np.asarray(scores, dtype=float)
+    if raw.ndim != 1:
+        raise ValueError(f"scores must be 1-D, got shape {raw.shape}")
     if raw.size < 1:
         raise ValueError("need at least one score")
+    return _log_softmax(raw, temperature)
+
+
+def _log_softmax(raw: np.ndarray, temperature: float) -> np.ndarray:
+    """The log softmax of a non-empty 1-D float array over a positive temperature, in a new array.
+
+    It checks the one thing its callers cannot before dividing: that every
+    score divided by the temperature is finite.
+    """
     s = raw / temperature
     finite = np.isfinite(s)
     if not np.logical_and.reduce(finite):
@@ -223,10 +240,10 @@ class LoopState:
     and ``clock`` (from 0.0) are written only by steps. When no explicit
     contact time is supplied, contacts are assumed to arrive
     ``inter_contact_interval`` seconds apart.
-    ``temperature`` must be positive. It may be set after construction, so
-    each step checks it once more, in :func:`log_likelihoods_from_scores`,
-    before it changes any state. Weights and ``inter_contact_interval``
-    (above the encoder's span) must be finite.
+    ``temperature`` must be positive, and ``evidence`` must hold one class
+    per model. Either may be set after construction, so each step checks
+    both once more, before it changes any state. Weights and
+    ``inter_contact_interval`` (above the encoder's span) must be finite.
     """
 
     models: list[ObjectModel]
@@ -279,7 +296,10 @@ def exploration_step(
     and around silent contacts, and a pair with a silent contact scores 0
     against every model. A ``contact_time`` earlier than the previous
     contact's raises ``ValueError``, whether or not either contact fires.
-    A step that raises changes no state.
+    A step that raises changes no state. Its evidence stages run without
+    the public functions' checks (see the module docstring): it calls
+    neither :func:`log_likelihoods_from_scores` nor
+    ``EvidenceState.update``, ``prediction_error`` or ``adapt_lambda``.
     """
     latency, direction = _check_motor(motor)
     t = state.clock if contact_time is None else float(contact_time)
@@ -295,7 +315,8 @@ def exploration_step(
         raise ValueError(f"inter-packet interval must be finite and >= 0, got {t - state.prev_arrival}")
 
     encoder = state.encoder
-    active = np.flatnonzero(reading > encoder.sparsity_threshold)
+    # nonzero of a 1-D mask is flatnonzero: its ids ascending, as intp.
+    active = (reading > encoder.sparsity_threshold).nonzero()[0]
     # Fancy indexing copies, so the loop keeps no view of the caller's array.
     values = reading[active]
     arrival = t + 0.0
@@ -313,13 +334,11 @@ def exploration_step(
         totals = _pair_scores(state.weight_stack, _causal_index(state.prev_active, active, n, times))
     else:
         totals = np.zeros(state.weight_stack.shape[1])
-    # The one temperature check of a step, before any state changes.
-    ll = log_likelihoods_from_scores(totals, state.temperature)
-
-    state.evidence.update(ll)
-    best = state.evidence.best_hypothesis()
-    error = prediction_error(ll, best)
-    state.evidence.adapt_lambda(best, error)
+    # Both may be set after construction: the step's one check of each, before any state changes.
+    _check_temperature(state.temperature)
+    if state.evidence.n_classes != totals.size:
+        raise ValueError("evidence state and model list disagree on class count")
+    best, error = state.evidence._observe(_log_softmax(totals, state.temperature))
 
     diagnostics = StepDiagnostics(
         step=state.step,

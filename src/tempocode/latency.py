@@ -25,7 +25,10 @@ def decode_displacement(delta_t: float, motor_direction: float, params: LatencyP
     """Displacement implied by an inter-packet interval and motor direction.
 
     Raises ValueError for a negative interval (a caller error: packets are
-    temporally ordered), and for a non-finite interval or direction.
+    temporally ordered), for a non-finite interval or direction, and for a
+    velocity times interval past the largest double, naming the component
+    that is not finite. A finite distance needs no check of its components:
+    |cos| and |sin| are at most 1, so each is finite too.
     """
     delta_t, motor_direction = float(delta_t), float(motor_direction)
     if not math.isfinite(delta_t) or delta_t < 0.0:
@@ -33,8 +36,7 @@ def decode_displacement(delta_t: float, motor_direction: float, params: LatencyP
     if not math.isfinite(motor_direction):
         raise ValueError(f"motor direction must be finite, got {motor_direction}")
     distance = params.assumed_velocity * delta_t
-    return Displacement(
-        dx=distance * math.cos(motor_direction),
-        dy=distance * math.sin(motor_direction),
-        dz=0.0,
-    )
+    dx, dy = distance * math.cos(motor_direction), distance * math.sin(motor_direction)
+    if math.isfinite(distance):
+        return Displacement._from_finite(dx, dy)
+    return Displacement(dx, dy)

@@ -190,7 +190,13 @@ class LatencyParams:
 
 @dataclass(frozen=True)
 class Displacement:
-    """Spatial displacement in world units; dz stays 0 for planar decoding."""
+    """Spatial displacement in world units; dz stays 0 for planar decoding.
+
+    The public constructor converts each component to float and rejects one
+    that is not finite. :func:`tempocode.latency.decode_displacement` builds
+    its displacements through :meth:`_from_finite` instead, which trusts
+    components it knows to be finite floats and checks none.
+    """
 
     dx: float
     dy: float
@@ -203,6 +209,13 @@ class Displacement:
             v = components[name] = float(components[name])
             if not math.isfinite(v):
                 raise ValueError(f"displacement component {name} must be finite, got {v}")
+
+    @classmethod
+    def _from_finite(cls, dx: float, dy: float) -> "Displacement":
+        """A planar displacement from finite float components, trusted and stored as given."""
+        displacement = object.__new__(cls)
+        displacement.__dict__.update(dx=dx, dy=dy, dz=0.0)
+        return displacement
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,21 @@ MUTANTS = [
      "_latency_params(float(velocity))", "_latency_params(1.0)", "test_inference"),
     ("inference.py", "no temperature check in the likelihoods",
      "    _check_temperature(temperature)\n", "", "test_inference"),
+    ("inference.py", "no temperature check in the step",
+     "    _check_temperature(state.temperature)\n", "", "test_inference"),
+    ("inference.py", "no class-count check of the step's evidence",
+     "if state.evidence.n_classes != totals.size:", "if False:", "test_inference"),
+    ("inference.py", "a >= threshold in the step's active set",
+     "(reading > encoder.sparsity_threshold)", "(reading >= encoder.sparsity_threshold)", "test_oracle"),
+    ("evidence.py", "no normalisation of the evidence", "if total > 0.0:", "if False:", "test_evidence"),
+    ("evidence.py", "the old evidence mixed with 1 - lambda and the likelihood with lambda",
+     "evidence *= 1.0 - self.lambdas\n        evidence += self.lambdas * self.evidence",
+     "evidence *= self.lambdas\n        evidence += (1.0 - self.lambdas) * self.evidence", "test_evidence"),
+    ("evidence.py", "the step's lambda nudged at class 0", "self._adapt(best, error)", "self._adapt(0, error)",
+     "test_oracle"),
+    ("evidence.py", "lambda nudged with the wrong sign", "(0.5 - error)", "(error - 0.5)", "test_evidence"),
+    ("latency.py", "the trusted Displacement taken for an overflowing distance",
+     "if math.isfinite(distance):", "if True:", "test_latency"),
     ("cli.py", "the text report printed for every --format",
      "sys.stdout.write(rendered[args.format])", 'sys.stdout.write(rendered["text"])', "test_cli"),
     ("cli.py", "a ValueError mapped to exit 2",

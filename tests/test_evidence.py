@@ -1,11 +1,15 @@
 """Evidence accumulation, lambda adaptation, and their invariants."""
 
+import re
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tempocode.evidence import EvidenceState, prediction_error
+from tempocode.inference import _log_softmax, log_likelihoods_from_scores
 
 
 class TestUpdateExamples:
@@ -88,6 +92,74 @@ class TestPredictionError:
     def test_rejects_index_out_of_range(self, index):
         with pytest.raises(ValueError, match=rf"hypothesis index {index} out of range \[0, 2\)"):
             prediction_error([-0.1, -2.0], index)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: log_likelihoods_from_scores([[1.0, 2.0], [3.0, 4.0]]), "scores must be 1-D, got shape (2, 2)"),
+     (lambda: log_likelihoods_from_scores(0.0), "scores must be 1-D, got shape ()"),
+     (lambda: prediction_error(0.0, 0), "log-likelihoods must be 1-D, got shape ()"),
+     (lambda: prediction_error([[0.0]], 0), "log-likelihoods must be 1-D, got shape (1, 1)")],
+    ids=["2-d-scores", "0-d-score", "0-d-log-likelihood", "2-d-log-likelihoods"],
+)
+def test_an_input_that_is_not_1d_is_rejected_naming_its_shape(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def _public_chain(state, scores, temperature):
+    ll = log_likelihoods_from_scores(scores, temperature)
+    state.update(ll)
+    best = state.best_hypothesis()
+    error = prediction_error(ll, best)
+    state.adapt_lambda(best, error)
+    return ll, best, error
+
+
+def _private_pass(state, scores, temperature):
+    ll = _log_softmax(np.array(scores, dtype=float), temperature)
+    return (ll, *state._observe(ll))
+
+
+def _signed_zeros(rng, n):
+    return rng.choice([0.0, -0.0], n)
+
+
+def _underflowing(rng, n):
+    # exp of every shifted score but the largest underflows, to 0.0 or to a subnormal.
+    return rng.choice([0.0, -700.0, -745.0, -1e4], n) + rng.uniform(-5.0, 0.0, n)
+
+
+def _spread(rng, n):
+    return rng.normal(0.0, 3.0, n)
+
+
+class TestThePrivatePassIsThePublicChain:
+    """The step's evidence pass gives the public chain's log-likelihoods, evidence, lambdas, pick and error as bytes."""
+
+    @pytest.mark.parametrize("draw", [_signed_zeros, _underflowing, _spread])
+    @pytest.mark.parametrize(
+        "initial_lambda, alpha", [(0.0, 0.001), (1.0, 0.001), (0.5, 0.001), (0.5, 0.5)],
+        ids=["lambda-0", "lambda-1", "lambda-half", "lambda-to-both-bounds"],
+    )
+    @pytest.mark.parametrize("n_classes", [1, 8])
+    @pytest.mark.parametrize("temperature", [1.0, 0.1])
+    def test_every_step_matches_as_bytes(self, n_classes, initial_lambda, alpha, draw, temperature):
+        rng = np.random.default_rng(n_classes * 1000 + int(initial_lambda * 10) + int(alpha * 10))
+        public, private = (EvidenceState(n_classes, initial_lambda, alpha) for _ in range(2))
+        lambdas = set()
+        for step in range(60):
+            scores = draw(rng, n_classes)
+            got = _private_pass(private, scores, temperature)
+            expected = _public_chain(public, scores, temperature)
+            assert (got[0].tobytes(), got[1], struct.pack("d", got[2])) == (
+                expected[0].tobytes(), expected[1], struct.pack("d", expected[2])), f"step {step}"
+            assert (private.evidence.tobytes(), private.lambdas.tobytes()) == (
+                public.evidence.tobytes(), public.lambdas.tobytes()), f"step {step}"
+            assert type(got[1]) is int and type(got[2]) is float
+            lambdas.update(private.lambdas.tolist())
+        # A large alpha drives some lambda from 0.5 onto a bound, where the clip holds it.
+        assert alpha < 0.5 or lambdas & {0.0, 1.0}
 
 
 class TestInvariants:

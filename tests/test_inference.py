@@ -318,6 +318,15 @@ def _overflowing_loop():
     return LoopState(models=[ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308))), _zero_model(label="b")])
 
 
+def _loop_with_evidence_of(n_classes):
+    """A trained two-model loop whose evidence is replaced, after construction, by one of ``n_classes`` classes."""
+    def loop():
+        state = _trained_loop()
+        state.evidence = EvidenceState(n_classes)
+        return state
+    return loop
+
+
 def _raising(name, before, step, message, after=None, loop=_trained_loop, temperature=1.0, **kwargs):
     """A table row: the loop, its steps before as (reading, contact time), the temperature then set, the step that
     raises, its error, and the step that follows once the temperature is 1.0 again (None: none follows)."""
@@ -361,6 +370,11 @@ _RAISING_STEPS = [
     _raising("overflowing-score", [([0.9, 0.5, 0.7], None)], {"sensor_reading": [0.9, 0.5, 0.7]},
              re.escape("score 0 / temperature must be finite, got inf / 1.0"), loop=_overflowing_loop,
              marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
+    # Evidence set after construction is checked against the models' count, as the temperature is; one class
+    # would broadcast against two models' likelihoods.
+    *(_raising(f"evidence-of-{n_classes}-classes", [], {"sensor_reading": [0.2, 0.8, 0.2]},
+               "evidence state and model list disagree on class count", loop=_loop_with_evidence_of(n_classes))
+      for n_classes in (1, 3)),
     # A contact whose packet arrives before the previous one.
     *(_raising(f"contact-at-{t}", [([0.9, 0.2, 0.1], 1.0)], {"sensor_reading": [0.2, 0.8, 0.2], "contact_time": t},
                "inter-packet interval must be finite and >= 0")

@@ -1,6 +1,8 @@
 """Arrival extraction and timing-based displacement decoding."""
 
 import math
+import re
+import struct
 from dataclasses import astuple
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from tempocode.encoding import encode_traversal
 from tempocode.latency import arrival_time, decode_displacement
 from tempocode.rng import NoiseStream
-from tempocode.types import LatencyParams, SpikePacket
+from tempocode.types import Displacement, LatencyParams, SpikePacket
 from tempocode.world import SyntheticObject, WorldParams, generate_traversal
 
 
@@ -62,6 +64,30 @@ class TestDecodeDisplacement:
             theta = float(rng.uniform(-math.pi, math.pi))
             d = decode_displacement(dt, theta, LatencyParams(v))
             assert math.hypot(d.dx, d.dy, d.dz) == pytest.approx(v * dt, rel=1e-12, abs=1e-15)
+
+
+class TestTrustedDisplacement:
+    """A finite distance builds its displacement unchecked, and the result is the checked constructor's."""
+
+    def test_it_equals_the_checked_constructor_as_bytes(self):
+        rng = np.random.default_rng(27)
+        directions = [0.0, -0.0, math.pi, -math.pi / 2, *rng.uniform(-10.0, 10.0, 300)]
+        for k, theta in enumerate(directions):
+            dt = float(rng.choice([0.0, rng.uniform(0.0, 1.0), 10.0 ** rng.uniform(-320.0, 300.0)]))
+            params = LatencyParams(float(10.0 ** rng.uniform(-5.0, 5.0)))
+            # At most 1e305, so every distance is finite.
+            distance = params.assumed_velocity * dt
+            got = decode_displacement(dt, theta, params)
+            expected = Displacement(distance * math.cos(theta), distance * math.sin(theta), 0.0)
+            assert struct.pack("3d", *astuple(got)) == struct.pack("3d", *astuple(expected)), k
+            assert (got, repr(got), hash(got)) == (expected, repr(expected), hash(expected))
+            assert all(type(v) is float for v in astuple(got))
+
+    @pytest.mark.parametrize("theta, component", [(0.5, "dx must be finite, got inf"),
+                                                  (2.0, "dx must be finite, got -inf")])
+    def test_an_overflowing_distance_still_raises_naming_the_component(self, theta, component):
+        with pytest.raises(ValueError, match=re.escape(f"displacement component {component}")):
+            decode_displacement(1e308, theta, LatencyParams(10.0))
 
 
 class TestWorldRoundTrip:

@@ -545,13 +545,17 @@ def test_named_dense_worlds_match_the_oracle(seed, n):
 
 
 def _readings(rnd, n, steps):
-    """Readings with some silent ones; about a third of the neurons fire in the rest."""
+    """Readings with some silent ones; about a third of the neurons fire in the rest.
+
+    Some activations sit exactly at the threshold, which does not fire.
+    """
+    threshold = EncoderParams().sparsity_threshold
     readings = []
     for _ in range(steps):
         if rnd.random() < 0.15:
             readings.append([0.0] * n)
         else:
-            readings.append([rnd.choice([0.0, 0.05, 0.5, rnd.uniform(0.0, 1.0)]) for _ in range(n)])
+            readings.append([rnd.choice([0.0, threshold, 0.5, rnd.uniform(0.0, 1.0)]) for _ in range(n)])
     return readings
 
 
