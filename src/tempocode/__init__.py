@@ -32,7 +32,7 @@ from .inference import (
     alignment_score,
     exploration_step,
 )
-from .latency import arrival_time, decode_displacement
+from .latency import decode_displacement
 from .rng import NoiseStream, derive_seed, mix64
 from .stdp import train_on_traversal
 from .types import (
@@ -78,7 +78,6 @@ __all__ = [
     "WeightMatrix",
     "WorldParams",
     "alignment_score",
-    "arrival_time",
     "as_features",
     "builtin_objects",
     "classify_temporal",

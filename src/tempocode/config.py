@@ -104,7 +104,10 @@ class Config:
 def _as_number(path: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ConfigError(f"{path}: must be finite, got an integer too large for a double") from None
     if not math.isfinite(value):
         raise ConfigError(f"{path}: must be finite, got {value}")
     return value

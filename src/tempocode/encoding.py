@@ -139,6 +139,14 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     return ids, spike_times, counts
 
 
+def _log_factorial(name: str, n: int) -> float:
+    """``math.lgamma(n + 1)``; a ``ValueError`` naming ``name`` when it, or ``n`` itself, overflows a double."""
+    try:
+        return math.lgamma(n + 1)
+    except OverflowError:
+        raise ValueError(f"{name} is too large: the log of {name}! overflows a double") from None
+
+
 def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None = None) -> float:
     """Information capacity of one spike volley, in bits.
 
@@ -151,18 +159,21 @@ def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None
     Since C(N, k) = N! / (k! (N - k)!), ordered capacity log2(N!) is at
     least unordered capacity log2(C(N, k)) for 1 <= k < N, with equality
     only at N = 2, k = 1, where both are 1 bit (acceptance criterion 10).
+    A count whose log-factorial overflows a double raises ``ValueError``
+    naming it.
     """
     n_active = int(n_active)
     if n_active < 1:
         raise ValueError(f"n_active must be >= 1, got {n_active}")
     if mode == "ordered":
-        return math.lgamma(n_active + 1) / math.log(2.0)
+        return _log_factorial("n_active", n_active) / math.log(2.0)
     if mode == "unordered":
         if n_total is None:
             raise ValueError("unordered capacity requires n_total")
         n_total = int(n_total)
         if n_total < n_active:
             raise ValueError(f"n_total={n_total} must be >= n_active={n_active}")
-        log_comb = math.lgamma(n_total + 1) - math.lgamma(n_active + 1) - math.lgamma(n_total - n_active + 1)
+        # n_total is the largest of the three, so if its log-factorial is finite, so are the others.
+        log_comb = _log_factorial("n_total", n_total) - math.lgamma(n_active + 1) - math.lgamma(n_total - n_active + 1)
         return log_comb / math.log(2.0)
     raise ValueError(f"mode must be 'ordered' or 'unordered', got {mode!r}")

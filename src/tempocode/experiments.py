@@ -90,15 +90,15 @@ _SWEEP_DOMAIN = 3
 _Z95 = 1.959963984540054
 
 
-def wilson_interval(successes: int, n: int, z: float = _Z95) -> tuple[float, float]:
+def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if n <= 0:
         return (0.0, 1.0)
     p = successes / n
-    z2 = z * z
+    z2 = _Z95 * _Z95
     denom = 1.0 + z2 / n
     center = (p + z2 / (2.0 * n)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
+    half = _Z95 * math.sqrt(p * (1.0 - p) / n + z2 / (4.0 * n * n)) / denom
     return (max(0.0, center - half), min(1.0, center + half))
 
 

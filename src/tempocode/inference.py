@@ -35,11 +35,10 @@ state changes: its motor command, the reading's shape and values
 (:func:`~tempocode.types.as_features`), the contact time, the reading's
 length against the models' neuron count, the contact time against the
 previous contact's (an earlier one is rejected, whether or not either
-fires), the temperature, the evidence's class count, and each score once
-divided by the temperature. Every active id of this step and the one
-before is then in range. Its evidence stages run the public functions'
-private code without their checks: :func:`_log_softmax` for
-:func:`log_likelihoods_from_scores`, and
+fires), the evidence's class count, and each score. Every active id of
+this step and the one before is then in range. Its evidence stages run
+the public functions' private code without their checks:
+:func:`_log_softmax` for :func:`log_likelihoods_from_scores`, and
 :meth:`~tempocode.evidence.EvidenceState._observe` for ``update``,
 ``best_hypothesis``, ``prediction_error`` and ``adapt_lambda``. So the
 step's bits are the public chain's, and each formula has one copy.
@@ -60,7 +59,7 @@ from .stdp import _check_packet_ids
 from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix, as_features
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObjectModel:
     """A trained weight matrix standing in for one known object."""
 
@@ -142,39 +141,36 @@ def alignment_score(prev_packet: SpikePacket | None, cur_packet: SpikePacket | N
     return float(_pair_scores(model.weights.w.reshape(-1, 1), index)[0])
 
 
-def log_likelihoods_from_scores(scores, temperature: float = 1.0) -> np.ndarray:
-    """Normalized log-likelihoods: log softmax of scores / temperature.
+def log_likelihoods_from_scores(scores) -> np.ndarray:
+    """Normalized log-likelihoods: the log softmax of the scores.
 
     ``exp`` and ``log`` come from numpy, whose float64 kernels numpy picks
     for the CPU it runs on, so these bits, and the evidence and lambda
     built on them, are not portable across CPUs: on an AVX512F Xeon,
     ``np.log`` and ``math.log`` disagree in the last bit on about 0.09% of
     inputs in [1, 8] (see also :meth:`EvidenceState.update`). ``scores``
-    must be 1-D and not empty. A score that is not finite, or that
-    overflows once divided by the temperature, raises ``ValueError`` naming
-    its index and value: its softmax would be NaN.
+    must be 1-D and not empty. A score that is not finite raises
+    ``ValueError`` naming its index and value: its softmax would be NaN.
     """
-    _check_temperature(temperature)
     raw = np.asarray(scores, dtype=float)
     if raw.ndim != 1:
         raise ValueError(f"scores must be 1-D, got shape {raw.shape}")
     if raw.size < 1:
         raise ValueError("need at least one score")
-    return _log_softmax(raw, temperature)
+    return _log_softmax(raw)
 
 
-def _log_softmax(raw: np.ndarray, temperature: float) -> np.ndarray:
-    """The log softmax of a non-empty 1-D float array over a positive temperature, in a new array.
+def _log_softmax(raw: np.ndarray) -> np.ndarray:
+    """The log softmax of a non-empty 1-D float array, in a new array.
 
-    It checks the one thing its callers cannot before dividing: that every
-    score divided by the temperature is finite.
+    It checks the one thing the step does not check before it: that every
+    score is finite.
     """
-    s = raw / temperature
-    finite = np.isfinite(s)
+    finite = np.isfinite(raw)
     if not np.logical_and.reduce(finite):
         i = int(finite.argmin())
-        raise ValueError(f"score {i} / temperature must be finite, got {raw[i]} / {temperature}")
-    s -= np.maximum.reduce(s)
+        raise ValueError(f"score {i} must be finite, got {raw[i]}")
+    s = raw - np.maximum.reduce(raw)
     s -= np.log(np.add.reduce(np.exp(s)))
     return s
 
@@ -200,17 +196,6 @@ def _check_motor(motor) -> tuple[LatencyParams, float]:
     return latency, direction
 
 
-def _check_temperature(temperature: float) -> None:
-    """Reject a temperature that is not positive, NaN included."""
-    if not temperature > 0.0:
-        raise ValueError(f"temperature must be positive, got {temperature}")
-
-
-#: A step's stages in execution order: one that times no packet pair, then one that does.
-_STAGES = ("encode", "score", "update", "adapt")
-_TIMED_STAGES = ("encode", "latency", "decode", "score", "update", "adapt")
-
-
 @dataclass
 class StepDiagnostics:
     """Everything one exploration step measured, in execution order."""
@@ -221,7 +206,6 @@ class StepDiagnostics:
     scores: list[float]
     best: int
     prediction_error: float
-    stage_order: tuple[str, ...]
 
 
 @dataclass
@@ -240,16 +224,15 @@ class LoopState:
     and ``clock`` (from 0.0) are written only by steps. When no explicit
     contact time is supplied, contacts are assumed to arrive
     ``inter_contact_interval`` seconds apart.
-    ``temperature`` must be positive, and ``evidence`` must hold one class
-    per model. Either may be set after construction, so each step checks
-    both once more, before it changes any state. Weights and
-    ``inter_contact_interval`` (above the encoder's span) must be finite.
+    ``evidence`` must hold one class per model. It may be set after
+    construction, so each step checks it once more, before it changes any
+    state. Weights and ``inter_contact_interval`` (above the encoder's
+    span) must be finite.
     """
 
     models: list[ObjectModel]
     evidence: EvidenceState = None  # type: ignore[assignment]
     encoder: EncoderParams = EncoderParams()
-    temperature: float = 1.0
     inter_contact_interval: float = 0.020
     prev_arrival: float = field(default=-math.inf, init=False)
     prev_active: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp), init=False, repr=False)
@@ -271,7 +254,6 @@ class LoopState:
             raise ValueError("evidence state and model list disagree on class count")
         if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > self.encoder.tau_base):
             raise ValueError(f"inter_contact_interval must exceed the packet span, got {self.inter_contact_interval}")
-        _check_temperature(self.temperature)
         self.weight_stack = np.stack([m.weights.w.reshape(-1) for m in self.models], axis=1)
         finite = np.isfinite(self.weight_stack).all(axis=0)
         if not finite.all():
@@ -296,10 +278,13 @@ def exploration_step(
     and around silent contacts, and a pair with a silent contact scores 0
     against every model. A ``contact_time`` earlier than the previous
     contact's raises ``ValueError``, whether or not either contact fires.
-    A step that raises changes no state. Its evidence stages run without
-    the public functions' checks (see the module docstring): it calls
-    neither :func:`log_likelihoods_from_scores` nor
-    ``EvidenceState.update``, ``prediction_error`` or ``adapt_lambda``.
+    The models' scores are the step's log-likelihoods up to a constant:
+    their log softmax, unscaled, is mixed into the evidence, and a score
+    that is not finite raises ``ValueError``. A step that raises changes
+    no state. Its evidence stages run without the public functions'
+    checks (see the module docstring): it calls neither
+    :func:`log_likelihoods_from_scores` nor ``EvidenceState.update``,
+    ``prediction_error`` or ``adapt_lambda``.
     """
     latency, direction = _check_motor(motor)
     t = state.clock if contact_time is None else float(contact_time)
@@ -334,11 +319,10 @@ def exploration_step(
         totals = _pair_scores(state.weight_stack, _causal_index(state.prev_active, active, n, times))
     else:
         totals = np.zeros(state.weight_stack.shape[1])
-    # Both may be set after construction: the step's one check of each, before any state changes.
-    _check_temperature(state.temperature)
+    # Evidence may be set after construction: the step's one check of it, before any state changes.
     if state.evidence.n_classes != totals.size:
         raise ValueError("evidence state and model list disagree on class count")
-    best, error = state.evidence._observe(_log_softmax(totals, state.temperature))
+    best, error = state.evidence._observe(_log_softmax(totals))
 
     diagnostics = StepDiagnostics(
         step=state.step,
@@ -347,7 +331,6 @@ def exploration_step(
         scores=totals.tolist(),
         best=best,
         prediction_error=error,
-        stage_order=_STAGES if dt is None else _TIMED_STAGES,
     )
     state.prev_arrival, state.prev_active, state.prev_values = arrival, active, values
     state.step += 1

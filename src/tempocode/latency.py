@@ -11,14 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .types import Displacement, LatencyParams, SpikePacket
-
-
-def arrival_time(packet: SpikePacket | None) -> float | None:
-    """Global time of the packet's earliest spike; None for an empty packet."""
-    if packet is None or not packet:
-        return None
-    return packet.arrival + min(packet.spikes.values())
+from .types import Displacement, LatencyParams
 
 
 def decode_displacement(delta_t: float, motor_direction: float, params: LatencyParams = LatencyParams()) -> Displacement:

@@ -7,6 +7,12 @@ between threads; STDP writes a ``WeightMatrix``'s array in place
 (milliseconds appear only in display formatting). Neuron ids are dense
 integers 0..N-1; sparse spike maps iterate in ascending neuron-id order so
 downstream sums are reproducible.
+
+A numpy array has no single truth value, so a generated ``__eq__`` over
+one raises. The types that hold arrays, :class:`Traversal` and
+:class:`WeightMatrix` here and ``SyntheticObject`` and ``ObjectModel``
+elsewhere, are declared ``eq=False``: they compare and hash by identity,
+as ``EvidenceState`` does.
 """
 
 from __future__ import annotations
@@ -119,7 +125,7 @@ class SpikePacket:
         return sorted(self.spikes.items(), key=lambda kv: (kv[1], kv[0]))
 
 
-@dataclass
+@dataclass(eq=False)
 class WeightMatrix:
     """N x N synaptic weights; w[i, j] is the strength of pre i -> post j."""
 
@@ -218,7 +224,7 @@ class Displacement:
         return displacement
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Traversal:
     """Ordered sequence of timed contacts over one object surface.
 
@@ -236,7 +242,7 @@ class Traversal:
 
     contacts: tuple[tuple[np.ndarray, float], ...]
     label: str = ""
-    features: np.ndarray = field(init=False, repr=False, compare=False)
+    features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         rows, times = [], []

@@ -26,18 +26,21 @@ F_CURVED = (0.2, 0.8, 0.2)
 F_EDGE = (0.1, 0.2, 0.9)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyntheticObject:
     """An object's canonical left-to-right contacts: the rows of its own read-only block :attr:`features`."""
 
     label: str
     contacts: tuple[np.ndarray, ...]
-    features: np.ndarray = field(init=False, repr=False, compare=False)
+    features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.contacts:
             raise ValueError("synthetic object needs at least one contact")
-        arrs = tuple(np.asarray(c, dtype=float) for c in self.contacts)
+        try:
+            arrs = tuple(np.asarray(c, dtype=float) for c in self.contacts)
+        except OverflowError:  # an integer too large for a double
+            raise ValueError("contact vectors must be finite") from None
         if any(arr.ndim != 1 or arr.size != arrs[0].size for arr in arrs):
             raise ValueError("all contact vectors must share one dimensionality")
         block = np.stack(arrs)

@@ -179,15 +179,14 @@ def squared_distance(total, center):
     return float(np.sum(np.array([(t - c) * (t - c) for t, c in zip(total, center)])))  # numpy spec: pairwise sum
 
 
-def log_likelihoods(scores, temperature):
-    """The log softmax of ``scores / temperature``."""
-    scaled = [s / temperature for s in scores]
-    shifted = [s - max(scaled) for s in scaled]
+def log_likelihoods(scores):
+    """The log softmax of ``scores``."""
+    shifted = [s - max(scores) for s in scores]
     log_total = float(np.log(np.exp(np.array(shifted)).sum()))  # numpy spec: the evidence path's exp, sum and log
     return [s - log_total for s in shifted]
 
 
-def episode(weights, readings, times, encoder, temperature, interval, alpha=0.001):
+def episode(weights, readings, times, encoder, interval, alpha=0.001):
     """Each step of the inference loop over frozen models: (scores, evidence, lambdas, best class).
 
     A time of None is the loop's clock, the last contact's time plus
@@ -203,7 +202,7 @@ def episode(weights, readings, times, encoder, temperature, interval, alpha=0.00
         t = clock if contact_time is None else contact_time
         packet = encode(reading, t, encoder)
         scores = [causal_score(w, prev, packet) for w in weights]
-        ll = log_likelihoods(scores, temperature)
+        ll = log_likelihoods(scores)
         likelihoods = np.exp(np.array(ll)).tolist()  # numpy spec: the evidence path's exp
         mixed = [(1.0 - lam) * p + lam * e for lam, p, e in zip(lambdas, likelihoods, evidence)]
         total = float(np.sum(mixed))  # numpy spec: the evidence path's sum

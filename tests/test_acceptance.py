@@ -18,7 +18,7 @@ from tempocode.config import Config
 from tempocode.encoding import code_capacity_bits, encode
 from tempocode.evidence import EvidenceState
 from tempocode.experiments import run_discrimination, run_lambda_convergence, run_noise_sweep
-from tempocode.latency import arrival_time, decode_displacement
+from tempocode.latency import decode_displacement
 from tempocode.rng import NoiseStream
 from tempocode.stdp import train_on_traversal
 from tempocode.types import LatencyParams, SpikePacket, Traversal, WeightMatrix
@@ -183,7 +183,7 @@ def test_criterion_8_latency_round_trip():
     obj = discrimination_pair()[0]
     params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval)
     trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 0))
-    arrivals = [arrival_time(p) for p in encode_traversal(trav)]
+    arrivals = [p.arrival for p in encode_traversal(trav)]
     gaps = [b - a for a, b in zip(arrivals, arrivals[1:])]
     truth = np.array([v_true * interval * math.cos(theta), v_true * interval * math.sin(theta), 0.0])
     exact_ok = all(

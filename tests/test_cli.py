@@ -215,6 +215,7 @@ class TestSeedResolution:
 
 
 _A = {"label": "A", "contacts": [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]}
+_TOO_LARGE = 10**400  # a JSON integer of 401 digits, past the largest double
 
 
 class TestExitCodesMeanWhatTheySay:
@@ -256,6 +257,27 @@ class TestExitCodesMeanWhatTheySay:
         assert (code, out) == (2, "")
         assert err.startswith("config error") and needle in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "files, argv, message",
+        [({"cfg.json": {"stdp": {"a_plus": _TOO_LARGE}}}, ["discriminate", "--config", "cfg.json"],
+          "stdp.a_plus: must be finite"),
+         ({"cfg.json": {"experiment": {"sigmas": [0.1, _TOO_LARGE]}}}, ["noise-sweep", "--config", "cfg.json"],
+          "experiment.sigmas[1]: must be finite"),
+         ({"cfg.json": {"world": {"objects": "objects.json"}},
+           "objects.json": [_A, {"label": "B", "contacts": [[0.1, 0.2, _TOO_LARGE], [0.9, 0.2, 0.1]]}]},
+          ["discriminate", "--config", "cfg.json"], "world.objects: contact vectors must be finite"),
+         ({}, ["capacity", "--n", str(_TOO_LARGE)], "n_active is too large")],
+        ids=["stdp-a-plus", "experiment-sigmas", "objects-contact", "capacity-n"],
+    )
+    def test_a_number_too_large_for_a_double_exits_2(self, capsys, tmp_path, monkeypatch, files, argv, message):
+        monkeypatch.chdir(tmp_path)
+        for name, content in files.items():
+            Path(name).write_text(json.dumps(content))
+        code, out, err = _run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {message}")
+        assert not Path("out").exists()
 
     def test_weights_that_overflow_exit_1_with_no_report(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

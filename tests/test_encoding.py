@@ -172,6 +172,9 @@ class TestCodeCapacity:
             {"n_active": 3, "mode": "unordered"},
             {"n_active": 4, "mode": "unordered", "n_total": 3},
             {"n_active": 2, "mode": "rate"},
+            {"n_active": 10**400, "mode": "ordered"},
+            {"n_active": 10**306, "mode": "ordered"},
+            {"n_active": 3, "mode": "unordered", "n_total": 10**400},
         ],
     )
     def test_rejections(self, kwargs):

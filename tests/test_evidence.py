@@ -107,8 +107,8 @@ def test_an_input_that_is_not_1d_is_rejected_naming_its_shape(call, message):
         call()
 
 
-def _public_chain(state, scores, temperature):
-    ll = log_likelihoods_from_scores(scores, temperature)
+def _public_chain(state, scores):
+    ll = log_likelihoods_from_scores(scores)
     state.update(ll)
     best = state.best_hypothesis()
     error = prediction_error(ll, best)
@@ -116,8 +116,8 @@ def _public_chain(state, scores, temperature):
     return ll, best, error
 
 
-def _private_pass(state, scores, temperature):
-    ll = _log_softmax(np.array(scores, dtype=float), temperature)
+def _private_pass(state, scores):
+    ll = _log_softmax(np.array(scores, dtype=float))
     return (ll, *state._observe(ll))
 
 
@@ -143,15 +143,14 @@ class TestThePrivatePassIsThePublicChain:
         ids=["lambda-0", "lambda-1", "lambda-half", "lambda-to-both-bounds"],
     )
     @pytest.mark.parametrize("n_classes", [1, 8])
-    @pytest.mark.parametrize("temperature", [1.0, 0.1])
-    def test_every_step_matches_as_bytes(self, n_classes, initial_lambda, alpha, draw, temperature):
+    def test_every_step_matches_as_bytes(self, n_classes, initial_lambda, alpha, draw):
         rng = np.random.default_rng(n_classes * 1000 + int(initial_lambda * 10) + int(alpha * 10))
         public, private = (EvidenceState(n_classes, initial_lambda, alpha) for _ in range(2))
         lambdas = set()
         for step in range(60):
             scores = draw(rng, n_classes)
-            got = _private_pass(private, scores, temperature)
-            expected = _public_chain(public, scores, temperature)
+            got = _private_pass(private, scores)
+            expected = _public_chain(public, scores)
             assert (got[0].tobytes(), got[1], struct.pack("d", got[2])) == (
                 expected[0].tobytes(), expected[1], struct.pack("d", expected[2])), f"step {step}"
             assert (private.evidence.tobytes(), private.lambdas.tobytes()) == (

@@ -131,28 +131,21 @@ class TestLogLikelihoods:
         np.testing.assert_allclose(empty, [math.log(1 / 3)] * 3, rtol=1e-12)
 
     @pytest.mark.parametrize(
-        "scores, temperature, expected, atol",
-        [([1.0, 0.0], 1.0, [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], 1e-12),
-         ([5.0, 0.0, -3.0], 1e9, [math.log(1 / 3)] * 3, 1e-8)],
-        ids=["softmax-values", "high-temperature-flattens"],
+        "scores, expected, atol",
+        [([1.0, 0.0], [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], 1e-12)],
+        ids=["softmax-values"],
     )
-    def test_examples(self, scores, temperature, expected, atol):
-        np.testing.assert_allclose(log_likelihoods_from_scores(scores, temperature=temperature), expected, atol=atol)
+    def test_examples(self, scores, expected, atol):
+        np.testing.assert_allclose(log_likelihoods_from_scores(scores), expected, atol=atol)
 
     def test_likelihoods_sum_to_one(self):
-        ll = log_likelihoods_from_scores([3.1, -2.0, 0.4, 0.0], temperature=0.7)
+        ll = log_likelihoods_from_scores([3.1, -2.0, 0.4, 0.0])
         assert np.exp(ll).sum() == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_a_non_finite_score_raises_naming_it(self, bad):
-        with pytest.raises(ValueError, match=re.escape(f"score 1 / temperature must be finite, got {bad} / 1.0")):
+        with pytest.raises(ValueError, match=re.escape(f"score 1 must be finite, got {bad}")):
             log_likelihoods_from_scores([0.0, bad, 1.0])
-
-    def test_a_score_that_overflows_at_the_temperature_raises(self):
-        with pytest.warns(RuntimeWarning, match="overflow"), pytest.raises(
-            ValueError, match=re.escape("score 0 / temperature must be finite, got 1e+300 / 1e-10")
-        ):
-            log_likelihoods_from_scores([1e300, 0.0], temperature=1e-10)
 
 
 def _trained_loop():
@@ -236,7 +229,6 @@ class TestExplorationStep:
             scores=[0.0, 0.0],
             best=first.best,
             prediction_error=first.prediction_error,
-            stage_order=("encode", "score", "update", "adapt"),
         )
         assert second == StepDiagnostics(
             step=1,
@@ -245,7 +237,6 @@ class TestExplorationStep:
             scores=second.scores,
             best=second.best,
             prediction_error=second.prediction_error,
-            stage_order=("encode", "latency", "decode", "score", "update", "adapt"),
         )
 
     def test_each_step_decodes_at_its_own_velocity(self):
@@ -303,17 +294,6 @@ def _loop_snapshot(state):
     )
 
 
-class TestTemperature:
-    """A temperature that is not positive, NaN included, is rejected before any state changes."""
-
-    @pytest.mark.parametrize("temperature", [0.0, -1.0, float("nan")])
-    def test_rejected_at_construction_and_by_the_likelihoods(self, temperature):
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            LoopState(models=[_zero_model()], temperature=temperature)
-        with pytest.raises(ValueError, match="temperature must be positive"):
-            log_likelihoods_from_scores([1.0, 0.0], temperature=temperature)
-
-
 def _overflowing_loop():
     return LoopState(models=[ObjectModel("a", WeightMatrix(np.full((3, 3), 1e308))), _zero_model(label="b")])
 
@@ -327,10 +307,10 @@ def _loop_with_evidence_of(n_classes):
     return loop
 
 
-def _raising(name, before, step, message, after=None, loop=_trained_loop, temperature=1.0, **kwargs):
-    """A table row: the loop, its steps before as (reading, contact time), the temperature then set, the step that
-    raises, its error, and the step that follows once the temperature is 1.0 again (None: none follows)."""
-    return pytest.param(loop, before, temperature, step, message, after, id=name, **kwargs)
+def _raising(name, before, step, message, after=None, loop=_trained_loop, **kwargs):
+    """A table row: the loop, its steps before as (reading, contact time), the step that raises, its error, and the
+    step that follows (None: none follows)."""
+    return pytest.param(loop, before, step, message, after, id=name, **kwargs)
 
 
 _READINGS = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
@@ -360,18 +340,12 @@ _RAISING_STEPS = [
           ("one-value", (1.0,), _NOT_A_PAIR),
       ]
       for before in ([], [_SILENT], _READINGS[:2])),
-    # A temperature that is not positive, NaN included, set after construction; unstepped, the step that
-    # raises is the cold start, which scores nothing.
-    *(_raising(f"temperature-{temperature}-after-{stepped}-steps", [(r, None) for r in _READINGS[:stepped]],
-               {"sensor_reading": [0.2, 0.8, 0.2]}, "temperature must be positive",
-               {"sensor_reading": [0.2, 0.8, 0.2]}, temperature=temperature)
-      for temperature in (0.0, -1.0, math.nan) for stepped in (1, 0)),
     # A score that overflows raises before the evidence changes, and warns of nothing.
     _raising("overflowing-score", [([0.9, 0.5, 0.7], None)], {"sensor_reading": [0.9, 0.5, 0.7]},
-             re.escape("score 0 / temperature must be finite, got inf / 1.0"), loop=_overflowing_loop,
+             re.escape("score 0 must be finite, got inf"), loop=_overflowing_loop,
              marks=pytest.mark.filterwarnings("error::RuntimeWarning")),
-    # Evidence set after construction is checked against the models' count, as the temperature is; one class
-    # would broadcast against two models' likelihoods.
+    # Evidence set after construction is checked against the models' count; one class would broadcast against
+    # two models' likelihoods.
     *(_raising(f"evidence-of-{n_classes}-classes", [], {"sensor_reading": [0.2, 0.8, 0.2]},
                "evidence state and model list disagree on class count", loop=_loop_with_evidence_of(n_classes))
       for n_classes in (1, 3)),
@@ -396,18 +370,16 @@ _RAISING_STEPS = [
 ]
 
 
-@pytest.mark.parametrize("loop, before, temperature, step, message, after", _RAISING_STEPS)
-def test_a_step_that_raises_changes_nothing(loop, before, temperature, step, message, after):
+@pytest.mark.parametrize("loop, before, step, message, after", _RAISING_STEPS)
+def test_a_step_that_raises_changes_nothing(loop, before, step, message, after):
     """A bad input raises on its own step, before any state changes, and the loop goes on from where it was."""
     state = loop()
     for reading, contact_time in before:
         exploration_step(state, reading, contact_time=contact_time)
-    state.temperature = temperature
     snapshot = _loop_snapshot(state)
     with pytest.raises(ValueError, match=message):
         exploration_step(state, **step)
     assert _loop_snapshot(state) == snapshot
     if after is not None:
-        state.temperature = 1.0
         _, diag = exploration_step(state, **after)
         assert diag.step == len(before) == state.step - 1

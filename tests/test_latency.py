@@ -1,4 +1,4 @@
-"""Arrival extraction and timing-based displacement decoding."""
+"""Timing-based displacement decoding."""
 
 import math
 import re
@@ -9,21 +9,10 @@ import numpy as np
 import pytest
 
 from tempocode.encoding import encode_traversal
-from tempocode.latency import arrival_time, decode_displacement
+from tempocode.latency import decode_displacement
 from tempocode.rng import NoiseStream
-from tempocode.types import Displacement, LatencyParams, SpikePacket
+from tempocode.types import Displacement, LatencyParams
 from tempocode.world import SyntheticObject, WorldParams, generate_traversal
-
-
-class TestArrivalTime:
-    @pytest.mark.parametrize(
-        "packet, expected",
-        [(SpikePacket({1: 0.0, 3: 0.00333}, arrival=0.020), 0.020), (SpikePacket({5: 0.0}, arrival=1.0), 1.0),
-         (SpikePacket({}), None), (None, None)],
-        ids=["min-offset-zero", "single-spike", "empty", "absent"],
-    )
-    def test_arrival_is_the_first_spike(self, packet, expected):
-        assert arrival_time(packet) == expected
 
 
 class TestDecodeDisplacement:
@@ -98,7 +87,7 @@ class TestWorldRoundTrip:
         params = WorldParams(noise_sigma=0.0, inter_contact_interval=interval)
         trav = generate_traversal(obj, params, NoiseStream(1, 0, 0, 0))
         packets = encode_traversal(trav)
-        arrivals = [arrival_time(p) for p in packets]
+        arrivals = [p.arrival for p in packets]
         return [b - a for a, b in zip(arrivals, arrivals[1:])]
 
     @pytest.mark.parametrize("mismatch", [1.0, 0.5, 2.0])

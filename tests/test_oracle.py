@@ -570,7 +570,7 @@ def _contact_times(rnd, steps, overlap):
     return times
 
 
-def _run_episode(models, readings, times, temperature=0.5, after_step=None, buffer=None):
+def _run_episode(models, readings, times, after_step=None, buffer=None):
     """Run the loop against the oracle's episode over the models as they are now; returns the loop's state.
 
     ``after_step(state)`` may change the models after each step. With a
@@ -578,8 +578,8 @@ def _run_episode(models, readings, times, temperature=0.5, after_step=None, buff
     and hands the loop the array.
     """
     weights = [m.weights.w.tolist() for m in models]
-    expected = oracle.episode(weights, readings, times, EncoderParams(), temperature, 0.020)
-    state = LoopState(models=models, temperature=temperature, inter_contact_interval=0.020)
+    expected = oracle.episode(weights, readings, times, EncoderParams(), 0.020)
+    state = LoopState(models=models, inter_contact_interval=0.020)
     for step, (reading, contact_time) in enumerate(zip(readings, times)):
         if buffer is not None:
             buffer[:] = reading
@@ -730,9 +730,8 @@ def test_step_scores_on_both_sides_of_numpys_unroll_widths(n_models, active):
     n=st.integers(1, 8),
     n_models=st.integers(1, 4),
     overlap=st.booleans(),
-    temperature=st.sampled_from([0.1, 0.5, 1.0]),
 )
-def test_episodes_match_the_oracle(seed, n, n_models, overlap, temperature):
+def test_episodes_match_the_oracle(seed, n, n_models, overlap):
     rnd = random.Random(seed)
     models = _models(rnd, n, n_models)
-    _run_episode(models, _readings(rnd, n, 12), _contact_times(rnd, 12, overlap), temperature)
+    _run_episode(models, _readings(rnd, n, 12), _contact_times(rnd, 12, overlap))

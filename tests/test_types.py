@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tempocode.inference import ObjectModel
 from tempocode.types import (
     Displacement,
     LatencyParams,
@@ -14,6 +15,7 @@ from tempocode.types import (
     WeightMatrix,
     as_features,
 )
+from tempocode.world import SyntheticObject
 
 
 _F = np.array([0.5, 0.5])
@@ -40,6 +42,24 @@ _F = np.array([0.5, 0.5])
 def test_constructor_rejects(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SyntheticObject("A", (np.array([0.9, 0.2]), np.array([0.2, 0.9]))),
+        lambda: Traversal(((np.array([0.9, 0.2]), 0.0), (np.array([0.2, 0.9]), 0.02))),
+        lambda: WeightMatrix(np.eye(2)),
+        lambda: ObjectModel("A", WeightMatrix(np.eye(2))),
+    ],
+    ids=["synthetic-object", "traversal", "weight-matrix", "object-model"],
+)
+def test_array_holding_types_compare_and_hash_by_identity(build):
+    # A generated __eq__ compared the arrays and raised; a generated __hash__ raised TypeError.
+    x = build()
+    assert x == x
+    assert x != build()
+    assert hash(x) == hash(x)
 
 
 class TestFeatureValidation:
