@@ -135,7 +135,9 @@ def _spread(rng, n):
 
 
 class TestThePrivatePassIsThePublicChain:
-    """The step's evidence pass gives the public chain's log-likelihoods, evidence, lambdas, pick and error as bytes."""
+    """The step's evidence pass gives the public chain's log-likelihoods, evidence, lambdas, pick and error as bytes.
+
+    Each draw also runs at ten times its scale, where the softmax is sharper and more of it underflows."""
 
     @pytest.mark.parametrize("draw", [_signed_zeros, _underflowing, _spread])
     @pytest.mark.parametrize(
@@ -143,12 +145,13 @@ class TestThePrivatePassIsThePublicChain:
         ids=["lambda-0", "lambda-1", "lambda-half", "lambda-to-both-bounds"],
     )
     @pytest.mark.parametrize("n_classes", [1, 8])
-    def test_every_step_matches_as_bytes(self, n_classes, initial_lambda, alpha, draw):
+    @pytest.mark.parametrize("scale", [1.0, 10.0])
+    def test_every_step_matches_as_bytes(self, n_classes, initial_lambda, alpha, draw, scale):
         rng = np.random.default_rng(n_classes * 1000 + int(initial_lambda * 10) + int(alpha * 10))
         public, private = (EvidenceState(n_classes, initial_lambda, alpha) for _ in range(2))
         lambdas = set()
         for step in range(60):
-            scores = draw(rng, n_classes)
+            scores = scale * draw(rng, n_classes)
             got = _private_pass(private, scores)
             expected = _public_chain(public, scores)
             assert (got[0].tobytes(), got[1], struct.pack("d", got[2])) == (

@@ -132,8 +132,9 @@ class TestLogLikelihoods:
 
     @pytest.mark.parametrize(
         "scores, expected, atol",
-        [([1.0, 0.0], [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], 1e-12)],
-        ids=["softmax-values"],
+        [([1.0, 0.0], [math.log(math.e / (math.e + 1)), math.log(1 / (math.e + 1))], 1e-12),
+         ([5e-9, 0.0, -3e-9], [math.log(1 / 3)] * 3, 1e-8)],
+        ids=["softmax-values", "near-equal-scores-flatten"],
     )
     def test_examples(self, scores, expected, atol):
         np.testing.assert_allclose(log_likelihoods_from_scores(scores), expected, atol=atol)

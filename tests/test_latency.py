@@ -1,4 +1,4 @@
-"""Timing-based displacement decoding."""
+"""Packet arrivals and timing-based displacement decoding."""
 
 import math
 import re
@@ -8,11 +8,27 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from tempocode.encoding import encode_traversal
+from tempocode.encoding import encode, encode_traversal
 from tempocode.latency import decode_displacement
 from tempocode.rng import NoiseStream
-from tempocode.types import Displacement, LatencyParams
+from tempocode.types import Displacement, LatencyParams, SpikePacket
 from tempocode.world import SyntheticObject, WorldParams, generate_traversal
+
+
+class TestArrivalTime:
+    """A non-empty packet's arrival, which decoding reads, is the global time of its first spike, whether the public
+    constructor built it or :func:`encode` did."""
+
+    @pytest.mark.parametrize(
+        "packet, expected",
+        [(SpikePacket({1: 0.0, 3: 0.00333}, arrival=0.020), 0.020), (SpikePacket({5: 0.0}, arrival=1.0), 1.0),
+         (encode([0.9, 0.2, 0.7, 0.5], arrival=0.020), 0.020), (encode([0.0, 0.8, 0.0], arrival=1.0), 1.0)],
+        ids=["min-offset-zero", "single-spike", "encoded", "encoded-single-spike"],
+    )
+    def test_arrival_is_the_first_spike(self, packet, expected):
+        _, times = packet.id_time_arrays
+        assert len(times) == len(packet) > 0
+        assert packet.arrival == times.min() == expected
 
 
 class TestDecodeDisplacement:
