@@ -38,13 +38,17 @@ reader builds them.
 
 A training phase encodes all its traversals at once with
 :func:`_encode_block`, into padded arrays in firing order, with
-:func:`encode`'s bits. One stable ``argsort`` of the negated activations
-lists neurons by descending activation, ties in ascending id, as
-``sorted(..., reverse=True)`` does (numpy's sort, like Python's, holds
-``-0.0`` and ``0.0`` equal), so the n active ones come first and place r
-holds rank r. Its offset is ``tau_base * (r / n)``, where numpy divides
-the two exact integers with one rounding, as Python does, and its time is
-``time + offset``, as :attr:`SpikePacket.id_time_arrays` makes it.
+:func:`encode`'s bits. numpy's default ``argsort`` of the negated
+activations lists neurons by descending activation, so the n active ones
+come first and place r holds rank r; only those n places are ever read.
+Fired neurons lie strictly above silent ones, so the fast sort places
+them as ``sorted(..., reverse=True)`` does unless two of them tie. The
+sorted activations, cut to the largest active count, show whether two do
+(numpy's sort, like Python's, holds ``-0.0`` and ``0.0`` equal); then a
+stable ``argsort`` ranks the block, ties in ascending id. A rank's offset
+is ``tau_base * (r / n)``, where numpy divides the two exact integers
+with one rounding, as Python does, and its time is ``time + offset``, as
+:attr:`SpikePacket.id_time_arrays` makes it.
 :func:`_check_gaps` checks the phase's contact gaps.
 """
 
@@ -118,6 +122,22 @@ def _check_gaps(times, params: EncoderParams) -> None:
             raise ValueError(f"contact gap {t - prev} s must exceed the packet span tau_base={params.tau_base} s")
 
 
+def _firing_order(block: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
+    """The first ``m`` neuron ids of each contact of ``block`` by descending activation, ties in ascending id.
+
+    Past a contact's ``counts`` fired ids the order is arbitrary, since
+    nothing reads it. The stable ``argsort`` runs only where two fired
+    activations tie (see the module docstring).
+    """
+    ranked = np.negative(block)
+    ids = ranked.argsort(axis=-1)[..., :m]
+    ranked.sort(axis=-1)
+    ranked = ranked[..., :m]
+    if ((ranked[..., 1:] == ranked[..., :-1]) & (np.arange(1, m) < counts[..., None])).any():
+        return np.argsort(-block, axis=-1, kind="stable")[..., :m]
+    return ids
+
+
 def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The packets of every traversal of a (traversals, contacts, neurons) block, as padded arrays.
 
@@ -129,7 +149,7 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     """
     counts = np.count_nonzero(block > params.sparsity_threshold, axis=-1)
     m = int(counts.max(initial=0))
-    ids = np.argsort(-block, axis=-1, kind="stable")[..., :m]
+    ids = _firing_order(block, counts, m)
     # A padded slot gets rank 0, so its time is the contact's and stays finite.
     ranks = np.where(np.arange(m) < counts[..., None], np.arange(m), 0)
     offsets = float(params.tau_base) * (ranks / np.maximum(counts, 1)[..., None])

@@ -21,8 +21,10 @@ inputs produce byte-identical report files.
 
 The transcendental functions of the noise and of STDP give the C
 library's bits, not numpy's per-CPU float64 kernels: ``log`` and ``cos``
-(Box-Muller) and ``exp`` (STDP) take one route, ``rng._libm``. See
-:mod:`tempocode.rng` and :mod:`tempocode.stdp`.
+(Box-Muller) and ``exp`` (STDP) take one route, ``rng._libm``, which runs
+in place in its caller's padded buffer. Box-Muller reuses two such buffers
+across its chunks, and STDP divides each fold block's windows straight
+into one. See :mod:`tempocode.rng` and :mod:`tempocode.stdp`.
 
 A discrimination test phase runs as arrays. The generated trials of one
 object are stacked into a (trials, contacts, neurons) block, and no spike

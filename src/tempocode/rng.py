@@ -25,12 +25,16 @@ takes it too). numpy's float64 transcendentals are its own SIMD kernels,
 chosen per CPU, and differ from libm in the last bit on some inputs. But a float64 ``log``,
 ``exp`` or ``cos`` whose output starts one element before its input
 (``ufunc(buf[1:], out=buf[:-1])``) stands its vector kernel aside and runs
-numpy's scalar loop, which calls libm once per element, in C. A
-one-element input alone would not overlap its output, so a pad element
-after every input makes each call overlap, whatever its size. The first
-call in a process probes the route against :mod:`math` on fixed inputs;
-if any bit differs, as on a numpy build whose vector kernels accept the
-overlap, every later call takes :mod:`math` per element instead.
+numpy's scalar loop, which calls libm once per element, in C. So the
+route works in place: the caller writes its ``n`` inputs into ``buf[1 : n
++ 1]`` of a buffer padded by one slot at each end, and gets the results
+back as ``buf[:n]``, with nothing copied in or out. A one-element input
+alone would not overlap its output, so the route sets the end slot to 1.0
+and runs over it too, which makes each call overlap, whatever its size.
+The first call in a process probes the route against :mod:`math` on fixed
+inputs; if any bit differs, as on a numpy build whose vector kernels
+accept the overlap, every later call takes :mod:`math` per element
+instead, into the same buffer.
 :meth:`NoiseStream.normal_vector` is the one-index form, whose ``[t]`` is the
 draw at index ``t``, with which the lambda experiment draws each object's
 whole error trajectory at once.
@@ -70,9 +74,9 @@ _MIX_B = 0x94D049BB133111EB
 _TWO_POW_NEG53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
 
-#: Elements per Box-Muller and STDP ``exp`` chunk: large enough to amortise
-#: numpy's per-call cost, small enough that each temporary array of a chunk
-#: stays at 32 kB.
+#: Elements per Box-Muller chunk: large enough to amortise numpy's per-call
+#: cost, small enough that the two padded buffers the chunks reuse stay at
+#: about 32 kB each.
 _CHUNK = 4096
 
 #: The :mod:`math` function behind each ufunc :func:`_libm` serves, bound at
@@ -166,18 +170,15 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
     return _seeded_uniforms(states)
 
 
-def _overlapped(ufunc, values: np.ndarray) -> np.ndarray:
-    """``ufunc`` over a 1-D float array through numpy's scalar loop: libm per element, in C.
+def _in_place(ufunc, buf: np.ndarray, n: int) -> np.ndarray:
+    """``ufunc`` over ``buf[1 : n + 1]`` through numpy's scalar loop, libm per element; returns ``buf[:n]``.
 
-    The output starts one element before the input in one buffer, so
-    numpy's vector kernel stands aside; the pad after the input makes a
-    one-element call overlap too.
+    The output starts one slot before the input in ``buf``, so numpy's
+    vector kernel stands aside. The pad slot ``buf[n + 1]`` is set to 1.0
+    and taken in too, so that a one-element call overlaps as well.
     """
-    n = values.size
-    buf = np.empty(n + 2)
-    buf[1 : n + 1] = values
     buf[n + 1] = 1.0
-    ufunc(buf[1:], out=buf[:-1])
+    ufunc(buf[1 : n + 2], out=buf[: n + 1])
     return buf[:n]
 
 
@@ -192,7 +193,7 @@ def _per_element(ufunc, values: np.ndarray) -> np.ndarray:
 
 
 def _probe(route) -> bool:
-    """Whether ``route(ufunc, values)`` gives :mod:`math`'s bits on fixed inputs.
+    """Whether ``route(ufunc, buf, n)``, in place like :func:`_in_place`, gives :mod:`math`'s bits on fixed inputs.
 
     The inputs are the first ``_PROBE_SIZE`` uniforms ``u`` of the SplitMix64
     stream over seed 0 (``tests/oracle.py``), taken as ``log(u)``,
@@ -200,22 +201,27 @@ def _probe(route) -> bool:
     """
     u = _unit_floats(_mix64_u64(np.arange(1, _PROBE_SIZE + 1, dtype=np.uint64) * _GOLDEN_U64))
     cases = ((np.log, u), (np.exp, -745.0 * u), (np.cos, _TWO_PI * u))
-    return all(route(ufunc, x).tobytes() == _per_element(ufunc, x).tobytes() for ufunc, x in cases)
+    return all(route(ufunc, np.pad(x, 1), x.size).tobytes() == _per_element(ufunc, x).tobytes() for ufunc, x in cases)
 
 
 @cache
 def _overlap_is_libm() -> bool:
-    """The probe's verdict on :func:`_overlapped`, taken once per process."""
-    return _probe(_overlapped)
+    """The probe's verdict on :func:`_in_place`, taken once per process."""
+    return _probe(_in_place)
 
 
-def _libm(ufunc, values: np.ndarray) -> np.ndarray:
-    """``np.log``, ``np.exp`` or ``np.cos`` over a contiguous 1-D float array, with libm's bits.
+def _libm(ufunc, buf: np.ndarray, n: int) -> np.ndarray:
+    """``np.log``, ``np.exp`` or ``np.cos`` over ``buf[1 : n + 1]``, in place, with libm's bits; returns ``buf[:n]``.
 
-    The one route to libm (see the module docstring): :func:`_overlapped`
-    where the probe passed it, else :mod:`math` per element.
+    ``buf`` is a float array of at least ``n + 2`` elements, which the call
+    overwrites. The one route to libm (see the module docstring):
+    :func:`_in_place` where the probe passed it, else :mod:`math` per
+    element, written into the same slots.
     """
-    return (_overlapped if _overlap_is_libm() else _per_element)(ufunc, values)
+    if _overlap_is_libm():
+        return _in_place(ufunc, buf, n)
+    buf[:n] = _per_element(ufunc, buf[1 : n + 1])
+    return buf[:n]
 
 
 def _box_muller(u1s, u2s) -> np.ndarray:
@@ -226,19 +232,24 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     ``2 pi *`` and the product run in numpy, where each is correctly
     rounded, so every value equals the scalar formula's, as
     ``tests/oracle.py`` writes it. The work runs in chunks of ``_CHUNK``
-    elements to bound the temporary arrays it needs. Every draw of the
-    package comes through here.
+    elements, which reuse two padded buffers, one per function, so no
+    chunk allocates. Every draw of the package comes through here.
     """
     u1s = np.asarray(u1s, dtype=float)
     u2s = np.asarray(u2s, dtype=float)
     out = np.empty(u1s.shape)
     flat1, flat2, flat_out = u1s.reshape(-1), u2s.reshape(-1), out.reshape(-1)
+    size = min(flat_out.size, _CHUNK)
+    logs, cosines, zero = np.empty(size + 2), np.empty(size + 2), np.empty(size, dtype=bool)
     for start in range(0, flat_out.size, _CHUNK):
-        u1 = flat1[start : start + _CHUNK]
-        radii = _libm(np.log, np.where(u1 != 0.0, u1, _TWO_POW_NEG53))
+        u1, u2 = flat1[start : start + _CHUNK], flat2[start : start + _CHUNK]
+        n = u1.size
+        np.copyto(logs[1 : n + 1], u1)
+        np.copyto(logs[1 : n + 1], _TWO_POW_NEG53, where=np.equal(u1, 0.0, out=zero[:n]))
+        radii = _libm(np.log, logs, n)
         np.sqrt(np.multiply(radii, -2.0, out=radii), out=radii)
-        cosines = _libm(np.cos, _TWO_PI * flat2[start : start + _CHUNK])
-        np.multiply(radii, cosines, out=flat_out[start : start + u1.size])
+        np.multiply(u2, _TWO_PI, out=cosines[1 : n + 1])
+        np.multiply(radii, _libm(np.cos, cosines, n), out=flat_out[start : start + n])
     return out
 
 

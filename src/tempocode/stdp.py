@@ -53,9 +53,12 @@ scores against frozen models and learns nothing.
 
 The exactness rule: ``exp`` is the C library's, as :mod:`math` gives it,
 through :func:`tempocode.rng._libm`, the package's one route to libm (see
-:mod:`tempocode.rng`). The only numpy float operations used otherwise are
-correctly rounded ones (``+ - * /``, ``minimum``/``maximum``), and the fold
-gives each synapse one rounded update per pair. Every updated synapse
+:mod:`tempocode.rng`). That route works in place, so each fold block's
+windows are divided straight into its padded buffer and take one ``exp``,
+with nothing copied in or out. The only numpy float operations used
+otherwise are correctly rounded ones (``+ - * /``,
+``minimum``/``maximum``), and the fold gives each synapse one rounded
+update per pair. Every updated synapse
 therefore ends bit-identical to the pairwise rule above applied in Python
 floats, synapse by synapse and pair after pair, as ``tests/oracle.py``
 writes it out and the tests compare.
@@ -69,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _CHUNK, _libm
+from .rng import _libm
 from .types import SpikePacket, StdpParams, WeightMatrix
 
 #: (pairs x M x M) slots per block of a training phase, M its largest active count,
@@ -101,22 +104,24 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     """The additive STDP increment of every element of a 1-D dt array.
 
     ``exp`` is libm's, through :func:`tempocode.rng._libm` (see the module
-    docstring). Every window is at most 0, so no ``exp`` overflows. It runs
-    in ``_CHUNK``-element chunks, which bounds its temporaries however large
-    the array is. A dt of 0 gives ``-0.0``, and ``w + (-0.0) == w`` for
-    every w, the pairwise rule's no-op. Where every dt is positive, as
-    when no packets overlap, ``tau`` and the amplitude are scalars, not
-    per-element choices; the formula, and so every bit, is the same. Each
-    element is ``increment(dt)`` of ``tests/oracle.py``.
+    docstring). The windows ``dt / -tau`` are divided straight into the
+    route's padded buffer, and one in-place ``exp`` runs over all of them,
+    so the increments are that buffer's first ``dt.size`` slots, scaled in
+    place. Every window is at most 0, so no ``exp`` overflows. A dt of 0
+    gives ``-0.0``, and ``w + (-0.0) == w`` for every w, the pairwise
+    rule's no-op. Where every dt is positive, as when no packets overlap,
+    ``tau`` and the amplitude are scalars, not per-element choices; the
+    formula, and so every bit, is the same. Each element is
+    ``increment(dt)`` of ``tests/oracle.py``.
     """
+    n = dt.size
     mixed = not dt.min(initial=math.inf) > 0.0
     potentiate = dt > 0.0 if mixed else True
+    buf = np.empty(n + 2)
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
     with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is the scalar rule's 0.0
-        window = dt / np.where(potentiate, -params.tau_plus, params.tau_minus)
-    for start in range(0, window.size, _CHUNK):
-        chunk = window[start : start + _CHUNK]
-        chunk[:] = _libm(np.exp, chunk)
+        np.divide(dt, np.where(potentiate, -params.tau_plus, params.tau_minus), out=buf[1 : n + 1])
+    window = _libm(np.exp, buf, n)
     # w - a*e == w + (-a*e) exactly.
     window *= np.where(potentiate, params.a_plus, -params.a_minus)
     if mixed:

@@ -43,6 +43,8 @@ class SyntheticObject:
             raise ValueError("contact vectors must be finite") from None
         if any(arr.ndim != 1 or arr.size != arrs[0].size for arr in arrs):
             raise ValueError("all contact vectors must share one dimensionality")
+        if arrs[0].size == 0:
+            raise ValueError(f"object {self.label!r} has contacts of zero neurons; a contact needs at least one")
         block = np.stack(arrs)
         if not np.isfinite(block).all():
             raise ValueError("contact vectors must be finite")

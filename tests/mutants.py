@@ -39,8 +39,9 @@ MUTANTS = [
     ("stdp.py", "no -0.0 fix-up in _increments", "window[dt == 0.0] = -0.0", "pass", "test_stdp"),
     ("stdp.py", "a fold block cut one slot short", "width = sizes.max()", "width = sizes.max() - 1", "test_stdp"),
     ("stdp.py", "a scaled dt on the scalar route",
-     "dt / np.where(potentiate, -params.tau_plus, params.tau_minus)",
-     "dt / np.where(potentiate, -params.tau_plus, params.tau_minus) if mixed else dt * (-1 / params.tau_plus)",
+     "np.divide(dt, np.where(potentiate, -params.tau_plus, params.tau_minus), out=",
+     "(np.divide if mixed else np.multiply)(dt, np.where(potentiate, -params.tau_plus, params.tau_minus)"
+     " if mixed else -1 / params.tau_plus, out=",
      "test_stdp"),
     ("stdp.py", "-tau_minus in the exponent",
      "-params.tau_plus, params.tau_minus)", "-params.tau_plus, -params.tau_minus)", "test_stdp"),
@@ -53,10 +54,10 @@ MUTANTS = [
     ("stdp.py", "only a packet's last id checked",
      "(next(iter(packet.spikes)), next(reversed(packet.spikes)))", "(next(reversed(packet.spikes)),)", "test_stdp"),
     ("rng.py", "contiguous np.exp/np.log/np.cos in _libm",
-     "return (_overlapped if _overlap_is_libm() else _per_element)(ufunc, values)", "return ufunc(values)", "test_rng"),
-    ("rng.py", "no pad element in _overlapped",
-     "buf = np.empty(n + 2)\n    buf[1 : n + 1] = values\n    buf[n + 1] = 1.0\n",
-     "buf = np.empty(n + 1)\n    buf[1 : n + 1] = values\n", "test_rng"),
+     "return _in_place(ufunc, buf, n)", "return ufunc(buf[1 : n + 1])", "test_rng"),
+    ("rng.py", "no pad slot in _in_place's call",
+     "ufunc(buf[1 : n + 2], out=buf[: n + 1])", "ufunc(buf[1 : n + 1], out=buf[:n])", "test_rng"),
+    ("rng.py", "the pad slot left as the buffer held it", "    buf[n + 1] = 1.0\n", "", "test_rng"),
     ("rng.py", "child keys from t, not t + 1",
      "np.arange(1, n + 1, dtype=np.uint64)", "np.arange(0, n, dtype=np.uint64)", "test_rng"),
     ("rng.py", "a family cache not keyed by shape",
@@ -64,17 +65,20 @@ MUTANTS = [
     ("rng.py", "normal_grid returning a view", "[self._member].copy()", "[self._member]", "test_rng"),
     ("rng.py", "every child reading member 0", "child_seed, family, t", "child_seed, family, 0", "test_rng"),
     ("rng.py", "a wrong zero-u1 substitute",
-     "np.where(u1 != 0.0, u1, _TWO_POW_NEG53)", "np.where(u1 != 0.0, u1, 2.0**-52)", "test_rng"),
+     "np.copyto(logs[1 : n + 1], _TWO_POW_NEG53, where=", "np.copyto(logs[1 : n + 1], 2.0**-52, where=", "test_rng"),
     ("rng.py", "normal_vector seeded without the extra mix64",
      "_child_seeds(mix64(self._seed), count)", "_child_seeds(self._seed, count)", "test_rng"),
     ("rng.py", "the first chunk's cosines for every chunk",
-     "_TWO_PI * flat2[start : start + _CHUNK]", "_TWO_PI * flat2[: u1.size]", "test_rng"),
+     "np.multiply(u2, _TWO_PI, out=", "np.multiply(flat2[:n], _TWO_PI, out=", "test_rng"),
     ("rng.py", "the zero-u1 substitution in the first chunk only",
-     "np.where(u1 != 0.0, u1, _TWO_POW_NEG53)", "np.where((u1 != 0.0) | (start > 0), u1, _TWO_POW_NEG53)", "test_rng"),
+     "where=np.equal(u1, 0.0, out=zero[:n]))", "where=np.equal(u1, 0.0, out=zero[:n]) & (start == 0))", "test_rng"),
     ("rng.py", "u1 and u2 swapped", "return _unit_floats(states)", "return _unit_floats(states[::-1])", "test_rng"),
     ("encoding.py", "block-encoder ids re-sorted ascending",
-     'ids = np.argsort(-block, axis=-1, kind="stable")[..., :m]',
-     'ids = np.sort(np.argsort(-block, axis=-1, kind="stable")[..., :m], axis=-1)', "test_oracle"),
+     "ids = ranked.argsort(axis=-1)[..., :m]", "ids = np.sort(ranked.argsort(axis=-1)[..., :m], axis=-1)",
+     "test_oracle"),
+    ("encoding.py", "no stable fallback for fired ties",
+     "if ((ranked[..., 1:] == ranked[..., :-1]) & (np.arange(1, m) < counts[..., None])).any():", "if False:",
+     "test_encoding"),
     ("encoding.py", "a span floor of > 0.0",
      "self.tau_base >= sys.float_info.min", "self.tau_base > 0.0", "test_encoding"),
     ("encoding.py", "a gap of exactly the span accepted",
@@ -115,6 +119,7 @@ MUTANTS = [
     ("world.py", "SyntheticObject.contacts left as the caller's arrays",
      'object.__setattr__(self, "contacts", tuple(block))', 'object.__setattr__(self, "contacts", arrs)', "test_world"),
     ("world.py", "no read-only flag on an object's block", "block.flags.writeable = False", "pass", "test_world"),
+    ("world.py", "zero-neuron contacts accepted", "if arrs[0].size == 0:", "if False:", "test_world"),
     ("world.py", "no read-only flag on a traversal's block", "values.flags.writeable = False", "pass", "test_world"),
     ("world.py", "generate_traversal skipping its block check",
      "if not (np.isfinite(values).all() and", "if False and (np.isfinite(values).all() and", "test_world"),

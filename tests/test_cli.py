@@ -226,8 +226,10 @@ class TestExitCodesMeanWhatTheySay:
              "object label 'A' is used by more than one object", 2),
             ([_A], "discrimination needs at least two objects, got 1", 0),
             ([_A, {"label": "B", "contacts": [[0.1, 0.2, 0.9]]}], "object 'B' has 1 contact", 0),
+            ([{"label": "a", "contacts": [[], []]}, {"label": "b", "contacts": [[], []]}],
+             "object 'a' has contacts of zero neurons", 2),
         ],
-        ids=["duplicate-label", "one-object", "one-contact-object"],
+        ids=["duplicate-label", "one-object", "one-contact-object", "zero-neuron-contacts"],
     )
     def test_a_bad_objects_file_exits_2(self, capsys, tmp_path, objects, message, lambda_code):
         path = tmp_path / "objects.json"

@@ -10,8 +10,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracle
-from tempocode.encoding import EncoderParams, _offsets, code_capacity_bits, encode, encode_traversal
+from tempocode.encoding import EncoderParams, _encode_block, _offsets, code_capacity_bits, encode, encode_traversal
+from tempocode.rng import NoiseStream
 from tempocode.types import SpikePacket, Traversal
+from tempocode.world import F_CURVED, WorldParams, builtin_objects, generate_traversal
 
 TAU = 0.010
 
@@ -121,6 +123,53 @@ class TestEncodeTraversal:
         trav = Traversal(((np.array(F_S), 0.0), (np.array(F_C), 0.005)))
         with pytest.raises(ValueError):
             encode_traversal(trav)
+
+
+def _assert_block_is_encode(block, params=EncoderParams()):
+    """``_encode_block`` against ``encode`` contact by contact: ids and times as bytes in the first ``counts`` slots."""
+    times = [k * 0.020 for k in range(block.shape[1])]
+    ids, spike_times, counts = _encode_block(block, times, params)
+    for t, k in np.ndindex(counts.shape):
+        packet_ids, packet_times = encode(block[t, k], params, arrival=times[k]).id_time_arrays
+        order = np.argsort(packet_times, kind="stable")
+        c = counts[t, k]
+        assert c == packet_ids.size
+        assert ids[t, k, :c].tobytes() == packet_ids[order].astype(ids.dtype).tobytes()
+        assert spike_times[t, k, :c].tobytes() == packet_times[order].tobytes()
+    return counts
+
+
+class TestBlockEncoderTies:
+    """The block encoder's default sort, and its stable fallback where two fired activations tie."""
+
+    def test_curved_contacts_at_sigma_zero(self):
+        # F_CURVED fires neurons 0 and 2 at 0.2 each: a fired tie in every traversal.
+        objects = builtin_objects()
+        assert F_CURVED[0] == F_CURVED[2] > EncoderParams().sparsity_threshold
+        block = np.stack([generate_traversal(obj, WorldParams(), NoiseStream(1)).features for obj in objects])
+        _assert_block_is_encode(block)
+
+    @pytest.mark.parametrize("n_neurons", [3, 17, 64])
+    def test_equal_activations(self, n_neurons):
+        block = np.full((4, 5, n_neurons), 0.5)
+        block[1, 2, ::3] = 0.7
+        block[2] = np.linspace(0.0, 1.0, n_neurons).round(1)
+        assert (_assert_block_is_encode(block) > 1).all()
+
+    def test_signed_zeros_under_a_negative_threshold(self):
+        # -0.0 and 0.0 both fire above -0.5 and sort as equals, so they tie; encode fires them in id order.
+        row = np.array([0.0, -0.0, 0.3, -0.0, 0.0, -0.7, 0.3, -0.0] * 8)
+        block = np.stack([np.stack([row, -row, row[::-1]])] * 3)
+        _assert_block_is_encode(block, EncoderParams(sparsity_threshold=-0.5))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_untied_noisy_blocks(self, seed):
+        # Noisy 64-neuron contacts, as a scaled training phase encodes them: no two activations tie.
+        block = 0.1 + 0.3 * np.random.default_rng(seed).standard_normal((10, 20, 64))
+        rows = block.reshape(-1, 64)
+        fired = rows > EncoderParams().sparsity_threshold
+        assert all(np.unique(row[mask]).size == mask.sum() for row, mask in zip(rows, fired))
+        _assert_block_is_encode(block)
 
 
 class TestSpanFloor:

@@ -186,25 +186,57 @@ class TestLibmPerElement:
             assert rng._box_muller(u1, u2).tobytes() == _scalar_box_muller(u1, u2).tobytes()
 
     def test_every_call_overlaps_its_output(self, monkeypatch):
-        # What the route and its pad are for, on any CPU: where the probe passed it, the output
-        # starts inside the input, even for one element.
+        # What the route and its pad slot are for, on any CPU: where the probe passed it, the
+        # output starts inside the input, even for one element, and both lie in the caller's buffer.
         monkeypatch.setattr(rng, "_overlap_is_libm", lambda: True)
-        overlaps = []
+        calls = []
 
         def spy(values, out=None):
-            overlaps.append(out is not None and np.shares_memory(values, out))
+            calls.append(out is not None and np.shares_memory(values, out))
             return np.log(values, out=out)
 
         for size in (1, 2, 5):
-            rng._libm(spy, np.full(size, 0.5))
-        assert overlaps == [True, True, True]
+            buf = _padded(np.full(size, 0.5))
+            assert np.shares_memory(rng._libm(spy, buf, size), buf)
+        assert calls == [True, True, True]
 
     def test_one_element_call_gives_libms_log(self):
-        # A lone element does not overlap its output; the pad after it keeps it off the vector kernel.
+        # A lone element does not overlap its output; the pad slot after it keeps it off the vector kernel.
         u1, u2 = oracle.uniforms(derive_seed(NoiseStream(42, 0, 0, 0)._seed, 12, 2), 2)
         assert u1 == 0.39842633484951917
-        assert rng._libm(np.log, np.array([u1])).tobytes() == np.array([math.log(u1)]).tobytes()
+        assert rng._libm(np.log, _padded([u1]), 1).tobytes() == np.array([math.log(u1)]).tobytes()
         assert rng._box_muller([u1], [u2]).tolist() == [oracle.box_muller(u1, u2)]
+
+
+def _padded(values):
+    """``values`` in ``buf[1 : n + 1]`` of a buffer with one NaN slot at each end, as :func:`rng._libm` takes it."""
+    values = np.asarray(values, dtype=float)
+    buf = np.full(values.size + 2, np.nan)
+    buf[1:-1] = values
+    return buf
+
+
+class TestInPlaceRoute:
+    """``_libm`` works in its caller's buffer, with ``_per_element``'s bits, at every size and on both routes."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [0, 1, 2, rng._CHUNK - 1, rng._CHUNK, rng._CHUNK + 1, 10_700])
+    def test_every_size_matches_per_element(self, size, libm_route):
+        u = np.random.default_rng(size).random(size)
+        for ufunc, x in ((np.log, u), (np.exp, -745.0 * u), (np.cos, 2.0 * math.pi * u)):
+            buf = _padded(x)
+            got = rng._libm(ufunc, buf, size)
+            assert got.base is buf
+            assert got.tobytes() == rng._per_element(ufunc, x).tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_the_pad_slot_is_set_whatever_the_buffer_held(self):
+        # A reused or np.empty buffer may hold anything in its pad slot; the overlap route runs
+        # over it as 1.0, so a -1.0 there gives no log of a negative, and a 1e6 no exp that overflows.
+        for ufunc, junk in ((np.log, -1.0), (np.exp, 1e6)):
+            buf = _padded([0.5, 0.25])
+            buf[-1] = junk
+            assert rng._libm(ufunc, buf, 2).tobytes() == rng._per_element(ufunc, np.array([0.5, 0.25])).tobytes()
 
 
 def _probe_inputs():
@@ -229,7 +261,7 @@ class TestLibmRoute:
         for ufunc, x in _probe_inputs():
             fn = getattr(math, ufunc.__name__)
             want = np.array([fn(v) for v in x.tolist()])
-            assert rng._libm(ufunc, x).tobytes() == want.tobytes()
+            assert rng._libm(ufunc, _padded(x), x.size).tobytes() == want.tobytes()
             assert rng._per_element(ufunc, x).tobytes() == want.tobytes()
 
     def test_probe_rejects_the_contiguous_kernels(self):
@@ -239,7 +271,7 @@ class TestLibmRoute:
         )
         if differing == 0:
             pytest.skip("numpy's contiguous kernels equal libm on every probe input here")
-        assert not rng._probe(lambda ufunc, values: ufunc(values))
+        assert not rng._probe(lambda ufunc, buf, n: ufunc(buf[1 : n + 1]))
 
     def test_patched_math_cannot_flip_the_verdict(self, monkeypatch, fresh_verdict):
         verdict = rng._overlap_is_libm()
@@ -249,7 +281,7 @@ class TestLibmRoute:
         monkeypatch.setattr(math, "exp", lambda x: 2.0 * exp(x))
         monkeypatch.setattr(math, "cos", lambda x: cos(x) + 1.0)
         u = np.linspace(0.01, 0.99, 99)
-        got = rng._libm(np.log, u)
+        got = rng._libm(np.log, _padded(u), u.size)
         assert rng._overlap_is_libm() == verdict
         monkeypatch.undo()
         assert got.tobytes() == np.array([math.log(v) for v in u.tolist()]).tobytes()

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import oracle
 from tempocode import rng, stdp
-from tempocode.encoding import encode_traversal
+from tempocode.encoding import EncoderParams, _encode_block, encode_traversal
 from tempocode.rng import _CHUNK
 from tempocode.stdp import apply_packet_pair, train_on_traversal
 from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
@@ -364,6 +364,23 @@ class TestScatterAddFold:
         weights = self._assert_matches(values, traversals, params)
         stdp._fold_traversals(values, shuffled_ids, shuffled_times, counts, params)
         assert values.tobytes() == weights.tobytes()
+
+    @pytest.mark.parametrize("w_max", [None, 0.05])
+    def test_ids_past_each_count_are_never_read(self, w_max):
+        # The block encoder leaves the slots past a contact's count in whatever order its sort gave.
+        block = 0.1 + 0.3 * np.random.default_rng(4).standard_normal((3, 6, 64))
+        ids, times, counts = _encode_block(block, [k * 0.020 for k in range(6)], EncoderParams())
+        assert (counts < ids.shape[-1]).any()
+        permuted = ids.copy()
+        shuffle = np.random.default_rng(5).permutation
+        for t, k in np.ndindex(counts.shape):
+            permuted[t, k, counts[t, k] :] = shuffle(ids[t, k, counts[t, k] :])
+        assert (permuted != ids).any()
+        params = StdpParams(a_plus=0.3, a_minus=0.07, w_max=w_max)
+        weights, again = np.zeros((64, 64)), np.zeros((64, 64))
+        stdp._fold_traversals(weights, ids, times, counts, params)
+        stdp._fold_traversals(again, permuted, times, counts, params)
+        assert weights.any() and again.tobytes() == weights.tobytes()
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize("synapse", [(2, 2), (3, 3), (1, 0)])

@@ -45,6 +45,9 @@ class TestBuiltinObjects:
             SyntheticObject("empty", ())
         with pytest.raises(ValueError):
             SyntheticObject("ragged", (np.array([0.1]), np.array([0.1, 0.2])))
+        # Contacts of zero neurons would give no weight matrix to train and no traversal to build.
+        with pytest.raises(ValueError, match="object 'hollow' has contacts of zero neurons"):
+            SyntheticObject("hollow", ((), ()))
 
     def test_owns_its_contacts(self):
         a, b = np.array([0.9, 0.2, 0.1]), np.array([0.1, 0.2, 0.9])
@@ -168,8 +171,9 @@ class TestLoadObjects:
              "object label 'A' is used by more than one object"),
             ([{"label": "x", "contacts": [[0.9, 0.1]]}, {"label": "y", "contacts": [[0.9]]}],
              "object 'y' has 1 neurons but 'x' has 2"),
+            ([{"label": "a", "contacts": [[], []]}], "object 'a' has contacts of zero neurons"),
         ],
-        ids=["extra-key", "empty-list", "duplicate-labels", "mixed-dimensions"],
+        ids=["extra-key", "empty-list", "duplicate-labels", "mixed-dimensions", "zero-neurons"],
     )
     def test_rejects(self, tmp_path, objects, message):
         path = tmp_path / "objects.json"
