@@ -38,14 +38,15 @@ reader builds them.
 
 A training phase encodes all its traversals at once with
 :func:`_encode_block`, into padded arrays in firing order, with
-:func:`encode`'s bits. numpy's default ``argsort`` of the negated
-activations lists neurons by descending activation, so the n active ones
-come first and place r holds rank r; only those n places are ever read.
-Fired neurons lie strictly above silent ones, so the fast sort places
+:func:`encode`'s bits. An ``argsort`` of the negated activations lists
+neurons by descending activation, so the n active ones come first and
+place r holds rank r; only those n places are ever read. Fired neurons
+lie strictly above silent ones, so numpy's default ``argsort`` places
 them as ``sorted(..., reverse=True)`` does unless two of them tie. The
-sorted activations, cut to the largest active count, show whether two do
-(numpy's sort, like Python's, holds ``-0.0`` and ``0.0`` equal); then a
-stable ``argsort`` ranks the block, ties in ascending id. A rank's offset
+block's sorted activations, cut to the largest active count, show first
+whether two do (numpy's sort, like Python's, holds ``-0.0`` and ``0.0``
+equal); the one ``argsort`` is then the stable one, ties in ascending
+id, where they do, and the default one where they do not. A rank's offset
 is ``tau_base * (r / n)``, where numpy divides the two exact integers
 with one rounding, as Python does, and its time is ``time + offset``, as
 :attr:`SpikePacket.id_time_arrays` makes it.
@@ -126,16 +127,14 @@ def _firing_order(block: np.ndarray, counts: np.ndarray, m: int) -> np.ndarray:
     """The first ``m`` neuron ids of each contact of ``block`` by descending activation, ties in ascending id.
 
     Past a contact's ``counts`` fired ids the order is arbitrary, since
-    nothing reads it. The stable ``argsort`` runs only where two fired
-    activations tie (see the module docstring).
+    nothing reads it. The ``argsort`` is the stable one only where two
+    fired activations tie (see the module docstring).
     """
     ranked = np.negative(block)
-    ids = ranked.argsort(axis=-1)[..., :m]
-    ranked.sort(axis=-1)
-    ranked = ranked[..., :m]
-    if ((ranked[..., 1:] == ranked[..., :-1]) & (np.arange(1, m) < counts[..., None])).any():
-        return np.argsort(-block, axis=-1, kind="stable")[..., :m]
-    return ids
+    top = np.sort(ranked, axis=-1)[..., :m]
+    tied = ((top[..., 1:] == top[..., :-1]) & (np.arange(1, m) < counts[..., None])).any()
+    del top  # the sorted copy goes before the ids are made, so at most two block-sized arrays live at once
+    return ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m]
 
 
 def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,11 +26,12 @@ chosen per CPU, and differ from libm in the last bit on some inputs. But a float
 ``exp`` or ``cos`` whose output starts one element before its input
 (``ufunc(buf[1:], out=buf[:-1])``) stands its vector kernel aside and runs
 numpy's scalar loop, which calls libm once per element, in C. So the
-route works in place: the caller writes its ``n`` inputs into ``buf[1 : n
-+ 1]`` of a buffer padded by one slot at each end, and gets the results
-back as ``buf[:n]``, with nothing copied in or out. A one-element input
-alone would not overlap its output, so the route sets the end slot to 1.0
-and runs over it too, which makes each call overlap, whatever its size.
+route works in place: the caller writes its ``n`` inputs into the input
+view of a :func:`_padded` buffer, ``buf[1 : n + 1]`` with one spare slot
+at each end, and gets the results back as ``buf[:n]``, with nothing
+copied in or out. A one-element input alone would not overlap its
+output, so the route sets the end slot to 1.0 and runs over it too, which
+makes each call overlap, whatever its size.
 The first call in a process probes the route against :mod:`math` on fixed
 inputs; if any bit differs, as on a numpy build whose vector kernels
 accept the overlap, every later call takes :mod:`math` per element
@@ -170,6 +171,15 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
     return _seeded_uniforms(states)
 
 
+def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """A buffer for :func:`_libm` over ``n`` inputs, and the view of it that the caller writes them into.
+
+    The buffer has one spare slot at each end; the view is ``n`` long.
+    """
+    buf = np.empty(n + 2)
+    return buf, buf[1 : n + 1]
+
+
 def _in_place(ufunc, buf: np.ndarray, n: int) -> np.ndarray:
     """``ufunc`` over ``buf[1 : n + 1]`` through numpy's scalar loop, libm per element; returns ``buf[:n]``.
 
@@ -201,7 +211,13 @@ def _probe(route) -> bool:
     """
     u = _unit_floats(_mix64_u64(np.arange(1, _PROBE_SIZE + 1, dtype=np.uint64) * _GOLDEN_U64))
     cases = ((np.log, u), (np.exp, -745.0 * u), (np.cos, _TWO_PI * u))
-    return all(route(ufunc, np.pad(x, 1), x.size).tobytes() == _per_element(ufunc, x).tobytes() for ufunc, x in cases)
+
+    def routed(ufunc, x):
+        buf, inputs = _padded(x.size)
+        inputs[...] = x
+        return route(ufunc, buf, x.size)
+
+    return all(routed(ufunc, x).tobytes() == _per_element(ufunc, x).tobytes() for ufunc, x in cases)
 
 
 @cache
@@ -213,8 +229,8 @@ def _overlap_is_libm() -> bool:
 def _libm(ufunc, buf: np.ndarray, n: int) -> np.ndarray:
     """``np.log``, ``np.exp`` or ``np.cos`` over ``buf[1 : n + 1]``, in place, with libm's bits; returns ``buf[:n]``.
 
-    ``buf`` is a float array of at least ``n + 2`` elements, which the call
-    overwrites. The one route to libm (see the module docstring):
+    ``buf`` is a :func:`_padded` buffer of at least ``n`` inputs, which the
+    call overwrites. The one route to libm (see the module docstring):
     :func:`_in_place` where the probe passed it, else :mod:`math` per
     element, written into the same slots.
     """
@@ -240,15 +256,16 @@ def _box_muller(u1s, u2s) -> np.ndarray:
     out = np.empty(u1s.shape)
     flat1, flat2, flat_out = u1s.reshape(-1), u2s.reshape(-1), out.reshape(-1)
     size = min(flat_out.size, _CHUNK)
-    logs, cosines, zero = np.empty(size + 2), np.empty(size + 2), np.empty(size, dtype=bool)
+    (logs, log_inputs), (cosines, cos_inputs) = _padded(size), _padded(size)
+    zero = np.empty(size, dtype=bool)
     for start in range(0, flat_out.size, _CHUNK):
         u1, u2 = flat1[start : start + _CHUNK], flat2[start : start + _CHUNK]
         n = u1.size
-        np.copyto(logs[1 : n + 1], u1)
-        np.copyto(logs[1 : n + 1], _TWO_POW_NEG53, where=np.equal(u1, 0.0, out=zero[:n]))
+        np.copyto(log_inputs[:n], u1)
+        np.copyto(log_inputs[:n], _TWO_POW_NEG53, where=np.equal(u1, 0.0, out=zero[:n]))
         radii = _libm(np.log, logs, n)
         np.sqrt(np.multiply(radii, -2.0, out=radii), out=radii)
-        np.multiply(u2, _TWO_PI, out=cosines[1 : n + 1])
+        np.multiply(u2, _TWO_PI, out=cos_inputs[:n])
         np.multiply(radii, _libm(np.cos, cosines, n), out=flat_out[start : start + n])
     return out
 

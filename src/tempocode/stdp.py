@@ -72,7 +72,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .rng import _libm
+from .rng import _libm, _padded
 from .types import SpikePacket, StdpParams, WeightMatrix
 
 #: (pairs x M x M) slots per block of a training phase, M its largest active count,
@@ -105,9 +105,9 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
 
     ``exp`` is libm's, through :func:`tempocode.rng._libm` (see the module
     docstring). The windows ``dt / -tau`` are divided straight into the
-    route's padded buffer, and one in-place ``exp`` runs over all of them,
-    so the increments are that buffer's first ``dt.size`` slots, scaled in
-    place. Every window is at most 0, so no ``exp`` overflows. A dt of 0
+    inputs of one :func:`tempocode.rng._padded` buffer, and one in-place
+    ``exp`` runs over all of them; the increments are the slots it
+    returns, scaled in place. Every window is at most 0, so no ``exp`` overflows. A dt of 0
     gives ``-0.0``, and ``w + (-0.0) == w`` for every w, the pairwise
     rule's no-op. Where every dt is positive, as when no packets overlap,
     ``tau`` and the amplitude are scalars, not per-element choices; the
@@ -117,10 +117,10 @@ def _increments(dt: np.ndarray, params: StdpParams) -> np.ndarray:
     n = dt.size
     mixed = not dt.min(initial=math.inf) > 0.0
     potentiate = dt > 0.0 if mixed else True
-    buf = np.empty(n + 2)
+    buf, inputs = _padded(n)
     # -dt / tau_plus == dt / -tau_plus exactly: division rounds the magnitude alone.
     with np.errstate(over="ignore"):  # a window past -1.8e308 is -inf, whose exp is the scalar rule's 0.0
-        np.divide(dt, np.where(potentiate, -params.tau_plus, params.tau_minus), out=buf[1 : n + 1])
+        np.divide(dt, np.where(potentiate, -params.tau_plus, params.tau_minus), out=inputs)
     window = _libm(np.exp, buf, n)
     # w - a*e == w + (-a*e) exactly.
     window *= np.where(potentiate, params.a_plus, -params.a_minus)

@@ -65,7 +65,7 @@ MUTANTS = [
     ("rng.py", "normal_grid returning a view", "[self._member].copy()", "[self._member]", "test_rng"),
     ("rng.py", "every child reading member 0", "child_seed, family, t", "child_seed, family, 0", "test_rng"),
     ("rng.py", "a wrong zero-u1 substitute",
-     "np.copyto(logs[1 : n + 1], _TWO_POW_NEG53, where=", "np.copyto(logs[1 : n + 1], 2.0**-52, where=", "test_rng"),
+     "np.copyto(log_inputs[:n], _TWO_POW_NEG53, where=", "np.copyto(log_inputs[:n], 2.0**-52, where=", "test_rng"),
     ("rng.py", "normal_vector seeded without the extra mix64",
      "_child_seeds(mix64(self._seed), count)", "_child_seeds(self._seed, count)", "test_rng"),
     ("rng.py", "the first chunk's cosines for every chunk",
@@ -74,10 +74,11 @@ MUTANTS = [
      "where=np.equal(u1, 0.0, out=zero[:n]))", "where=np.equal(u1, 0.0, out=zero[:n]) & (start == 0))", "test_rng"),
     ("rng.py", "u1 and u2 swapped", "return _unit_floats(states)", "return _unit_floats(states[::-1])", "test_rng"),
     ("encoding.py", "block-encoder ids re-sorted ascending",
-     "ids = ranked.argsort(axis=-1)[..., :m]", "ids = np.sort(ranked.argsort(axis=-1)[..., :m], axis=-1)",
+     'return ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m]',
+     'return np.sort(ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m], axis=-1)',
      "test_oracle"),
     ("encoding.py", "no stable fallback for fired ties",
-     "if ((ranked[..., 1:] == ranked[..., :-1]) & (np.arange(1, m) < counts[..., None])).any():", "if False:",
+     "tied = ((top[..., 1:] == top[..., :-1]) & (np.arange(1, m) < counts[..., None])).any()", "tied = False",
      "test_encoding"),
     ("encoding.py", "a span floor of > 0.0",
      "self.tau_base >= sys.float_info.min", "self.tau_base > 0.0", "test_encoding"),

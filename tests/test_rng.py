@@ -209,10 +209,11 @@ class TestLibmPerElement:
 
 
 def _padded(values):
-    """``values`` in ``buf[1 : n + 1]`` of a buffer with one NaN slot at each end, as :func:`rng._libm` takes it."""
+    """An :func:`rng._padded` buffer holding ``values`` as its inputs, NaN in its spare slots."""
     values = np.asarray(values, dtype=float)
-    buf = np.full(values.size + 2, np.nan)
-    buf[1:-1] = values
+    buf, inputs = rng._padded(values.size)
+    buf.fill(np.nan)
+    inputs[...] = values
     return buf
 
 
