@@ -26,8 +26,11 @@ in place in its caller's padded buffer. Box-Muller reuses two such buffers
 across its chunks, and STDP divides each fold block's windows straight
 into one. See :mod:`tempocode.rng` and :mod:`tempocode.stdp`.
 
-A discrimination test phase runs as arrays. The generated trials of one
-object are stacked into a (trials, contacts, neurons) block, and no spike
+A discrimination test phase runs as arrays. The trials of one object are
+drawn as one (trials, contacts, neurons) block
+(:func:`~tempocode.world.generate_feature_block`: one noise array for
+every trial, scaled, shifted and checked at once), with the bits of
+stacking their traversals, and no per-trial stream, traversal or spike
 packet is built. The temporal score needs only each contact's leading
 neuron, which is the first ``argmax`` of its activations, and the contact
 is silent when that maximum does not exceed the threshold. This is the
@@ -38,7 +41,10 @@ keeps the first maximum too. Every model is then scored along the leading
 chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
 pair with a silent contact, which leaves a left fold from 0.0 unchanged.
 The dense sums of all trials and their centroid distances take one pass
-more. The leading-pair rule is :func:`_pathway_scores` alone, and
+more. A run whose dense baseline overflows, so that a centroid or a
+distance is not finite and no nearest centroid can be picked, fails with
+an error that names its noise level, before any report is made. The
+leading-pair rule is :func:`_pathway_scores` alone, and
 :func:`classify_temporal` is its one-row case. The inference loop,
 which scores contacts against frozen models and learns nothing, has the
 all-causal-pairs rule, :func:`tempocode.inference._causal_index` and
@@ -66,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import centroid_distances, dense_train
+from .baseline import _DenseOverflow, centroid_distances, dense_train
 from .config import Config
 from .encoding import _check_gaps, _encode_block
 from .evidence import EvidenceState
@@ -78,6 +84,7 @@ from .world import (
     SyntheticObject,
     WorldParams,
     discrimination_pair,
+    generate_feature_block,
     generate_traversal,
     load_objects,
     require_one_dimensionality,
@@ -455,6 +462,24 @@ def _train(
     return models, dense_train(train_traversals)
 
 
+def _run_phases(cfg: Config, seed: int, world: WorldParams, objs: list[SyntheticObject]) -> list[ObjectResult]:
+    """The training phase, then each object's test trials classified by what it trained: one row per object."""
+    models, centroids = _train(cfg, seed, world, objs)
+    centroid_arrays = [centroid for _, centroid in centroids]
+    # Model o and centroid o belong to object o: dense_train keeps first-appearance order.
+    results = []
+    for o, obj in enumerate(objs):
+        block = generate_feature_block(obj, world, NoiseStream(seed, _TEST_PHASE, o), cfg.experiment.n_test)
+        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
+        with np.errstate(over="ignore"):  # a sum past the largest double fails at its distances
+            totals = np.sum(block, axis=-2)
+        dense = centroid_distances(totals, centroid_arrays).argmin(axis=-1)
+        temporal_correct = int(np.count_nonzero(temporal == o))
+        dense_correct = int(np.count_nonzero(dense == o))
+        results.append(ObjectResult(obj.label, cfg.experiment.n_test, dense_correct, temporal_correct))
+    return results
+
+
 def run_discrimination(
     config: Config | None = None,
     *,
@@ -478,22 +503,10 @@ def run_discrimination(
         raise ValueError("n_test must be >= 1: accuracy over no trials is undefined")
     objs = _resolve_objects(cfg, objects)
     world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
-    models, centroids = _train(cfg, seed, world, objs)
-    centroid_arrays = [centroid for _, centroid in centroids]
-
-    # Model o and centroid o belong to object o: dense_train keeps first-appearance order.
-    results = []
-    for o, obj in enumerate(objs):
-        trials = [
-            generate_traversal(obj, world, stream)
-            for stream in NoiseStream(seed, _TEST_PHASE, o).children(cfg.experiment.n_test)
-        ]
-        block = np.stack([trav.features for trav in trials])
-        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
-        dense = centroid_distances(np.sum(block, axis=-2), centroid_arrays).argmin(axis=-1)
-        temporal_correct = int(np.count_nonzero(temporal == o))
-        dense_correct = int(np.count_nonzero(dense == o))
-        results.append(ObjectResult(obj.label, cfg.experiment.n_test, dense_correct, temporal_correct))
+    try:
+        results = _run_phases(cfg, seed, world, objs)
+    except _DenseOverflow as exc:
+        raise ValueError(f"noise sigma {sigma:g}: {exc}") from None
 
     return DiscriminationReport(
         sigma=sigma,

@@ -40,13 +40,19 @@ instead, into the same buffer.
 draw at index ``t``, with which the lambda experiment draws each object's
 whole error trajectory at once.
 
-:meth:`NoiseStream.children` extends this across sibling streams: child
-``t`` is ``NoiseStream(seed, *prefix, t)``, and the first ``normal_grid``
-call on any child runs the integer chain and the Box-Muller transform for
-every child at once; each child then copies its own slice, bit-identical
-to a lone stream's grid. The price is memory: the family keeps its
-normals, 8 bytes per draw, for as long as any child lives (one grid shape
-at a time).
+Sibling streams share that pass too. Child ``t`` of a stream is
+``NoiseStream(seed, *prefix, t)``, and both ways to draw a family of
+children run the integer chain and the Box-Muller transform for every
+child at once, through one call (:func:`_normals`).
+:meth:`NoiseStream.normal_grids` returns the whole family's grids as one
+fresh ``(n, rows, cols)`` array, which no stream keeps, so its caller may
+scale it in place; a discrimination test phase draws its trials so.
+:meth:`NoiseStream.children` returns the children as streams, for a caller
+that takes one trial at a time: the first ``normal_grid`` call on any
+child draws the family's grids, and each child then copies its own slice.
+Either way, ``[t]`` is bit-identical to a lone stream's grid. The price
+of ``children`` is memory: the family keeps its normals, 8 bytes per
+draw, for as long as any child lives (one grid shape at a time).
 
 The overlap route, its probe, NEP 50's promotion rules for the
 ``uint64`` mixing, and the in-order column fold of ``np.einsum`` that
@@ -169,6 +175,11 @@ def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray
     np.bitwise_xor(row_seeds[:, :, None], index_keys[:cols], out=states[0])
     _mix64_u64(states[0], states[1])
     return _seeded_uniforms(states)
+
+
+def _normals(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """The fresh ``(members, rows, cols)`` array whose ``[m]`` is member ``m``'s ``normal_grid(rows, cols)``."""
+    return _box_muller(*_grid_uniforms(member_seeds, rows, cols))
 
 
 def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,8 +310,7 @@ class _Family:
         """The ``(members, rows, cols)`` normals of every member, transformed once."""
         cache = self._cache
         if cache is None or cache[0] != (rows, cols):
-            u1, u2 = _grid_uniforms(self.seeds, rows, cols)
-            cache = ((rows, cols), _box_muller(u1, u2))
+            cache = ((rows, cols), _normals(self.seeds, rows, cols))
             self._cache = cache
         return cache[1]
 
@@ -333,6 +343,14 @@ class NoiseStream:
             child._seed, child._family, child._member = child_seed, family, t
             kids.append(child)
         return kids
+
+    def normal_grids(self, n: int, rows: int, cols: int) -> np.ndarray:
+        """The fresh ``(n, rows, cols)`` array whose ``[t]`` is child ``t``'s ``normal_grid(rows, cols)``.
+
+        Child ``t`` is ``NoiseStream(seed, *prefix, t)``, as in
+        :meth:`children`. No stream keeps the array, so the caller owns it.
+        """
+        return _normals(_child_seeds(self._seed, n), rows, cols)
 
     def normal_vector(self, count: int) -> np.ndarray:
         """The length-``count`` array whose ``[t]`` is the draw at index ``t``."""

@@ -98,6 +98,21 @@ def complexity_triple() -> list[SyntheticObject]:
     return builtin_objects()[2:]
 
 
+def _add_noise(noise: np.ndarray, obj: SyntheticObject, sigma: float) -> np.ndarray:
+    """``(sigma * z) + canonical`` per component, in place in the noise ``z``; returns it read-only.
+
+    ``noise`` ends in ``obj``'s (contacts, neurons) shape and may have a
+    leading trial axis. Each component is rounded once per operation, as
+    the scalar definition in ``tests/oracle.py`` writes it. An overflow is
+    not warned of: the caller's finiteness check rejects it.
+    """
+    with np.errstate(over="ignore"):
+        noise *= sigma
+        noise += obj.features
+    noise.flags.writeable = False
+    return noise
+
+
 def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseStream) -> Traversal:
     """One left-to-right traversal of ``obj`` with per-component sensor noise.
 
@@ -109,14 +124,12 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     The whole traversal's noise is drawn as one
     :meth:`~tempocode.rng.NoiseStream.normal_grid`, which matches the
     scalar definition in ``tests/oracle.py`` bit for bit (see
-    :mod:`tempocode.rng` for the exactness rule). The grid is this call's
-    own copy, so sigma scales it and the object's block is added to it in
-    place: each component is still ``(sigma * z) + canonical``, rounded
-    once per operation. A ``stream``
-    from :meth:`~tempocode.rng.NoiseStream.children` gives the same
-    traversal as the lone stream it equals; the first traversal of a family
-    draws the uniforms of every sibling, so a run of trials pays the integer
-    mixing once.
+    :mod:`tempocode.rng` for the exactness rule), and is scaled and
+    shifted in place (:func:`_add_noise`). A ``stream`` from
+    :meth:`~tempocode.rng.NoiseStream.children` gives the same traversal
+    as the lone stream it equals. A caller that needs only the features of
+    a run of trials draws them as one block instead
+    (:func:`generate_feature_block`).
 
     The noisy block is checked once as a whole, and the traversal is built
     on it without a per-contact check (:meth:`Traversal._from_checked`). The
@@ -127,16 +140,36 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     """
     values = obj.features
     if params.noise_sigma > 0.0:
-        values = stream.normal_grid(*values.shape)
-        # An overflow is not warned of: the public constructor below names the contact it spoils.
-        with np.errstate(over="ignore"):
-            values *= params.noise_sigma
-            values += obj.features
-        values.flags.writeable = False
+        values = _add_noise(stream.normal_grid(*values.shape), obj, params.noise_sigma)
     times = [k * params.inter_contact_interval for k in range(len(values))]
     if not (np.isfinite(values).all() and math.isfinite(times[-1])):
         return Traversal(tuple(zip(values, times)), label=obj.label)
     return Traversal._from_checked(values, times, obj.label)
+
+
+def generate_feature_block(obj: SyntheticObject, params: WorldParams, stream: NoiseStream, trials: int) -> np.ndarray:
+    """The features of ``trials`` traversals of ``obj``, as one read-only (trials, contacts, neurons) block.
+
+    ``[t]`` has the bits of ``generate_traversal(obj, params,
+    stream.children(trials)[t]).features``, but no stream, grid copy or
+    :class:`Traversal` is made per trial: the noise of every trial is one
+    :meth:`~tempocode.rng.NoiseStream.normal_grids` array, scaled and
+    shifted in place and checked once as a whole. At sigma 0 every trial is
+    the object's own block, broadcast without a copy.
+
+    A block that is not finite raises the error that per-trial
+    :func:`generate_traversal` calls raise, by running the trials through
+    it. The contact times are not part of the block, and a finite block is
+    returned without checking them.
+    """
+    shape = (trials, *obj.features.shape)
+    if params.noise_sigma == 0.0:
+        return np.broadcast_to(obj.features, shape)
+    noisy = _add_noise(stream.normal_grids(*shape), obj, params.noise_sigma)
+    if not np.isfinite(noisy).all():
+        for child in stream.children(trials):
+            generate_traversal(obj, params, child)
+    return noisy
 
 
 def require_unique_labels(objects) -> None:

@@ -72,6 +72,11 @@ MUTANTS = [
      "np.multiply(u2, _TWO_PI, out=", "np.multiply(flat2[:n], _TWO_PI, out=", "test_rng"),
     ("rng.py", "the zero-u1 substitution in the first chunk only",
      "where=np.equal(u1, 0.0, out=zero[:n]))", "where=np.equal(u1, 0.0, out=zero[:n]) & (start == 0))", "test_rng"),
+    ("rng.py", "normal_grids handing back a family's cached array that a sibling still reads",
+     "    return _box_muller(*_grid_uniforms(member_seeds, rows, cols))",
+     "    return _normals.__dict__.setdefault((member_seeds.tobytes(), rows, cols),"
+     " _box_muller(*_grid_uniforms(member_seeds, rows, cols)))",
+     "test_rng"),
     ("rng.py", "u1 and u2 swapped", "return _unit_floats(states)", "return _unit_floats(states[::-1])", "test_rng"),
     ("encoding.py", "block-encoder ids re-sorted ascending",
      'return ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m]',
@@ -117,11 +122,16 @@ MUTANTS = [
      "centroid_arrays)[..., ::-1].argmin(axis=-1) * -1 + len(centroid_arrays) - 1", "test_oracle"),
     ("experiments.py", "contacts summed by an explicit left fold",
      "np.sum(block, axis=-2)", "np.add.accumulate(block, axis=-2)[..., -1, :]", "test_oracle"),
+    ("experiments.py", "no errstate on the test phase's dense sums",
+     'with np.errstate(over="ignore"):  # a sum past', "if True:  # a sum past", "test_experiments"),
+    ("world.py", "the feature block skipping its finiteness check",
+     "if not np.isfinite(noisy).all():", "if False:", "test_world"),
+    ("world.py", "the sigma-0 feature block adding noise", "if params.noise_sigma == 0.0:", "if False:", "test_world"),
     ("world.py", "SyntheticObject.contacts left as the caller's arrays",
      'object.__setattr__(self, "contacts", tuple(block))', 'object.__setattr__(self, "contacts", arrs)', "test_world"),
     ("world.py", "no read-only flag on an object's block", "block.flags.writeable = False", "pass", "test_world"),
     ("world.py", "zero-neuron contacts accepted", "if arrs[0].size == 0:", "if False:", "test_world"),
-    ("world.py", "no read-only flag on a traversal's block", "values.flags.writeable = False", "pass", "test_world"),
+    ("world.py", "no read-only flag on a traversal's block", "noise.flags.writeable = False", "pass", "test_world"),
     ("world.py", "generate_traversal skipping its block check",
      "if not (np.isfinite(values).all() and", "if False and (np.isfinite(values).all() and", "test_world"),
     ("types.py", "the public Traversal aliasing its caller's arrays",
@@ -134,15 +144,25 @@ MUTANTS = [
      "ids.flags.writeable = times.flags.writeable = False", "pass", "test_types"),
     ("types.py", "no finiteness check in WeightMatrix", "if not np.all(np.isfinite(arr)):", "if False:", "test_stdp"),
     ("baseline.py", "one class stack left unsummed",
-     "sums = np.empty((len(traversals), traversals[0].features.shape[-1]))\n    for key in set(keys):",
-     "sums = np.zeros((len(traversals), traversals[0].features.shape[-1]))\n    for key in sorted(set(keys))[1:]:",
+     "sums = np.empty((len(traversals), traversals[0].features.shape[-1]))\n        for key in set(keys):",
+     "sums = np.zeros((len(traversals), traversals[0].features.shape[-1]))\n        for key in sorted(set(keys))[1:]:",
      "test_baseline"),
     ("baseline.py", "np.linalg.norm(...) ** 2 distances",
-     "return ((np.asarray(totals)[..., None, :] - np.stack(centroids)) ** 2).sum(axis=-1)",
-     "return np.linalg.norm(np.asarray(totals)[..., None, :] - np.stack(centroids), axis=-1) ** 2", "test_oracle"),
+     "distances = ((np.asarray(totals)[..., None, :] - np.stack(centroids)) ** 2).sum(axis=-1)",
+     "distances = np.linalg.norm(np.asarray(totals)[..., None, :] - np.stack(centroids), axis=-1) ** 2", "test_oracle"),
     ("baseline.py", "dense_classify ties to the last centroid",
      "centroids[int(distances[0].argmin())][0]",
      "centroids[len(centroids) - 1 - int(distances[0][::-1].argmin())][0]", "test_baseline"),
+    ("baseline.py", "no dense-overflow check on the distances",
+     "if not np.isfinite(distances).all():", "if False:", "test_experiments test_cli"),
+    ("baseline.py", "no dense-overflow check on the centroids",
+     "if not np.isfinite(centroid).all():", "if False:", "test_baseline"),
+    ("baseline.py", "no errstate on the class sums and means",
+     'with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects an overflow\n        sums',
+     "if True:\n        sums", "test_experiments"),
+    ("baseline.py", "no errstate on the distances",
+     'with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects an overflow\n        dist',
+     "if True:\n        dist", "test_experiments"),
     ("inference.py", "the loop scoring the models' live matrices",
      "_pair_scores(state.weight_stack,", "_pair_scores(np.stack([m.weights.w.reshape(-1) for m in state.models], 1),",
      "test_oracle"),

@@ -74,6 +74,20 @@ class TestDenseClassify:
             dense_classify(_noiseless(discrimination_pair()[0]), [])
 
 
+class TestOverflow:
+    def test_a_centroid_past_the_largest_double_raises(self):
+        huge = Traversal(((np.array([1e308, 1.0]), 0.0), (np.array([1e308, 1.0]), 0.020)), label="huge")
+        with pytest.raises(ValueError, match="the dense baseline overflows: the centroid of 'huge' is not finite"):
+            dense_train([huge])
+
+    def test_a_distance_past_the_largest_double_raises(self):
+        # The sum is finite, but its squared distance is not: every class would tie at inf.
+        centroids = [("a", np.array([0.0, 0.0])), ("b", np.array([1.0, 1.0]))]
+        trav = Traversal(((np.array([1e200, 0.0]), 0.0),))
+        with pytest.raises(ValueError, match="the dense baseline overflows: a distance to a centroid is not finite"):
+            dense_classify(trav, centroids)
+
+
 class TestCentroidDistances:
     def test_tie_goes_to_lowest_index(self):
         centroids = [("far", np.array([9.0, 9.0])), ("first", np.array([1.0, 0.0])), ("second", np.array([0.0, 1.0]))]

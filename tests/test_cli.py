@@ -290,6 +290,14 @@ class TestExitCodesMeanWhatTheySay:
         assert "stdp.a_plus" in err and "stdp.w_max" in err
         assert not (tmp_path / "out").exists()
 
+    def test_a_dense_baseline_that_overflows_exits_1_with_no_report(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiment": {"sigma": 1e200}}))
+        code, out, err = _run(capsys, ["discriminate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: noise sigma 1e+200: the dense baseline overflows")
+        assert not (tmp_path / "out").exists()
+
     def test_value_error_during_run_exit_1(self, capsys, tmp_path, small_config, monkeypatch):
         import tempocode.cli as cli
 

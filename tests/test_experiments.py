@@ -202,6 +202,19 @@ class TestDiscrimination:
         with pytest.raises(ValueError, match="feature vector contains non-finite activations"):
             run_discrimination(_small_config(n_train=2, n_test=2), seed=1, sigma=1e308)
 
+    @pytest.mark.parametrize("cfg, seed, sigma, overflowing", [
+        (Config(), 42, 1e200, "a distance to a centroid is not finite"),
+        *((Config(), seed, 3e307, "the centroid of 'A' is not finite") for seed in (1, 2, 3)),
+        # The one training sweep per object sums finitely; a test trial's sum does not.
+        (_small_config(n_train=1, n_test=20), 1, 4e307, "a distance to a centroid is not finite"),
+    ])
+    def test_a_dense_baseline_that_overflows_gives_no_report(self, cfg, seed, sigma, overflowing):
+        # Every distance used to be inf, with two warnings, and argmin gave every trial to
+        # object A: dense 50%. A RuntimeWarning fails this test (pyproject's filter).
+        with pytest.raises(ValueError) as info:
+            run_discrimination(cfg, seed=seed, sigma=sigma)
+        assert str(info.value) == f"noise sigma {sigma:g}: the dense baseline overflows: {overflowing}"
+
     def test_weights_that_overflow_give_no_report(self):
         # Every pair of the first object's one traversal adds about 1e308: scored, the
         # inf weights used to report A at 100% and B at 0%.

@@ -112,6 +112,29 @@ class TestChildren:
     def test_no_children(self):
         assert NoiseStream(42, 0, 0).children(0) == []
 
+    @pytest.mark.parametrize("n, rows, cols", [(1, 3, 3), (7, 3, 3), (200, 3, 3), (7, 20, 64), (3, 4, 700)])
+    def test_normal_grids_are_the_childrens_grids(self, n, rows, cols):
+        grids = NoiseStream(42, 1, 3).normal_grids(n, rows, cols)
+        assert grids.shape == (n, rows, cols)
+        children = NoiseStream(42, 1, 3).children(n)
+        lone = self._lone(42, (1, 3), n)
+        for t in range(n):
+            assert grids[t].tobytes() == lone[t].normal_grid(rows, cols).tobytes()
+            assert grids[t].tobytes() == children[t].normal_grid(rows, cols).tobytes()
+
+    def test_normal_grids_share_no_familys_normals(self):
+        # A caller scales the grids in place: children of the same parent, and a later call, must not see it.
+        parent = NoiseStream(42, 1, 3)
+        children = parent.children(5)
+        before = [child.normal_grid(3, 3).tobytes() for child in children]
+        grids = parent.normal_grids(5, 3, 3)
+        expected = grids.tobytes()
+        grids *= 2.0
+        grids += 1.0
+        assert [child.normal_grid(3, 3).tobytes() for child in children] == before
+        assert parent.normal_grids(5, 3, 3).tobytes() == expected
+        assert parent.normal_grids(0, 3, 3).shape == (0, 3, 3)
+
 
 class TestFamilyNormalsAcrossChunks:
     """One Box-Muller pass per family, run in chunks (``test_oracle`` compares its draws as bytes)."""

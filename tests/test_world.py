@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracle
+from tempocode import rng
 from tempocode.rng import NoiseStream
 from tempocode.types import Traversal
 from tempocode.world import (
@@ -14,6 +15,7 @@ from tempocode.world import (
     builtin_objects,
     complexity_triple,
     discrimination_pair,
+    generate_feature_block,
     generate_traversal,
     load_objects,
 )
@@ -144,6 +146,61 @@ class TestGenerateTraversal:
             WorldParams(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             WorldParams(inter_contact_interval=0.0)
+
+
+def _grid_object(rows, cols):
+    """An object of ``rows`` contacts and ``cols`` neurons, with signed zeros, a huge value and negative ones."""
+    if (rows, cols) == (3, 3):
+        return _MIXED
+    values = np.linspace(-1.0, 1.0, rows * cols).reshape(rows, cols)
+    values[0, :3] = (-0.0, 0.0, 1e300)
+    return SyntheticObject("g", tuple(values))
+
+
+class TestGenerateFeatureBlock:
+    """One block of test trials against the per-trial traversals and the oracle, compared as bytes."""
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (20, 64)])
+    @pytest.mark.parametrize("n", [1, 7, 200])
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])
+    def test_every_trial_has_the_per_trial_bits(self, sigma, n, rows, cols):
+        obj, params = _grid_object(rows, cols), WorldParams(noise_sigma=sigma)
+        block = generate_feature_block(obj, params, NoiseStream(9, 1, 2), n)
+        assert block.shape == (n, rows, cols) and block.dtype == np.float64
+        children = NoiseStream(9, 1, 2).children(n)
+        per_trial = np.stack([generate_traversal(obj, params, child).features for child in children])
+        assert block.tobytes() == per_trial.tobytes()
+        canonical = obj.features.tolist()
+        for t in range(n):
+            rows_t, _ = oracle.traversal(canonical, sigma, 0.020, oracle.derive_seed(9, 1, 2, t))
+            assert block[t].tobytes() == np.array(rows_t).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0, 0] = 99.0
+
+    def test_a_family_across_box_muller_chunks(self):
+        # 200 trials of 20 x 64 draw 62.5 chunks; 7 of 3 x 300 draw one chunk and 6300 - 4096 more.
+        for n, rows, cols in [(200, 20, 64), (7, 3, 300)]:
+            assert n * rows * cols > rng._CHUNK
+            obj, params = _grid_object(rows, cols), WorldParams(noise_sigma=0.05)
+            block = generate_feature_block(obj, params, NoiseStream(4, 1, 0), n)
+            lone = [generate_traversal(obj, params, NoiseStream(4, 1, 0, t)).features for t in range(n)]
+            assert block.tobytes() == np.stack(lone).tobytes()
+
+    def test_sigma_zero_is_the_objects_own_block(self):
+        block = generate_feature_block(_MIXED, WorldParams(), NoiseStream(1), 4)
+        assert np.shares_memory(block, _MIXED.features)
+        assert block.tobytes() == np.stack([_MIXED.features] * 4).tobytes()
+
+    def test_overflowing_noise_raises_the_per_trial_error(self):
+        # At sigma 1e308 some draw pushes a component past the largest double, with no warning (pyproject's filter).
+        obj = SyntheticObject("huge", (np.array([0.5, 1.7e308, 0.5]), np.array([1.7e308, 0.5, 1.7e308])))
+        params = WorldParams(noise_sigma=1e308)
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations") as per_trial:
+            for child in NoiseStream(1, 0, 0).children(4):
+                generate_traversal(obj, params, child)
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations") as block:
+            generate_feature_block(obj, params, NoiseStream(1, 0, 0), 4)
+        assert str(block.value) == str(per_trial.value)
 
 
 class TestLoadObjects:
