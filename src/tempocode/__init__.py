@@ -14,7 +14,7 @@ in :mod:`tempocode.world`, :mod:`tempocode.baseline`, and
 from .baseline import dense_classify, dense_train
 from .config import DEFAULT_SEED, Config, ConfigError, load_config
 from .encoding import EncoderParams, code_capacity_bits, encode, encode_traversal
-from .evidence import EvidenceState, prediction_error
+from .evidence import EvidenceState
 from .experiments import (
     DiscriminationReport,
     LambdaReport,
@@ -33,7 +33,7 @@ from .inference import (
     exploration_step,
 )
 from .latency import decode_displacement
-from .rng import NoiseStream, derive_seed, mix64
+from .rng import NoiseStream, derive_seed
 from .stdp import train_on_traversal
 from .types import (
     Displacement,
@@ -94,8 +94,6 @@ __all__ = [
     "generate_traversal",
     "load_config",
     "load_objects",
-    "mix64",
-    "prediction_error",
     "run_discrimination",
     "run_lambda_convergence",
     "run_noise_sweep",

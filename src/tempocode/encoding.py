@@ -30,11 +30,10 @@ than two ulps, and rounding to nearest cannot merge them. At a subnormal
 Its construction guarantees ascending int ids (the active ids are listed
 in id order) and finite, non-negative, distinct float offsets with a zero
 minimum (rank 0 gets ``tau_base * 0.0``); only ``arrival`` needs the
-constructor's finiteness check and ``ValueError``. ``_from_ordered`` also
-builds the packet's :attr:`~tempocode.types.SpikePacket.id_time_arrays`,
-by that property's rule (each global time is Python's ``arrival +
-offset``, which overflows to ``inf`` without a warning), so no later
-reader builds them.
+constructor's finiteness check and ``ValueError``. The packet's
+:attr:`~tempocode.types.SpikePacket.id_time_arrays` are built on first
+read, by that property's rule (each global time is Python's ``arrival +
+offset``, which overflows to ``inf`` without a warning).
 
 A training phase encodes all its traversals at once with
 :func:`_encode_block`, into padded arrays in firing order, with
@@ -91,8 +90,6 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     Neurons with activation strictly greater than the sparsity threshold
     fire, ordered by descending activation (ties by ascending neuron id);
     all others stay silent. Raises ValueError on non-finite activations.
-    The packet comes with its :attr:`~tempocode.types.SpikePacket.id_time_arrays`
-    already built.
     """
     values = as_features(features).tolist()
     if not math.isfinite(arrival):

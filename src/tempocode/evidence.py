@@ -81,9 +81,10 @@ class EvidenceState:
     def _observe(self, ll: np.ndarray) -> tuple[int, float]:
         """One observation of checked ``(n_classes,)`` log-likelihoods: (best hypothesis, its prediction error).
 
-        The public chain :meth:`update`, :meth:`best_hypothesis`,
-        :func:`prediction_error` and :meth:`adapt_lambda` without their
-        checks: the same operations, in the same order, on the same bits.
+        The public chain :meth:`update`, :meth:`best_hypothesis` and
+        :meth:`adapt_lambda` without their checks, with the prediction error
+        between the last two: the same operations, in the same order, on the
+        same bits.
         """
         self._mix(ll)
         best = self.best_hypothesis()
@@ -106,20 +107,6 @@ class EvidenceState:
         self.lambdas[class_idx] = min(max(self.lambdas[class_idx] + delta, 0.0), 1.0)
 
 
-def prediction_error(log_likelihoods, best_hypothesis: int) -> float:
-    """1 - likelihood of the current best hypothesis, clamped into [0, 1].
-
-    The clamp guards against likelihoods above 1 (possible when raw scores
-    are fed in unnormalized). ``log_likelihoods`` must be 1-D and
-    ``best_hypothesis`` must lie in [0, n).
-    """
-    ll = np.asarray(log_likelihoods, dtype=float)
-    if ll.ndim != 1:
-        raise ValueError(f"log-likelihoods must be 1-D, got shape {ll.shape}")
-    if not 0 <= best_hypothesis < ll.size:
-        raise ValueError(f"hypothesis index {best_hypothesis} out of range [0, {ll.size})")
-    return _error(ll, best_hypothesis)
-
-
 def _error(ll: np.ndarray, best: int) -> float:
+    """Prediction error: 1 - likelihood of the best hypothesis, clamped into [0, 1] (a likelihood > 1 gives 0)."""
     return min(max(1.0 - math.exp(ll[best]), 0.0), 1.0)

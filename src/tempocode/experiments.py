@@ -495,14 +495,12 @@ def run_discrimination(
     cfg = config if config is not None else Config()
     seed = cfg.resolved_seed(seed)
     sigma = cfg.experiment.sigma if sigma is None else float(sigma)
-    if sigma < 0.0:
-        raise ValueError(f"noise sigma must be >= 0, got {sigma}")
+    world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
     if cfg.experiment.n_train < 1:
         raise ValueError("n_train must be >= 1: untrained matrices score 0 against everything")
     if cfg.experiment.n_test < 1:
         raise ValueError("n_test must be >= 1: accuracy over no trials is undefined")
     objs = _resolve_objects(cfg, objects)
-    world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
     try:
         results = _run_phases(cfg, seed, world, objs)
     except _DenseOverflow as exc:

@@ -40,8 +40,9 @@ this step and the one before is then in range. Its evidence stages run
 the public functions' private code without their checks:
 :func:`_log_softmax` for :func:`log_likelihoods_from_scores`, and
 :meth:`~tempocode.evidence.EvidenceState._observe` for ``update``,
-``best_hypothesis``, ``prediction_error`` and ``adapt_lambda``. So the
-step's bits are the public chain's, and each formula has one copy.
+``best_hypothesis`` and ``adapt_lambda``, with the prediction error
+between the last two. So the step's bits are the public chain's, and
+each formula has one copy.
 """
 
 from __future__ import annotations
@@ -283,8 +284,8 @@ def exploration_step(
     that is not finite raises ``ValueError``. A step that raises changes
     no state. Its evidence stages run without the public functions'
     checks (see the module docstring): it calls neither
-    :func:`log_likelihoods_from_scores` nor ``EvidenceState.update``,
-    ``prediction_error`` or ``adapt_lambda``.
+    :func:`log_likelihoods_from_scores` nor ``EvidenceState.update`` or
+    ``adapt_lambda``.
     """
     latency, direction = _check_motor(motor)
     t = state.clock if contact_time is None else float(contact_time)

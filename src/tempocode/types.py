@@ -33,15 +33,6 @@ def as_features(values) -> np.ndarray:
     return arr
 
 
-def _id_time_arrays(spikes: dict[int, float], arrival: float) -> tuple[np.ndarray, np.ndarray]:
-    """:attr:`SpikePacket.id_time_arrays` of these spikes, both arrays read-only."""
-    n = len(spikes)
-    ids = np.fromiter(spikes, np.intp, n)
-    times = np.fromiter([arrival + t for t in spikes.values()], float, n)
-    ids.flags.writeable = times.flags.writeable = False
-    return ids, times
-
-
 @dataclass(frozen=True)
 class SpikePacket:
     """Rank-order spike packet produced by one sensor contact.
@@ -79,14 +70,10 @@ class SpikePacket:
 
     @classmethod
     def _from_ordered(cls, spikes: dict[int, float], arrival: float) -> "SpikePacket":
-        """A packet from spikes that already meet every invariant, stored as given.
-
-        Its :attr:`id_time_arrays` are built here, from the same spikes.
-        """
+        """A packet from spikes that already meet every invariant, stored as given."""
         packet = object.__new__(cls)
         object.__setattr__(packet, "spikes", spikes)
         object.__setattr__(packet, "arrival", arrival)
-        object.__setattr__(packet, "id_time_arrays", _id_time_arrays(spikes, arrival))
         return packet
 
     @cached_property
@@ -94,14 +81,16 @@ class SpikePacket:
         """Neuron ids (``intp``) and global spike times (``float64``) in ascending id order.
 
         Each time is the spike's ``arrival + offset``, added in Python, so
-        a time past the largest double is ``inf`` with no warning. A packet
-        from :meth:`_from_ordered`, which :func:`tempocode.encoding.encode`
-        uses, gets them as it is built; one from the public constructor
-        builds them on first use. Either way they are kept on the instance
-        outside the dataclass fields, so equality and repr do not see them,
-        and both are read-only.
+        a time past the largest double is ``inf`` with no warning. They are
+        built on first read, however the packet was made, and kept on the
+        instance outside the dataclass fields, so equality and repr do not
+        see them; both are read-only.
         """
-        return _id_time_arrays(self.spikes, self.arrival)
+        n = len(self.spikes)
+        ids = np.fromiter(self.spikes, np.intp, n)
+        times = np.fromiter([self.arrival + t for t in self.spikes.values()], float, n)
+        ids.flags.writeable = times.flags.writeable = False
+        return ids, times
 
     def __len__(self) -> int:
         return len(self.spikes)

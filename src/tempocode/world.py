@@ -66,9 +66,9 @@ class WorldParams:
 
     def __post_init__(self):
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+            raise ValueError(f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
         if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > 0.0):
-            raise ValueError(f"inter_contact_interval must be positive, got {self.inter_contact_interval}")
+            raise ValueError(f"inter_contact_interval must be positive and finite, got {self.inter_contact_interval}")
 
 
 def builtin_objects() -> list[SyntheticObject]:
@@ -113,6 +113,11 @@ def _add_noise(noise: np.ndarray, obj: SyntheticObject, sigma: float) -> np.ndar
     return noise
 
 
+def _contact_times(obj: SyntheticObject, params: WorldParams) -> list[float]:
+    """The time ``k * inter_contact_interval`` of each contact ``k`` of a traversal of ``obj``."""
+    return [k * params.inter_contact_interval for k in range(len(obj.features))]
+
+
 def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseStream) -> Traversal:
     """One left-to-right traversal of ``obj`` with per-component sensor noise.
 
@@ -141,7 +146,7 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
     values = obj.features
     if params.noise_sigma > 0.0:
         values = _add_noise(stream.normal_grid(*values.shape), obj, params.noise_sigma)
-    times = [k * params.inter_contact_interval for k in range(len(values))]
+    times = _contact_times(obj, params)
     if not (np.isfinite(values).all() and math.isfinite(times[-1])):
         return Traversal(tuple(zip(values, times)), label=obj.label)
     return Traversal._from_checked(values, times, obj.label)
@@ -158,17 +163,21 @@ def generate_feature_block(obj: SyntheticObject, params: WorldParams, stream: No
     the object's own block, broadcast without a copy.
 
     A block that is not finite raises the error that per-trial
-    :func:`generate_traversal` calls raise, by running the trials through
-    it. The contact times are not part of the block, and a finite block is
-    returned without checking them.
+    :func:`generate_traversal` calls raise, with nothing drawn again: each
+    trial's rows, in order, go with :func:`generate_traversal`'s contact
+    times through the public :class:`Traversal` constructor, which raises
+    for the first bad contact of the first trial that has one. The contact
+    times are not part of the block, and a finite block is returned without
+    checking them.
     """
     shape = (trials, *obj.features.shape)
     if params.noise_sigma == 0.0:
         return np.broadcast_to(obj.features, shape)
     noisy = _add_noise(stream.normal_grids(*shape), obj, params.noise_sigma)
     if not np.isfinite(noisy).all():
-        for child in stream.children(trials):
-            generate_traversal(obj, params, child)
+        times = _contact_times(obj, params)
+        for trial in noisy:
+            Traversal(tuple(zip(trial, times)), label=obj.label)
     return noisy
 
 

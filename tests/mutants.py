@@ -126,6 +126,8 @@ MUTANTS = [
      'with np.errstate(over="ignore"):  # a sum past', "if True:  # a sum past", "test_experiments"),
     ("world.py", "the feature block skipping its finiteness check",
      "if not np.isfinite(noisy).all():", "if False:", "test_world"),
+    ("world.py", "the feature block's error path checking only its first trial",
+     "for trial in noisy:", "for trial in noisy[:1]:", "test_world"),
     ("world.py", "the sigma-0 feature block adding noise", "if params.noise_sigma == 0.0:", "if False:", "test_world"),
     ("world.py", "SyntheticObject.contacts left as the caller's arrays",
      'object.__setattr__(self, "contacts", tuple(block))', 'object.__setattr__(self, "contacts", arrs)', "test_world"),

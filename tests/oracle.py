@@ -186,6 +186,11 @@ def log_likelihoods(scores):
     return [s - log_total for s in shifted]
 
 
+def prediction_error(ll, pick):
+    """1 - the likelihood of class ``pick``, clamped into [0, 1]."""
+    return min(max(1.0 - math.exp(ll[pick]), 0.0), 1.0)
+
+
 def episode(weights, readings, times, encoder, interval, alpha=0.001):
     """Each step of the inference loop over frozen models: (scores, evidence, lambdas, best class).
 
@@ -208,7 +213,7 @@ def episode(weights, readings, times, encoder, interval, alpha=0.001):
         total = float(np.sum(mixed))  # numpy spec: the evidence path's sum
         evidence = [x / total for x in mixed] if total > 0.0 else mixed
         pick = max(range(m), key=evidence.__getitem__)
-        error = min(max(1.0 - math.exp(ll[pick]), 0.0), 1.0)
+        error = prediction_error(ll, pick)
         lambdas[pick] = min(max(lambdas[pick] + alpha * (0.5 - error), 0.0), 1.0)
         steps.append((scores, evidence, list(lambdas), pick))
         prev, clock = packet, t + interval

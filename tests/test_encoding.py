@@ -51,6 +51,24 @@ class TestEncodeExamples:
     def test_arrival_stamp(self):
         assert encode(F_S, arrival=0.040).arrival == 0.040
 
+    @pytest.mark.parametrize(
+        "values, arrival, params",
+        [([0.2, 0.9, 0.1, 0.7], 0.3, EncoderParams()), ([0.0, 0.0], 1.0, EncoderParams()),
+         # The second spike's time passes the largest double: inf, as Python's addition gives it.
+         ([0.9, 0.5], 1.5e308, EncoderParams(tau_base=1e308))],
+        ids=["three-active", "silent", "time-overflows"],
+    )
+    def test_packet_arrays_are_built_on_first_read(self, values, arrival, params):
+        packet = encode(values, params, arrival=arrival)
+        assert "id_time_arrays" not in packet.__dict__
+        arrays = packet.id_time_arrays
+        assert packet.id_time_arrays is arrays and packet.__dict__["id_time_arrays"] is arrays
+        expected = sorted(oracle.encode(values, arrival, params))
+        ids, times = arrays
+        assert ids.dtype == np.intp and ids.tolist() == [i for i, _ in expected]
+        assert times.tobytes() == np.array([t for _, t in expected], dtype=float).tobytes()
+        assert not (ids.flags.writeable or times.flags.writeable)
+
 
 class TestEncodeProperties:
     @given(

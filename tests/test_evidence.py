@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tempocode.evidence import EvidenceState, prediction_error
+import oracle
+from tempocode.evidence import EvidenceState
 from tempocode.inference import _log_softmax, log_likelihoods_from_scores
 
 
@@ -82,36 +83,32 @@ class TestBestHypothesis:
 
 
 class TestPredictionError:
+    """The step's prediction error, from :meth:`EvidenceState._observe`."""
+
     def test_basic(self):
-        assert prediction_error(np.log([0.7, 0.3]), 0) == pytest.approx(0.3, rel=1e-12)
+        # At lambda 0 the evidence is the likelihoods, so class 0 is picked with error 1 - 0.7.
+        best, error = EvidenceState(2, initial_lambda=0.0)._observe(np.log([0.7, 0.3]))
+        assert best == 0 and error == pytest.approx(0.3, rel=1e-12)
 
     def test_clamped_for_super_unit_likelihood(self):
-        assert prediction_error([0.5], 0) == 0.0  # exp(0.5) > 1 would go negative
-
-    @pytest.mark.parametrize("index", [-1, -2, 2])
-    def test_rejects_index_out_of_range(self, index):
-        with pytest.raises(ValueError, match=rf"hypothesis index {index} out of range \[0, 2\)"):
-            prediction_error([-0.1, -2.0], index)
+        assert EvidenceState(1)._observe(np.array([0.5])) == (0, 0.0)  # exp(0.5) > 1 would go negative
 
 
 @pytest.mark.parametrize(
-    "call, message",
-    [(lambda: log_likelihoods_from_scores([[1.0, 2.0], [3.0, 4.0]]), "scores must be 1-D, got shape (2, 2)"),
-     (lambda: log_likelihoods_from_scores(0.0), "scores must be 1-D, got shape ()"),
-     (lambda: prediction_error(0.0, 0), "log-likelihoods must be 1-D, got shape ()"),
-     (lambda: prediction_error([[0.0]], 0), "log-likelihoods must be 1-D, got shape (1, 1)")],
-    ids=["2-d-scores", "0-d-score", "0-d-log-likelihood", "2-d-log-likelihoods"],
+    "scores, message",
+    [([[1.0, 2.0], [3.0, 4.0]], "scores must be 1-D, got shape (2, 2)"), (0.0, "scores must be 1-D, got shape ()")],
+    ids=["2-d-scores", "0-d-score"],
 )
-def test_an_input_that_is_not_1d_is_rejected_naming_its_shape(call, message):
+def test_an_input_that_is_not_1d_is_rejected_naming_its_shape(scores, message):
     with pytest.raises(ValueError, match=re.escape(message)):
-        call()
+        log_likelihoods_from_scores(scores)
 
 
 def _public_chain(state, scores):
     ll = log_likelihoods_from_scores(scores)
     state.update(ll)
     best = state.best_hypothesis()
-    error = prediction_error(ll, best)
+    error = oracle.prediction_error(ll, best)
     state.adapt_lambda(best, error)
     return ll, best, error
 

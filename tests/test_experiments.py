@@ -153,7 +153,11 @@ class TestDiscrimination:
     @pytest.mark.parametrize(
         "overrides, sigma, message",
         [({"n_test": 0}, 0.05, "n_test must be >= 1"), ({"n_train": 0}, 0.05, "n_train must be >= 1"),
-         ({}, -0.1, "noise sigma must be >= 0")],
+         ({}, -0.1, "noise sigma must be >= 0"),
+         ({}, math.inf, r"^noise sigma must be >= 0 and finite, got inf$"),
+         ({}, math.nan, r"^noise sigma must be >= 0 and finite, got nan$"),
+         # The noise level is checked first, as it was when run_discrimination checked it itself.
+         ({"n_train": 0}, -0.1, r"^noise sigma must be >= 0 and finite, got -0.1$")],
     )
     def test_rejects_an_empty_phase_or_a_negative_sigma(self, overrides, sigma, message):
         with pytest.raises(ValueError, match=message):

@@ -1,6 +1,7 @@
 """Synthetic objects and seeded traversal generation."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -142,10 +143,13 @@ class TestGenerateTraversal:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_params_validation(self):
-        with pytest.raises(ValueError):
-            WorldParams(noise_sigma=-0.1)
-        with pytest.raises(ValueError):
-            WorldParams(inter_contact_interval=0.0)
+        for sigma in (-0.1, np.inf, np.nan):
+            with pytest.raises(ValueError, match=rf"^noise sigma must be >= 0 and finite, got {sigma}$"):
+                WorldParams(noise_sigma=sigma)
+        for interval in (0.0, -0.1, np.inf, np.nan):
+            message = f"^inter_contact_interval must be positive and finite, got {interval}$"
+            with pytest.raises(ValueError, match=message):
+                WorldParams(inter_contact_interval=interval)
 
 
 def _grid_object(rows, cols):
@@ -201,6 +205,18 @@ class TestGenerateFeatureBlock:
         with pytest.raises(ValueError, match="feature vector contains non-finite activations") as block:
             generate_feature_block(obj, params, NoiseStream(1, 0, 0), 4)
         assert str(block.value) == str(per_trial.value)
+
+    def test_a_later_first_failing_trial_raises_its_error_from_one_draw(self):
+        obj, params = SyntheticObject("edge", (np.array([1.7e308, 0.5]), np.array([0.5, 0.5]))), WorldParams(1e307)
+        for trial in range(8):  # trials 0 to 7 stay finite
+            generate_traversal(obj, params, NoiseStream(1, 0, 0, trial))
+        with pytest.raises(ValueError, match="feature vector contains non-finite activations") as per_trial:
+            generate_traversal(obj, params, NoiseStream(1, 0, 0, 8))
+        with (mock.patch.object(rng, "_normals", wraps=rng._normals) as normals,
+              pytest.raises(ValueError, match="feature vector contains non-finite activations") as block):
+            generate_feature_block(obj, params, NoiseStream(1, 0, 0), 12)
+        assert str(block.value) == str(per_trial.value)
+        assert normals.call_count == 1  # the error comes from the block's own rows, with nothing drawn again
 
 
 class TestLoadObjects:
