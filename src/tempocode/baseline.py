@@ -6,11 +6,12 @@ class, and classification picks the Euclidean-nearest centroid. Any two
 traversals that visit the same features in different orders are identical
 to this classifier by construction.
 
-Sums and distances come from array passes that reduce each row on its own,
-so each has the bits of the per-traversal or per-centroid ``np.sum`` it
-replaced: :func:`dense_train` sums each class's traversals of one length
-as one stack, and the distances from many sums to all centroids, argmin
-ties included, take one pass. :func:`dense_classify` is the one-sum case.
+Both stages take trials as one (trials, contacts, neurons) block, summed
+over its contacts by :func:`_sums`. :func:`dense_train` averages each
+class's sums; :func:`_nearest` takes all trials' distances to all
+centroids in one pass, and :func:`dense_classify` is its one-trial case.
+Each sum and distance reduces its own row, so its bits do not depend on
+the other trials of its block.
 
 A sum, centroid or distance past the largest double leaves no nearest
 centroid to pick: every overflowing distance would tie at ``inf`` and go
@@ -29,40 +30,48 @@ class _DenseOverflow(ValueError):
     """A centroid or distance of the dense baseline that overflowed, so that a caller can name its noise level."""
 
 
-def dense_train(traversals: list[Traversal]) -> list[tuple[str, np.ndarray]]:
-    """Per-class centroids of summed contact vectors.
+def _sums(block: np.ndarray) -> np.ndarray:
+    """Each trial's componentwise sum over its contacts, from a (trials, contacts, neurons) block."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a caller's check rejects a sum that is not finite
+        return np.sum(block, axis=-2)
 
-    Class order follows first appearance in the training list. Raises on an
-    empty training set or a class with no traversals.
+
+def dense_train(classes: list[tuple[str, np.ndarray]]) -> list[tuple[str, np.ndarray]]:
+    """Each class's centroid, its mean trial sum, from one ``(label, (trials, contacts, neurons) block)`` per class.
+
+    Raises on no classes, a class with no trials or no contacts, a repeated
+    label, and a block whose neuron count differs from the first block's.
     """
-    if not traversals:
-        raise ValueError("dense_train needs at least one traversal per class")
-    keys = [(trav.label, len(trav)) for trav in traversals]
-    if any(length == 0 for _, length in keys):
-        raise ValueError("cannot sum an empty traversal")
-    labels = [label for label, _ in keys]
+    if not classes:
+        raise ValueError("dense_train needs at least one class")
+    labels, neurons = [label for label, _ in classes], classes[0][1].shape[-1]
+    for label, block in classes:
+        if labels.count(label) > 1:
+            raise ValueError(f"class {label!r} is given more than once; each class needs one block")
+        if block.ndim != 3 or 0 in block.shape[:2]:
+            raise ValueError(f"class {label!r} has no (trials, contacts, neurons) block to sum, got {block.shape}")
+        if block.shape[-1] != neurons:
+            raise ValueError(f"class {label!r} has {block.shape[-1]} neurons but {labels[0]!r} has {neurons}")
     with np.errstate(over="ignore", invalid="ignore"):  # the check below rejects an overflow
-        sums = np.empty((len(traversals), traversals[0].features.shape[-1]))
-        for key in set(keys):
-            rows = [row for row, other in enumerate(keys) if other == key]
-            sums[rows] = np.sum(np.stack([traversals[row].features for row in rows]), axis=-2)
-        centroids = [(label, np.mean(sums[[other == label for other in labels]], axis=0))
-                     for label in dict.fromkeys(labels)]
+        centroids = [(label, np.mean(_sums(block), axis=0)) for label, block in classes]
     for label, centroid in centroids:
         if not np.isfinite(centroid).all():
             raise _DenseOverflow(f"the dense baseline overflows: the centroid of {label!r} is not finite")
     return centroids
 
 
-def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]) -> str:
-    """Label of the centroid nearest to the traversal's feature sum.
+def _nearest(block: np.ndarray, centroids: list[tuple[str, np.ndarray]]) -> np.ndarray:
+    """Each trial's index of its nearest centroid, ties to the first, from a (trials, contacts, neurons) block."""
+    return centroid_distances(_sums(block), [centroid for _, centroid in centroids]).argmin(axis=-1)
 
-    Ties go to the lowest class index (argmin keeps the first minimum).
-    """
+
+def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]) -> str:
+    """Label of the centroid nearest to the traversal's feature sum: :func:`_nearest` on a one-trial block."""
     if not centroids:
         raise ValueError("dense_classify needs at least one centroid")
-    distances = centroid_distances(traversal.feature_sum()[None], [centroid for _, centroid in centroids])
-    return centroids[int(distances[0].argmin())][0]
+    if not len(traversal):
+        raise ValueError("cannot sum an empty traversal")
+    return centroids[int(_nearest(traversal.features[None], centroids)[0])][0]
 
 
 def centroid_distances(totals: np.ndarray, centroids: list[np.ndarray]) -> np.ndarray:

@@ -31,8 +31,8 @@ Its construction guarantees ascending int ids (the active ids are listed
 in id order) and finite, non-negative, distinct float offsets with a zero
 minimum (rank 0 gets ``tau_base * 0.0``); only ``arrival`` needs the
 constructor's finiteness check and ``ValueError``. The packet's
-:attr:`~tempocode.types.SpikePacket.id_time_arrays` are built on first
-read, by that property's rule (each global time is Python's ``arrival +
+:attr:`~tempocode.types.SpikePacket.id_time_arrays` are built when they
+are read, by that property's rule (each global time is Python's ``arrival +
 offset``, which overflows to ``inf`` without a warning).
 
 A training phase encodes all its traversals at once with

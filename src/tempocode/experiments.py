@@ -40,27 +40,29 @@ activations keep ascending ids and the first maximum leads; ``argmax``
 keeps the first maximum too. Every model is then scored along the leading
 chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
 pair with a silent contact, which leaves a left fold from 0.0 unchanged.
-The dense sums of all trials and their centroid distances take one pass
-more. A run whose dense baseline overflows, so that a centroid or a
-distance is not finite and no nearest centroid can be picked, fails with
-an error that names its noise level, before any report is made. The
-leading-pair rule is :func:`_pathway_scores` alone, and
+The dense baseline classifies the same block in one pass more
+(:func:`~tempocode.baseline._nearest`). A run whose dense baseline
+overflows, so that a centroid or a distance is not finite and no nearest
+centroid can be picked, fails with an error that names its noise level,
+before any report is made. The leading-pair rule is
+:func:`_pathway_scores` alone, over the models' weight stack, and
 :func:`classify_temporal` is its one-row case. The inference loop,
 which scores contacts against frozen models and learns nothing, has the
 all-causal-pairs rule, :func:`tempocode.inference._causal_index` and
 :func:`tempocode.inference._pair_scores`.
 
 A training phase runs as arrays too, and builds no packet either. Each
-object's traversals are stacked, encoded at once
-(:func:`~tempocode.encoding._encode_block`: every contact's active ids in
-firing order and their global spike times) and folded in place into one
-matrix per object (:func:`~tempocode.stdp._fold_traversals`), with the
-bits of training a fresh matrix per traversal on its packets. A weight
-that overflows fails the phase once it is folded, with an error that names
-the object, so no report is scored from it. Every traversal of one object
-has the same contact times, so their gaps are checked once, before the
-fold (:func:`~tempocode.encoding._check_gaps`), and fail all or none; the
-test phase shares those times. Nothing else rejects a contact, since
+object's traversals are stacked once, and the block feeds both learners:
+:func:`~tempocode.baseline.dense_train`, and the STDP fold
+(:func:`~tempocode.encoding._encode_block`, then
+:func:`~tempocode.stdp._fold_traversals` in place into the object's matrix
+of one (objects, N, N) stack), with the bits of training a fresh matrix
+per traversal on its packets. A weight that overflows fails the phase
+once it is folded, with an error that names the object, so no report is
+scored from it. Every traversal of one object has the same contact times,
+so their gaps are checked once, before the fold
+(:func:`~tempocode.encoding._check_gaps`), and fail all or none; the test
+phase shares those times. Nothing else rejects a contact, since
 :class:`~tempocode.encoding.EncoderParams` keeps every rank's offset distinct.
 """
 
@@ -72,17 +74,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baseline import _DenseOverflow, centroid_distances, dense_train
+from .baseline import _DenseOverflow, _nearest, dense_train
 from .config import Config
 from .encoding import _check_gaps, _encode_block
 from .evidence import EvidenceState
 from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
 from .stdp import _fold_traversals, _WeightOverflow
-from .types import Traversal, WeightMatrix
 from .world import (
     SyntheticObject,
     WorldParams,
+    _contact_times,
     discrimination_pair,
     generate_feature_block,
     generate_traversal,
@@ -111,15 +113,16 @@ def wilson_interval(successes: int, n: int) -> tuple[float, float]:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _pathway_scores(leading: np.ndarray, active: np.ndarray, models: list[ObjectModel]) -> np.ndarray:
+def _pathway_scores(leading: np.ndarray, active: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Every model's summed weights along every row's leading chain.
 
     ``leading`` and ``active`` are (rows, contacts): each contact's leading
     neuron, and whether it fired at all. Consecutive contacts that both
-    fired add the model's weight on their (leading pre, leading post)
-    synapse; a pair with a silent contact adds +0.0. Each row's terms are
+    fired add each model's weight on their (leading pre, leading post)
+    synapse, gathered from the (models, n, n) ``weights`` stack in one
+    pass; a pair with a silent contact adds +0.0. Each row's terms are
     summed left to right from 0.0 (:func:`left_sum`), into a (rows, models)
-    array. A leading neuron outside a model's [0, n) raises ``ValueError``.
+    array. A leading neuron outside [0, n) raises ``ValueError``.
 
     Why the leading pair: a packet's first spike names its most strongly
     driven neuron, its most noise-robust feature, and training potentiates
@@ -131,14 +134,11 @@ def _pathway_scores(leading: np.ndarray, active: np.ndarray, models: list[Object
     pairs = active[:, :-1] & active[:, 1:]
     pre = np.where(pairs, leading[:, :-1], 0)
     post = np.where(pairs, leading[:, 1:], 0)
-    lowest = min(pre.min(initial=0), post.min(initial=0))
-    highest = max(pre.max(initial=0), post.max(initial=0))
-    for model in models:
-        n = model.weights.n
-        if lowest < 0 or highest >= n:
-            raise ValueError(f"packet neuron id out of range [0, {n})")
-    terms = [np.where(pairs, m.weights.w.take(pre * m.weights.n + post), 0.0) for m in models]
-    return left_sum(np.stack(terms, axis=1))
+    n = weights.shape[-1]
+    if min(pre.min(initial=0), post.min(initial=0)) < 0 or max(pre.max(initial=0), post.max(initial=0)) >= n:
+        raise ValueError(f"packet neuron id out of range [0, {n})")
+    terms = np.where(pairs, weights.reshape(len(weights), -1)[:, pre * n + post], 0.0)
+    return left_sum(terms.transpose(1, 0, 2))
 
 
 def _best_models(scores: np.ndarray) -> np.ndarray:
@@ -162,16 +162,17 @@ def _leading_neurons(block: np.ndarray, threshold: float) -> tuple[np.ndarray, n
 def classify_temporal(packets, models: list[ObjectModel]) -> int:
     """Index of the best-aligned model; ties break to the lowest index.
 
-    Each packet's leading neuron is found once, then every model is scored
-    along the same leading pathway (:func:`_pathway_scores`); a pair with
-    an empty packet contributes nothing.
+    Each packet's leading neuron is found once, then each model is scored
+    along it as a one-model stack (:func:`_pathway_scores`), so models may
+    differ in size; a pair with an empty packet contributes nothing.
     """
     if not models:
         raise ValueError("need at least one object model")
     leading = [packet.first_neuron() for packet in packets]
     active = np.array([[nid is not None for nid in leading]], dtype=bool)
     chain = np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp)
-    return int(_best_models(_pathway_scores(chain, active, models))[0])
+    scores = [_pathway_scores(chain, active, model.weights.w[None]) for model in models]
+    return int(_best_models(np.concatenate(scores, axis=1))[0])
 
 
 @dataclass(frozen=True)
@@ -434,46 +435,38 @@ def _resolve_objects(cfg: Config, objects) -> list[SyntheticObject]:
 
 def _train(
     cfg: Config, seed: int, world: WorldParams, objs: list[SyntheticObject]
-) -> tuple[list[ObjectModel], list[tuple[str, np.ndarray]]]:
-    """One STDP model per object and the dense centroids, from the same training traversals.
+) -> tuple[np.ndarray, list[tuple[str, np.ndarray]]]:
+    """The (objects, N, N) stack of STDP weights and the dense centroids, from one block per object.
 
-    Each object's contact gaps are checked, then its phase is encoded as one
-    block and folded into one matrix; see the module docstring.
+    See the module docstring. Each trial is drawn by one
+    :func:`~tempocode.world.generate_traversal` call, by which
+    ``bench/spans.py`` counts a run's noise draws.
     """
     n = objs[0].n_neurons
-    train_traversals: list[Traversal] = []
-    models: list[ObjectModel] = []
+    weights = np.zeros((len(objs), n, n))
+    classes = []
     for o, obj in enumerate(objs):
-        traversals = [
-            generate_traversal(obj, world, stream)
-            for stream in NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
-        ]
-        # Every traversal of one object has the same contact times.
-        times = [t for _, t in traversals[0].contacts]
+        streams = NoiseStream(seed, _TRAIN_PHASE, o).children(cfg.experiment.n_train)
+        block = np.stack([generate_traversal(obj, world, stream).features for stream in streams])
+        times = _contact_times(obj, world)
         _check_gaps(times, cfg.encoder)
-        ids, spike_times, counts = _encode_block(np.stack([trav.features for trav in traversals]), times, cfg.encoder)
-        weights = WeightMatrix.zeros(n)
         try:
-            _fold_traversals(weights.w, ids, spike_times, counts, cfg.stdp)
+            _fold_traversals(weights[o], *_encode_block(block, times, cfg.encoder), cfg.stdp)
         except _WeightOverflow as exc:
             raise ValueError(f"object {obj.label!r}: {exc}") from None
-        models.append(ObjectModel(obj.label, weights))
-        train_traversals.extend(traversals)
-    return models, dense_train(train_traversals)
+        classes.append((obj.label, block))
+    return weights, dense_train(classes)
 
 
 def _run_phases(cfg: Config, seed: int, world: WorldParams, objs: list[SyntheticObject]) -> list[ObjectResult]:
     """The training phase, then each object's test trials classified by what it trained: one row per object."""
-    models, centroids = _train(cfg, seed, world, objs)
-    centroid_arrays = [centroid for _, centroid in centroids]
-    # Model o and centroid o belong to object o: dense_train keeps first-appearance order.
+    weights, centroids = _train(cfg, seed, world, objs)
+    # Model o and centroid o belong to object o: dense_train keeps class order.
     results = []
     for o, obj in enumerate(objs):
         block = generate_feature_block(obj, world, NoiseStream(seed, _TEST_PHASE, o), cfg.experiment.n_test)
-        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), models))
-        with np.errstate(over="ignore"):  # a sum past the largest double fails at its distances
-            totals = np.sum(block, axis=-2)
-        dense = centroid_distances(totals, centroid_arrays).argmin(axis=-1)
+        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), weights))
+        dense = _nearest(block, centroids)
         temporal_correct = int(np.count_nonzero(temporal == o))
         dense_correct = int(np.count_nonzero(dense == o))
         results.append(ObjectResult(obj.label, cfg.experiment.n_test, dense_correct, temporal_correct))

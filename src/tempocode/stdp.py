@@ -161,18 +161,18 @@ def _fold_traversals(
     """STDP-update ``weights`` in place over the consecutive contacts of every traversal, in order.
 
     ``weights`` is C-contiguous with finite entries, as the arrays of
-    :meth:`WeightMatrix.zeros` and :meth:`WeightMatrix.copy` are. ``ids``
-    and ``times`` are (traversals, contacts, M): each contact's active
-    neuron ids, in any order, and their global spike times, valid in the
-    first ``counts`` (traversals, contacts) slots and ignored past them.
-    Ids must lie in [0, N). Blocks of whole traversals go to :func:`_fold`,
-    each within the ``_SLOTS`` budget and cut to its own largest count. A
-    non-finite spike time of a synapse to update raises ``ValueError``, as
-    the scalar rule of ``tests/oracle.py`` rejects it, before its block
-    writes; its times are read only if some dt is not finite, since finite
-    times far apart can overflow dt and only a non-finite time is an
-    error. A weight that overflowed in any block raises ``ValueError``
-    once all are folded, naming the keys that bound the weights.
+    :meth:`WeightMatrix.zeros`, :meth:`WeightMatrix.copy` and a zeroed
+    stack are. ``ids`` and ``times`` are (traversals, contacts, M): each
+    contact's active neuron ids, in any order, and their global spike
+    times, valid in the first ``counts`` (traversals, contacts) slots and
+    ignored past them. Ids must lie in [0, N). Blocks of whole traversals
+    go to :func:`_fold`, each within the ``_SLOTS`` budget and cut to its
+    own largest count. A non-finite spike time of a synapse to update
+    raises ``ValueError``, as the scalar rule of ``tests/oracle.py``
+    rejects it, before its block writes; its times are read only if some dt
+    is not finite, since finite times far apart overflow dt, silently, and
+    only a non-finite time is an error. A weight that overflowed in any
+    block raises ``ValueError`` once all are folded, naming the keys.
     """
     n_traversals, n_contacts, m = ids.shape
     if n_contacts < 2 or m == 0:
@@ -187,7 +187,8 @@ def _fold_traversals(
         valid = block_present[:, :-1, :, None] & block_present[:, 1:, None, :]
         index = (block_ids[:, :-1, :, None] * n + block_ids[:, 1:, None, :])[valid]
         pre, post = block_times[:, :-1, :, None], block_times[:, 1:, None, :]
-        dt = (post - pre)[valid]
+        with np.errstate(over="ignore", invalid="ignore"):  # the check below tells a far pair from a non-finite time
+            dt = (post - pre)[valid]
         synapse_times = (np.broadcast_to(t, valid.shape)[valid] for t in (pre, post))
         if not np.isfinite(dt).all() and not all(np.isfinite(t).all() for t in synapse_times):
             raise ValueError(_NON_FINITE)

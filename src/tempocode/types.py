@@ -19,13 +19,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
 def as_features(values) -> np.ndarray:
-    """Validate and convert a feature vector; rejects empty or non-finite input."""
-    arr = np.asarray(values, dtype=float)
+    """Validate and convert a feature vector; rejects empty or non-finite input, an integer past any double too."""
+    try:
+        arr = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer too large for a double
+        raise ValueError("feature vector holds an integer too large for a double") from None
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError(f"feature vector must be 1-D with at least one neuron, got shape {arr.shape}")
     if not np.isfinite(arr).all():
@@ -76,15 +78,14 @@ class SpikePacket:
         object.__setattr__(packet, "arrival", arrival)
         return packet
 
-    @cached_property
+    @property
     def id_time_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Neuron ids (``intp``) and global spike times (``float64``) in ascending id order.
 
         Each time is the spike's ``arrival + offset``, added in Python, so
         a time past the largest double is ``inf`` with no warning. They are
-        built on first read, however the packet was made, and kept on the
-        instance outside the dataclass fields, so equality and repr do not
-        see them; both are read-only.
+        built on each read and not kept: every caller in the package reads
+        a packet's arrays once. Both are read-only.
         """
         n = len(self.spikes)
         ids = np.fromiter(self.spikes, np.intp, n)
@@ -223,10 +224,11 @@ class Traversal:
 
     The contact vectors are the rows of :attr:`features`, one read-only
     (contacts, neurons) block the traversal owns, so no caller's array can
-    change a traversal once it is validated. The public constructor checks
-    every contact and copies them into that block.
-    :func:`tempocode.world.generate_traversal` builds its traversals through
-    :meth:`_from_checked` instead, which trusts a block it has checked once.
+    change it once it is validated; the dense baseline sums it as a
+    one-trial block. The public constructor checks every contact and copies
+    them into that block. :func:`tempocode.world.generate_traversal` builds
+    its traversals through :meth:`_from_checked`, which trusts a block it
+    has checked once.
     """
 
     contacts: tuple[tuple[np.ndarray, float], ...]
@@ -272,9 +274,3 @@ class Traversal:
 
     def __len__(self) -> int:
         return len(self.contacts)
-
-    def feature_sum(self) -> np.ndarray:
-        """Componentwise sum of all contact vectors (the order-blind view)."""
-        if not self.contacts:
-            raise ValueError("cannot sum an empty traversal")
-        return np.sum(self.features, axis=-2)

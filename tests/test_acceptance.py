@@ -21,7 +21,7 @@ from tempocode.experiments import run_discrimination, run_lambda_convergence, ru
 from tempocode.latency import decode_displacement
 from tempocode.rng import NoiseStream
 from tempocode.stdp import train_on_traversal
-from tempocode.types import LatencyParams, SpikePacket, Traversal, WeightMatrix
+from tempocode.types import LatencyParams, SpikePacket, WeightMatrix
 from tempocode.world import WorldParams, discrimination_pair, generate_traversal
 from tempocode.encoding import encode_traversal
 
@@ -94,10 +94,7 @@ def test_criterion_3_lambda_convergence():
 def test_criterion_4_worked_example_oracle():
     obj_a, obj_b = discrimination_pair()
 
-    def noiseless(obj):
-        return Traversal(tuple((c, 0.020 * k) for k, c in enumerate(obj.contacts)), label=obj.label)
-
-    centroids = dict(dense_train([noiseless(obj_a), noiseless(obj_b)]))
+    centroids = dict(dense_train([(obj.label, obj.features[None]) for obj in (obj_a, obj_b)]))
     sums_equal = np.array_equal(centroids["A"], centroids["B"])
     sums_valued = np.allclose(centroids["A"], [1.2, 1.2, 1.2], atol=1e-12)
     first_a = encode(obj_a.contacts[0]).first_neuron()

@@ -81,7 +81,7 @@ class TestLeftToRightSums:
         w = WeightMatrix.zeros(4)
         w.w[0, 1], w.w[1, 2], w.w[2, 3] = self.VALUES
         leading, active = np.array([[0, 1, 2, 3]]), np.ones((1, 4), dtype=bool)
-        assert _pathway_scores(leading, active, [ObjectModel("m", w)])[0, 0] == 0.0
+        assert _pathway_scores(leading, active, w.w[None])[0, 0] == 0.0
         # Folded left, "m" scores 0.0 and loses to 0.5; a compensated sum would give it 1.0.
         other = WeightMatrix.zeros(4)
         other.w[0, 1] = 0.5
@@ -94,8 +94,12 @@ class TestLeftToRightSums:
         models = [ObjectModel(str(s), WeightMatrix(np.random.default_rng(s).normal(size=(4, 4)))) for s in range(6)]
         scores = _leading_pair_scores(packets, models)
         assert classify_temporal(packets, models) == scores.index(max(scores))
-        with pytest.raises(ValueError, match="out of range"):
-            classify_temporal(packets, [ObjectModel("small", WeightMatrix.zeros(2))])
+        with pytest.raises(ValueError, match=r"out of range \[0, 2\)"):
+            classify_temporal(packets, [*models, ObjectModel("small", WeightMatrix.zeros(2))])
+        # Models of different sizes: each checks the ids against its own.
+        mixed = [ObjectModel(str(n), WeightMatrix(np.random.default_rng(n).normal(size=(n, n)))) for n in (6, 4, 5)]
+        scores = _leading_pair_scores(packets, mixed)
+        assert classify_temporal(packets, mixed) == scores.index(max(scores))
         with pytest.raises(ValueError, match="at least one object model"):
             classify_temporal(packets, [])
 
@@ -108,7 +112,7 @@ class TestLeftToRightSums:
         models = [ObjectModel(label, w) for label, w in (("nan", nan_model), ("low", low), ("high", high))]
         leading, active = np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool)
         with pytest.warns(RuntimeWarning, match="invalid value"):
-            assert math.isnan(_pathway_scores(leading, active, models[:1])[0, 0])
+            assert math.isnan(_pathway_scores(leading, active, nan_model.w[None])[0, 0])
             assert classify_temporal(packets, models) == 2
             assert classify_temporal(packets, models[:1]) == 0  # no score beats -inf: the first model
 
@@ -129,7 +133,7 @@ class TestLeadingPairRule:
         ones = ObjectModel("ones", WeightMatrix(np.ones((3, 3))))
         minus = ObjectModel("minus", WeightMatrix(-np.ones((3, 3))))
         leading, active = np.array([[0, 1, 2]]), np.array([[True, False, True]])
-        assert _pathway_scores(leading, active, [ones, minus]).tolist() == [[0.0, 0.0]]
+        assert _pathway_scores(leading, active, np.stack([ones.weights.w, minus.weights.w])).tolist() == [[0.0, 0.0]]
         packets = [SpikePacket({}), SpikePacket({0: 0.0}, arrival=0.020), SpikePacket({}, arrival=0.040)]
         assert classify_temporal(packets, [minus, ones]) == 0  # a tie goes to the first model
 

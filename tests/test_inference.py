@@ -326,6 +326,9 @@ _RAISING_STEPS = [
                {"sensor_reading": [0.9, 0.5, 0.3, 0.7, 0.2][:size]},
                f"sensor reading has {size} neurons, but the models have 3", {"sensor_reading": [0.2, 0.8, 0.2]})
       for size in (2, 5) for at in (0, 1, 3)),
+    # A reading holding an integer too large for a double is rejected as one that is not finite.
+    _raising("reading-past-the-largest-double", [(_READINGS[0], None)], {"sensor_reading": [0.2, 10**400, 0.2]},
+             "integer too large for a double", {"sensor_reading": [0.2, 0.8, 0.2]}),
     # Every step checks its motor command, whether or not it decodes: step 0 and a step after an empty packet
     # decode nothing; step 2 decodes.
     *(_raising(f"motor-{name}-after-{len(before)}-steps", [(r, None) for r in before],

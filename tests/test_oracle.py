@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 import oracle
 from test_stdp import _packet, _random_packet
 from tempocode import rng, stdp
-from tempocode.baseline import centroid_distances, dense_train
+from tempocode.baseline import _nearest, _sums, centroid_distances, dense_train
 from tempocode.config import Config
 from tempocode.encoding import EncoderParams, _check_gaps, _encode_block, encode
 from tempocode.experiments import (
@@ -36,7 +36,7 @@ from tempocode.experiments import (
 from tempocode.inference import LoopState, ObjectModel, alignment_score, exploration_step
 from tempocode.rng import NoiseStream
 from tempocode.stdp import apply_packet_pair, train_on_traversal
-from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
+from tempocode.types import SpikePacket, StdpParams, WeightMatrix
 from tempocode.world import (
     F_CURVED,
     F_EDGE,
@@ -332,8 +332,8 @@ def _assert_train_matches(cfg, seed, sigma, objs):
     except oracle.Rejected as rejected:
         _assert_raises_as(rejected, lambda: _train(cfg, seed, WorldParams(sigma, interval), objs))
         return rejected
-    got_models, got_centroids = _train(cfg, seed, WorldParams(sigma, interval), objs)
-    assert [m.weights.w.tobytes() for m in got_models] == [_bytes(w) for w in models]
+    got_weights, got_centroids = _train(cfg, seed, WorldParams(sigma, interval), objs)
+    assert got_weights.tobytes() == _bytes(models)
     expected = [(obj.label, _bytes(c)) for obj, c in zip(objs, centroids)]
     assert [(label, c.tobytes()) for label, c in got_centroids] == expected
     return None
@@ -463,7 +463,7 @@ def test_sums_that_overflow_clip_to_w_max_as_the_oracles_do(slots, monkeypatch):
     cfg = _config(n_train=6, a_plus=1e308, w_max=1.6e308)
     obj = SyntheticObject("sc", (np.array([0.9, 0.0]), np.array([0.0, 0.9])))
     assert _assert_train_matches(cfg, 1, 0.0, [obj]) is None
-    assert _train(cfg, 1, WorldParams(0.0, 0.020), [obj])[0][0].weights.w[0, 1] == 1.6e308
+    assert _train(cfg, 1, WorldParams(0.0, 0.020), [obj])[0][0, 0, 1] == 1.6e308
 
 
 def test_a_spike_time_that_overflows_raises_the_oracles_error():
@@ -492,7 +492,8 @@ def test_leading_pair_scores_match_the_oracle(data, seed, threshold):
     models = _models(random.Random(seed), n, data.draw(st.integers(1, 4)))
     expected = [oracle.leading_score(m.weights.w.tolist(), [_packet(p) for p in packets]) for m in models]
     leading, active = _leading_neurons(np.array(rows), threshold)
-    assert _pathway_scores(leading[None], active[None], models).tobytes() == _bytes([expected])
+    weights = np.stack([m.weights.w for m in models])
+    assert _pathway_scores(leading[None], active[None], weights).tobytes() == _bytes([expected])
     assert classify_temporal(packets, models) == oracle.best(expected)
 
 
@@ -509,21 +510,29 @@ def test_alignment_scores_match_the_oracle(seed, n, n_models):
 
 
 def _assert_dense_matches(rnd, n):
-    """``dense_train`` and ``centroid_distances`` on 1-9 traversals of 1-6 contacts, against the oracle."""
+    """The dense route on 1-3 classes of 1-6 trials, each class of its own 1-6 contacts, against the oracle.
+
+    Each class's sums, its centroid and every trial's distances and pick are compared as bytes.
+    """
     choices = [-0.0, 0.0, 1e16, -1e16, 1.0, 1e-300]
-    traversals = []
-    for _ in range(rnd.randint(1, 9)):
-        rows = [[rnd.choice(choices + [rnd.gauss(0.0, 1.0)]) for _ in range(n)] for _ in range(rnd.randint(1, 6))]
-        traversals.append((str(rnd.randint(0, 2)), rows))
-    got = dense_train([Traversal(tuple((r, 0.02 * k) for k, r in enumerate(rows)), label=label)
-                       for label, rows in traversals])
-    labels = list(dict.fromkeys(label for label, _ in traversals))
-    centroids = [oracle.centroid([oracle.dense_sum(rows) for other, rows in traversals if other == label])
-                 for label in labels]
-    assert [(label, c.tobytes()) for label, c in got] == [(label, _bytes(c)) for label, c in zip(labels, centroids)]
-    totals = [oracle.dense_sum(rows) for _, rows in traversals]
+    classes = []
+    for label in range(rnd.randint(1, 3)):
+        contacts = rnd.randint(1, 6)
+        sweeps = [[[rnd.choice(choices + [rnd.gauss(0.0, 1.0)]) for _ in range(n)] for _ in range(contacts)]
+                  for _ in range(rnd.randint(1, 6))]
+        classes.append((str(label), sweeps))
+    blocks = [(label, np.array(sweeps)) for label, sweeps in classes]
+    got = dense_train(blocks)
+    sums = [[oracle.dense_sum(rows) for rows in sweeps] for _, sweeps in classes]
+    centroids = [oracle.centroid(class_sums) for class_sums in sums]
+    assert [_sums(block).tobytes() for _, block in blocks] == [_bytes(class_sums) for class_sums in sums]
+    assert [(label, c.tobytes()) for label, c in got] == [(label, _bytes(c)) for (label, _), c in zip(blocks, centroids)]
+    totals = [total for class_sums in sums for total in class_sums]
     distances = centroid_distances(np.array(totals), [c for _, c in got])
-    assert distances.tobytes() == _bytes([[oracle.squared_distance(t, c) for c in centroids] for t in totals])
+    expected = [[oracle.squared_distance(t, c) for c in centroids] for t in totals]
+    assert distances.tobytes() == _bytes(expected)
+    picks = np.concatenate([_nearest(block, got) for _, block in blocks])
+    assert picks.tolist() == [row.index(min(row)) for row in expected]
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,8 +27,9 @@ from test_oracle import _long_short_pair
 from tempocode.config import Config
 from tempocode.encoding import encode_traversal
 from tempocode.experiments import _TEST_PHASE, _best_models, _train, run_discrimination
-from tempocode.inference import alignment_score, left_sum
+from tempocode.inference import ObjectModel, alignment_score, left_sum
 from tempocode.rng import NoiseStream
+from tempocode.types import WeightMatrix
 from tempocode.world import WorldParams, complexity_triple, discrimination_pair, generate_traversal
 
 SEED = 42
@@ -52,7 +53,8 @@ def _config():
 
 
 def _all_pairs_correct(cfg, world, objs):
-    models, _ = _train(cfg, SEED, world, objs)
+    weights, _ = _train(cfg, SEED, world, objs)
+    models = [ObjectModel(obj.label, WeightMatrix(w)) for obj, w in zip(objs, weights)]
     correct = []
     for o, obj in enumerate(objs):
         scores = []

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -221,14 +222,20 @@ class TestTrainOnTraversalMatchesScalarRule:
         near = SpikePacket({0: 0.0}, arrival=0.020)
         empty = SpikePacket({}, arrival=0.040)
         train_on_traversal(WeightMatrix.zeros(2), [far, empty, near])
-        # Finite times 3.4e308 apart overflow dt; that alone is no error, and the
-        # packet before the empty one updates no synapse, so its times go unread.
+        # Finite times 3.4e308 apart overflow dt; that alone is no error, nor a warning,
+        # and the packet before the empty one updates no synapse, so its times go unread.
         high, low = SpikePacket({0: 0.0}, arrival=1.7e308), SpikePacket({1: 0.0}, arrival=-1.7e308)
-        with pytest.warns(RuntimeWarning, match="overflow"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             trained = train_on_traversal(WeightMatrix.zeros(2), [far, empty, high, low])
-        assert trained.w[0, 1] == 0.0  # exp(-inf) == 0.0: no change
+        assert trained.w.tolist() == [[0.0, 0.0], [0.0, 0.0]]  # exp(-inf) == 0.0: no change
         with pytest.raises(ValueError, match="finite"):
             train_on_traversal(WeightMatrix.zeros(2), [near, empty, near, far])
+        # Two infinite spike times give an inf - inf dt: the error of a non-finite time, not numpy's warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                train_on_traversal(WeightMatrix.zeros(2), [far, SpikePacket({0: 0.0, 1: 1e308}, arrival=1.5e308)])
 
 
 class TestIncrementsFollowMathExp:

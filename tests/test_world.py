@@ -89,7 +89,6 @@ class TestGenerateTraversal:
         for (f, t), (pf, pt) in zip(trav.contacts, public.contacts):
             assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
         assert trav.features.tobytes() == public.features.tobytes() == values.tobytes()
-        assert trav.feature_sum().tobytes() == public.feature_sum().tobytes()
         assert sigma > 0 or trav.features.tobytes() == obj.features.tobytes()
         assert generate_traversal(obj, params, NoiseStream(3, 0, 0, 1)).features.tobytes() == values.tobytes()
 
