@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .types import Traversal
+from .types import Traversal, _one_trial
 
 
 class _DenseOverflow(ValueError):
@@ -66,12 +66,9 @@ def _nearest(block: np.ndarray, centroids: list[tuple[str, np.ndarray]]) -> np.n
 
 
 def dense_classify(traversal: Traversal, centroids: list[tuple[str, np.ndarray]]) -> str:
-    """Label of the centroid nearest to the traversal's feature sum: :func:`_nearest` on a one-trial block."""
-    if not centroids:
-        raise ValueError("dense_classify needs at least one centroid")
-    if not len(traversal):
-        raise ValueError("cannot sum an empty traversal")
-    return centroids[int(_nearest(traversal.features[None], centroids)[0])][0]
+    """Label of the centroid nearest to the traversal's feature sum: :func:`_nearest` on a checked one-trial block."""
+    block = _one_trial(traversal, [len(centroid) for _, centroid in centroids], "centroid")
+    return centroids[int(_nearest(block, centroids)[0])][0]
 
 
 def centroid_distances(totals: np.ndarray, centroids: list[np.ndarray]) -> np.ndarray:

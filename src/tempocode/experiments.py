@@ -30,25 +30,23 @@ A discrimination test phase runs as arrays. The trials of one object are
 drawn as one (trials, contacts, neurons) block
 (:func:`~tempocode.world.generate_feature_block`: one noise array for
 every trial, scaled, shifted and checked at once), with the bits of
-stacking their traversals, and no per-trial stream, traversal or spike
-packet is built. The temporal score needs only each contact's leading
-neuron, which is the first ``argmax`` of its activations, and the contact
-is silent when that maximum does not exceed the threshold. This is the
-neuron :func:`~tempocode.encoding.encode` fires at offset 0. ``encode``
-ranks the active neurons by a stable descending sort, so equal
-activations keep ascending ids and the first maximum leads; ``argmax``
-keeps the first maximum too. Every model is then scored along the leading
-chains of all trials at once (:func:`_pathway_scores`), with ``+0.0`` for a
-pair with a silent contact, which leaves a left fold from 0.0 unchanged.
-The dense baseline classifies the same block in one pass more
-(:func:`~tempocode.baseline._nearest`). A run whose dense baseline
-overflows, so that a centroid or a distance is not finite and no nearest
-centroid can be picked, fails with an error that names its noise level,
-before any report is made. The leading-pair rule is
-:func:`_pathway_scores` alone, over the models' weight stack, and
-:func:`classify_temporal` is its one-row case. The inference loop,
-which scores contacts against frozen models and learns nothing, has the
-all-causal-pairs rule, :func:`tempocode.inference._causal_index` and
+stacking their traversals; no per-trial stream, traversal or spike packet
+is built. Each rule classifies the block in one pass, and its one-trial
+classifier runs the same pass on a traversal's features. The leading-pair
+rule, :func:`_temporal_picks`, needs only each contact's leading neuron:
+the first ``argmax`` of its activations, silent when that maximum does not
+exceed the threshold. :func:`~tempocode.encoding.encode` fires the same
+neuron at offset 0, since its stable descending sort, like ``argmax``,
+puts the first of equal maxima first. Every model is scored along the
+leading chains of all trials at once (:func:`_pathway_scores`), with
+``+0.0`` for a pair with a silent contact, which leaves a left fold from
+0.0 unchanged; :func:`classify_temporal` is its one-trial case, on a
+traversal of the models' neuron count. The order-blind rule is
+:func:`~tempocode.baseline._nearest`; a run whose dense baseline
+overflows, so that no nearest centroid can be picked, fails with an error
+that names its noise level, before any report is made. The inference
+loop, which scores contacts against frozen models and learns nothing, has
+the all-causal-pairs rule, :func:`tempocode.inference._causal_index` and
 :func:`tempocode.inference._pair_scores`.
 
 A training phase runs as arrays too, and builds no packet either. Each
@@ -76,11 +74,12 @@ import numpy as np
 
 from .baseline import _DenseOverflow, _nearest, dense_train
 from .config import Config
-from .encoding import _check_gaps, _encode_block
+from .encoding import EncoderParams, _check_gaps, _encode_block
 from .evidence import EvidenceState
 from .inference import ObjectModel, left_sum
 from .rng import NoiseStream, derive_seed
 from .stdp import _fold_traversals, _WeightOverflow
+from .types import Traversal, _one_trial
 from .world import (
     SyntheticObject,
     WorldParams,
@@ -122,7 +121,7 @@ def _pathway_scores(leading: np.ndarray, active: np.ndarray, weights: np.ndarray
     synapse, gathered from the (models, n, n) ``weights`` stack in one
     pass; a pair with a silent contact adds +0.0. Each row's terms are
     summed left to right from 0.0 (:func:`left_sum`), into a (rows, models)
-    array. A leading neuron outside [0, n) raises ``ValueError``.
+    array. Every leading neuron must lie in [0, n), as an ``argmax`` over n neurons does.
 
     Why the leading pair: a packet's first spike names its most strongly
     driven neuron, its most noise-robust feature, and training potentiates
@@ -132,12 +131,9 @@ def _pathway_scores(leading: np.ndarray, active: np.ndarray, weights: np.ndarray
     packet rank order.
     """
     pairs = active[:, :-1] & active[:, 1:]
-    pre = np.where(pairs, leading[:, :-1], 0)
-    post = np.where(pairs, leading[:, 1:], 0)
     n = weights.shape[-1]
-    if min(pre.min(initial=0), post.min(initial=0)) < 0 or max(pre.max(initial=0), post.max(initial=0)) >= n:
-        raise ValueError(f"packet neuron id out of range [0, {n})")
-    terms = np.where(pairs, weights.reshape(len(weights), -1)[:, pre * n + post], 0.0)
+    synapses = leading[:, :-1] * n + leading[:, 1:]
+    terms = np.where(pairs, weights.reshape(len(weights), -1)[:, synapses], 0.0)
     return left_sum(terms.transpose(1, 0, 2))
 
 
@@ -151,28 +147,26 @@ def _best_models(scores: np.ndarray) -> np.ndarray:
 
 
 def _leading_neurons(block: np.ndarray, threshold: float) -> tuple[np.ndarray, np.ndarray]:
-    """Each contact's leading neuron and whether it fires, from a (..., neurons) block.
-
-    The leading neuron is the first ``argmax``; the contact is silent when
-    that maximum does not exceed the threshold (see the module docstring).
-    """
+    """Each contact's leading neuron, its first ``argmax``, and whether it fires, from a (..., neurons) block."""
     return block.argmax(axis=-1), block.max(axis=-1) > threshold
 
 
-def classify_temporal(packets, models: list[ObjectModel]) -> int:
-    """Index of the best-aligned model; ties break to the lowest index.
+def _temporal_picks(block: np.ndarray, weights: np.ndarray, threshold: float) -> np.ndarray:
+    """Each trial's best model by leading-pair score, from a (trials, contacts, N) block and (models, N, N) weights."""
+    return _best_models(_pathway_scores(*_leading_neurons(block, threshold), weights))
 
-    Each packet's leading neuron is found once, then each model is scored
-    along it as a one-model stack (:func:`_pathway_scores`), so models may
-    differ in size; a pair with an empty packet contributes nothing.
+
+def classify_temporal(traversal: Traversal, models: list[ObjectModel], params: EncoderParams = EncoderParams()) -> int:
+    """Index of the model whose leading pairs score the traversal highest; ties break to the lowest index.
+
+    :func:`_temporal_picks` on the traversal as a one-trial block, over the
+    stack of the models' weights; of ``params`` only the firing threshold is
+    read. The traversal and every model must share one neuron count
+    (:func:`~tempocode.types._one_trial`).
     """
-    if not models:
-        raise ValueError("need at least one object model")
-    leading = [packet.first_neuron() for packet in packets]
-    active = np.array([[nid is not None for nid in leading]], dtype=bool)
-    chain = np.array([[0 if nid is None else nid for nid in leading]], dtype=np.intp)
-    scores = [_pathway_scores(chain, active, model.weights.w[None]) for model in models]
-    return int(_best_models(np.concatenate(scores, axis=1))[0])
+    block = _one_trial(traversal, [model.weights.n for model in models], "object model")
+    weights = np.stack([model.weights.w for model in models])
+    return int(_temporal_picks(block, weights, params.sparsity_threshold)[0])
 
 
 @dataclass(frozen=True)
@@ -465,7 +459,7 @@ def _run_phases(cfg: Config, seed: int, world: WorldParams, objs: list[Synthetic
     results = []
     for o, obj in enumerate(objs):
         block = generate_feature_block(obj, world, NoiseStream(seed, _TEST_PHASE, o), cfg.experiment.n_test)
-        temporal = _best_models(_pathway_scores(*_leading_neurons(block, cfg.encoder.sparsity_threshold), weights))
+        temporal = _temporal_picks(block, weights, cfg.encoder.sparsity_threshold)
         dense = _nearest(block, centroids)
         temporal_correct = int(np.count_nonzero(temporal == o))
         dense_correct = int(np.count_nonzero(dense == o))

@@ -57,7 +57,7 @@ from .encoding import EncoderParams, _offsets, encode
 from .evidence import EvidenceState
 from .latency import decode_displacement
 from .stdp import _check_packet_ids
-from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix, as_features
+from .types import Displacement, LatencyParams, SpikePacket, WeightMatrix, _neuron_count, as_features
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,12 +243,7 @@ class LoopState:
     weight_stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.models:
-            raise ValueError("need at least one object model")
-        n = self.models[0].weights.n
-        for m in self.models:
-            if m.weights.n != n:
-                raise ValueError("object models disagree on neuron count")
+        _neuron_count([m.weights.n for m in self.models], "object model")
         if self.evidence is None:
             self.evidence = EvidenceState(len(self.models))
         if self.evidence.n_classes != len(self.models):

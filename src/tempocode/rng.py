@@ -326,7 +326,7 @@ class NoiseStream:
     """
 
     def __init__(self, seed: int, *prefix: int):
-        self._seed = derive_seed(seed, *prefix) if prefix else mix64(seed & _MASK64)
+        self._seed = derive_seed(seed, *prefix)
         self._family: _Family | None = None
         self._member = 0
 

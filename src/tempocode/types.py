@@ -94,21 +94,8 @@ class SpikePacket:
         return ids, times
 
     def __len__(self) -> int:
+        """The number of spikes; an empty packet is false, as Python's truth test falls back to ``len``."""
         return len(self.spikes)
-
-    def __bool__(self) -> bool:
-        return bool(self.spikes)
-
-    def first_neuron(self) -> int | None:
-        """Neuron that fires first (offset 0), or None for an empty packet.
-
-        Offsets are distinct with minimum 0, so exactly one neuron has
-        offset ``== 0.0`` (``-0.0`` included).
-        """
-        for nid, t in self.spikes.items():
-            if t == 0.0:
-                return nid
-        return None
 
     def by_time(self) -> list[tuple[int, float]]:
         """(neuron id, offset) pairs sorted by firing time."""
@@ -274,3 +261,25 @@ class Traversal:
 
     def __len__(self) -> int:
         return len(self.contacts)
+
+
+def _neuron_count(counts: list[int], model: str) -> int:
+    """The one neuron count of a set of ``model``s, from each one's; ``ValueError`` on none, or counts that differ."""
+    if not counts:
+        raise ValueError(f"need at least one {model}")
+    if len(set(counts)) > 1:
+        raise ValueError(f"{model}s disagree on neuron count, got {sorted(set(counts))}")
+    return counts[0]
+
+
+def _one_trial(traversal: Traversal, counts: list[int], model: str) -> np.ndarray:
+    """A traversal as a one-trial block, after the one check of a trial against its models' neuron ``counts``.
+
+    No models, models of more than one count, an empty traversal and a traversal of another count raise ``ValueError``.
+    """
+    n = _neuron_count(counts, model)
+    if not len(traversal):
+        raise ValueError("cannot classify an empty traversal")
+    if traversal.features.shape[1] != n:
+        raise ValueError(f"the traversal has {traversal.features.shape[1]} neurons, but the {model}s have {n}")
+    return traversal.features[None]

@@ -101,6 +101,8 @@ MUTANTS = [
      "tuple(tau_base * (r / n) for r in range(n))", "tuple(tau_base * r / n for r in range(n))", "test_encoding"),
     ("encoding.py", "no arrival check in encode", "if not math.isfinite(arrival):", "if False:", "test_encoding"),
     ("encoding.py", "an unstable sort in the block encoder", 'kind="stable"', 'kind="quicksort"', "test_oracle"),
+    ("encoding.py", "a count that is not an integer truncated",
+     "if not isinstance(count, numbers.Integral | None):", "if False:", "test_encoding"),
     ("encoding.py", "N = 2, k = 1 no longer ties",
      'log_comb = _log_factorial("n_total", n_total)', "log_comb = math.lgamma(n_total + 1.5)", "test_encoding"),
     ("experiments.py", "no gap check in training", "        _check_gaps(times, cfg.encoder)\n", "", "test_oracle"),
@@ -116,6 +118,11 @@ MUTANTS = [
      "test_experiments"),
     ("experiments.py", "no NaN guard on the scores",
      "np.where(np.isnan(scores), -np.inf, scores).argmax(", "scores.argmax(", "test_experiments"),
+    ("experiments.py", "classify_temporal checking the traversal against its own neuron count",
+     "[model.weights.n for model in models]", "[traversal.features.shape[1]] * len(models)", "test_experiments"),
+    ("experiments.py", "classify_temporal scoring a stack of its first model only",
+     "np.stack([model.weights.w for model in models])", "np.stack([model.weights.w for model in models[:1]])",
+     "test_experiments"),
     ("experiments.py", "pairs with a silent contact scored",
      "pairs = active[:, :-1] & active[:, 1:]", "pairs = np.ones_like(active[:, 1:])", "test_experiments"),
     ("world.py", "the feature block skipping its finiteness check",
@@ -134,13 +141,17 @@ MUTANTS = [
      "tuple(zip(block, times))", "tuple(zip(rows, times))", "test_types"),
     ("types.py", "no read-only flag on a public Traversal's block",
      "block.flags.writeable = False", "pass", "test_types"),
-    ("types.py", "first_neuron naming the lowest id",
-     "            if t == 0.0:\n                return nid", "            return nid", "test_types"),
+    ("types.py", "a traversal of fewer neurons than its models accepted",
+     "if traversal.features.shape[1] != n:", "if traversal.features.shape[1] > n:", "test_experiments"),
+    ("types.py", "models that disagree on neuron count accepted",
+     "if len(set(counts)) > 1:", "if False:", "test_experiments test_inference"),
     ("types.py", "an integer past the largest double left unmapped in as_features",
      "except OverflowError:", "except ZeroDivisionError:", "test_types test_encoding test_inference"),
     ("types.py", "writeable packet arrays",
      "ids.flags.writeable = times.flags.writeable = False", "pass", "test_types"),
     ("types.py", "no finiteness check in WeightMatrix", "if not np.all(np.isfinite(arr)):", "if False:", "test_stdp"),
+    ("baseline.py", "dense_classify checking the traversal against its own neuron count",
+     "[len(centroid) for _, centroid in centroids]", "[traversal.features.shape[1]] * len(centroids)", "test_baseline"),
     ("baseline.py", "a trial's contacts summed in reverse",
      "np.sum(block, axis=-2)", "np.sum(block[..., ::-1, :], axis=-2)", "test_oracle"),
     ("baseline.py", "contacts summed by an explicit left fold",

@@ -97,8 +97,8 @@ def test_criterion_4_worked_example_oracle():
     centroids = dict(dense_train([(obj.label, obj.features[None]) for obj in (obj_a, obj_b)]))
     sums_equal = np.array_equal(centroids["A"], centroids["B"])
     sums_valued = np.allclose(centroids["A"], [1.2, 1.2, 1.2], atol=1e-12)
-    first_a = encode(obj_a.contacts[0]).first_neuron()
-    first_b = encode(obj_b.contacts[0]).first_neuron()
+    first_a = encode(obj_a.contacts[0]).by_time()[0][0]
+    first_b = encode(obj_b.contacts[0]).by_time()[0][0]
     ok = sums_equal and sums_valued and first_a == 0 and first_b == 2
     _criterion(
         4,

@@ -95,9 +95,21 @@ class TestDenseClassify:
         with pytest.raises(ValueError):
             dense_classify(_noiseless(discrimination_pair()[0]), [])
 
-    def test_an_empty_traversal_rejected(self):
-        with pytest.raises(ValueError, match="cannot sum an empty traversal"):
-            dense_classify(Traversal((), label="A"), [("A", np.array([1.0]))])
+    @pytest.mark.parametrize(
+        "contacts, sizes, message",
+        [
+            ([], (1,), "cannot classify an empty traversal"),
+            ([[0.5, 0.5, 0.5]], (2, 2), "the traversal has 3 neurons, but the centroids have 2"),
+            ([[0.5]], (2, 2), "the traversal has 1 neurons, but the centroids have 2"),
+            ([[0.5, 0.5]], (2, 3), r"centroids disagree on neuron count, got \[2, 3\]"),
+        ],
+        ids=["empty-traversal", "more-neurons", "fewer-neurons", "centroids-disagree"],
+    )
+    def test_a_trial_the_centroids_cannot_classify_rejected(self, contacts, sizes, message):
+        # The neuron counts were once numpy's broadcast message.
+        centroids = [(str(k), np.ones(n)) for k, n in enumerate(sizes)]
+        with pytest.raises(ValueError, match=message):
+            dense_classify(Traversal(tuple((np.array(c), 0.020 * k) for k, c in enumerate(contacts))), centroids)
 
     def test_is_the_block_classifier_on_each_trial(self):
         # Each trial of a block is summed and classified on its own: as a one-trial block, and so as a traversal.

@@ -233,34 +233,37 @@ class TestCodeCapacity:
         assert code_capacity_bits(1, "ordered") == 0.0
         assert code_capacity_bits(3, "unordered", n_total=3) == pytest.approx(0.0, abs=1e-12)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"n_active": 0, "mode": "ordered"},
-            {"n_active": 3, "mode": "unordered"},
-            {"n_active": 4, "mode": "unordered", "n_total": 3},
-            {"n_active": 2, "mode": "rate"},
-            {"n_active": 10**400, "mode": "ordered"},
-            {"n_active": 10**306, "mode": "ordered"},
-            {"n_active": 3, "mode": "unordered", "n_total": 10**400},
-        ],
-    )
-    def test_rejections(self, kwargs):
-        with pytest.raises(ValueError):
+    REJECTIONS = [
+        ({"n_active": 0, "mode": "ordered"}, "n_active must be >= 1"),
+        ({"n_active": 3, "mode": "unordered"}, "requires n_total"),
+        ({"n_active": 4, "mode": "unordered", "n_total": 3}, "n_total=3 must be >= n_active=4"),
+        ({"n_active": 2, "mode": "rate"}, "mode must be"),
+        ({"n_active": 10**400, "mode": "ordered"}, "n_active is too large"),
+        ({"n_active": 10**306, "mode": "ordered"}, "n_active is too large"),
+        ({"n_active": 3, "mode": "unordered", "n_total": 10**400}, "n_total is too large"),
+        # Counts that are not integers: int() once truncated 2.5 to 2 and read "3" as 3.
+        ({"n_active": 2.5, "mode": "ordered"}, "n_active must be an integer, got 2.5"),
+        ({"n_active": 2.9, "mode": "unordered", "n_total": 4.5}, "n_active must be an integer, got 2.9"),
+        ({"n_active": 2, "mode": "unordered", "n_total": 4.5}, "n_total must be an integer, got 4.5"),
+        ({"n_active": "3", "mode": "ordered"}, "n_active must be an integer, got '3'"),
+        ({"n_active": np.float64(3.0), "mode": "ordered"}, "n_active must be an integer"),
+    ]
+
+    @pytest.mark.parametrize("kwargs, message", REJECTIONS, ids=[f"kwargs{k}" for k in range(len(REJECTIONS))])
+    def test_rejections(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
             code_capacity_bits(**kwargs)
+
+    def test_numpy_integer_counts(self):
+        assert code_capacity_bits(np.int64(3)) == code_capacity_bits(3)
+        unordered = code_capacity_bits(np.int32(2), "unordered", n_total=np.uint8(4))
+        assert unordered == code_capacity_bits(2, "unordered", n_total=4)
 
     def test_encoder_params_validation(self):
         with pytest.raises(ValueError):
             EncoderParams(tau_base=0.0)
         with pytest.raises(ValueError):
             EncoderParams(sparsity_threshold=float("inf"))
-
-
-def _first_neuron_by_min_key(packet):
-    """The earlier leading-neuron rule: the least (offset, id)."""
-    if not packet.spikes:
-        return None
-    return min(packet.spikes, key=lambda nid: (packet.spikes[nid], nid))
 
 
 class TestEncodeBuildsValidPackets:
@@ -283,13 +286,8 @@ class TestEncodeBuildsValidPackets:
             assert all(type(nid) is int and type(t) is float for nid, t in packet.spikes.items())
             times = np.array(list(packet.spikes.values()))
             assert times.tobytes() == np.array(list(rebuilt.spikes.values())).tobytes()
-            assert packet.first_neuron() == _first_neuron_by_min_key(packet)
             silent += not packet
         assert silent > 0
-
-    def test_first_neuron_with_signed_zero_offset(self):
-        packet = SpikePacket({3: 0.002, 1: -0.0, 5: 0.001})
-        assert packet.first_neuron() == _first_neuron_by_min_key(packet) == 1
 
     @pytest.mark.parametrize("arrival", [float("inf"), float("-inf"), float("nan")])
     @pytest.mark.parametrize("values", [[0.9, 0.5, 0.3], [0.0, 0.0, 0.0]])

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 
 import oracle
-from test_stdp import _packet
-from tempocode import stdp
+from tempocode import experiments, stdp
 from tempocode.config import Config, config_from_dict
+from tempocode.encoding import EncoderParams
 from tempocode.experiments import (
     _pathway_scores,
+    _temporal_picks,
     _train,
     classify_temporal,
     run_discrimination,
@@ -23,7 +24,7 @@ from tempocode.experiments import (
     wilson_interval,
 )
 from tempocode.inference import ObjectModel, left_sum
-from tempocode.types import SpikePacket, WeightMatrix
+from tempocode.types import Traversal, WeightMatrix
 from tempocode.world import F_CURVED, F_EDGE, F_SMOOTH, SyntheticObject, WorldParams, discrimination_pair, load_objects
 
 
@@ -33,9 +34,21 @@ def _small_config(**experiment_overrides) -> Config:
     return dataclasses.replace(base, experiment=experiment)
 
 
-def _leading_pair_scores(packets, models) -> list[float]:
-    """The oracle's scores: each model's weights on the leading pairs, folded left from 0.0."""
-    return [oracle.leading_score(model.weights.w.tolist(), [_packet(p) for p in packets]) for model in models]
+def _leading_pair_scores(rows, models, params) -> list[float]:
+    """The oracle's scores: each model's weights on the leading pairs of the contacts ``rows``, folded left from 0.0."""
+    packets = [oracle.encode(row, 0.020 * k, params) for k, row in enumerate(rows)]
+    return [oracle.leading_score(model.weights.w.tolist(), packets) for model in models]
+
+
+def _traversal(rows) -> Traversal:
+    """A traversal of the contact ``rows``, 20 ms apart."""
+    return Traversal(tuple((row, 0.020 * k) for k, row in enumerate(rows)))
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    """One small discrimination run, shared by the tests of its report's shape."""
+    return run_discrimination(_small_config(n_train=5, n_test=8), seed=11)
 
 
 class TestWilsonInterval:
@@ -85,26 +98,20 @@ class TestLeftToRightSums:
         # Folded left, "m" scores 0.0 and loses to 0.5; a compensated sum would give it 1.0.
         other = WeightMatrix.zeros(4)
         other.w[0, 1] = 0.5
-        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(4)]
-        assert classify_temporal(packets, [ObjectModel("other", other), ObjectModel("m", w)]) == 0
+        assert classify_temporal(_traversal(0.9 * np.eye(4)), [ObjectModel("other", other), ObjectModel("m", w)]) == 0
 
-    def test_classify_temporal_scores_the_leading_pairs(self):
-        packets = [SpikePacket({k % 3: 0.0, 3: 0.004}, arrival=0.020 * k) for k in range(5)]
-        packets.insert(2, SpikePacket({}, arrival=0.030))
+    @pytest.mark.parametrize("threshold", [0.1, 0.65])
+    def test_classify_temporal_scores_the_leading_pairs(self, threshold):
+        # Contact k leads with neuron k % 3 at 0.4 + 0.1 k and fires neuron 3 second; contact 2 is silent,
+        # and at threshold 0.65 so are contacts 0 and 1.
+        rows = [[0.0] * 4 if k == 2 else [(0.4 + 0.1 * k) * (j == k % 3) + 0.3 * (j == 3) for j in range(4)]
+                for k in range(6)]
         models = [ObjectModel(str(s), WeightMatrix(np.random.default_rng(s).normal(size=(4, 4)))) for s in range(6)]
-        scores = _leading_pair_scores(packets, models)
-        assert classify_temporal(packets, models) == scores.index(max(scores))
-        with pytest.raises(ValueError, match=r"out of range \[0, 2\)"):
-            classify_temporal(packets, [*models, ObjectModel("small", WeightMatrix.zeros(2))])
-        # Models of different sizes: each checks the ids against its own.
-        mixed = [ObjectModel(str(n), WeightMatrix(np.random.default_rng(n).normal(size=(n, n)))) for n in (6, 4, 5)]
-        scores = _leading_pair_scores(packets, mixed)
-        assert classify_temporal(packets, mixed) == scores.index(max(scores))
-        with pytest.raises(ValueError, match="at least one object model"):
-            classify_temporal(packets, [])
+        params = EncoderParams(sparsity_threshold=threshold)
+        scores = _leading_pair_scores(rows, models, params)
+        assert classify_temporal(_traversal(rows), models, params) == scores.index(max(scores))
 
     def test_classify_temporal_never_picks_a_nan_score(self):
-        packets = [SpikePacket({k: 0.0}, arrival=0.020 * k) for k in range(3)]
         nan_model = WeightMatrix.zeros(3)
         nan_model.w[0, 1], nan_model.w[1, 2] = np.inf, -np.inf  # inf + -inf: the score is NaN
         low, high = WeightMatrix.zeros(3), WeightMatrix.zeros(3)
@@ -113,29 +120,64 @@ class TestLeftToRightSums:
         leading, active = np.array([[0, 1, 2]]), np.ones((1, 3), dtype=bool)
         with pytest.warns(RuntimeWarning, match="invalid value"):
             assert math.isnan(_pathway_scores(leading, active, nan_model.w[None])[0, 0])
-            assert classify_temporal(packets, models) == 2
-            assert classify_temporal(packets, models[:1]) == 0  # no score beats -inf: the first model
+            assert classify_temporal(_traversal(0.9 * np.eye(3)), models) == 2
+            assert classify_temporal(_traversal(0.9 * np.eye(3)), models[:1]) == 0  # no score beats -inf: model 0
 
 
 class TestLeadingPairRule:
-    """The experiments' score of a packet pair is w[prev.first_neuron(), cur.first_neuron()]."""
+    """The experiments' score of a contact pair is w[leading neuron of the first, leading neuron of the second]."""
 
     def test_uses_first_firing_pair_only(self):
-        prev = SpikePacket({0: 0.0, 2: 0.005}, arrival=0.0)
-        cur = SpikePacket({1: 0.0, 2: 0.005}, arrival=0.020)
+        rows = [[0.9, 0.0, 0.5], [0.0, 0.9, 0.5]]
         leading = WeightMatrix.zeros(3)
         leading.w[0, 1] = 1.0
         rest = WeightMatrix(np.full((3, 3), 5.0))
         rest.w[0, 1] = 0.0  # every other synapse of the pair favours "rest"
-        assert classify_temporal([prev, cur], [ObjectModel("rest", rest), ObjectModel("leading", leading)]) == 1
+        assert classify_temporal(_traversal(rows), [ObjectModel("rest", rest), ObjectModel("leading", leading)]) == 1
 
-    def test_empty_packets_score_nothing(self):
+    def test_silent_contacts_score_nothing(self):
         ones = ObjectModel("ones", WeightMatrix(np.ones((3, 3))))
         minus = ObjectModel("minus", WeightMatrix(-np.ones((3, 3))))
         leading, active = np.array([[0, 1, 2]]), np.array([[True, False, True]])
         assert _pathway_scores(leading, active, np.stack([ones.weights.w, minus.weights.w])).tolist() == [[0.0, 0.0]]
-        packets = [SpikePacket({}), SpikePacket({0: 0.0}, arrival=0.020), SpikePacket({}, arrival=0.040)]
-        assert classify_temporal(packets, [minus, ones]) == 0  # a tie goes to the first model
+        rows = [[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [0.1, 0.1, 0.1]]  # 0.1 does not exceed the threshold
+        assert classify_temporal(_traversal(rows), [minus, ones]) == 0  # a tie goes to the first model
+
+    @pytest.mark.parametrize(
+        "rows, sizes, message",
+        [
+            ([[0.9, 0.0, 0.0]] * 2, (4, 4), "the traversal has 3 neurons, but the object models have 4"),
+            ([[0.9, 0.0, 0.0]] * 2, (2,), "the traversal has 3 neurons, but the object models have 2"),
+            ([[0.9, 0.0, 0.0]] * 2, (3, 4), r"object models disagree on neuron count, got \[3, 4\]"),
+            ([], (3,), "cannot classify an empty traversal"),
+            ([[0.9, 0.0, 0.0]] * 2, (), "need at least one object model"),
+        ],
+        ids=["fewer-neurons", "more-neurons", "models-disagree", "empty-traversal", "no-models"],
+    )
+    def test_classify_temporal_rejects_a_trial_its_models_cannot_score(self, rows, sizes, message):
+        # Once, a 3-neuron traversal's leading pairs silently scored 4-neuron models.
+        models = [ObjectModel(str(n), WeightMatrix(np.ones((n, n)))) for n in sizes]
+        with pytest.raises(ValueError, match=message):
+            classify_temporal(_traversal(rows), models)
+
+    def test_is_the_test_phase_pick_on_each_trial(self, monkeypatch):
+        cfg = _small_config(n_train=5, n_test=40)
+        seen = []
+
+        def spy(block, weights, threshold):
+            picks = _temporal_picks(block, weights, threshold)
+            seen.append((block, weights, picks))
+            return picks
+
+        monkeypatch.setattr(experiments, "_temporal_picks", spy)
+        run_discrimination(cfg, seed=3, sigma=0.5)
+        monkeypatch.undo()
+        assert len(seen) == 2
+        assert {int(pick) for *_, picks in seen for pick in picks} == {0, 1}  # a wrong pick can show
+        for block, weights, picks in seen:
+            models = [ObjectModel(str(o), WeightMatrix(w)) for o, w in enumerate(weights)]
+            for trial, pick in zip(block, picks):
+                assert classify_temporal(_traversal(trial), models, cfg.encoder) == pick
 
 
 class TestDiscrimination:
@@ -238,24 +280,21 @@ class TestDiscrimination:
         b = run_discrimination(cfg, seed=8, sigma=0.5)
         assert a.to_csv() != b.to_csv()
 
-    def test_config_echo_round_trips(self):
-        report = run_discrimination(_small_config(n_train=5, n_test=5), seed=11)
-        echoed = config_from_dict(report.config)
+    def test_config_echo_round_trips(self, small_report):
+        echoed = config_from_dict(small_report.config)
         assert echoed.world.seed == 11
-        assert echoed.to_dict() == report.config
+        assert echoed.to_dict() == small_report.config
 
-    def test_csv_schema(self):
-        report = run_discrimination(_small_config(n_train=5, n_test=5))
-        lines = report.to_csv().strip().split("\n")
+    def test_csv_schema(self, small_report):
+        lines = small_report.to_csv().strip().split("\n")
         assert lines[0] == "experiment,param,dense_acc,temporal_acc,gap_pp,ci_low,ci_high"
         assert len(lines) == 1 + 2 + 1  # header, per object, overall
         assert lines[-1].startswith("discrimination,overall,")
 
-    def test_per_object_counts(self):
-        report = run_discrimination(_small_config(n_train=5, n_test=8))
-        assert [r.label for r in report.per_object] == ["A", "B"]
-        assert all(r.n_test == 8 for r in report.per_object)
-        assert report.overall.n_test == 16
+    def test_per_object_counts(self, small_report):
+        assert [r.label for r in small_report.per_object] == ["A", "B"]
+        assert all(r.n_test == 8 for r in small_report.per_object)
+        assert small_report.overall.n_test == 16
 
 
 def _sparse_objects(seed, n_objects, n_neurons=64, n_contacts=20, driven=24):
@@ -386,8 +425,8 @@ def test_a_rerun_renders_the_same_bytes(run):
 
 
 class TestFairness:
-    def test_json_report_carries_both_cis(self):
-        data = json.loads(run_discrimination(_small_config(n_train=5, n_test=5)).to_json())
+    def test_json_report_carries_both_cis(self, small_report):
+        data = json.loads(small_report.to_json())
         overall = data["results"]["overall"]
         assert len(overall["dense_ci"]) == 2
         assert len(overall["temporal_ci"]) == 2

@@ -36,7 +36,7 @@ from tempocode.experiments import (
 from tempocode.inference import LoopState, ObjectModel, alignment_score, exploration_step
 from tempocode.rng import NoiseStream
 from tempocode.stdp import apply_packet_pair, train_on_traversal
-from tempocode.types import SpikePacket, StdpParams, WeightMatrix
+from tempocode.types import SpikePacket, StdpParams, Traversal, WeightMatrix
 from tempocode.world import (
     F_CURVED,
     F_EDGE,
@@ -488,13 +488,14 @@ def test_leading_pair_scores_match_the_oracle(data, seed, threshold):
     n = data.draw(st.integers(1, 8))
     rows = data.draw(_rows(n, data.draw(st.integers(1, 6))))
     params = EncoderParams(sparsity_threshold=threshold)
-    packets = [encode(row, params, arrival=0.020 * j) for j, row in enumerate(rows)]
+    packets = [oracle.encode(row, 0.020 * j, params) for j, row in enumerate(rows)]
     models = _models(random.Random(seed), n, data.draw(st.integers(1, 4)))
-    expected = [oracle.leading_score(m.weights.w.tolist(), [_packet(p) for p in packets]) for m in models]
+    expected = [oracle.leading_score(m.weights.w.tolist(), packets) for m in models]
     leading, active = _leading_neurons(np.array(rows), threshold)
     weights = np.stack([m.weights.w for m in models])
     assert _pathway_scores(leading[None], active[None], weights).tobytes() == _bytes([expected])
-    assert classify_temporal(packets, models) == oracle.best(expected)
+    traversal = Traversal(tuple((row, 0.020 * j) for j, row in enumerate(rows)))
+    assert classify_temporal(traversal, models, params) == oracle.best(expected)
 
 
 @settings(max_examples=60, deadline=None)

@@ -80,11 +80,6 @@ class TestSpikePacket:
         assert list(p.spikes) == [0, 1, 3]
         assert p.by_time() == [(1, 0.0), (3, 0.003), (0, 0.006)]
 
-    def test_first_neuron(self):
-        p = SpikePacket({2: 0.0, 1: 0.005}, arrival=1.0)
-        assert p.first_neuron() == 2
-        assert SpikePacket({}).first_neuron() is None
-
     def test_empty_packet_is_falsy(self):
         assert not SpikePacket({})
         assert SpikePacket({0: 0.0})
