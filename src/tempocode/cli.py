@@ -153,7 +153,7 @@ def _run_experiment(command: str, args: argparse.Namespace) -> int:
 
 def _run_encode(args: argparse.Namespace) -> int:
     try:
-        values = [float(part) for part in args.features.split(",") if part.strip() != ""]
+        values = [float(part) for part in args.features.split(",")]
     except ValueError:
         raise ConfigError(f"--features must be comma-separated numbers, got {args.features!r}") from None
     try:

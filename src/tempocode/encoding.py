@@ -176,11 +176,12 @@ def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None
     Since C(N, k) = N! / (k! (N - k)!), ordered capacity log2(N!) is at
     least unordered capacity log2(C(N, k)) for 1 <= k < N, with equality
     only at N = 2, k = 1, where both are 1 bit (acceptance criterion 10).
-    A count that is not an integer, such as 2.5 or ``"3"``, or whose
-    log-factorial overflows a double, raises ``ValueError`` naming it.
+    A count that is not an integer, such as 2.5, ``"3"`` or ``True``, or
+    whose log-factorial overflows a double, raises ``ValueError`` naming it.
     """
     for name, count in (("n_active", n_active), ("n_total", n_total)):
-        if not isinstance(count, numbers.Integral | None):  # numpy's integers are Integral; 2.5 and "3" are not
+        # numpy's integers are Integral; 2.5 and "3" are not, and True is but counts nothing.
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral | None):
             raise ValueError(f"{name} must be an integer, got {count!r}")
     n_active = int(n_active)
     if n_active < 1:

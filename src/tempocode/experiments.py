@@ -544,8 +544,8 @@ def run_lambda_convergence(config: Config | None = None, *, seed: int | None = N
     names = ("uniform", "moderate", "complex")
     bases = (sched.uniform, sched.moderate, sched.complex)
     state = EvidenceState(len(names), cfg.accumulator.initial_lambda, sched.alpha)
-    # Row c, step t is the stream (seed, _LAMBDA_DOMAIN, c)'s normal t, drawn as one array per object.
-    draws = [NoiseStream(seed, _LAMBDA_DOMAIN, c).normal_vector(steps).tolist() for c in range(len(names))]
+    # Row c, step t is the stream (seed, _LAMBDA_DOMAIN, c)'s normal t, all drawn as one array.
+    draws = NoiseStream(seed, _LAMBDA_DOMAIN).normal_grids(len(names), steps).tolist()
     trajectories: dict[str, list[float]] = {name: [] for name in names}
     for t in range(steps):
         for c, name in enumerate(names):

@@ -11,10 +11,11 @@ Gaussians come from the Box-Muller transform applied to the SplitMix64
 uniform stream (cosine branch only, one gaussian per substream).
 
 Because the scheme is addressed by index, :meth:`NoiseStream.normal_grid`
-draws a whole grid of substreams in one array pass, with the bits of the
-scalar definition: one SplitMix64 stream and one Box-Muller transform per
-index tuple, in Python ints and floats, as ``tests/oracle.py`` writes it
-out and the tests compare. The exactness rule that makes this hold: the
+draws the substreams of any index shape, one index or more, in one array
+pass (:func:`_normals`, the one index chain in numpy), with the bits of
+the scalar definition: one SplitMix64 stream and one Box-Muller transform
+per index tuple, in Python ints and floats, as ``tests/oracle.py`` writes
+it out and the tests compare. The exactness rule that makes this hold: the
 SplitMix64 integer mixing runs in numpy ``uint64``, where wrapping
 multiply, xor and shift are exact; only correctly rounded float operations
 (``+ - * /`` and ``sqrt``) run in numpy otherwise; one Box-Muller transform
@@ -36,17 +37,15 @@ The first call in a process probes the route against :mod:`math` on fixed
 inputs; if any bit differs, as on a numpy build whose vector kernels
 accept the overlap, every later call takes :mod:`math` per element
 instead, into the same buffer.
-:meth:`NoiseStream.normal_vector` is the one-index form, whose ``[t]`` is the
-draw at index ``t``, with which the lambda experiment draws each object's
-whole error trajectory at once.
 
 Sibling streams share that pass too. Child ``t`` of a stream is
 ``NoiseStream(seed, *prefix, t)``, and both ways to draw a family of
 children run the integer chain and the Box-Muller transform for every
 child at once, through one call (:func:`_normals`).
 :meth:`NoiseStream.normal_grids` returns the whole family's grids as one
-fresh ``(n, rows, cols)`` array, which no stream keeps, so its caller may
-scale it in place; a discrimination test phase draws its trials so.
+fresh ``(n, *shape)`` array, which no stream keeps, so its caller may
+scale it in place; a discrimination test phase draws its trials so, and
+the lambda experiment its objects' error trajectories.
 :meth:`NoiseStream.children` returns the children as streams, for a caller
 that takes one trial at a time: the first ``normal_grid`` call on any
 child draws the family's grids, and each child then copies its own slice.
@@ -148,38 +147,27 @@ def _child_seeds(parent: int, n: int) -> np.ndarray:
     return _mix64_u64(keys)
 
 
-def _seeded_uniforms(states: np.ndarray) -> np.ndarray:
-    """The first two uniforms of the SplitMix64 streams seeded by ``states[0]``.
+def _normals(seeds: np.ndarray, *shape: int) -> np.ndarray:
+    """The fresh ``(members, *shape)`` normals, ``[m, i1, ..., ik]`` the draw of ``derive_seed(seeds[m], i1, ..., ik)``.
 
-    ``states`` has shape ``(2, ...)`` and is overwritten.
+    At least one index. The chain takes one step per index axis; an index
+    hashes to the same ``mix64(index + 1)`` on every axis, so one key array
+    serves them all, and the last step is written straight into the state
+    array.
     """
-    tmp = np.empty_like(states)
+    *lead, last = shape
+    keys = _mix64_u64(np.arange(1, max(shape) + 1, dtype=np.uint64))
+    h = _mix64_u64(seeds.copy())
+    for size in lead:
+        h = _mix64_u64(h[..., None] ^ keys[:size])
+    states = np.empty((2, *h.shape, last), dtype=np.uint64)
+    np.bitwise_xor(h[..., None], keys[:last], out=states[0])
+    _mix64_u64(states[0], states[1])
     # A SplitMix64 stream's first two states are its seed plus one and two golden increments.
     states[0] += _GOLDEN_U64
     np.add(states[0], _GOLDEN_U64, out=states[1])
-    _mix64_u64(states, tmp)
-    del tmp  # freed before the float copy, so at most two draw-sized buffers live at once
-    return _unit_floats(states)
-
-
-def _grid_uniforms(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The ``(2, members, rows, cols)`` uniforms behind every member's ``normal_grid``.
-
-    ``[:, m, k, c]`` are the first two uniforms of the stream seeded
-    by ``derive_seed(member_seeds[m], k, c)``. A row and a column index hash
-    to the same ``mix64(index + 1)``, so one key array serves both.
-    """
-    index_keys = _mix64_u64(np.arange(1, max(rows, cols) + 1, dtype=np.uint64))
-    row_seeds = _mix64_u64(_mix64_u64(member_seeds.copy())[:, None] ^ index_keys[:rows])
-    states = np.empty((2, member_seeds.size, rows, cols), dtype=np.uint64)
-    np.bitwise_xor(row_seeds[:, :, None], index_keys[:cols], out=states[0])
-    _mix64_u64(states[0], states[1])
-    return _seeded_uniforms(states)
-
-
-def _normals(member_seeds: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """The fresh ``(members, rows, cols)`` array whose ``[m]`` is member ``m``'s ``normal_grid(rows, cols)``."""
-    return _box_muller(*_grid_uniforms(member_seeds, rows, cols))
+    _mix64_u64(states)  # its scratch buffer is freed before the float copy
+    return _box_muller(*_unit_floats(states))
 
 
 def _padded(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,13 +292,13 @@ class _Family:
 
     def __init__(self, seeds: np.ndarray):
         self.seeds = seeds
-        self._cache: tuple[tuple[int, int], np.ndarray] | None = None
+        self._cache: tuple[tuple[int, ...], np.ndarray] | None = None
 
-    def normals(self, rows: int, cols: int) -> np.ndarray:
-        """The ``(members, rows, cols)`` normals of every member, transformed once."""
+    def normals(self, *shape: int) -> np.ndarray:
+        """The ``(members, *shape)`` normals of every member, transformed once."""
         cache = self._cache
-        if cache is None or cache[0] != (rows, cols):
-            cache = ((rows, cols), _normals(self.seeds, rows, cols))
+        if cache is None or cache[0] != shape:
+            cache = (shape, _normals(self.seeds, *shape))
             self._cache = cache
         return cache[1]
 
@@ -344,26 +332,20 @@ class NoiseStream:
             kids.append(child)
         return kids
 
-    def normal_grids(self, n: int, rows: int, cols: int) -> np.ndarray:
-        """The fresh ``(n, rows, cols)`` array whose ``[t]`` is child ``t``'s ``normal_grid(rows, cols)``.
+    def normal_grids(self, n: int, *shape: int) -> np.ndarray:
+        """The fresh ``(n, *shape)`` array whose ``[t]`` is child ``t``'s ``normal_grid(*shape)``.
 
         Child ``t`` is ``NoiseStream(seed, *prefix, t)``, as in
         :meth:`children`. No stream keeps the array, so the caller owns it.
         """
-        return _normals(_child_seeds(self._seed, n), rows, cols)
+        return _normals(_child_seeds(self._seed, n), *shape)
 
-    def normal_vector(self, count: int) -> np.ndarray:
-        """The length-``count`` array whose ``[t]`` is the draw at index ``t``."""
-        states = np.empty((2, count), dtype=np.uint64)
-        states[0] = _child_seeds(mix64(self._seed), count)
-        return _box_muller(*_seeded_uniforms(states))
-
-    def normal_grid(self, rows: int, cols: int) -> np.ndarray:
-        """The ``(rows, cols)`` array whose ``[k, c]`` is the draw at indices ``(k, c)``.
+    def normal_grid(self, *shape: int) -> np.ndarray:
+        """The ``shape`` array whose ``[i1, ..., ik]`` is the draw at indices ``(i1, ..., ik)``; one index or more.
 
         A lone stream is a family of one; a child copies its slice of the
         normals its family draws for all members at once.
         """
         if self._family is None:
             self._family = _Family(np.array([self._seed], dtype=np.uint64))
-        return self._family.normals(rows, cols)[self._member].copy()
+        return self._family.normals(*shape)[self._member].copy()

@@ -219,7 +219,6 @@ class Traversal:
     """
 
     contacts: tuple[tuple[np.ndarray, float], ...]
-    label: str = ""
     features: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -246,7 +245,7 @@ class Traversal:
         object.__setattr__(self, "contacts", tuple(zip(block, times)))
 
     @classmethod
-    def _from_checked(cls, features: np.ndarray, times: list[float], label: str) -> "Traversal":
+    def _from_checked(cls, features: np.ndarray, times: list[float]) -> "Traversal":
         """A traversal over the rows of a finite (contacts, neurons) float block, trusted.
 
         ``times`` must be finite floats, strictly increasing. The contacts
@@ -255,7 +254,6 @@ class Traversal:
         """
         traversal = object.__new__(cls)
         object.__setattr__(traversal, "contacts", tuple(zip(features, times)))
-        object.__setattr__(traversal, "label", label)
         object.__setattr__(traversal, "features", features)
         return traversal
 

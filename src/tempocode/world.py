@@ -148,8 +148,8 @@ def generate_traversal(obj: SyntheticObject, params: WorldParams, stream: NoiseS
         values = _add_noise(stream.normal_grid(*values.shape), obj, params.noise_sigma)
     times = _contact_times(obj, params)
     if not (np.isfinite(values).all() and math.isfinite(times[-1])):
-        return Traversal(tuple(zip(values, times)), label=obj.label)
-    return Traversal._from_checked(values, times, obj.label)
+        return Traversal(tuple(zip(values, times)))
+    return Traversal._from_checked(values, times)
 
 
 def generate_feature_block(obj: SyntheticObject, params: WorldParams, stream: NoiseStream, trials: int) -> np.ndarray:
@@ -177,7 +177,7 @@ def generate_feature_block(obj: SyntheticObject, params: WorldParams, stream: No
     if not np.isfinite(noisy).all():
         times = _contact_times(obj, params)
         for trial in noisy:
-            Traversal(tuple(zip(trial, times)), label=obj.label)
+            Traversal(tuple(zip(trial, times)))
     return noisy
 
 
@@ -214,7 +214,10 @@ def load_objects(path: str | Path) -> list[SyntheticObject]:
     """Load user-supplied objects from JSON.
 
     The file holds either one object or a list of objects, each an object
-    ``{"label": str, "contacts": [[...], ...]}``.
+    ``{"label": str, "contacts": [[...], ...]}``. A label that is not a
+    string, or a contact that is not a list of numbers (``true`` is not
+    one), raises ``ValueError`` naming the object: by its place in the file
+    for a bad label, by its label otherwise.
     """
     data = json.loads(Path(path).read_text())
     if isinstance(data, dict):
@@ -222,10 +225,16 @@ def load_objects(path: str | Path) -> list[SyntheticObject]:
     if not isinstance(data, list) or not data:
         raise ValueError("objects file must hold one object or a non-empty list of objects")
     objects = []
-    for entry in data:
+    for i, entry in enumerate(data):
         if not isinstance(entry, dict) or set(entry) != {"label", "contacts"}:
             raise ValueError("each object needs exactly the keys 'label' and 'contacts'")
-        objects.append(SyntheticObject(str(entry["label"]), tuple(entry["contacts"])))
+        label, rows = entry["label"], entry["contacts"]
+        if not isinstance(label, str):
+            raise ValueError(f"object {i} of the file has label {label!r}; a label must be a string")
+        # A JSON number parses to an int or a float; true parses to a bool, which isinstance(x, int) admits.
+        if not (isinstance(rows, list) and all(isinstance(c, list) and {*map(type, c)} <= {int, float} for c in rows)):
+            raise ValueError(f"object {label!r} has contacts {rows!r}; each contact must be a list of numbers")
+        objects.append(SyntheticObject(label, tuple(rows)))
     require_one_dimensionality(objects)
     require_unique_labels(objects)
     return objects

@@ -64,23 +64,23 @@ MUTANTS = [
     ("rng.py", "child keys from t, not t + 1",
      "np.arange(1, n + 1, dtype=np.uint64)", "np.arange(0, n, dtype=np.uint64)", "test_rng"),
     ("rng.py", "a family cache not keyed by shape",
-     "if cache is None or cache[0] != (rows, cols):", "if cache is None:", "test_rng"),
+     "if cache is None or cache[0] != shape:", "if cache is None:", "test_rng"),
     ("rng.py", "normal_grid returning a view", "[self._member].copy()", "[self._member]", "test_rng"),
     ("rng.py", "every child reading member 0", "child_seed, family, t", "child_seed, family, 0", "test_rng"),
     ("rng.py", "a wrong zero-u1 substitute",
      "np.copyto(log_inputs[:n], _TWO_POW_NEG53, where=", "np.copyto(log_inputs[:n], 2.0**-52, where=", "test_rng"),
-    ("rng.py", "normal_vector seeded without the extra mix64",
-     "_child_seeds(mix64(self._seed), count)", "_child_seeds(self._seed, count)", "test_rng"),
+    ("rng.py", "_normals' chain started without mixing the seeds",
+     "h = _mix64_u64(seeds.copy())", "h = seeds.copy()", "test_rng"),
     ("rng.py", "the first chunk's cosines for every chunk",
      "np.multiply(u2, _TWO_PI, out=", "np.multiply(flat2[:n], _TWO_PI, out=", "test_rng"),
     ("rng.py", "the zero-u1 substitution in the first chunk only",
      "where=np.equal(u1, 0.0, out=zero[:n]))", "where=np.equal(u1, 0.0, out=zero[:n]) & (start == 0))", "test_rng"),
     ("rng.py", "normal_grids handing back a family's cached array that a sibling still reads",
-     "    return _box_muller(*_grid_uniforms(member_seeds, rows, cols))",
-     "    return _normals.__dict__.setdefault((member_seeds.tobytes(), rows, cols),"
-     " _box_muller(*_grid_uniforms(member_seeds, rows, cols)))",
+     "    return _box_muller(*_unit_floats(states))",
+     "    return _normals.__dict__.setdefault((seeds.tobytes(), *shape), _box_muller(*_unit_floats(states)))",
      "test_rng"),
-    ("rng.py", "u1 and u2 swapped", "return _unit_floats(states)", "return _unit_floats(states[::-1])", "test_rng"),
+    ("rng.py", "u1 and u2 swapped", "_box_muller(*_unit_floats(states))", "_box_muller(*_unit_floats(states)[::-1])",
+     "test_rng"),
     ("encoding.py", "block-encoder ids re-sorted ascending",
      'return ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m]',
      'return np.sort(ranked.argsort(axis=-1, kind="stable" if tied else None)[..., :m], axis=-1)',
@@ -102,7 +102,8 @@ MUTANTS = [
     ("encoding.py", "no arrival check in encode", "if not math.isfinite(arrival):", "if False:", "test_encoding"),
     ("encoding.py", "an unstable sort in the block encoder", 'kind="stable"', 'kind="quicksort"', "test_oracle"),
     ("encoding.py", "a count that is not an integer truncated",
-     "if not isinstance(count, numbers.Integral | None):", "if False:", "test_encoding"),
+     "or not isinstance(count, numbers.Integral | None):", "or False:", "test_encoding"),
+    ("encoding.py", "True counted as one neuron", "isinstance(count, bool) or ", "", "test_encoding"),
     ("encoding.py", "N = 2, k = 1 no longer ties",
      'log_comb = _log_factorial("n_total", n_total)', "log_comb = math.lgamma(n_total + 1.5)", "test_encoding"),
     ("experiments.py", "no gap check in training", "        _check_gaps(times, cfg.encoder)\n", "", "test_oracle"),
@@ -135,6 +136,10 @@ MUTANTS = [
     ("world.py", "no read-only flag on an object's block", "block.flags.writeable = False", "pass", "test_world"),
     ("world.py", "zero-neuron contacts accepted", "if arrs[0].size == 0:", "if False:", "test_world"),
     ("world.py", "no read-only flag on a traversal's block", "noise.flags.writeable = False", "pass", "test_world"),
+    ("world.py", "an objects file's label that is not a string stringified",
+     "if not isinstance(label, str):", "if False:", "test_world"),
+    ("world.py", "an objects file's true read as activation 1.0",
+     "<= {int, float}", "<= {int, float, bool}", "test_world"),
     ("world.py", "generate_traversal skipping its block check",
      "if not (np.isfinite(values).all() and", "if False and (np.isfinite(values).all() and", "test_world"),
     ("types.py", "the public Traversal aliasing its caller's arrays",
@@ -230,6 +235,8 @@ MUTANTS = [
      "except ConfigError as exc:", "except (ConfigError, ValueError) as exc:", "test_cli"),
     ("cli.py", "the objects file not loaded before the run",
      "objects = _config_objects(config, command)", "objects = None", "test_cli"),
+    ("cli.py", "an empty --features field dropped",
+     'args.features.split(",")]', 'args.features.split(",") if part.strip()]', "test_cli"),
     ("cli.py", "a thread pool imported at start-up",
      "import argparse\n", "import argparse\nimport concurrent.futures\n", "test_cli"),
     ("config.py", "n_train may be 0",

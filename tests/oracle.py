@@ -65,10 +65,11 @@ def box_muller(u1, u2):
 
 
 def normal(stream, *indices):
-    """The normal a stream owns at ``indices``: ``normal_grid(rows, cols)[k, c]`` is ``normal(stream, k, c)``.
+    """The normal a stream owns at ``indices``: ``normal_grid(*shape)[i1, ..., ik]`` is ``normal(stream, i1, ..., ik)``.
 
-    ``normal_vector(n)[t]`` is ``normal(stream, t)``; child t of
-    ``NoiseStream(seed, *prefix).children`` is the stream ``derive_seed(seed, *prefix, t)``.
+    Any number of indices, one or more, as the grid's shape has axes. Child
+    t of ``NoiseStream(seed, *prefix)``, in ``children`` and in
+    ``normal_grids``, is the stream ``derive_seed(seed, *prefix, t)``.
     """
     return box_muller(*uniforms(derive_seed(stream, *indices), 2))
 

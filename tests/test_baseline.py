@@ -13,7 +13,7 @@ from tempocode.world import WorldParams, discrimination_pair, generate_feature_b
 
 
 def _noiseless(obj):
-    return Traversal(tuple((c, 0.020 * k) for k, c in enumerate(obj.contacts)), label=obj.label)
+    return Traversal(tuple((c, 0.020 * k) for k, c in enumerate(obj.contacts)))
 
 
 def _block(obj, trials=1):
@@ -76,7 +76,7 @@ class TestDenseClassify:
 
     def test_exact_match_wins(self):
         centroids = [("near", np.array([1.0, 1.0])), ("far", np.array([5.0, 5.0]))]
-        trav = Traversal(((np.array([0.4, 0.4]), 0.0), (np.array([0.6, 0.6]), 0.020)), label="near")
+        trav = Traversal(((np.array([0.4, 0.4]), 0.0), (np.array([0.6, 0.6]), 0.020)))
         assert dense_classify(trav, centroids) == "near"
 
     def test_order_blindness_exact(self):
@@ -86,9 +86,7 @@ class TestDenseClassify:
         base = dense_classify(trav, centroids)
         contacts = list(trav.contacts)
         for perm in itertools.permutations(range(len(contacts))):
-            shuffled = Traversal(
-                tuple((contacts[p][0], 0.020 * k) for k, p in enumerate(perm)), label=trav.label
-            )
+            shuffled = Traversal(tuple((contacts[p][0], 0.020 * k) for k, p in enumerate(perm)))
             assert dense_classify(shuffled, centroids) == base
 
     def test_empty_centroids_rejected(self):

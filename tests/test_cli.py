@@ -38,10 +38,14 @@ class TestEncodeCommand:
         packet = tempocode.encode(values, tempocode.EncoderParams())
         assert out == json.dumps({str(nid): round(t, 6) for nid, t in packet.by_time()}) + "\n"
 
-    def test_bad_features_exit_2(self, capsys):
-        code, _, err = _run(capsys, ["encode", "--features", "0.2,abc"])
-        assert code == 2
-        assert "config error" in err
+    # An empty field once was dropped, so each value after it went to the neuron before its own.
+    @pytest.mark.parametrize(
+        "features", ["0.2,abc", "0.9,,0.5", "0.9,0.5,"], ids=["word", "empty-field", "trailing-comma"]
+    )
+    def test_bad_features_exit_2(self, capsys, features):
+        code, out, err = _run(capsys, ["encode", "--features", features])
+        assert (code, out) == (2, "")
+        assert err == f"config error: --features must be comma-separated numbers, got {features!r}\n"
 
 
 class TestCapacityCommand:
@@ -228,8 +232,13 @@ class TestExitCodesMeanWhatTheySay:
             ([_A, {"label": "B", "contacts": [[0.1, 0.2, 0.9]]}], "object 'B' has 1 contact", 0),
             ([{"label": "a", "contacts": [[], []]}, {"label": "b", "contacts": [[], []]}],
              "object 'a' has contacts of zero neurons", 2),
+            ([_A, {"label": None, "contacts": [[0.1, 0.2, 0.9], [0.9, True, 0.1]]}],
+             "object 1 of the file has label None; a label must be a string", 2),
+            ([_A, {"label": "B", "contacts": [[0.1, 0.2, 0.9], [0.9, True, 0.1]]}],
+             "object 'B' has contacts [[0.1, 0.2, 0.9], [0.9, True, 0.1]]; each contact must be a list of numbers", 2),
         ],
-        ids=["duplicate-label", "one-object", "one-contact-object", "zero-neuron-contacts"],
+        ids=["duplicate-label", "one-object", "one-contact-object", "zero-neuron-contacts", "null-label",
+             "boolean-activation"],
     )
     def test_a_bad_objects_file_exits_2(self, capsys, tmp_path, objects, message, lambda_code):
         path = tmp_path / "objects.json"

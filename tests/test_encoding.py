@@ -247,6 +247,9 @@ class TestCodeCapacity:
         ({"n_active": 2, "mode": "unordered", "n_total": 4.5}, "n_total must be an integer, got 4.5"),
         ({"n_active": "3", "mode": "ordered"}, "n_active must be an integer, got '3'"),
         ({"n_active": np.float64(3.0), "mode": "ordered"}, "n_active must be an integer"),
+        # bool is Integral, and True once counted as one active neuron.
+        ({"n_active": True, "mode": "ordered"}, "n_active must be an integer, got True"),
+        ({"n_active": 1, "mode": "unordered", "n_total": True}, "n_total must be an integer, got True"),
     ]
 
     @pytest.mark.parametrize("kwargs, message", REJECTIONS, ids=[f"kwargs{k}" for k in range(len(REJECTIONS))])

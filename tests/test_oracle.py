@@ -9,6 +9,7 @@ same values.
 """
 
 import dataclasses
+import itertools
 import random
 import sys
 from unittest import mock
@@ -186,11 +187,25 @@ def test_family_normals_across_box_muller_chunks_match_the_oracle(members, rows,
     assert got.tobytes() == _bytes(expected)
 
 
+@pytest.mark.parametrize("shape", [(300,), (20, 64), (3, 4, 5)], ids=["one-index", "two-indices", "three-indices"])
+@pytest.mark.parametrize("seed, prefix", [(42, (0, 2)), (2**64 - 1, ()), (7, (1, 3, 5))])
+def test_any_index_shape_matches_the_oracle(seed, prefix, shape):
+    # normal_grid(*shape)[i] and normal_grids(n, *shape)[t, i] against oracle.normal at the full index tuple.
+    stream = oracle.derive_seed(seed, *prefix)
+    tuples = list(itertools.product(*map(range, shape)))
+    grid = NoiseStream(seed, *prefix).normal_grid(*shape)
+    assert grid.tobytes() == _bytes([oracle.normal(stream, *index) for index in tuples])
+    grids = NoiseStream(seed, *prefix).normal_grids(3, *shape)
+    assert grids.shape == (3, *shape)
+    expected = [oracle.normal(oracle.derive_seed(seed, *prefix, t), *index) for t in range(3) for index in tuples]
+    assert grids.tobytes() == _bytes(expected)
+
+
 def _assert_streams_match(seed, prefix, members, rows, cols):
-    """A stream's ``normal_vector(cols)``, and its children's seeds and ``normal_grid(rows, cols)``."""
+    """A stream's ``normal_grid(cols)``, and its children's seeds and ``normal_grid(rows, cols)``."""
     parent = NoiseStream(seed, *prefix)
     stream = oracle.derive_seed(seed, *prefix)
-    assert parent.normal_vector(cols).tobytes() == _bytes([oracle.normal(stream, t) for t in range(cols)])
+    assert parent.normal_grid(cols).tobytes() == _bytes([oracle.normal(stream, t) for t in range(cols)])
     children = parent.children(members)
     assert [child._seed for child in children] == [oracle.derive_seed(seed, *prefix, t) for t in range(members)]
     for child in children:

@@ -8,6 +8,7 @@ import pytest
 
 import oracle
 from tempocode import rng
+from tempocode.experiments import _LAMBDA_DOMAIN
 from tempocode.rng import NoiseStream, derive_seed, mix64
 
 
@@ -29,7 +30,7 @@ class TestSplitMix64:
         assert abs(np.mean(us) - 0.5) < 0.02
 
     def test_gaussian_moments(self):
-        zs = NoiseStream(987654321).normal_vector(50000)
+        zs = NoiseStream(987654321).normal_grid(50000)
         assert abs(zs.mean()) < 0.02
         assert abs(zs.std() - 1.0) < 0.02
 
@@ -45,17 +46,18 @@ class TestNoiseStream:
     def test_counter_based_order_independence(self):
         # Draw t is the same whatever else is drawn with it, and in whatever order.
         s = NoiseStream(7, 0, 1)
-        assert s.normal_vector(10)[:5].tobytes() == s.normal_vector(5).tobytes()
+        assert s.normal_grid(10)[:5].tobytes() == s.normal_grid(5).tobytes()
         assert s.normal_grid(4, 3)[:2, :2].tobytes() == s.normal_grid(2, 2).tobytes()
+        assert s.normal_grid(3, 4, 5)[1:, :2, 3:].tobytes() == s.normal_grid(3, 2, 5)[1:, :, 3:].tobytes()
 
     def test_prefix_separates_streams(self):
         a = NoiseStream(7, 0, 0)
         b = NoiseStream(7, 0, 1)
-        assert a.normal_vector(5).tolist() != b.normal_vector(5).tolist()
+        assert a.normal_grid(5).tolist() != b.normal_grid(5).tolist()
 
     def test_independent_substreams_uncorrelated(self):
-        za = NoiseStream(11, 0, 0).normal_vector(10000)
-        zb = NoiseStream(11, 0, 1).normal_vector(10000)
+        za = NoiseStream(11, 0, 0).normal_grid(10000)
+        zb = NoiseStream(11, 0, 1).normal_grid(10000)
         rho = np.corrcoef(za, zb)[0, 1]
         assert abs(rho) < 0.05
 
@@ -70,6 +72,9 @@ class TestNormalGrid:
         stream = NoiseStream(42, 0)
         assert stream.normal_grid(0, 5).shape == (0, 5)
         assert stream.normal_grid(3, 0).shape == (3, 0)
+        assert stream.normal_grid(0).shape == (0,)
+        assert stream.normal_grid(2, 0, 4).shape == (2, 0, 4)
+        assert stream.normal_grids(2, 0).shape == (2, 0)
         assert stream.normal_grid(1, 1).tolist() == [[oracle.normal(derive_seed(42, 0), 0, 0)]]
 
 
@@ -112,15 +117,23 @@ class TestChildren:
     def test_no_children(self):
         assert NoiseStream(42, 0, 0).children(0) == []
 
-    @pytest.mark.parametrize("n, rows, cols", [(1, 3, 3), (7, 3, 3), (200, 3, 3), (7, 20, 64), (3, 4, 700)])
-    def test_normal_grids_are_the_childrens_grids(self, n, rows, cols):
-        grids = NoiseStream(42, 1, 3).normal_grids(n, rows, cols)
-        assert grids.shape == (n, rows, cols)
+    SHAPES = [(1, 3, 3), (7, 3, 3), (200, 3, 3), (7, 20, 64), (3, 4, 700), (4, 5), (4, 2, 3, 4)]
+
+    @pytest.mark.parametrize("n, shape", [(n, s) for n, *s in SHAPES], ids=["-".join(map(str, s)) for s in SHAPES])
+    def test_normal_grids_are_the_childrens_grids(self, n, shape):
+        grids = NoiseStream(42, 1, 3).normal_grids(n, *shape)
+        assert grids.shape == (n, *shape)
         children = NoiseStream(42, 1, 3).children(n)
         lone = self._lone(42, (1, 3), n)
         for t in range(n):
-            assert grids[t].tobytes() == lone[t].normal_grid(rows, cols).tobytes()
-            assert grids[t].tobytes() == children[t].normal_grid(rows, cols).tobytes()
+            assert grids[t].tobytes() == lone[t].normal_grid(*shape).tobytes()
+            assert grids[t].tobytes() == children[t].normal_grid(*shape).tobytes()
+
+    def test_lambda_draws_are_the_objects_own_streams(self):
+        # run_lambda_convergence draws object c's errors as row c of one family call.
+        grids = NoiseStream(5, _LAMBDA_DOMAIN).normal_grids(3, 300)
+        for c in range(3):
+            assert grids[c].tobytes() == NoiseStream(5, _LAMBDA_DOMAIN, c).normal_grid(300).tobytes()
 
     def test_normal_grids_share_no_familys_normals(self):
         # A caller scales the grids in place: children of the same parent, and a later call, must not see it.
@@ -314,7 +327,7 @@ class TestLibmRoute:
         # normal_grid's and _increments' fallback bits are pinned by TestPinnedBits and test_stdp.
         monkeypatch.setattr(rng, "_overlap_is_libm", lambda: False)
         expected = [oracle.normal(derive_seed(7, 2, 1), t) for t in range(300)]
-        assert NoiseStream(7, 2, 1).normal_vector(300).tobytes() == np.array(expected).tobytes()
+        assert NoiseStream(7, 2, 1).normal_grid(300).tobytes() == np.array(expected).tobytes()
         for u in _unit_samples():
             assert rng._box_muller(u, u[::-1]).tobytes() == _scalar_box_muller(u, u[::-1]).tobytes()
 
@@ -327,10 +340,7 @@ class TestPinnedBits:
         assert digest == "3eb80c56affdff28ed32f7e8ede89105ce1a7223ca42d1c1a91ccac7401105ba"
 
     def test_normal_vector(self, libm_route):
-        digest = hashlib.sha256(NoiseStream(7, 2, 1).normal_vector(300).tobytes()).hexdigest()
+        # The one-index grid keeps the bits of the retired one-index method, normal_vector(300).
+        digest = hashlib.sha256(NoiseStream(7, 2, 1).normal_grid(300).tobytes()).hexdigest()
         assert digest == "470131cfc8f42df827535354e077888397a72f82c847c086675329f0235862b9"
 
-
-class TestNormalVector:
-    def test_empty(self):
-        assert NoiseStream(42).normal_vector(0).shape == (0,)

@@ -23,8 +23,8 @@ TAU = 0.020
 A = 0.01
 
 
-def _traversal(vectors, interval=0.020, label=""):
-    return Traversal(tuple((np.asarray(v), k * interval) for k, v in enumerate(vectors)), label=label)
+def _traversal(vectors, interval=0.020):
+    return Traversal(tuple((np.asarray(v), k * interval) for k, v in enumerate(vectors)))
 
 
 def _first_error(run):

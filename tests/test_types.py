@@ -170,5 +170,5 @@ class TestTraversal:
         assert t.features.tolist() == [[0.9, 0.2, 0.1], [0.1, 0.2, 0.9]]
 
     def test_an_empty_traversal_is_constructible(self):
-        t = Traversal((), label="A")
-        assert len(t) == 0 and t.label == "A"
+        t = Traversal(())
+        assert len(t) == 0 and t.features.shape == (0, 0)

@@ -83,8 +83,8 @@ class TestGenerateTraversal:
         trav = generate_traversal(obj, params, NoiseStream(3, 0, 0, 1))
         rows, times = oracle.traversal(obj.features.tolist(), sigma, interval, oracle.derive_seed(3, 0, 0, 1))
         values = np.array(rows)
-        public = Traversal(tuple(zip(values, times)), label=obj.label)
-        assert (trav.label, len(trav)) == (obj.label, len(public))
+        public = Traversal(tuple(zip(values, times)))
+        assert len(trav) == len(public)
         assert [t for _, t in trav.contacts] == [k * interval for k in range(len(obj.contacts))]
         for (f, t), (pf, pt) in zip(trav.contacts, public.contacts):
             assert (f.tobytes(), t) == (pf.tobytes(), pt) and type(t) is float
@@ -244,8 +244,18 @@ class TestLoadObjects:
             ([{"label": "x", "contacts": [[0.9, 0.1]]}, {"label": "y", "contacts": [[0.9]]}],
              "object 'y' has 1 neurons but 'x' has 2"),
             ([{"label": "a", "contacts": [[], []]}], "object 'a' has contacts of zero neurons"),
+            # The config parser rejects booleans and non-numbers; str(None) and str(5) once became labels.
+            ([{"label": "x", "contacts": [[0.9]]}, {"label": None, "contacts": [[0.1]]}],
+             "object 1 of the file has label None; a label must be a string"),
+            ([{"label": 5, "contacts": [[0.9]]}], "object 0 of the file has label 5"),
+            ([{"label": "t", "contacts": [[0.9, True]]}],
+             r"object 't' has contacts \[\[0.9, True\]\]; each contact must be a list of numbers"),
+            ([{"label": "s", "contacts": [["0.9"]]}], "object 's' has contacts"),
+            ([{"label": "n", "contacts": [[0.9], None]}], "object 'n' has contacts"),
+            ([{"label": "f", "contacts": 0.9}], "object 'f' has contacts 0.9"),
         ],
-        ids=["extra-key", "empty-list", "duplicate-labels", "mixed-dimensions", "zero-neurons"],
+        ids=["extra-key", "empty-list", "duplicate-labels", "mixed-dimensions", "zero-neurons", "null-label",
+             "number-label", "boolean-activation", "string-activation", "null-contact", "number-contacts"],
     )
     def test_rejects(self, tmp_path, objects, message):
         path = tmp_path / "objects.json"
