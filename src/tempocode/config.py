@@ -2,11 +2,13 @@
 
 Configs are plain JSON with five sections (encoder, stdp, accumulator,
 world, experiment). The table ``_SECTIONS`` is the schema: it maps each
-JSON key to a dataclass field and a check, in echo order, and drives both
-parsing and :meth:`Config.to_dict`. Defaults live only in the dataclass
-fields. Unknown keys are hard errors so typos cannot silently fall back to
-defaults. Every validation failure names the offending key, e.g.
-``stdp.tau_plus``. :meth:`Config.resolved_seed` is the one seed rule for
+JSON key to a dataclass field and to a rule from :mod:`tempocode.types`,
+the one the parameter types check their fields with, in echo order, and
+drives both parsing and :meth:`Config.to_dict`. Defaults live only in the
+dataclass fields. Unknown keys are hard errors so typos cannot silently
+fall back to defaults. Every validation failure names the offending key,
+e.g. ``stdp.tau_plus``: :func:`_parse` raises a rule's ``ValueError`` as a
+:class:`ConfigError`. :meth:`Config.resolved_seed` is the one seed rule for
 the library and the CLI alike.
 
 The experiment section's ``error_schedule`` holds the calibrated per-object
@@ -18,16 +20,13 @@ converged values 0.30 / 0.60 / 0.87 and frozen here).
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 from .encoding import EncoderParams
-from .types import StdpParams
+from .types import StdpParams, _count, _non_negative, _number, _positive, _span, _unit_interval
 
 DEFAULT_SEED = 42
 DEFAULT_SIGMAS = (0.00, 0.05, 0.10, 0.20, 0.35, 0.50)
@@ -101,71 +100,31 @@ class Config:
         return _echo(self, _SECTIONS)
 
 
-def _as_number(path: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+def _checked(check, path: str, value, *args):
+    """``check(path, value, *args)``, with its ``ValueError`` raised as a :class:`ConfigError`."""
     try:
-        value = float(value)
-    except OverflowError:
-        raise ConfigError(f"{path}: must be finite, got an integer too large for a double") from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}: must be finite, got {value}")
-    return value
-
-
-def _positive(path: str, value) -> float:
-    value = _as_number(path, value)
-    if value <= 0.0:
-        raise ConfigError(f"{path}: must be > 0, got {value}")
-    return value
-
-
-def _span(path: str, value) -> float:
-    value = _as_number(path, value)
-    if value < sys.float_info.min:
-        raise ConfigError(f"{path}: must be >= {sys.float_info.min}, the smallest normal double, got {value}")
-    return value
-
-
-def _non_negative(path: str, value) -> float:
-    value = _as_number(path, value)
-    if value < 0.0:
-        raise ConfigError(f"{path}: must be >= 0, got {value}")
-    return value
-
-
-def _as_int(path: str, value, minimum: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{path}: must be >= {minimum}, got {value}")
-    return int(value)
+        return check(path, value, *args)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _seed(source: str, value) -> int:
     """SplitMix64 keys on 64 bits, so any other seed would alias one of them."""
-    value = _as_int(source, value, minimum=0)
+    value = _checked(_count, source, value, 0)
     if value >= 2**64:
         raise ConfigError(f"{source}: must be < 2**64, got {value}")
     return value
 
 
-def _unit_interval(path: str, value) -> float:
-    value = _as_number(path, value)
-    if not 0.0 <= value <= 1.0:
-        raise ConfigError(f"{path}: must lie in [0, 1], got {value}")
-    return value
-
-
 def _noise_levels(path: str, value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not value:
-        raise ConfigError(f"{path}: expected a non-empty list of noise levels")
+        raise ValueError(f"{path}: expected a non-empty list of noise levels")
     return tuple(_non_negative(f"{path}[{i}]", s) for i, s in enumerate(value))
 
 
 def _file_path(path: str, value) -> str:
     if not isinstance(value, str):
-        raise ConfigError(f"{path}: expected a file path string, got {value!r}")
+        raise ValueError(f"{path}: expected a file path string, got {value!r}")
     return value
 
 
@@ -176,13 +135,13 @@ def _optional(check):
 
 # The JSON schema. A spec is ``(dataclass, entries)``; each entry is
 # ``(JSON key, dataclass field, check)`` in echo order, where the check is a
-# nested spec or ``check(path, value)`` returning the field's value.
+# nested spec or ``check(path, value)``, which returns the field's value.
 # ``world.velocity`` and ``accumulator.alpha`` are read by nothing, but every
 # report echoes them.
 _SECTIONS = (
     ("encoder", "encoder", (EncoderParams, (
         ("tau_base", "tau_base", _span),
-        ("threshold", "sparsity_threshold", _as_number),
+        ("threshold", "sparsity_threshold", _number),
     ))),
     ("stdp", "stdp", (StdpParams, (
         ("a_plus", "a_plus", _positive),
@@ -202,11 +161,11 @@ _SECTIONS = (
         ("objects", "objects", _optional(_file_path)),
     ))),
     ("experiment", "experiment", (ExperimentConfig, (
-        ("n_train", "n_train", partial(_as_int, minimum=1)),
-        ("n_test", "n_test", partial(_as_int, minimum=1)),
+        ("n_train", "n_train", partial(_count, minimum=1)),
+        ("n_test", "n_test", partial(_count, minimum=1)),
         ("sigma", "sigma", _non_negative),
         ("sigmas", "sigmas", _noise_levels),
-        ("steps", "steps", partial(_as_int, minimum=1)),
+        ("steps", "steps", partial(_count, minimum=1)),
         ("error_schedule", "error_schedule", (LambdaSchedule, (
             ("alpha", "alpha", _positive),
             ("uniform", "uniform", _unit_interval),
@@ -226,8 +185,8 @@ def _parse(path: str, data, spec):
     values = {}
     for key, name, check in entries:
         if key in data:
-            sub = f"{path}.{key}"
-            values[name] = _parse(sub, data[key], check) if isinstance(check, tuple) else check(sub, data[key])
+            args = (f"{path}.{key}", data[key])
+            values[name] = _parse(*args, check) if isinstance(check, tuple) else _checked(check, *args)
     unknown = sorted(set(data).difference(key for key, _, _ in entries))
     if unknown:
         raise ConfigError(f"{path}.{unknown[0]}: unknown key")

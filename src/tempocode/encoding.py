@@ -55,28 +55,23 @@ with one rounding, as Python does, and its time is ``time + offset``, as
 from __future__ import annotations
 
 import math
-import numbers
-import sys
 from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
 
-from .types import SpikePacket, Traversal, as_features
+from .types import SpikePacket, Traversal, _check_fields, _count, _number, _span, as_features
 
 
 @dataclass(frozen=True)
 class EncoderParams:
-    """Packet time span, a finite normal double (see the module docstring), and firing threshold."""
+    """Packet time span, a finite normal double (see the module docstring), and firing threshold, as floats."""
 
     tau_base: float = 0.010
     sparsity_threshold: float = 0.1
 
     def __post_init__(self):
-        if not (math.isfinite(self.tau_base) and self.tau_base >= sys.float_info.min):
-            raise ValueError(f"tau_base must be finite and at least {sys.float_info.min}, got {self.tau_base}")
-        if not math.isfinite(self.sparsity_threshold):
-            raise ValueError(f"sparsity_threshold must be finite, got {self.sparsity_threshold}")
+        _check_fields(self, tau_base=_span, sparsity_threshold=_number)
 
 
 @cache
@@ -100,7 +95,7 @@ def encode(features, params: EncoderParams = EncoderParams(), *, arrival: float 
     n = len(active)
     # Keys in ascending id order; Python's sort is stable under reverse=True, so ties keep ascending id.
     spikes = dict.fromkeys(active)
-    spikes.update(zip(sorted(active, key=values.__getitem__, reverse=True), _offsets(float(params.tau_base), n)))
+    spikes.update(zip(sorted(active, key=values.__getitem__, reverse=True), _offsets(params.tau_base, n)))
     return SpikePacket._from_ordered(spikes, arrival)
 
 
@@ -149,7 +144,7 @@ def _encode_block(block: np.ndarray, times, params: EncoderParams) -> tuple[np.n
     ids = _firing_order(block, counts, m)
     # A padded slot gets rank 0, so its time is the contact's and stays finite.
     ranks = np.where(np.arange(m) < counts[..., None], np.arange(m), 0)
-    offsets = float(params.tau_base) * (ranks / np.maximum(counts, 1)[..., None])
+    offsets = params.tau_base * (ranks / np.maximum(counts, 1)[..., None])
     # Python's float addition overflows to inf without a warning; the fold rejects such a time.
     with np.errstate(over="ignore"):
         spike_times = np.asarray(times, dtype=float)[:, None] + offsets
@@ -176,22 +171,17 @@ def code_capacity_bits(n_active: int, mode: str = "ordered", n_total: int | None
     Since C(N, k) = N! / (k! (N - k)!), ordered capacity log2(N!) is at
     least unordered capacity log2(C(N, k)) for 1 <= k < N, with equality
     only at N = 2, k = 1, where both are 1 bit (acceptance criterion 10).
-    A count that is not an integer, such as 2.5, ``"3"`` or ``True``, or
-    whose log-factorial overflows a double, raises ``ValueError`` naming it.
+    A count that is not an integer (2.5, ``"3"``, ``True``), one below 1 or
+    one whose log-factorial overflows a double raises ``ValueError`` naming it.
     """
-    for name, count in (("n_active", n_active), ("n_total", n_total)):
-        # numpy's integers are Integral; 2.5 and "3" are not, and True is but counts nothing.
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral | None):
-            raise ValueError(f"{name} must be an integer, got {count!r}")
-    n_active = int(n_active)
-    if n_active < 1:
-        raise ValueError(f"n_active must be >= 1, got {n_active}")
+    n_active = _count("n_active", n_active, 1)
+    if n_total is not None:
+        n_total = _count("n_total", n_total, 1)
     if mode == "ordered":
         return _log_factorial("n_active", n_active) / math.log(2.0)
     if mode == "unordered":
         if n_total is None:
             raise ValueError("unordered capacity requires n_total")
-        n_total = int(n_total)
         if n_total < n_active:
             raise ValueError(f"n_total={n_total} must be >= n_active={n_active}")
         # n_total is the largest of the three, so if its log-factorial is finite, so are the others.

@@ -21,6 +21,8 @@ import math
 
 import numpy as np
 
+from .types import _count, _positive, _unit_interval
+
 
 class EvidenceState:
     """Mutable per-class evidence accumulator owned by one inference loop.
@@ -31,17 +33,10 @@ class EvidenceState:
     """
 
     def __init__(self, n_classes: int, initial_lambda: float = 0.5, alpha: float = 0.001):
-        if n_classes < 1:
-            raise ValueError(f"need at least one class, got {n_classes}")
-        initial_lambda = float(initial_lambda)
-        if not (0.0 <= initial_lambda <= 1.0):
-            raise ValueError(f"initial lambda must lie in [0, 1], got {initial_lambda}")
-        alpha = float(alpha)
-        if not (math.isfinite(alpha) and alpha > 0.0):
-            raise ValueError(f"alpha must be positive and finite, got {alpha}")
+        n_classes = _count("n_classes", n_classes, 1)
         self.evidence = np.full(n_classes, 1.0 / n_classes)
-        self.lambdas = np.full(n_classes, initial_lambda)
-        self.alpha = alpha
+        self.lambdas = np.full(n_classes, _unit_interval("initial_lambda", initial_lambda))
+        self.alpha = _positive("alpha", alpha)
 
     @property
     def n_classes(self) -> int:
@@ -69,10 +64,7 @@ class EvidenceState:
         """Nudge one class's lambda from its prediction error in [0, 1]."""
         if not 0 <= class_idx < self.n_classes:
             raise ValueError(f"class index {class_idx} out of range [0, {self.n_classes})")
-        prediction_error = float(prediction_error)
-        if not (0.0 <= prediction_error <= 1.0):
-            raise ValueError(f"prediction error must lie in [0, 1], got {prediction_error}")
-        self._adapt(class_idx, prediction_error)
+        self._adapt(class_idx, _unit_interval("prediction_error", prediction_error))
 
     def best_hypothesis(self) -> int:
         """Argmax class; ties break toward the lowest index."""

@@ -481,8 +481,7 @@ def run_discrimination(
     """
     cfg = config if config is not None else Config()
     seed = cfg.resolved_seed(seed)
-    sigma = cfg.experiment.sigma if sigma is None else float(sigma)
-    world = WorldParams(noise_sigma=sigma, inter_contact_interval=cfg.world.inter_contact_interval)
+    world = WorldParams(cfg.experiment.sigma if sigma is None else sigma, cfg.world.inter_contact_interval)
     if cfg.experiment.n_train < 1:
         raise ValueError("n_train must be >= 1: untrained matrices score 0 against everything")
     if cfg.experiment.n_test < 1:
@@ -491,15 +490,15 @@ def run_discrimination(
     try:
         results = _run_phases(cfg, seed, world, objs)
     except _DenseOverflow as exc:
-        raise ValueError(f"noise sigma {sigma:g}: {exc}") from None
+        raise ValueError(f"noise sigma {world.noise_sigma:g}: {exc}") from None
 
     return DiscriminationReport(
-        sigma=sigma,
+        sigma=world.noise_sigma,
         n_train=cfg.experiment.n_train,
         n_test=cfg.experiment.n_test,
         seed=seed,
         per_object=tuple(results),
-        config=_effective_config_dict(cfg, seed, sigma),
+        config=_effective_config_dict(cfg, seed, world.noise_sigma),
     )
 
 

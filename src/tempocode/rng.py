@@ -72,6 +72,8 @@ from itertools import starmap
 
 import numpy as np
 
+from .types import _count
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX_A = 0xBF58476D1CE4E5B9
@@ -141,7 +143,8 @@ def _unit_floats(u64: np.ndarray) -> np.ndarray:
 
 
 def _child_seeds(parent: int, n: int) -> np.ndarray:
-    """``mix64(parent ^ mix64(t + 1))`` for ``t`` in ``0 .. n-1``: one step of the seed chain."""
+    """``mix64(parent ^ mix64(t + 1))`` for ``t`` in ``0 .. n-1``, ``n`` a count: one step of the seed chain."""
+    n = _count("n", n, 0)
     keys = _mix64_u64(np.arange(1, n + 1, dtype=np.uint64))
     keys ^= np.uint64(parent)
     return _mix64_u64(keys)
@@ -150,11 +153,14 @@ def _child_seeds(parent: int, n: int) -> np.ndarray:
 def _normals(seeds: np.ndarray, *shape: int) -> np.ndarray:
     """The fresh ``(members, *shape)`` normals, ``[m, i1, ..., ik]`` the draw of ``derive_seed(seeds[m], i1, ..., ik)``.
 
-    At least one index. The chain takes one step per index axis; an index
-    hashes to the same ``mix64(index + 1)`` on every axis, so one key array
-    serves them all, and the last step is written straight into the state
-    array.
+    At least one index, each extent a count, 0 or more. The chain takes
+    one step per index axis; an index hashes to the same ``mix64(index +
+    1)`` on every axis, so one key array serves them all, and the last step
+    is written straight into the state array.
     """
+    if not shape:
+        raise ValueError("shape: a draw needs at least one index, got none")
+    shape = [_count(f"shape[{i}]", size, 0) for i, size in enumerate(shape)]
     *lead, last = shape
     keys = _mix64_u64(np.arange(1, max(shape) + 1, dtype=np.uint64))
     h = _mix64_u64(seeds.copy())

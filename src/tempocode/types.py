@@ -13,14 +13,81 @@ one raises. The types that hold arrays, :class:`Traversal` and
 :class:`WeightMatrix` here and ``SyntheticObject`` and ``ObjectModel``
 elsewhere, are declared ``eq=False``: they compare and hash by identity,
 as ``EvidenceState`` does.
+
+Each kind of setting has one rule here, ``rule(name, value)``, which
+returns the value as a float (an int for :func:`_count`) or raises
+``ValueError(f"{name}: <rule>, got ...")``: :func:`_number` (finite, not a
+``bool``; an integer past every double is named as such), :func:`_positive`,
+:func:`_non_negative`, :func:`_unit_interval`, :func:`_span` (at least the
+smallest normal double) and :func:`_count` (an integer, not a ``bool``, of
+at least a minimum). They check the fields of every parameter type, the
+arguments of ``EvidenceState``, :meth:`WeightMatrix.zeros` and
+``code_capacity_bits``, every draw size, and each config key by its JSON path.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _number(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: expected a number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: must be finite, got an integer too large for a double") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{name}: must be finite, got {value}")
+    return value
+
+
+def _positive(name: str, value) -> float:
+    value = _number(name, value)
+    if value <= 0.0:
+        raise ValueError(f"{name}: must be > 0, got {value}")
+    return value
+
+
+def _non_negative(name: str, value) -> float:
+    value = _number(name, value)
+    if value < 0.0:
+        raise ValueError(f"{name}: must be >= 0, got {value}")
+    return value
+
+
+def _unit_interval(name: str, value) -> float:
+    value = _number(name, value)
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name}: must lie in [0, 1], got {value}")
+    return value
+
+
+def _span(name: str, value) -> float:
+    value = _number(name, value)
+    if value < sys.float_info.min:
+        raise ValueError(f"{name}: must be >= {sys.float_info.min}, the smallest normal double, got {value}")
+    return value
+
+
+def _count(name: str, value, minimum: int) -> int:
+    # numpy's integers are Integral; 2.5 and "3" are not, and True is but counts nothing.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: expected an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name}: must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def _check_fields(params, **rules) -> None:
+    """Replace each field of the frozen dataclass ``params`` named in ``rules`` by what its rule returns."""
+    for name, rule in rules.items():
+        object.__setattr__(params, name, rule(name, getattr(params, name)))
 
 def as_features(values) -> np.ndarray:
     """Validate and convert a feature vector; rejects empty or non-finite input, an integer past any double too."""
@@ -118,8 +185,7 @@ class WeightMatrix:
 
     @classmethod
     def zeros(cls, n: int) -> "WeightMatrix":
-        if n < 1:
-            raise ValueError(f"weight matrix dimension must be >= 1, got {n}")
+        n = _count("n", n, 1)
         return cls(np.zeros((n, n), dtype=float))
 
     @property
@@ -128,13 +194,6 @@ class WeightMatrix:
 
     def copy(self) -> "WeightMatrix":
         return WeightMatrix(self.w.copy())
-
-
-def _require_positive(name: str, value: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -153,10 +212,9 @@ class StdpParams:
     w_max: float | None = None
 
     def __post_init__(self):
-        for name in ("a_plus", "a_minus", "tau_plus", "tau_minus"):
-            object.__setattr__(self, name, _require_positive(name, getattr(self, name)))
+        _check_fields(self, a_plus=_positive, a_minus=_positive, tau_plus=_positive, tau_minus=_positive)
         if self.w_max is not None:
-            object.__setattr__(self, "w_max", _require_positive("w_max", self.w_max))
+            _check_fields(self, w_max=_positive)
 
 
 @dataclass(frozen=True)
@@ -166,9 +224,7 @@ class LatencyParams:
     assumed_velocity: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "assumed_velocity", _require_positive("assumed_velocity", self.assumed_velocity)
-        )
+        _check_fields(self, assumed_velocity=_positive)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .rng import NoiseStream
-from .types import Traversal
+from .types import Traversal, _check_fields, _count, _non_negative, _positive
 
 F_SMOOTH = (0.9, 0.2, 0.1)
 F_CURVED = (0.2, 0.8, 0.2)
@@ -59,16 +59,13 @@ class SyntheticObject:
 
 @dataclass(frozen=True)
 class WorldParams:
-    """Noise level and contact timing; the noise itself comes from the stream."""
+    """Noise level and contact timing, both stored as floats; the noise itself comes from the stream."""
 
     noise_sigma: float = 0.0
     inter_contact_interval: float = 0.020
 
     def __post_init__(self):
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0.0):
-            raise ValueError(f"noise sigma must be >= 0 and finite, got {self.noise_sigma}")
-        if not (math.isfinite(self.inter_contact_interval) and self.inter_contact_interval > 0.0):
-            raise ValueError(f"inter_contact_interval must be positive and finite, got {self.inter_contact_interval}")
+        _check_fields(self, noise_sigma=_non_negative, inter_contact_interval=_positive)
 
 
 def builtin_objects() -> list[SyntheticObject]:
@@ -168,9 +165,9 @@ def generate_feature_block(obj: SyntheticObject, params: WorldParams, stream: No
     times through the public :class:`Traversal` constructor, which raises
     for the first bad contact of the first trial that has one. The contact
     times are not part of the block, and a finite block is returned without
-    checking them.
+    checking them. ``trials`` is a count, 0 or more.
     """
-    shape = (trials, *obj.features.shape)
+    shape = (_count("trials", trials, 0), *obj.features.shape)
     if params.noise_sigma == 0.0:
         return np.broadcast_to(obj.features, shape)
     noisy = _add_noise(stream.normal_grids(*shape), obj, params.noise_sigma)

@@ -79,6 +79,9 @@ MUTANTS = [
      "    return _box_muller(*_unit_floats(states))",
      "    return _normals.__dict__.setdefault((seeds.tobytes(), *shape), _box_muller(*_unit_floats(states)))",
      "test_rng"),
+    ("rng.py", "the draw-size check dropped",
+     '[_count(f"shape[{i}]", size, 0) for i, size in enumerate(shape)]', "list(shape)", "test_rng"),
+    ("rng.py", "the family-size check dropped", '    n = _count("n", n, 0)\n', "", "test_rng"),
     ("rng.py", "u1 and u2 swapped", "_box_muller(*_unit_floats(states))", "_box_muller(*_unit_floats(states)[::-1])",
      "test_rng"),
     ("encoding.py", "block-encoder ids re-sorted ascending",
@@ -88,8 +91,8 @@ MUTANTS = [
     ("encoding.py", "no stable fallback for fired ties",
      "tied = ((top[..., 1:] == top[..., :-1]) & (np.arange(1, m) < counts[..., None])).any()", "tied = False",
      "test_encoding"),
-    ("encoding.py", "a span floor of > 0.0",
-     "self.tau_base >= sys.float_info.min", "self.tau_base > 0.0", "test_encoding"),
+    ("types.py", "a span floor of > 0.0",
+     "if value < sys.float_info.min:", "if value <= 0.0:", "test_encoding"),
     ("encoding.py", "a gap of exactly the span accepted",
      "if t - prev <= params.tau_base:", "if t - prev < params.tau_base:", "test_oracle"),
     ("encoding.py", "no errstate on the block encoder's times",
@@ -101,9 +104,19 @@ MUTANTS = [
      "tuple(tau_base * (r / n) for r in range(n))", "tuple(tau_base * r / n for r in range(n))", "test_encoding"),
     ("encoding.py", "no arrival check in encode", "if not math.isfinite(arrival):", "if False:", "test_encoding"),
     ("encoding.py", "an unstable sort in the block encoder", 'kind="stable"', 'kind="quicksort"', "test_oracle"),
-    ("encoding.py", "a count that is not an integer truncated",
-     "or not isinstance(count, numbers.Integral | None):", "or False:", "test_encoding"),
-    ("encoding.py", "True counted as one neuron", "isinstance(count, bool) or ", "", "test_encoding"),
+    ("types.py", "a count that is not an integer truncated",
+     "not isinstance(value, numbers.Integral):", "not isinstance(value, numbers.Real):", "test_encoding"),
+    ("types.py", "True counted as one neuron",
+     "if isinstance(value, bool) or not isinstance(value, numbers.Integral):",
+     "if not isinstance(value, numbers.Integral):", "test_encoding"),
+    ("types.py", "_count admitting a non-integer",
+     "if isinstance(value, bool) or not isinstance(value, numbers.Integral):", "if isinstance(value, bool):",
+     "test_config"),
+    ("types.py", "_number admitting bool",
+     "if isinstance(value, bool) or not isinstance(value, numbers.Real):", "if not isinstance(value, numbers.Real):",
+     "test_config"),
+    ("types.py", "_unit_interval's upper bound opened", "if not 0.0 <= value <= 1.0:", "if not 0.0 <= value:",
+     "test_config"),
     ("encoding.py", "N = 2, k = 1 no longer ties",
      'log_comb = _log_factorial("n_total", n_total)', "log_comb = math.lgamma(n_total + 1.5)", "test_encoding"),
     ("experiments.py", "no gap check in training", "        _check_gaps(times, cfg.encoder)\n", "", "test_oracle"),
@@ -151,7 +164,8 @@ MUTANTS = [
     ("types.py", "models that disagree on neuron count accepted",
      "if len(set(counts)) > 1:", "if False:", "test_experiments test_inference"),
     ("types.py", "an integer past the largest double left unmapped in as_features",
-     "except OverflowError:", "except ZeroDivisionError:", "test_types test_encoding test_inference"),
+     "except OverflowError:  # an integer too large for a double", "except ZeroDivisionError:",
+     "test_types test_encoding test_inference"),
     ("types.py", "writeable packet arrays",
      "ids.flags.writeable = times.flags.writeable = False", "pass", "test_types"),
     ("types.py", "no finiteness check in WeightMatrix", "if not np.all(np.isfinite(arr)):", "if False:", "test_stdp"),
@@ -240,10 +254,11 @@ MUTANTS = [
     ("cli.py", "a thread pool imported at start-up",
      "import argparse\n", "import argparse\nimport concurrent.futures\n", "test_cli"),
     ("config.py", "n_train may be 0",
-     '("n_train", "n_train", partial(_as_int, minimum=1))',
-     '("n_train", "n_train", partial(_as_int, minimum=0))', "test_config"),
-    ("config.py", "an integer past the largest double left unmapped",
-     "except OverflowError:\n        raise ConfigError", "except ZeroDivisionError:\n        raise ConfigError", "test_cli"),
+     '("n_train", "n_train", partial(_count, minimum=1))',
+     '("n_train", "n_train", partial(_count, minimum=0))', "test_config"),
+    ("types.py", "an integer past the largest double left unmapped",
+     'except OverflowError:\n        raise ValueError(f"{name}:',
+     'except ZeroDivisionError:\n        raise ValueError(f"{name}:', "test_cli"),
 ]
 
 

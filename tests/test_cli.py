@@ -59,7 +59,7 @@ class TestCapacityCommand:
 
     def test_invalid_n_exit_2(self, capsys):
         code, _, err = _run(capsys, ["capacity", "--n", "0"])
-        assert (code, err) == (2, "config error: n_active must be >= 1, got 0\n")
+        assert (code, err) == (2, "config error: n_active: must be >= 1, got 0\n")
 
     def test_invalid_k_prints_no_partial_answer(self, capsys):
         code, out, err = _run(capsys, ["capacity", "--n", "3", "--k", "5"])

@@ -1,6 +1,7 @@
 """Config parsing: defaults, strict keys, named diagnostics."""
 
 import json
+import math
 from dataclasses import fields
 
 import pytest
@@ -15,6 +16,8 @@ from tempocode.config import (
     config_from_dict,
     load_config,
 )
+from tempocode.encoding import EncoderParams
+from tempocode.types import StdpParams
 
 # One bad value per table key, plus the malformed objects, each with the
 # start of the message it must raise.
@@ -114,6 +117,34 @@ class TestValidation:
             path.write_text(text)
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+# Each encoder and stdp key, the parameter type and field it fills, and a value out of its range.
+_PARITY_KEYS = [
+    ("encoder", "tau_base", EncoderParams, "tau_base", 5e-324),
+    ("encoder", "threshold", EncoderParams, "sparsity_threshold", None),  # every finite number is a threshold
+    ("stdp", "a_plus", StdpParams, "a_plus", 0.0),
+    ("stdp", "a_minus", StdpParams, "a_minus", -0.01),
+    ("stdp", "tau_plus", StdpParams, "tau_plus", 0),
+    ("stdp", "tau_minus", StdpParams, "tau_minus", -1),
+    ("stdp", "clip", StdpParams, "w_max", 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "section, key, cls, name, value",
+    [pytest.param(section, key, cls, name, value, id=f"{section}.{key}={value!r}")
+     for section, key, cls, name, out_of_range in _PARITY_KEYS
+     for value in (True, "1", math.inf, out_of_range) if value is not None],
+)
+def test_a_key_and_its_field_share_one_rule(section, key, cls, name, value):
+    with pytest.raises(ConfigError) as from_config:
+        config_from_dict({section: {key: value}})
+    with pytest.raises(ValueError) as direct:
+        cls(**{name: value})
+    rule = str(direct.value).removeprefix(f"{name}: ")
+    assert str(direct.value) == f"{name}: {rule}"
+    assert str(from_config.value) == f"{section}.{key}: {rule}"
 
 
 class TestRoundTrip:

@@ -209,7 +209,7 @@ class TestSpanFloor:
 
     @pytest.mark.parametrize("tau_base", [5e-324, math.nextafter(sys.float_info.min, 0.0)])
     def test_a_subnormal_span_is_rejected(self, tau_base):
-        with pytest.raises(ValueError, match=f"tau_base must be finite and at least {sys.float_info.min}"):
+        with pytest.raises(ValueError, match=f"^tau_base: must be >= {sys.float_info.min}, the smallest normal double"):
             EncoderParams(tau_base=tau_base)
 
 
@@ -234,7 +234,7 @@ class TestCodeCapacity:
         assert code_capacity_bits(3, "unordered", n_total=3) == pytest.approx(0.0, abs=1e-12)
 
     REJECTIONS = [
-        ({"n_active": 0, "mode": "ordered"}, "n_active must be >= 1"),
+        ({"n_active": 0, "mode": "ordered"}, "n_active: must be >= 1, got 0"),
         ({"n_active": 3, "mode": "unordered"}, "requires n_total"),
         ({"n_active": 4, "mode": "unordered", "n_total": 3}, "n_total=3 must be >= n_active=4"),
         ({"n_active": 2, "mode": "rate"}, "mode must be"),
@@ -242,14 +242,14 @@ class TestCodeCapacity:
         ({"n_active": 10**306, "mode": "ordered"}, "n_active is too large"),
         ({"n_active": 3, "mode": "unordered", "n_total": 10**400}, "n_total is too large"),
         # Counts that are not integers: int() once truncated 2.5 to 2 and read "3" as 3.
-        ({"n_active": 2.5, "mode": "ordered"}, "n_active must be an integer, got 2.5"),
-        ({"n_active": 2.9, "mode": "unordered", "n_total": 4.5}, "n_active must be an integer, got 2.9"),
-        ({"n_active": 2, "mode": "unordered", "n_total": 4.5}, "n_total must be an integer, got 4.5"),
-        ({"n_active": "3", "mode": "ordered"}, "n_active must be an integer, got '3'"),
-        ({"n_active": np.float64(3.0), "mode": "ordered"}, "n_active must be an integer"),
+        ({"n_active": 2.5, "mode": "ordered"}, "n_active: expected an integer, got 2.5"),
+        ({"n_active": 2.9, "mode": "unordered", "n_total": 4.5}, "n_active: expected an integer, got 2.9"),
+        ({"n_active": 2, "mode": "unordered", "n_total": 4.5}, "n_total: expected an integer, got 4.5"),
+        ({"n_active": "3", "mode": "ordered"}, "n_active: expected an integer, got '3'"),
+        ({"n_active": np.float64(3.0), "mode": "ordered"}, "n_active: expected an integer"),
         # bool is Integral, and True once counted as one active neuron.
-        ({"n_active": True, "mode": "ordered"}, "n_active must be an integer, got True"),
-        ({"n_active": 1, "mode": "unordered", "n_total": True}, "n_total must be an integer, got True"),
+        ({"n_active": True, "mode": "ordered"}, "n_active: expected an integer, got True"),
+        ({"n_active": 1, "mode": "unordered", "n_total": True}, "n_total: expected an integer, got True"),
     ]
 
     @pytest.mark.parametrize("kwargs, message", REJECTIONS, ids=[f"kwargs{k}" for k in range(len(REJECTIONS))])

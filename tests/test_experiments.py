@@ -199,11 +199,14 @@ class TestDiscrimination:
     @pytest.mark.parametrize(
         "overrides, sigma, message",
         [({"n_test": 0}, 0.05, "n_test must be >= 1"), ({"n_train": 0}, 0.05, "n_train must be >= 1"),
-         ({}, -0.1, "noise sigma must be >= 0"),
-         ({}, math.inf, r"^noise sigma must be >= 0 and finite, got inf$"),
-         ({}, math.nan, r"^noise sigma must be >= 0 and finite, got nan$"),
+         ({}, -0.1, "noise_sigma: must be >= 0"),
+         ({}, math.inf, r"^noise_sigma: must be finite, got inf$"),
+         ({}, math.nan, r"^noise_sigma: must be finite, got nan$"),
          # The noise level is checked first, as it was when run_discrimination checked it itself.
-         ({"n_train": 0}, -0.1, r"^noise sigma must be >= 0 and finite, got -0.1$")],
+         ({"n_train": 0}, -0.1, r"^noise_sigma: must be >= 0, got -0.1$"),
+         # The override reaches WorldParams as given: float() once ran "0.1" at 0.1 and True at 1.0.
+         ({}, "0.1", r"^noise_sigma: expected a number, got '0.1'$"),
+         ({}, True, r"^noise_sigma: expected a number, got True$")],
     )
     def test_rejects_an_empty_phase_or_a_negative_sigma(self, overrides, sigma, message):
         with pytest.raises(ValueError, match=message):

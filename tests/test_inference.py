@@ -316,7 +316,7 @@ def _raising(name, before, step, message, after=None, loop=_trained_loop, **kwar
 
 _READINGS = [[0.9, 0.2, 0.1], [0.2, 0.8, 0.2], [0.1, 0.2, 0.9]]
 _SILENT = [0.0, 0.0, 0.0]
-_VELOCITY = "assumed_velocity must be positive and finite"
+_VELOCITY = "^assumed_velocity: must be (> 0|finite), got"
 _DIRECTION = "motor direction must be finite"
 _NOT_A_PAIR = r"motor must be a \(velocity, direction\) pair"
 

@@ -78,6 +78,30 @@ class TestNormalGrid:
         assert stream.normal_grid(1, 1).tolist() == [[oracle.normal(derive_seed(42, 0), 0, 0)]]
 
 
+class TestDrawSizes:
+    """A family size and each index extent are counts; a draw names the one that is not."""
+
+    _NO_INDEX = "^shape: a draw needs at least one index, got none$"
+
+    @pytest.mark.parametrize(
+        "draw, message",
+        [(lambda s: s.normal_grids(-1, 3), "^n: must be >= 0, got -1$"),  # once a (0, 3) array
+         (lambda s: s.children(-1), "^n: must be >= 0, got -1$"),  # once []
+         (lambda s: s.children(2.5), "^n: expected an integer, got 2.5$"),
+         (lambda s: s.normal_grid(3, -1), r"^shape\[1\]: must be >= 0, got -1$"),
+         (lambda s: s.normal_grid(True), r"^shape\[0\]: expected an integer, got True$"),
+         (lambda s: s.normal_grids(2, 2.0), r"^shape\[0\]: expected an integer, got 2.0$"),
+         (lambda s: s.normal_grid(), _NO_INDEX),  # once "not enough values to unpack"
+         (lambda s: s.normal_grids(2), _NO_INDEX),
+         (lambda s: s.children(2)[1].normal_grid(), _NO_INDEX)],
+        ids=["negative-family", "negative-children", "fractional-children", "negative-extent", "true-extent",
+             "float-extent", "grid-of-no-index", "grids-of-no-index", "child-grid-of-no-index"],
+    )
+    def test_a_bad_size_is_rejected_by_name(self, draw, message):
+        with pytest.raises(ValueError, match=message):
+            draw(NoiseStream(1))
+
+
 class TestZeroUniform:
     """u1 == 0 is replaced by 2**-53 in the Box-Muller transform every draw takes."""
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from tempocode.encoding import EncoderParams
+from tempocode.evidence import EvidenceState
 from tempocode.inference import ObjectModel
 from tempocode.types import (
     Displacement,
@@ -15,7 +17,7 @@ from tempocode.types import (
     WeightMatrix,
     as_features,
 )
-from tempocode.world import SyntheticObject
+from tempocode.world import SyntheticObject, WorldParams
 
 
 _F = np.array([0.5, 0.5])
@@ -112,6 +114,24 @@ class TestWeightMatrix:
         w = WeightMatrix.zeros(3)
         assert w.n == 3
         assert np.all(w.w == 0.0)
+
+
+# Each of these once passed (True as 1 or 1.0) or failed in numpy's words (2.5 as a shape).
+@pytest.mark.parametrize(
+    "build, message",
+    [(lambda: EvidenceState(True), "^n_classes: expected an integer, got True$"),
+     (lambda: EvidenceState(2.5), "^n_classes: expected an integer, got 2.5$"),
+     (lambda: WeightMatrix.zeros(True), "^n: expected an integer, got True$"),
+     (lambda: WeightMatrix.zeros(2.5), "^n: expected an integer, got 2.5$"),
+     (lambda: WorldParams(noise_sigma=True), "^noise_sigma: expected a number, got True$"),
+     (lambda: EncoderParams(tau_base=True), "^tau_base: expected a number, got True$"),
+     (lambda: EvidenceState(2).adapt_lambda(0, True), "^prediction_error: expected a number, got True$")],
+    ids=["evidence-of-true-classes", "evidence-of-2.5-classes", "matrix-of-true-neurons", "matrix-of-2.5-neurons",
+         "true-noise", "true-span", "true-prediction-error"],
+)
+def test_a_setting_of_the_wrong_kind_is_rejected_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 class TestParams:

@@ -142,12 +142,12 @@ class TestGenerateTraversal:
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
 
     def test_params_validation(self):
-        for sigma in (-0.1, np.inf, np.nan):
-            with pytest.raises(ValueError, match=rf"^noise sigma must be >= 0 and finite, got {sigma}$"):
+        for sigma, rule in ((-0.1, "must be >= 0"), (np.inf, "must be finite"), (np.nan, "must be finite")):
+            with pytest.raises(ValueError, match=rf"^noise_sigma: {rule}, got {sigma}$"):
                 WorldParams(noise_sigma=sigma)
-        for interval in (0.0, -0.1, np.inf, np.nan):
-            message = f"^inter_contact_interval must be positive and finite, got {interval}$"
-            with pytest.raises(ValueError, match=message):
+        for interval, rule in ((0.0, "must be > 0"), (-0.1, "must be > 0"), (np.inf, "must be finite"),
+                               (np.nan, "must be finite")):
+            with pytest.raises(ValueError, match=f"^inter_contact_interval: {rule}, got {interval}$"):
                 WorldParams(inter_contact_interval=interval)
 
 
@@ -188,6 +188,17 @@ class TestGenerateFeatureBlock:
             block = generate_feature_block(obj, params, NoiseStream(4, 1, 0), n)
             lone = [generate_traversal(obj, params, NoiseStream(4, 1, 0, t)).features for t in range(n)]
             assert block.tobytes() == np.stack(lone).tobytes()
+
+    # Once a negative count drew an empty block at sigma > 0 and failed in numpy's words at sigma 0.
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    @pytest.mark.parametrize(
+        "trials, message",
+        [(-1, "^trials: must be >= 0, got -1$"), (2.5, "^trials: expected an integer, got 2.5$"),
+         (True, "^trials: expected an integer, got True$")],
+    )
+    def test_a_bad_trial_count_is_rejected_by_name(self, trials, message, sigma):
+        with pytest.raises(ValueError, match=message):
+            generate_feature_block(_MIXED, WorldParams(sigma), NoiseStream(1), trials)
 
     def test_sigma_zero_is_the_objects_own_block(self):
         block = generate_feature_block(_MIXED, WorldParams(), NoiseStream(1), 4)
