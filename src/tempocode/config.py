@@ -2,13 +2,12 @@
 
 Configs are plain JSON with five sections (encoder, stdp, accumulator,
 world, experiment). The table ``_SECTIONS`` is the schema: it maps each
-JSON key to a dataclass field and to a rule from :mod:`tempocode.types`,
-the one the parameter types check their fields with, in echo order, and
-drives both parsing and :meth:`Config.to_dict`. Defaults live only in the
-dataclass fields. Unknown keys are hard errors so typos cannot silently
-fall back to defaults. Every validation failure names the offending key,
-e.g. ``stdp.tau_plus``: :func:`_parse` raises a rule's ``ValueError`` as a
-:class:`ConfigError`. :meth:`Config.resolved_seed` is the one seed rule for
+JSON key, in echo order, to a dataclass field and the :mod:`tempocode.types`
+rule that checks it, and drives both parsing and :meth:`Config.to_dict`.
+Defaults live only in the dataclass fields. Unknown keys are hard errors
+so typos cannot silently fall back to defaults. :func:`_parse` raises a
+rule's ``ValueError`` as a :class:`ConfigError` naming the key, e.g.
+``stdp.tau_plus``. :meth:`Config.resolved_seed` is the one seed rule for
 the library and the CLI alike.
 
 The experiment section's ``error_schedule`` holds the calibrated per-object

@@ -89,6 +89,7 @@ def _check_fields(params, **rules) -> None:
     for name, rule in rules.items():
         object.__setattr__(params, name, rule(name, getattr(params, name)))
 
+
 def as_features(values) -> np.ndarray:
     """Validate and convert a feature vector; rejects empty or non-finite input, an integer past any double too."""
     try:
